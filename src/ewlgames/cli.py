@@ -49,7 +49,6 @@ DEFAULTS = {
     "p_grid": 21,
     "epsilon": 1e-9,
     "format": "csv",
-    "threads": 1,
     "bin_width": 0.05,
 }
 
@@ -104,7 +103,7 @@ def _read_config_file(path: str) -> dict[str, str]:
         raise ConfigError(f"{path}: config file needs a [run] section")
     known = {
         "game", "game2", "catalogue", "steps", "gamma", "gamma_grid", "p_grid",
-        "epsilon", "out", "format", "plot", "threads", "records", "gamma_slice",
+        "epsilon", "out", "format", "plot", "records", "gamma_slice",
         "bin_width",
     }
     values = dict(parser["run"])
@@ -204,9 +203,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     epsilon = settings.get("epsilon", float)
-    records = gamma_sweep(
-        game, grid, [gamma_param.gamma], epsilon, threads=settings.get("threads", int)
-    )
+    records = gamma_sweep(game, grid, [gamma_param.gamma], epsilon)
     _emit_records(
         settings,
         records,
@@ -229,7 +226,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = build_grid(settings.get("steps", parse_steps))
     gamma_points = _gamma_points(settings)
     epsilon = settings.get("epsilon", float)
-    records = gamma_sweep(game, grid, gamma_points, epsilon, threads=settings.get("threads", int))
+    records = gamma_sweep(game, grid, gamma_points, epsilon)
     _emit_records(
         settings,
         records,
@@ -259,10 +256,7 @@ def cmd_bayes_sweep(args: argparse.Namespace) -> int:
     gamma_points = _gamma_points(settings)
     p_points = default_p_grid(settings.get("p_grid", int))
     epsilon = settings.get("epsilon", float)
-    records = bayes_sweep(
-        game1, game2, grid, gamma_points, p_points, epsilon,
-        threads=settings.get("threads", int),
-    )
+    records = bayes_sweep(game1, game2, grid, gamma_points, p_points, epsilon)
     _emit_records(
         settings,
         records,
@@ -297,10 +291,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         (game,) = _load_games(settings, [settings.require("game")])
         grid = build_grid(settings.get("steps", parse_steps))
         gamma_values = _gamma_points(settings)
-        records = gamma_sweep(
-            game, grid, gamma_values, settings.get("epsilon", float),
-            threads=settings.get("threads", int),
-        )
+        records = gamma_sweep(game, grid, gamma_values, settings.get("epsilon", float))
 
     gamma_slice = settings.require("gamma_slice", parse_angle)
     swept = sorted({r.gamma for r in records} | set(gamma_values))
@@ -375,7 +366,6 @@ def _add_common(sub: argparse.ArgumentParser, *, bayes: bool = False) -> None:
     sub.add_argument("--catalogue", help="catalogue file (default: built-in)")
     sub.add_argument("--steps", help="grid steps as T,P,A angles (e.g. pi,pi/2,pi/2)")
     sub.add_argument("--epsilon", help="payoff tie tolerance (default 1e-9)")
-    sub.add_argument("--threads", help="worker threads for tensor fill")
     sub.add_argument("--out", help="output file path")
     sub.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
 

@@ -10,7 +10,6 @@ at full weight.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,29 +22,33 @@ from .linalg import PAULI_X
 # double rounding in <=4 chained 4x4 products.
 DEFAULT_EPSILON = 1e-9
 
-_DEFAULT_ROW_CHUNK = 256
-
 
 def pairwise_payoffs(
     mats_a: np.ndarray,
     mats_b: np.ndarray,
     gamma: EntanglementParam,
     game: GameDefinition,
-    *,
-    threads: int = 1,
-    row_chunk: int = _DEFAULT_ROW_CHUNK,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both players' expected payoffs for every strategy pairing.
 
-    Vectorized circuit evaluation: with C = diag(c, i s) for c=cos(g/2),
-    s=sin(g/2), the final-state amplitudes for the pair (Ua, Ub), read as
-    a 2x2 array Psi[a_bit, b_bit], are
+    With C = diag(c, i s) for c=cos(g/2), s=sin(g/2), the final-state
+    amplitudes for the pair (Ua_i, Ub_j), read as a 2x2 array
+    Psi[a_bit, b_bit], are
 
-        Psi = c * S - i s * (sx S sx),   S = Ua C Ub^T,
+        Psi = c * S - i s * (sx S sx),   S = Ua_i C Ub_j^T,
 
-    which collapses to one complex matmul over stacked strategy blocks:
-    Psi_ij = [c*Ua_i*C | -i s*sx*Ua_i*C] @ [Ub_j | sx*Ub_j]^T.
-    Agreement with the naive product path is enforced by tests at 1e-12.
+    i.e. Psi[a, b] = sum_m L_i[a, m] R_j[b, m] with the 2x4 blocks
+    L_i = [c*Ua_i*C | -i s*sx*Ua_i*C] and R_j = [Ub_j | sx*Ub_j]. Hence
+
+        |Psi[a, b]|^2 = sum_{m,m'} F_i[a, m, m'] G_j[b, m, m']
+
+    for the outer products F_i[a, m, m'] = L_i[a, m] conj(L_i[a, m']) and
+    G_j[b, m, m'] = R_j[b, m] conj(R_j[b, m']), and a payoff table w[a, b]
+    scores payoff(i, j) = Re sum_{a,m,m'} F_i[a, m, m'] H_j[a, m, m'] with
+    H_j[a] = sum_b w[a, b] G_j[b]. As 64 real features per strategy,
+    f_i = [Re F_i, -Im F_i] and h_j = [Re H_j, Im H_j], each player's
+    whole table is the one real matrix product f @ h^T. Agreement with the
+    naive product path is enforced by tests at 1e-12.
 
     Returns (payoff_a, payoff_b) as (len(mats_a), len(mats_b)) float arrays.
     """
@@ -62,32 +65,18 @@ def pairwise_payoffs(
     left = np.concatenate([c * ac, -1j * s * (PAULI_X @ ac)], axis=2)
     # R[j] = [Ub_j | sx Ub_j]
     right = np.concatenate([mats_b, PAULI_X @ mats_b], axis=2)
-    right_t = right.reshape(2 * nb, 4).T.copy()
 
-    pay_a = np.asarray(game.payoff_a, dtype=np.float64).reshape(2, 2)
-    pay_b = np.asarray(game.payoff_b, dtype=np.float64).reshape(2, 2)
-    out_a = np.empty((na, nb), dtype=np.float64)
-    out_b = np.empty((na, nb), dtype=np.float64)
+    outer_left = left[:, :, :, None] * left[:, :, None, :].conj()  # F: (na, 2, 4, 4)
+    outer_right = right[:, :, :, None] * right[:, :, None, :].conj()  # G: (nb, 2, 4, 4)
+    feat_a = np.stack([outer_left.real, -outer_left.imag], axis=1).reshape(na, 64)
 
-    def fill(lo: int, hi: int) -> None:
-        block = left[lo:hi].reshape(2 * (hi - lo), 4) @ right_t
-        probs = np.abs(block.reshape(hi - lo, 2, nb, 2)) ** 2
-        for arr, pay in ((out_a, pay_a), (out_b, pay_b)):
-            arr[lo:hi] = (
-                pay[0, 0] * probs[:, 0, :, 0]
-                + pay[0, 1] * probs[:, 0, :, 1]
-                + pay[1, 0] * probs[:, 1, :, 0]
-                + pay[1, 1] * probs[:, 1, :, 1]
-            )
+    def payoffs(pay) -> np.ndarray:
+        weights = np.asarray(pay, dtype=np.float64).reshape(2, 2)
+        hermit = np.einsum("ab,jbmn->jamn", weights, outer_right)  # H: (nb, 2, 4, 4)
+        feat_b = np.stack([hermit.real, hermit.imag], axis=1).reshape(nb, 64)
+        return feat_a @ feat_b.T
 
-    bounds = [(lo, min(lo + row_chunk, na)) for lo in range(0, na, row_chunk)]
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda span: fill(*span), bounds))
-    else:
-        for span in bounds:
-            fill(*span)
-    return out_a, out_b
+    return payoffs(game.payoff_a), payoffs(game.payoff_b)
 
 
 @dataclass(frozen=True)
@@ -103,57 +92,19 @@ class PayoffTensor:
     def __len__(self) -> int:
         return self.payoff_a.shape[0]
 
-    def values(self, i: int, j: int) -> tuple[float, float]:
-        return (float(self.payoff_a[i, j]), float(self.payoff_b[i, j]))
-
 
 def payoff_tensor(
     game: GameDefinition,
     grid: StrategyGrid,
     gamma: EntanglementParam,
-    *,
-    threads: int = 1,
 ) -> PayoffTensor:
     """Tabulate both players' payoffs over every grid pairing."""
     if len(grid) == 0:
         raise ValueError("empty strategy grid")
-    pa, pb = pairwise_payoffs(grid.matrices, grid.matrices, gamma, game, threads=threads)
+    pa, pb = pairwise_payoffs(grid.matrices, grid.matrices, gamma, game)
     pa.setflags(write=False)
     pb.setflags(write=False)
     return PayoffTensor(game=game, gamma=gamma, grid=grid, payoff_a=pa, payoff_b=pb)
-
-
-@dataclass(frozen=True)
-class BestResponseSet:
-    """All responder strategies within epsilon of the optimum vs one opponent choice."""
-
-    responder: str
-    opponent_index: int
-    best_indices: tuple[int, ...]
-    best_value: float
-
-
-def best_responses(tensor: PayoffTensor, responder: str, epsilon: float = DEFAULT_EPSILON) -> list[BestResponseSet]:
-    """Argmax-with-ties sets for one player against every opponent index."""
-    if responder == "A":
-        table = tensor.payoff_a.T  # table[j] = A's payoffs vs B's choice j
-    elif responder == "B":
-        table = tensor.payoff_b  # table[i] = B's payoffs vs A's choice i
-    else:
-        raise ValueError(f"responder must be 'A' or 'B', got {responder!r}")
-    out = []
-    for opp, row in enumerate(table):
-        best = float(row.max())
-        idx = np.nonzero(row >= best - epsilon)[0]
-        out.append(
-            BestResponseSet(
-                responder=responder,
-                opponent_index=opp,
-                best_indices=tuple(int(k) for k in idx),
-                best_value=best,
-            )
-        )
-    return out
 
 
 @dataclass(frozen=True)
@@ -164,8 +115,14 @@ class NashEquilibrium:
     payoffs: tuple[float, ...]
 
 
+def _require_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+
+
 def nash_two_player(tensor: PayoffTensor, epsilon: float = DEFAULT_EPSILON) -> list[NashEquilibrium]:
     """All (i, j) lying in both players' best-response sets, in index order."""
+    _require_epsilon(epsilon)
     a_best = tensor.payoff_a >= tensor.payoff_a.max(axis=0, keepdims=True) - epsilon
     b_best = tensor.payoff_b >= tensor.payoff_b.max(axis=1, keepdims=True) - epsilon
     pairs = np.argwhere(a_best & b_best)  # argwhere is already lexicographic
@@ -202,19 +159,6 @@ def _require_compatible(t1: PayoffTensor, t2: PayoffTensor) -> None:
         )
 
 
-def bayesian_payoff_a(
-    t1: PayoffTensor,
-    t2: PayoffTensor,
-    a: int,
-    b1: int,
-    b2: int,
-    p: PriorProbability,
-) -> float:
-    """Player A's mixture payoff p*game1(a,b1) + (1-p)*game2(a,b2)."""
-    _require_compatible(t1, t2)
-    return float(p.p * t1.payoff_a[a, b1] + (1.0 - p.p) * t2.payoff_a[a, b2])
-
-
 def nash_bayesian(
     t1: PayoffTensor,
     t2: PayoffTensor,
@@ -227,6 +171,7 @@ def nash_bayesian(
     A maximizes the p-mixture. For each a only the product of the two
     B-best sets needs A's condition checked.
     """
+    _require_epsilon(epsilon)
     _require_compatible(t1, t2)
     n = len(t1)
     ga = p.p * t1.payoff_a

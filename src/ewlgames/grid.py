@@ -60,9 +60,6 @@ class StrategyGrid:
     def __len__(self) -> int:
         return len(self.params)
 
-    def entries(self):
-        return zip(self.params, self.matrices)
-
 
 def _multiples(step: float, bound: float) -> list[float]:
     count = int(math.floor(bound / step + _STEP_SLACK)) + 1

@@ -42,13 +42,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def apply(m, v) -> np.ndarray:
-    """Matrix-vector product of a 4x4 operator and a 4-component state."""
-    m = require_complex(m, (4, 4))
-    v = require_complex(v, (4,))
-    return m @ v
-
-
 def dagger(m) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(m, dtype=np.complex128).conj().T

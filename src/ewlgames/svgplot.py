@@ -1,5 +1,5 @@
-"""Minimal static SVG rendering: scatter series, polylines and bar
-histograms on a labelled linear axis frame. Batch output only.
+"""Minimal static SVG rendering: scatter series and bar histograms on a
+labelled linear axis frame. Batch output only.
 """
 from __future__ import annotations
 
@@ -35,23 +35,18 @@ class Figure:
     xlabel: str
     ylabel: str
     scatters: list[tuple[str, list[tuple[float, float]], str]] = field(default_factory=list)
-    lines: list[tuple[str, list[tuple[float, float]], str]] = field(default_factory=list)
     bars: list[tuple[float, float, float]] = field(default_factory=list)  # (x, height, width)
 
     def add_scatter(self, label: str, points, color: str | None = None) -> None:
-        color = color or PALETTE[(len(self.scatters) + len(self.lines)) % len(PALETTE)]
+        color = color or PALETTE[len(self.scatters) % len(PALETTE)]
         self.scatters.append((label, list(points), color))
-
-    def add_line(self, label: str, points, color: str | None = None) -> None:
-        color = color or PALETTE[(len(self.scatters) + len(self.lines)) % len(PALETTE)]
-        self.lines.append((label, list(points), color))
 
     def add_bars(self, bars) -> None:
         self.bars.extend(bars)
 
     def _bounds(self) -> tuple[float, float, float, float]:
         xs, ys = [], []
-        for _, pts, _ in self.scatters + self.lines:
+        for _, pts, _ in self.scatters:
             xs.extend(p[0] for p in pts)
             ys.extend(p[1] for p in pts)
         for x, h, w in self.bars:
@@ -127,17 +122,16 @@ class Figure:
                 f'<rect x="{left:.1f}" y="{min(top, base):.1f}" width="{max(right - left, 0.5):.1f}" '
                 f'height="{abs(base - top):.1f}" fill="#1f5fa8" fill-opacity="0.75" stroke="#123c6b"/>'
             )
-        for _, pts, color in self.lines:
-            if not pts:
-                continue
-            coords = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in pts)
-            parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         for _, pts, color in self.scatters:
-            for x, y in pts:
-                parts.append(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="2.4" fill="{color}"/>')
+            # one circle per drawn position, in first-seen order, so float noise in
+            # repeated points cannot change what the plot holds
+            circles = dict.fromkeys(
+                f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="2.4" fill="{color}"/>' for x, y in pts
+            )
+            parts.extend(circles)
 
         # legend for labelled series
-        labelled = [(lab, col) for lab, _, col in self.lines + self.scatters if lab]
+        labelled = [(lab, col) for lab, _, col in self.scatters if lab]
         for k, (lab, col) in enumerate(labelled):
             ly = MARGIN_T + 14 + 16 * k
             parts.append(f'<rect x="{MARGIN_L + pw - 130}" y="{ly - 9}" width="10" height="10" fill="{col}"/>')

@@ -69,10 +69,9 @@ def _records_at(
     grid: StrategyGrid,
     gamma_value: float,
     epsilon: float,
-    threads: int,
 ) -> list[SweepRecord]:
     gamma = EntanglementParam(gamma_value)
-    tensor = payoff_tensor(game, grid, gamma, threads=threads)
+    tensor = payoff_tensor(game, grid, gamma)
     return [
         SweepRecord(
             gamma=gamma_value,
@@ -89,13 +88,11 @@ def gamma_sweep(
     grid: StrategyGrid,
     gamma_points: Sequence[float],
     epsilon: float = DEFAULT_EPSILON,
-    *,
-    threads: int = 1,
 ) -> list[SweepRecord]:
     """Two-player equilibria at each entanglement value, concatenated."""
     records: list[SweepRecord] = []
     for g in gamma_points:
-        records.extend(_records_at(game, grid, g, epsilon, threads))
+        records.extend(_records_at(game, grid, g, epsilon))
     return records
 
 
@@ -106,8 +103,6 @@ def bayes_sweep(
     gamma_points: Sequence[float],
     p_points: Sequence[float],
     epsilon: float = DEFAULT_EPSILON,
-    *,
-    threads: int = 1,
 ) -> list[SweepRecord]:
     """Bayesian (A, B1, B2) equilibria over the full (gamma, p) product grid.
 
@@ -117,8 +112,8 @@ def bayes_sweep(
     records: list[SweepRecord] = []
     for g in gamma_points:
         gamma = EntanglementParam(g)
-        t1 = payoff_tensor(game1, grid, gamma, threads=threads)
-        t2 = payoff_tensor(game2, grid, gamma, threads=threads)
+        t1 = payoff_tensor(game1, grid, gamma)
+        t2 = payoff_tensor(game2, grid, gamma)
         for p in p_points:
             for eq in nash_bayesian(t1, t2, PriorProbability(p), epsilon):
                 records.append(

@@ -2,7 +2,6 @@
 PASS line with its measured numbers (run with -s or -v to see them).
 """
 import math
-import os
 import time
 
 import numpy as np
@@ -34,7 +33,6 @@ from ewlgames.grid import SteppingParams, build_grid
 from oracles import brute_force_nash, passes_deviation
 
 PI = math.pi
-THREADS = min(8, os.cpu_count() or 1)
 
 
 def _passed(criterion: str, detail: str) -> None:
@@ -247,7 +245,7 @@ def test_criterion_08_fine_grid_bounds(stag_hunt, coarse_grid):
     for gamma in default_gamma_grid():
         param = EntanglementParam(gamma)
         coarse_eqs = nash_two_player(payoff_tensor(stag_hunt, coarse_grid, param))
-        desk_eqs = nash_two_player(payoff_tensor(stag_hunt, desk, param, threads=THREADS))
+        desk_eqs = nash_two_player(payoff_tensor(stag_hunt, desk, param))
         assert coarse_eqs, f"coarse branch lost at gamma={gamma}"
         lo = min(eq.payoffs[0] for eq in coarse_eqs)
         hi = max(eq.payoffs[0] for eq in coarse_eqs)
@@ -272,16 +270,14 @@ def test_criterion_09_performance(prisoners_dilemma):
     t0 = time.perf_counter()
     total = 0
     for gamma in default_gamma_grid():
-        tensor = payoff_tensor(
-            prisoners_dilemma, grid, EntanglementParam(gamma), threads=THREADS
-        )
+        tensor = payoff_tensor(prisoners_dilemma, grid, EntanglementParam(gamma))
         total += len(nash_two_player(tensor))
     elapsed = time.perf_counter() - t0
     assert elapsed < budget
     _passed(
         "criterion 9 (performance)",
         f"1824-strategy enumeration at 65 gammas ({total} equilibria) "
-        f"in {elapsed:.1f}s with {THREADS} thread(s)",
+        f"in {elapsed:.1f}s",
     )
 
 

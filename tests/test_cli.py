@@ -205,12 +205,30 @@ class TestStrategies:
 
 class TestFlagPlumbing:
     def test_threads_and_epsilon_flags(self, tmp_path):
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
+        # --epsilon still works; the removed --threads knob is rejected as a
+        # flag and as a config key
+        explicit = tmp_path / "explicit.csv"
+        default = tmp_path / "default.csv"
         base = ["sweep", "--game", "stag_hunt", "--gamma-grid", "5", "--steps", "pi/4,pi/2,pi/2"]
-        assert run(*base, "--threads", "1", "--epsilon", "1e-9", "--out", str(serial)) == 0
-        assert run(*base, "--threads", "4", "--epsilon", "1e-9", "--out", str(threaded)) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
+        assert run(*base, "--epsilon", "1e-9", "--out", str(explicit)) == 0
+        assert run(*base, "--out", str(default)) == 0
+        assert explicit.read_bytes() == default.read_bytes()
+        assert run(*base, "--threads", "4", "--out", str(tmp_path / "t.csv")) == 1
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nthreads = 4\n")
+        assert run(*base, "--config", str(cfg), "--out", str(tmp_path / "c.csv")) == 1
+        assert not (tmp_path / "t.csv").exists() and not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "bayes-sweep"])
+    @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
+    def test_bad_epsilon_exits_1(self, tmp_path, capsys, command, epsilon):
+        out = tmp_path / "out.csv"
+        args = [command, "--game", "prisoners_dilemma", "--gamma-grid", "3"]
+        if command == "bayes-sweep":
+            args += ["--game2", "deadlock", "--p-grid", "3"]
+        assert run(*args, "--epsilon", epsilon, "--out", str(out)) == 1
+        assert "epsilon" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_module_entry_point(self, tmp_path):
         import subprocess

@@ -8,13 +8,13 @@ from ewlgames import (
     EntanglementParam,
     GameDefinition,
     PriorProbability,
-    bayesian_payoff_a,
-    best_responses,
     expected_payoffs,
     final_state,
+    final_state_from_matrices,
     nash_bayesian,
     nash_two_player,
     outcome_probs,
+    pairwise_payoffs,
     payoff_tensor,
 )
 from ewlgames.grid import SteppingParams, build_grid, grid_lookup
@@ -35,13 +35,15 @@ class TestPayoffTensor:
         rng = np.random.default_rng(30)
         game = random_game(rng)
         t = payoff_tensor(game, coarse_grid, EntanglementParam(0.77))
-        assert t.values(0, 0) == pytest.approx((game.payoff_a[0], game.payoff_b[0]), abs=1e-10)
+        assert (t.payoff_a[0, 0], t.payoff_b[0, 0]) == pytest.approx(
+            (game.payoff_a[0], game.payoff_b[0]), abs=1e-10
+        )
 
     def test_classical_cells_at_zero_entanglement(self, coarse_grid, prisoners_dilemma):
         t = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(0.0))
         defect = grid_lookup(coarse_grid, DEFECT_STRATEGY)
-        assert t.values(0, 0) == pytest.approx((3, 3), abs=1e-10)
-        assert t.values(defect, 0) == pytest.approx((5, 0), abs=1e-10)
+        assert (t.payoff_a[0, 0], t.payoff_b[0, 0]) == pytest.approx((3, 3), abs=1e-10)
+        assert (t.payoff_a[defect, 0], t.payoff_b[defect, 0]) == pytest.approx((5, 0), abs=1e-10)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.45, PI / 2])
     def test_entries_match_naive_path(self, coarse_grid, prisoners_dilemma, gamma):
@@ -53,7 +55,7 @@ class TestPayoffTensor:
                 EntanglementParam(gamma), coarse_grid.params[i], coarse_grid.params[j]
             )
             naive = expected_payoffs(outcome_probs(state), prisoners_dilemma)
-            assert t.values(int(i), int(j)) == pytest.approx(naive, abs=1e-10)
+            assert (t.payoff_a[i, j], t.payoff_b[i, j]) == pytest.approx(naive, abs=1e-10)
 
     def test_zero_sum_conservation(self, coarse_grid, matching_pennies):
         t = payoff_tensor(matching_pennies, coarse_grid, EntanglementParam(0.9))
@@ -68,33 +70,23 @@ class TestPayoffTensor:
             np.testing.assert_allclose(t.payoff_a[a], t.payoff_a[b], atol=1e-12)
             np.testing.assert_allclose(t.payoff_a[:, a], t.payoff_a[:, b], atol=1e-12)
 
-    def test_threaded_fill_matches_serial(self, prisoners_dilemma):
-        grid = build_grid(SteppingParams(PI / 4, PI / 2, PI / 2))
-        gamma = EntanglementParam(0.62)
-        t1 = payoff_tensor(prisoners_dilemma, grid, gamma, threads=1)
-        t4 = payoff_tensor(prisoners_dilemma, grid, gamma, threads=4)
-        np.testing.assert_array_equal(t1.payoff_a, t4.payoff_a)
-        np.testing.assert_array_equal(t1.payoff_b, t4.payoff_b)
-
     def test_rectangular_kernel_matches_naive(self, coarse_grid, prisoners_dilemma):
-        from ewlgames import final_state_from_matrices, pairwise_payoffs
-
-        gamma = EntanglementParam(0.7)
+        rng = np.random.default_rng(35)
         mats_a = coarse_grid.matrices[:3]
         mats_b = coarse_grid.matrices[3:]
-        pa, pb = pairwise_payoffs(mats_a, mats_b, gamma, prisoners_dilemma)
-        assert pa.shape == pb.shape == (3, 5)
-        for i in range(3):
-            for j in range(5):
-                probs = outcome_probs(
-                    final_state_from_matrices(gamma, mats_a[i], mats_b[j])
-                )
-                naive = expected_payoffs(probs, prisoners_dilemma)
-                assert (pa[i, j], pb[i, j]) == pytest.approx(naive, abs=1e-12)
+        for game in (prisoners_dilemma, random_game(rng)):
+            for gamma in (EntanglementParam(0.0), EntanglementParam(0.7), EntanglementParam(PI / 2)):
+                pa, pb = pairwise_payoffs(mats_a, mats_b, gamma, game)
+                assert pa.shape == pb.shape == (3, 5)
+                for i in range(3):
+                    for j in range(5):
+                        probs = outcome_probs(
+                            final_state_from_matrices(gamma, mats_a[i], mats_b[j])
+                        )
+                        naive = expected_payoffs(probs, game)
+                        assert (pa[i, j], pb[i, j]) == pytest.approx(naive, abs=1e-12)
 
     def test_kernel_rejects_bad_shapes(self, prisoners_dilemma):
-        from ewlgames import pairwise_payoffs
-
         with pytest.raises(ValueError):
             pairwise_payoffs(
                 np.eye(2, dtype=complex),
@@ -105,52 +97,65 @@ class TestPayoffTensor:
 
 
 class TestBestResponses:
+    """Best-response semantics of the Nash reduction.
+
+    A constant B-payoff makes B indifferent (every column ties), so the
+    equilibria are exactly A's argmax-with-ties sets, column by column.
+    """
+
+    @staticmethod
+    def a_best_sets(t, epsilon=1e-9):
+        sets = {j: [] for j in range(len(t))}
+        for eq in nash_two_player(t, epsilon):
+            i, j = eq.strategy_indices
+            sets[j].append(i)
+        return sets
+
+    @staticmethod
+    def with_indifferent_b(game):
+        return GameDefinition(game.name, game.payoff_a, (1.0, 1.0, 1.0, 1.0))
+
     def test_pd_defection_dominates_classically(self, coarse_grid, prisoners_dilemma):
-        t = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(0.0))
+        t = payoff_tensor(
+            self.with_indifferent_b(prisoners_dilemma), coarse_grid, EntanglementParam(0.0)
+        )
         defect = grid_lookup(coarse_grid, DEFECT_STRATEGY)
-        vs_identity = best_responses(t, "A")[0]
-        assert vs_identity.opponent_index == 0
-        assert defect in vs_identity.best_indices
-        assert 0 not in vs_identity.best_indices
-        assert vs_identity.best_value == pytest.approx(5.0, abs=1e-12)
+        vs_identity = self.a_best_sets(t)[0]
+        assert defect in vs_identity
+        assert 0 not in vs_identity
+        assert t.payoff_a[vs_identity, 0] == pytest.approx([5.0] * len(vs_identity), abs=1e-12)
 
     def test_constant_game_full_tie(self, coarse_grid):
         const = GameDefinition("const", (2, 2, 2, 2), (2, 2, 2, 2))
         t = payoff_tensor(const, coarse_grid, EntanglementParam(0.5))
-        for responder in ("A", "B"):
-            for brs in best_responses(t, responder):
-                assert brs.best_indices == tuple(range(8))
+        eqs = nash_two_player(t)
+        assert [eq.strategy_indices for eq in eqs] == [(i, j) for i in range(8) for j in range(8)]
 
     def test_pennies_best_response_matches_brute_force(self, coarse_grid, matching_pennies):
-        t = payoff_tensor(matching_pennies, coarse_grid, EntanglementParam(0.0))
-        vs_identity = best_responses(t, "A")[0]
+        t = payoff_tensor(
+            self.with_indifferent_b(matching_pennies), coarse_grid, EntanglementParam(0.0)
+        )
+        vs_identity = self.a_best_sets(t)[0]
         col = t.payoff_a[:, 0]
-        expected = tuple(int(k) for k in np.nonzero(col >= col.max() - 1e-9)[0])
-        assert vs_identity.best_indices == expected
+        expected = [int(k) for k in np.nonzero(col >= col.max() - 1e-9)[0]]
+        assert vs_identity == expected
         # classically, matching the identity (confess class) wins for A
-        assert set(vs_identity.best_indices) == {0, 1, 2, 3}
-
-    def test_bad_responder_tag(self, coarse_grid, prisoners_dilemma):
-        t = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(0.0))
-        with pytest.raises(ValueError):
-            best_responses(t, "C")
+        assert set(vs_identity) == {0, 1, 2, 3}
 
     def test_set_invariants_on_random_games(self, coarse_grid):
         eps = 1e-9
         rng = np.random.default_rng(34)
         for _ in range(10):
             t = payoff_tensor(
-                random_game(rng), coarse_grid, EntanglementParam(rng.uniform(0, PI / 2))
+                self.with_indifferent_b(random_game(rng)),
+                coarse_grid,
+                EntanglementParam(rng.uniform(0, PI / 2)),
             )
-            for responder, table in (("A", t.payoff_a.T), ("B", t.payoff_b)):
-                for brs in best_responses(t, responder, eps):
-                    row = table[brs.opponent_index]
-                    assert brs.best_indices
-                    assert brs.best_value == row.max()
-                    for k in brs.best_indices:
-                        assert row[k] >= brs.best_value - eps
-                    outside = [k for k in range(len(row)) if k not in brs.best_indices]
-                    assert all(row[k] < brs.best_value - eps for k in outside)
+            for j, best in self.a_best_sets(t, eps).items():
+                col = t.payoff_a[:, j]
+                assert best and int(np.argmax(col)) in best
+                for k in range(len(col)):
+                    assert (col[k] >= col.max() - eps) == (k in best)
 
 
 class TestNashTwoPlayer:
@@ -221,25 +226,32 @@ def tensors(coarse_grid, prisoners_dilemma, deadlock):
 class TestBayesian:
     def test_payoff_at_boundary_priors(self, tensors):
         t1, t2 = tensors
-        assert bayesian_payoff_a(t1, t2, 3, 5, 6, PriorProbability(1.0)) == pytest.approx(
-            t1.payoff_a[3, 5]
-        )
-        assert bayesian_payoff_a(t1, t2, 3, 5, 6, PriorProbability(0.0)) == pytest.approx(
-            t2.payoff_a[3, 6]
-        )
+        for p, table, slot in ((1.0, t1, 1), (0.0, t2, 2)):
+            eqs = nash_bayesian(t1, t2, PriorProbability(p))
+            assert eqs
+            for eq in eqs:
+                a, b = eq.strategy_indices[0], eq.strategy_indices[slot]
+                assert eq.payoffs[0] == pytest.approx(table.payoff_a[a, b], abs=1e-12)
 
     def test_payoff_degenerate_mixture(self, tensors):
         t1, _ = tensors
         for p in (0.0, 0.25, 0.8, 1.0):
-            assert bayesian_payoff_a(t1, t1, 2, 4, 4, PriorProbability(p)) == pytest.approx(
-                t1.payoff_a[2, 4]
-            )
+            eqs = nash_bayesian(t1, t1, PriorProbability(p))
+            assert eqs
+            for eq in eqs:
+                a, b1, b2 = eq.strategy_indices
+                expected = p * t1.payoff_a[a, b1] + (1 - p) * t1.payoff_a[a, b2]
+                assert eq.payoffs == pytest.approx(
+                    (expected, t1.payoff_b[a, b1], t1.payoff_b[a, b2]), abs=1e-12
+                )
+                if b1 == b2:
+                    assert eq.payoffs[0] == pytest.approx(t1.payoff_a[a, b1], abs=1e-12)
 
     def test_mismatched_gamma_rejected(self, coarse_grid, prisoners_dilemma):
         t1 = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(0.1))
         t2 = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(0.2))
         with pytest.raises(ValueError):
-            bayesian_payoff_a(t1, t2, 0, 0, 0, PriorProbability(0.5))
+            nash_bayesian(t1, t2, PriorProbability(0.5))
 
     def test_mismatched_grid_rejected(self, coarse_grid, prisoners_dilemma):
         other = build_grid(SteppingParams(PI / 2, PI / 2, PI / 2))
@@ -304,3 +316,18 @@ class TestBayesian:
             for eq in nash_bayesian(t1, t2, PriorProbability(p)):
                 a, b1, _ = eq.strategy_indices
                 assert b1_best[a, b1]
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, -1e-12, math.nan, math.inf])
+def test_bad_epsilon_rejected(tensors, epsilon):
+    t1, t2 = tensors
+    with pytest.raises(ValueError, match="epsilon"):
+        nash_two_player(t1, epsilon)
+    with pytest.raises(ValueError, match="epsilon"):
+        nash_bayesian(t1, t2, PriorProbability(0.5), epsilon)
+
+
+def test_zero_epsilon_accepted(tensors):
+    t1, t2 = tensors
+    nash_two_player(t1, 0.0)
+    nash_bayesian(t1, t2, PriorProbability(0.5), 0.0)

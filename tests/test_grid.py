@@ -44,7 +44,7 @@ class TestContents:
             np.testing.assert_allclose(grid.matrices[0], np.eye(2), atol=1e-15)
 
     def test_matrices_match_their_params(self, coarse_grid):
-        for p, m in coarse_grid.entries():
+        for p, m in zip(coarse_grid.params, coarse_grid.matrices):
             np.testing.assert_allclose(m, strategy_matrix(p), atol=1e-12)
 
     def test_lexicographic_order(self, coarse_grid):

@@ -9,7 +9,6 @@ from ewlgames.linalg import (
     IDENTITY_2,
     IDENTITY_4,
     PAULI_X,
-    apply,
     approx_equal,
     dagger,
     is_unitary,
@@ -36,7 +35,7 @@ class TestKron:
 
     def test_x_identity_permutes_basis(self):
         v = np.array([1, 0, 0, 0], dtype=complex)
-        np.testing.assert_array_equal(apply(kron(PAULI_X, IDENTITY_2), v), [0, 0, 1, 0])
+        np.testing.assert_array_equal(kron(PAULI_X, IDENTITY_2) @ v, [0, 0, 1, 0])
 
     def test_entry_layout(self):
         a = np.arange(4, dtype=complex).reshape(2, 2)
@@ -64,22 +63,9 @@ class TestKron:
 
 
 class TestApply:
-    def test_identity(self):
-        rng = np.random.default_rng(1)
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        np.testing.assert_array_equal(apply(IDENTITY_4, v), v)
-
     def test_entangler_at_zero_is_identity_on_00(self):
         v = np.array([1, 0, 0, 0], dtype=complex)
-        np.testing.assert_allclose(apply(entangler(EntanglementParam(0.0)), v), v, atol=1e-15)
-
-    def test_columns_are_basis_images(self):
-        rng = np.random.default_rng(2)
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        for k in range(4):
-            e = np.zeros(4, dtype=complex)
-            e[k] = 1.0
-            np.testing.assert_array_equal(apply(m, e), m[:, k])
+        np.testing.assert_allclose(entangler(EntanglementParam(0.0)) @ v, v, atol=1e-15)
 
     def test_unitary_preserves_norm(self):
         rng = np.random.default_rng(3)

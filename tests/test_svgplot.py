@@ -21,13 +21,19 @@ def test_scatter_renders_circles(tmp_path):
     assert "scatter" in texts and "x" in texts and "y" in texts
 
 
-def test_line_renders_polyline(tmp_path):
-    fig = Figure("line", "x", "y")
-    fig.add_line("curve", [(0, 0), (1, 1), (2, 4)])
+def test_repeated_points_render_once(tmp_path):
+    fig = Figure("scatter", "x", "y")
+    # the 1e-13 offsets land on the same pixel as the exact points
+    fig.add_scatter("a", [(0, 0), (1, 2), (0, 0), (2, 1), (1, 2 + 1e-13), (0, 0)])
+    fig.add_scatter("b", [(0, 0), (0, 0)])
     root = render(fig, tmp_path)
-    polylines = root.findall(f"{SVG_NS}polyline")
-    assert len(polylines) == 1
-    assert len(polylines[0].get("points").split()) == 3
+    circles = [(c.get("cx"), c.get("cy"), c.get("fill")) for c in root.findall(f"{SVG_NS}circle")]
+    a_color, b_color = fig.scatters[0][2], fig.scatters[1][2]
+    assert [fill for _, _, fill in circles] == [a_color] * 3 + [b_color]
+    # first-seen order: x = 0, 1, 2 for series a, then b's lone origin
+    assert [float(cx) for cx, _, _ in circles[:3]] == sorted(float(cx) for cx, _, _ in circles[:3])
+    assert len({c[:2] for c in circles[:3]}) == 3
+    assert circles[3][:2] == circles[0][:2]
 
 
 def test_bars_render_rects(tmp_path):
