@@ -1,11 +1,17 @@
 """Command-line front end.
 
-Subcommands: solve, sweep, bayes-sweep, analyze, strategies. Every option
-can also come from a `[run]` section in an INI config file (--config);
-explicit flags win over the file, which wins over built-in defaults.
+Subcommands: solve, sweep, bayes-sweep, analyze, strategies. Each option
+is declared once in OPTIONS (type, default, help), and COMMANDS names the
+options each subcommand takes; `ewlgames <command> --help` shows every
+default. A `[run]` section in an INI config file (--config) replaces those
+defaults: its keys are the flag names with `_` for `-`, its values are
+converted and checked exactly like flags, and a key that belongs to another
+subcommand is ignored. Explicit flags win over the file, which wins over
+the built-in defaults.
 
 Exit codes: 0 success (an empty equilibrium set is a result, not an
-error), 1 usage/config error, 2 I/O error.
+error), 1 usage/config error (an unknown key, a bad value, a non-finite
+angle or bin width), 2 I/O error.
 """
 from __future__ import annotations
 
@@ -17,7 +23,8 @@ import sys
 
 from . import __version__
 from .catalogue import CatalogueError, load_catalogue, load_default_catalogue
-from .circuit import EntanglementParam, GameDefinition
+from .circuit import GameDefinition
+from .equilibrium import DEFAULT_EPSILON
 from .grid import SteppingParams, build_grid
 from .output import (
     STRATEGY_COLUMNS,
@@ -28,6 +35,9 @@ from .output import (
     write_rows_csv,
 )
 from .sweep import (
+    DEFAULT_BIN_WIDTH,
+    DEFAULT_GAMMA_POINTS,
+    DEFAULT_P_POINTS,
     SweepRecord,
     bayes_sweep,
     default_gamma_grid,
@@ -41,16 +51,6 @@ from .svgplot import Figure
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
-
-DEFAULTS = {
-    "steps": "pi,pi/2,pi/2",
-    "gamma": "0",
-    "gamma_grid": 65,
-    "p_grid": 21,
-    "epsilon": 1e-9,
-    "format": "csv",
-    "bin_width": 0.05,
-}
 
 _ANGLE_RE = re.compile(r"^(?P<num>\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(?P<den>\d+(?:\.\d+)?))?$")
 
@@ -68,17 +68,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_angle(text: str) -> float:
-    """Radians from a decimal literal or a 'pi', '2pi', 'pi/8', '3pi/4' form."""
+    """Finite radians from a decimal literal or a 'pi', '2pi', 'pi/8', '3pi/4' form."""
     s = str(text).strip().lower().replace(" ", "")
     m = _ANGLE_RE.match(s)
     if m:
         num = float(m.group("num")) if m.group("num") else 1.0
         den = float(m.group("den")) if m.group("den") else 1.0
-        return num * math.pi / den
-    try:
-        return float(s)
-    except ValueError:
-        raise ConfigError(f"cannot parse angle {text!r} (use radians or pi fractions like pi/8)") from None
+        value = num * math.pi / den if den else math.inf
+    else:
+        try:
+            value = float(s)
+        except ValueError:
+            raise ConfigError(f"cannot parse angle {text!r} (use radians or pi fractions like pi/8)") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"angle {text!r} is not finite")
+    return value
 
 
 def parse_steps(text: str) -> SteppingParams:
@@ -92,6 +96,32 @@ def parse_steps(text: str) -> SteppingParams:
         raise ConfigError(str(exc)) from None
 
 
+def _output_format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ConfigError(f"--format must be csv or json, got {text!r}")
+    return text
+
+
+# name -> (type, default, help). The flag is --name with '-' for '_'; the
+# config-file key is the name itself.
+OPTIONS = {
+    "game": (str, None, "game name from the catalogue"),
+    "game2": (str, None, "second game name (B2's payoffs)"),
+    "catalogue": (str, None, "catalogue file (default: built-in)"),
+    "steps": (parse_steps, "pi,pi/2,pi/2", "grid steps as T,P,A angles"),
+    "gamma": (parse_angle, "0", "entanglement angle (radians or pi fraction)"),
+    "gamma_grid": (int, DEFAULT_GAMMA_POINTS, "number of gamma points"),
+    "p_grid": (int, DEFAULT_P_POINTS, "number of prior points"),
+    "epsilon": (float, DEFAULT_EPSILON, "payoff tie tolerance"),
+    "out": (str, None, "output path (analyze: prefix of the CSV files)"),
+    "format": (_output_format, "csv", "output format, csv or json"),
+    "plot": (str, None, "SVG output path (analyze: prefix of the SVG files)"),
+    "records": (str, None, "existing two-player sweep CSV (skips the inline sweep)"),
+    "gamma_slice": (parse_angle, None, "gamma value for the payoff histogram"),
+    "bin_width": (float, DEFAULT_BIN_WIDTH, "histogram bin width"),
+}
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     parser = configparser.ConfigParser(interpolation=None)
     with open(path, "r", encoding="utf-8") as fh:
@@ -101,74 +131,34 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"bad config file: {exc}") from exc
     if "run" not in parser:
         raise ConfigError(f"{path}: config file needs a [run] section")
-    known = {
-        "game", "game2", "catalogue", "steps", "gamma", "gamma_grid", "p_grid",
-        "epsilon", "out", "format", "plot", "records", "gamma_slice",
-        "bin_width",
-    }
     values = dict(parser["run"])
-    unknown = set(values) - known
+    unknown = set(values) - set(OPTIONS)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
     return values
 
 
-class Settings:
-    """Flag / config-file / default resolution for one command invocation."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = vars(args)
-        self.file = _read_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key: str, convert=str, default=None):
-        flag = self.args.get(key)
-        if flag is not None:
-            raw = flag
-        elif key in self.file:
-            raw = self.file[key]
-        elif key in DEFAULTS:
-            raw = DEFAULTS[key]
-        else:
-            return default
-        if isinstance(raw, str):
-            try:
-                return convert(raw)
-            except ConfigError:
-                raise
-            except ValueError:
-                raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
-        return raw
-
-    def require(self, key: str, convert=str):
-        value = self.get(key, convert)
-        if value is None:
-            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-        return value
+def _require(args: argparse.Namespace, key: str):
+    value = getattr(args, key)
+    if value is None:
+        raise ConfigError(f"missing required option --{key.replace('_', '-')}")
+    return value
 
 
-def _load_games(settings: Settings, names: list[str]) -> list[GameDefinition]:
-    path = settings.get("catalogue")
-    catalogue = load_catalogue(path) if path else load_default_catalogue()
+def _load_games(args: argparse.Namespace, names: list[str]) -> list[GameDefinition]:
+    catalogue = load_catalogue(args.catalogue) if args.catalogue else load_default_catalogue()
     return [catalogue.get(n) for n in names]
 
 
-def _gamma_points(settings: Settings) -> list[float]:
-    n = settings.get("gamma_grid", int)
-    return default_gamma_grid(n)
-
-
 def _emit_records(
-    settings: Settings,
+    args: argparse.Namespace,
     records: list[SweepRecord],
     *,
     bayes: bool,
     metadata: dict,
 ) -> None:
-    out = settings.require("out")
-    fmt_name = settings.get("format")
-    if fmt_name not in ("csv", "json"):
-        raise ConfigError(f"--format must be csv or json, got {fmt_name!r}")
-    if fmt_name == "csv":
+    out = _require(args, "out")
+    if args.format == "csv":
         write_records_csv(out, records, bayes=bayes)
     else:
         write_records_json(out, records, bayes=bayes, metadata=metadata)
@@ -194,26 +184,19 @@ def _plot_bayes(records: list[SweepRecord], p_points: list[float], title: str, p
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    (game,) = _load_games(settings, [settings.require("game")])
-    grid = build_grid(settings.get("steps", parse_steps))
-    gamma = settings.get("gamma", parse_angle)
-    try:
-        gamma_param = EntanglementParam(gamma)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    epsilon = settings.get("epsilon", float)
-    records = gamma_sweep(game, grid, [gamma_param.gamma], epsilon)
+    (game,) = _load_games(args, [_require(args, "game")])
+    grid = build_grid(args.steps)
+    records = gamma_sweep(game, grid, [args.gamma], args.epsilon)
     _emit_records(
-        settings,
+        args,
         records,
         bayes=False,
         metadata={
             "command": "solve",
             "game": game.name,
             "steps": list(grid.source_steps.astuple()),
-            "gamma": gamma,
-            "epsilon": epsilon,
+            "gamma": args.gamma,
+            "epsilon": args.epsilon,
             "grid_size": len(grid),
         },
     )
@@ -221,14 +204,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    (game,) = _load_games(settings, [settings.require("game")])
-    grid = build_grid(settings.get("steps", parse_steps))
-    gamma_points = _gamma_points(settings)
-    epsilon = settings.get("epsilon", float)
-    records = gamma_sweep(game, grid, gamma_points, epsilon)
+    (game,) = _load_games(args, [_require(args, "game")])
+    grid = build_grid(args.steps)
+    gamma_points = default_gamma_grid(args.gamma_grid)
+    records = gamma_sweep(game, grid, gamma_points, args.epsilon)
     _emit_records(
-        settings,
+        args,
         records,
         bayes=False,
         metadata={
@@ -236,29 +217,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "game": game.name,
             "steps": list(grid.source_steps.astuple()),
             "gamma_points": len(gamma_points),
-            "epsilon": epsilon,
+            "epsilon": args.epsilon,
             "grid_size": len(grid),
         },
     )
-    plot = settings.get("plot")
-    if plot:
-        _plot_two_player(records, f"{game.name}: equilibrium payoffs vs entanglement", plot)
-        print(f"wrote plot to {plot}")
+    if args.plot:
+        _plot_two_player(records, f"{game.name}: equilibrium payoffs vs entanglement", args.plot)
+        print(f"wrote plot to {args.plot}")
     return EXIT_OK
 
 
 def cmd_bayes_sweep(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    game1, game2 = _load_games(
-        settings, [settings.require("game"), settings.require("game2")]
-    )
-    grid = build_grid(settings.get("steps", parse_steps))
-    gamma_points = _gamma_points(settings)
-    p_points = default_p_grid(settings.get("p_grid", int))
-    epsilon = settings.get("epsilon", float)
-    records = bayes_sweep(game1, game2, grid, gamma_points, p_points, epsilon)
+    game1, game2 = _load_games(args, [_require(args, "game"), _require(args, "game2")])
+    grid = build_grid(args.steps)
+    gamma_points = default_gamma_grid(args.gamma_grid)
+    p_points = default_p_grid(args.p_grid)
+    records = bayes_sweep(game1, game2, grid, gamma_points, p_points, args.epsilon)
     _emit_records(
-        settings,
+        args,
         records,
         bayes=True,
         metadata={
@@ -268,35 +244,30 @@ def cmd_bayes_sweep(args: argparse.Namespace) -> int:
             "steps": list(grid.source_steps.astuple()),
             "gamma_points": len(gamma_points),
             "p_points": len(p_points),
-            "epsilon": epsilon,
+            "epsilon": args.epsilon,
             "grid_size": len(grid),
         },
     )
-    plot = settings.get("plot")
-    if plot:
-        _plot_bayes(
-            records, p_points, f"{game1.name} vs {game2.name}: A payoff", plot
-        )
-        print(f"wrote plot to {plot}")
+    if args.plot:
+        _plot_bayes(records, p_points, f"{game1.name} vs {game2.name}: A payoff", args.plot)
+        print(f"wrote plot to {args.plot}")
     return EXIT_OK
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    records_path = settings.get("records")
-    if records_path:
-        loaded = read_two_player_csv(records_path)
+    if args.records:
+        loaded = read_two_player_csv(args.records)
         records, gamma_values = loaded.records, loaded.gamma_values
     else:
-        (game,) = _load_games(settings, [settings.require("game")])
-        grid = build_grid(settings.get("steps", parse_steps))
-        gamma_values = _gamma_points(settings)
-        records = gamma_sweep(game, grid, gamma_values, settings.get("epsilon", float))
+        (game,) = _load_games(args, [_require(args, "game")])
+        grid = build_grid(args.steps)
+        gamma_values = default_gamma_grid(args.gamma_grid)
+        records = gamma_sweep(game, grid, gamma_values, args.epsilon)
 
-    gamma_slice = settings.require("gamma_slice", parse_angle)
+    gamma_slice = _require(args, "gamma_slice")
     swept = sorted({r.gamma for r in records} | set(gamma_values))
     if not swept:
-        raise ConfigError(f"{records_path}: no records to analyze")
+        raise ConfigError(f"{args.records}: no records to analyze")
     if gamma_slice < swept[0] - 1e-12 or gamma_slice > swept[-1] + 1e-12:
         raise ConfigError(
             f"--gamma-slice {gamma_slice:.12g} outside the swept range "
@@ -306,11 +277,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if nearest != gamma_slice:
         print(f"note: histogram slice snapped to the nearest swept gamma {nearest:.12g}")
         gamma_slice = nearest
-    bin_width = settings.get("bin_width", float)
 
-    prefix = settings.require("out")
+    prefix = _require(args, "out")
     theta_points = scatter_theta(records)
-    hist = payoff_histogram(records, gamma_slice, bin_width)
+    hist = payoff_histogram(records, gamma_slice, args.bin_width)
     theta_payoff = [
         (r.strategy_params[0].theta, r.equilibrium.payoffs[0]) for r in records
     ]
@@ -326,13 +296,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for name, p in paths.items():
         print(f"wrote {name} to {p}")
 
-    plot = settings.get("plot")
+    plot = args.plot
     if plot:
         fig = Figure("equilibrium strategy angles", "theta_A (rad)", "theta_B (rad)")
         fig.add_scatter("", theta_points)
         fig.render(f"{plot}_theta_scatter.svg")
         fig = Figure(f"A payoffs at gamma={gamma_slice:.4g}", "payoff A", "count")
-        fig.add_bars((c, n, bin_width) for c, n in hist)
+        fig.add_bars((c, n, args.bin_width) for c, n in hist)
         fig.render(f"{plot}_payoff_hist.svg")
         fig = Figure("A payoff vs theta_A", "theta_A (rad)", "payoff A")
         fig.add_scatter("", theta_payoff)
@@ -342,15 +312,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_strategies(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    grid = build_grid(settings.get("steps", parse_steps))
+    grid = build_grid(args.steps)
     rows = [
         [i, p.theta, p.phi, p.alpha] for i, p in enumerate(grid.params)
     ]
-    out = settings.get("out")
-    if out:
-        write_rows_csv(out, STRATEGY_COLUMNS, rows)
-        print(f"wrote {len(rows)} strategies to {out}")
+    if args.out:
+        write_rows_csv(args.out, STRATEGY_COLUMNS, rows)
+        print(f"wrote {len(rows)} strategies to {args.out}")
     else:
         print(",".join(STRATEGY_COLUMNS))
         for row in rows:
@@ -358,72 +326,64 @@ def cmd_strategies(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser, *, bayes: bool = False) -> None:
-    sub.add_argument("--config", help="INI file with a [run] section of option defaults")
-    sub.add_argument("--game", help="game name from the catalogue")
-    if bayes:
-        sub.add_argument("--game2", help="second game name (B2's payoffs)")
-    sub.add_argument("--catalogue", help="catalogue file (default: built-in)")
-    sub.add_argument("--steps", help="grid steps as T,P,A angles (e.g. pi,pi/2,pi/2)")
-    sub.add_argument("--epsilon", help="payoff tie tolerance (default 1e-9)")
-    sub.add_argument("--out", help="output file path")
-    sub.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
+_RECORD_OPTIONS = ("game", "catalogue", "steps", "epsilon", "out", "format")
+
+# subcommand -> (handler, summary, option names); every one also takes --config
+COMMANDS = {
+    "solve": (cmd_solve, "equilibria of one game at one entanglement", (*_RECORD_OPTIONS, "gamma")),
+    "sweep": (
+        cmd_sweep,
+        "two-player equilibria across entanglement values",
+        (*_RECORD_OPTIONS, "gamma_grid", "plot"),
+    ),
+    "bayes-sweep": (
+        cmd_bayes_sweep,
+        "Bayesian equilibria over the (gamma, p) grid",
+        (*_RECORD_OPTIONS, "game2", "gamma_grid", "p_grid", "plot"),
+    ),
+    "analyze": (
+        cmd_analyze,
+        "theta scatters and payoff histogram from records",
+        (*_RECORD_OPTIONS, "records", "gamma_grid", "gamma_slice", "bin_width", "plot"),
+    ),
+    "strategies": (cmd_strategies, "list the deduplicated strategy grid as CSV", ("steps", "out")),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The full CLI parser; `config` values replace the built-in option defaults.
+
+    argparse converts a string default with the option's type when the flag
+    is absent, so config values are checked like flags and flags still win.
+    """
+    config = config or {}
     parser = _Parser(prog="ewlgames", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"ewlgames {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("solve", help="equilibria of one game at one entanglement")
-    _add_common(p)
-    p.add_argument("--gamma", help="entanglement angle (radians or pi fraction)")
-    p.set_defaults(func=cmd_solve)
-
-    p = subs.add_parser("sweep", help="two-player equilibria across entanglement values")
-    _add_common(p)
-    p.add_argument("--gamma-grid", dest="gamma_grid", help="number of gamma points (default 65)")
-    p.add_argument("--plot", help="write an SVG payoff-vs-gamma plot here")
-    p.set_defaults(func=cmd_sweep)
-
-    p = subs.add_parser("bayes-sweep", help="Bayesian equilibria over the (gamma, p) grid")
-    _add_common(p, bayes=True)
-    p.add_argument("--gamma-grid", dest="gamma_grid", help="number of gamma points (default 65)")
-    p.add_argument("--p-grid", dest="p_grid", help="number of prior points (default 21)")
-    p.add_argument("--plot", help="write an SVG A-payoff plot (p slices) here")
-    p.set_defaults(func=cmd_bayes_sweep)
-
-    p = subs.add_parser("analyze", help="theta scatters and payoff histogram from records")
-    _add_common(p)
-    p.add_argument("--records", help="existing two-player sweep CSV (skips the inline sweep)")
-    p.add_argument("--gamma-grid", dest="gamma_grid", help="gamma points for an inline sweep")
-    p.add_argument("--gamma-slice", dest="gamma_slice", help="gamma value for the payoff histogram")
-    p.add_argument("--bin-width", dest="bin_width", help="histogram bin width (default 0.05)")
-    p.add_argument("--plot", help="SVG output prefix (writes <prefix>_*.svg)")
-    p.set_defaults(func=cmd_analyze)
-
-    p = subs.add_parser("strategies", help="list the deduplicated strategy grid as CSV")
-    p.add_argument("--config", help="INI file with a [run] section of option defaults")
-    p.add_argument("--steps", help="grid steps as T,P,A angles")
-    p.add_argument("--out", help="write CSV here instead of stdout")
-    p.set_defaults(func=cmd_strategies)
+    for command, (func, summary, names) in COMMANDS.items():
+        sub = subs.add_parser(command, help=summary)
+        sub.add_argument("--config", help="INI file with a [run] section of option defaults")
+        for name in names:
+            convert, default, text = OPTIONS[name]
+            default = config.get(name, default)
+            if default is not None:
+                text += " (default: %(default)s)"
+            sub.add_argument("--" + name.replace("_", "-"), type=convert, default=default, help=text)
+        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if args.config:
+            args = build_parser(_read_config_file(args.config)).parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (ConfigError, CatalogueError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

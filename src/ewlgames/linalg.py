@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Algebraic identities hold to near machine precision; circuit states
-# accumulate error over at most four chained 4x4 products.
+# Algebraic identities hold to near machine precision.
 ALGEBRA_TOL = 1e-12
-STATE_TOL = 1e-10
 
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
 IDENTITY_4 = np.eye(4, dtype=np.complex128)

@@ -71,12 +71,15 @@ def record_rows(records: Sequence[SweepRecord], bayes: bool) -> list[list[float 
     return rows
 
 
-def write_records_csv(path: str | Path, records: Sequence[SweepRecord], *, bayes: bool) -> None:
-    columns = BAYES_COLUMNS if bayes else TWO_PLAYER_COLUMNS
+def write_rows_csv(path: str | Path, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
     lines = [",".join(columns)]
-    for row in record_rows(records, bayes):
+    for row in rows:
         lines.append(",".join(fmt(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def write_records_csv(path: str | Path, records: Sequence[SweepRecord], *, bayes: bool) -> None:
+    write_rows_csv(path, BAYES_COLUMNS if bayes else TWO_PLAYER_COLUMNS, record_rows(records, bayes))
 
 
 def write_records_json(
@@ -96,13 +99,6 @@ def write_records_json(
     Path(path).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
     )
-
-
-def write_rows_csv(path: str | Path, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 @dataclass(frozen=True)

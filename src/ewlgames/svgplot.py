@@ -3,6 +3,7 @@ labelled linear axis frame. Batch output only.
 """
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,7 +80,7 @@ class Figure:
             f'viewBox="0 0 {WIDTH} {HEIGHT}">',
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
             f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{self.title}</text>',
+            f'font-family="sans-serif" font-size="15">{html.escape(self.title, quote=False)}</text>',
         ]
         # axes frame and ticks
         parts.append(
@@ -107,12 +108,12 @@ class Figure:
             )
         parts.append(
             f'<text x="{MARGIN_L + pw / 2:.1f}" y="{HEIGHT - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{self.xlabel}</text>'
+            f'font-family="sans-serif" font-size="13">{html.escape(self.xlabel, quote=False)}</text>'
         )
         parts.append(
             f'<text x="16" y="{MARGIN_T + ph / 2:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 16 {MARGIN_T + ph / 2:.1f})">{self.ylabel}</text>'
+            f'transform="rotate(-90 16 {MARGIN_T + ph / 2:.1f})">{html.escape(self.ylabel, quote=False)}</text>'
         )
 
         for x, h, w in self.bars:
@@ -137,7 +138,7 @@ class Figure:
             parts.append(f'<rect x="{MARGIN_L + pw - 130}" y="{ly - 9}" width="10" height="10" fill="{col}"/>')
             parts.append(
                 f'<text x="{MARGIN_L + pw - 115}" y="{ly}" font-family="sans-serif" '
-                f'font-size="11">{lab}</text>'
+                f'font-size="11">{html.escape(lab, quote=False)}</text>'
             )
         parts.append("</svg>")
         Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

@@ -29,6 +29,7 @@ GAMMA_MAX = math.pi / 2
 # granularity wanted from surface plots.
 DEFAULT_GAMMA_POINTS = 65
 DEFAULT_P_POINTS = 21
+DEFAULT_BIN_WIDTH = 0.05
 
 
 def default_gamma_grid(n: int = DEFAULT_GAMMA_POINTS) -> list[float]:
@@ -163,14 +164,14 @@ def scatter_theta(records: Sequence[SweepRecord]) -> list[tuple[float, float]]:
 def payoff_histogram(
     records: Sequence[SweepRecord],
     gamma_slice: float,
-    bin_width: float = 0.05,
+    bin_width: float = DEFAULT_BIN_WIDTH,
 ) -> list[tuple[float, int]]:
     """Binned counts of player-A payoffs among records at one gamma.
 
     Bin k covers [k*w, (k+1)*w); rows are (bin center, count), sorted.
     """
-    if not (bin_width > 0):
-        raise ValueError("bin_width must be positive")
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise ValueError(f"bin_width must be finite and positive, got {bin_width!r}")
     counts: dict[int, int] = {}
     for r in records:
         if abs(r.gamma - gamma_slice) <= 1e-12:

@@ -3,8 +3,10 @@ import math
 
 import pytest
 
-from ewlgames.cli import ConfigError, main, parse_angle, parse_steps
+from ewlgames import DEFAULT_EPSILON
+from ewlgames.cli import ConfigError, build_parser, main, parse_angle, parse_steps
 from ewlgames.output import BAYES_COLUMNS, TWO_PLAYER_COLUMNS
+from ewlgames.sweep import DEFAULT_BIN_WIDTH, DEFAULT_GAMMA_POINTS, DEFAULT_P_POINTS
 
 PI = math.pi
 
@@ -37,6 +39,11 @@ class TestAngleParsing:
     def test_garbage_rejected(self):
         with pytest.raises(ConfigError):
             parse_angle("tau/2")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "pi/0"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ConfigError, match="not finite"):
+            parse_angle(text)
 
     def test_steps(self):
         steps = parse_steps("pi, pi/2, pi/2")
@@ -119,6 +126,18 @@ class TestUsageErrors:
         assert run("solve", "--gamma", "0", "--out", "x.csv") == 1
         assert "--game" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--gamma"], ["analyze", "--gamma-grid", "5", "--gamma-slice"]],
+        ids=["gamma", "gamma-slice"],
+    )
+    def test_non_finite_angle_exits_1(self, tmp_path, capsys, argv, value):
+        out = tmp_path / "out"
+        assert run(*argv, value, "--game", "stag_hunt", "--out", str(out)) == 1
+        assert "not finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweep:
     def test_csv_and_plot(self, tmp_path):
@@ -151,6 +170,50 @@ class TestSweep:
         cfg.write_text("[run]\ngame = prisoners_dilemma\nwibble = 3\n")
         assert run("sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 1
         assert "wibble" in capsys.readouterr().err
+
+
+class TestOptionTable:
+    def test_defaults_are_library_constants(self):
+        expected = {
+            "epsilon": DEFAULT_EPSILON,
+            "gamma_grid": DEFAULT_GAMMA_POINTS,
+            "p_grid": DEFAULT_P_POINTS,
+            "bin_width": DEFAULT_BIN_WIDTH,
+        }
+        parser = build_parser()
+        seen = set()
+        for command in ("solve", "sweep", "bayes-sweep", "analyze"):
+            args = vars(parser.parse_args([command]))
+            for key in expected.keys() & args.keys():
+                assert args[key] == expected[key], (command, key)
+                seen.add(key)
+        assert seen == expected.keys()
+
+    def test_config_value_beats_default_and_flag_beats_config(self):
+        args = build_parser({"gamma_grid": "3", "epsilon": "1e-6"}).parse_args(["sweep"])
+        assert (args.gamma_grid, args.epsilon) == (3, 1e-6)
+        # a flag wins before the file's value is ever converted
+        args = build_parser({"gamma_grid": "x"}).parse_args(["sweep", "--gamma-grid", "5"])
+        assert args.gamma_grid == 5
+
+    @pytest.mark.parametrize(
+        "line", ["gamma_grid = x", "format = xml", "epsilon = x", "steps = 0,pi,pi", "gamma_grid = 1"]
+    )
+    def test_bad_config_value_exits_1(self, tmp_path, line):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\ngame = prisoners_dilemma\n{line}\n")
+        out = tmp_path / "x.csv"
+        assert run("sweep", "--config", str(cfg), "--out", str(out)) == 1
+        assert not out.exists()
+
+    def test_key_of_another_subcommand_is_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\ngame = prisoners_dilemma\ngame2 = deadlock\ngamma_grid = 3\n")
+        assert run("sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 0
+        cfg.write_text("[run]\ngame = stag_hunt\nbin_width = x\nsteps = pi,pi/2,pi/2\n")
+        capsys.readouterr()
+        assert run("strategies", "--config", str(cfg)) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 8
 
 
 class TestBayesSweep:
@@ -305,6 +368,17 @@ class TestAnalyze:
         )
         assert code == 1
         assert "outside the swept range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bin_width", ["inf", "nan", "0"])
+    def test_bad_bin_width_writes_nothing(self, tmp_path, sweep_csv, capsys, bin_width):
+        prefix = str(tmp_path / "an")
+        code = run(
+            "analyze", "--records", str(sweep_csv), "--gamma-slice", "0",
+            "--bin-width", bin_width, "--out", prefix, "--plot", prefix,
+        )
+        assert code == 1
+        assert "bin_width" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
     def test_inline_sweep(self, tmp_path):
         prefix = str(tmp_path / "inline")

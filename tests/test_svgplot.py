@@ -21,6 +21,15 @@ def test_scatter_renders_circles(tmp_path):
     assert "scatter" in texts and "x" in texts and "y" in texts
 
 
+def test_markup_characters_are_escaped(tmp_path):
+    fig = Figure("A&B <x>", "x < y", "a > b & c")
+    fig.add_scatter("p<1 & q>0", [(0, 0), (1, 1)])
+    root = render(fig, tmp_path)
+    texts = [t.text for t in root.findall(f"{SVG_NS}text")]
+    for text in ("A&B <x>", "x < y", "a > b & c", "p<1 & q>0"):
+        assert text in texts
+
+
 def test_repeated_points_render_once(tmp_path):
     fig = Figure("scatter", "x", "y")
     # the 1e-13 offsets land on the same pixel as the exact points

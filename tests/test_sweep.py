@@ -252,8 +252,9 @@ class TestPayoffHistogram:
         assert payoff_histogram(records, 0.5, 0.5) == [(2.25, 1)]
 
     def test_bad_bin_width(self):
-        with pytest.raises(ValueError):
-            payoff_histogram([], 0.5, 0.0)
+        for bin_width in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                payoff_histogram([], 0.5, bin_width)
 
     def test_desk_scale_favored_dilemma_regression(self):
         # Asymmetric single-equilibrium game on the pi/4 grid, sliced at the
