@@ -11,8 +11,10 @@ With this form a one-sided i*sigma_x move commutes through J, so the
 strategy pair classes {U(0,0,0), U(pi,0,pi/2)} reproduce the classical
 game's cells at every entanglement level.
 
-Outcome |0> is read as confess/cooperate, |1> as defect; payoff vectors
-are indexed in the basis order (00, 01, 10, 11).
+Outcome |0> is read as confess/cooperate, |1> as defect. Two-qubit
+objects use the basis order (|00>, |01>, |10>, |11>) with player A's bit
+first, so payoff vectors, state vectors and 4x4 operators all share one
+indexing.
 """
 from __future__ import annotations
 
@@ -21,9 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import KET_00, dagger, kron, require_complex
-
 TWO_PI = 2.0 * math.pi
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+
+
+def _require_complex(values, shape: tuple[int, ...]) -> np.ndarray:
+    """Coerce to a complex128 array of the given shape with finite entries."""
+    arr = np.asarray(values, dtype=np.complex128)
+    if arr.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {arr.shape}")
+    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+        raise ValueError("non-finite entry")
+    return arr
 
 
 def _require_range(name: str, value: float, low: float, high: float) -> None:
@@ -116,10 +128,10 @@ def final_state_from_matrices(gamma: EntanglementParam, u_a, u_b) -> np.ndarray:
     This naive path is the reference the vectorized payoff kernel is
     checked against.
     """
-    u_a = require_complex(u_a, (2, 2))
-    u_b = require_complex(u_b, (2, 2))
+    u_a = _require_complex(u_a, (2, 2))
+    u_b = _require_complex(u_b, (2, 2))
     j = entangler(gamma)
-    return dagger(j) @ (kron(u_a, u_b) @ (j @ KET_00))
+    return j.conj().T @ (np.kron(u_a, u_b) @ j[:, 0])  # J|00> is J's first column
 
 
 def final_state(gamma: EntanglementParam, a: StrategyParams, b: StrategyParams) -> np.ndarray:
@@ -129,7 +141,7 @@ def final_state(gamma: EntanglementParam, a: StrategyParams, b: StrategyParams) 
 
 def outcome_probs(state) -> np.ndarray:
     """Squared amplitudes per outcome, in (00, 01, 10, 11) order."""
-    state = require_complex(state, (4,))
+    state = _require_complex(state, (4,))
     return np.abs(state) ** 2
 
 

@@ -4,10 +4,10 @@ Subcommands: solve, sweep, bayes-sweep, analyze, strategies. Each option
 is declared once in OPTIONS (type, default, help), and COMMANDS names the
 options each subcommand takes; `ewlgames <command> --help` shows every
 default. A `[run]` section in an INI config file (--config) replaces those
-defaults: its keys are the flag names with `_` for `-`, its values are
-converted and checked exactly like flags, and a key that belongs to another
-subcommand is ignored. Explicit flags win over the file, which wins over
-the built-in defaults.
+defaults, in --help too: its keys are the flag names with `_` for `-`, its
+values are converted and checked exactly like flags, and a key that belongs
+to another subcommand is ignored. Explicit flags win over the file, which
+wins over the built-in defaults.
 
 Exit codes: 0 success (an empty equilibrium set is a result, not an
 error), 1 usage/config error (an unknown key, a bad value, a non-finite
@@ -326,20 +326,24 @@ def cmd_strategies(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_RECORD_OPTIONS = ("game", "catalogue", "steps", "epsilon", "out", "format")
+_RECORD_OPTIONS = ("game", "catalogue", "steps", "epsilon", "out")
 
 # subcommand -> (handler, summary, option names); every one also takes --config
 COMMANDS = {
-    "solve": (cmd_solve, "equilibria of one game at one entanglement", (*_RECORD_OPTIONS, "gamma")),
+    "solve": (
+        cmd_solve,
+        "equilibria of one game at one entanglement",
+        (*_RECORD_OPTIONS, "format", "gamma"),
+    ),
     "sweep": (
         cmd_sweep,
         "two-player equilibria across entanglement values",
-        (*_RECORD_OPTIONS, "gamma_grid", "plot"),
+        (*_RECORD_OPTIONS, "format", "gamma_grid", "plot"),
     ),
     "bayes-sweep": (
         cmd_bayes_sweep,
         "Bayesian equilibria over the (gamma, p) grid",
-        (*_RECORD_OPTIONS, "game2", "gamma_grid", "p_grid", "plot"),
+        (*_RECORD_OPTIONS, "format", "game2", "gamma_grid", "p_grid", "plot"),
     ),
     "analyze": (
         cmd_analyze,
@@ -375,9 +379,12 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        if args.config:
-            args = build_parser(_read_config_file(args.config)).parse_args(argv)
+        # --config is read before the full parse so that --help shows the file's
+        # defaults; a bare --config is left for the full parser to report.
+        pre = _Parser(add_help=False)
+        pre.add_argument("--config", nargs="?")
+        path = pre.parse_known_args(argv)[0].config
+        args = build_parser(_read_config_file(path) if path else None).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

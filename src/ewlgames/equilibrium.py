@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import EntanglementParam, GameDefinition
+from .circuit import PAULI_X, EntanglementParam, GameDefinition
 from .grid import StrategyGrid
-from .linalg import PAULI_X
 
 # Payoff ties: far below any gap in integer-scale payoff tables, far above
 # double rounding in <=4 chained 4x4 products.

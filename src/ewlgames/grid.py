@@ -105,10 +105,3 @@ def build_grid(steps: SteppingParams) -> StrategyGrid:
     matrices.setflags(write=False)
     return StrategyGrid(params=tuple(kept_params), matrices=matrices, source_steps=steps)
 
-
-def grid_lookup(grid: StrategyGrid, params: StrategyParams) -> int | None:
-    """Index of the entry matching strategy_matrix(params), or None."""
-    m = strategy_matrix(params)
-    dist = np.abs(grid.matrices - m).max(axis=(1, 2))
-    hits = np.nonzero(dist <= DEDUP_TOL)[0]
-    return int(hits[0]) if hits.size else None

@@ -38,8 +38,8 @@ class Figure:
     scatters: list[tuple[str, list[tuple[float, float]], str]] = field(default_factory=list)
     bars: list[tuple[float, float, float]] = field(default_factory=list)  # (x, height, width)
 
-    def add_scatter(self, label: str, points, color: str | None = None) -> None:
-        color = color or PALETTE[len(self.scatters) % len(PALETTE)]
+    def add_scatter(self, label: str, points) -> None:
+        color = PALETTE[len(self.scatters) % len(PALETTE)]
         self.scatters.append((label, list(points), color))
 
     def add_bars(self, bars) -> None:

@@ -16,10 +16,13 @@ from ewlgames import (
     outcome_probs,
     strategy_matrix,
 )
-from ewlgames.linalg import is_unitary
 from ewlgames.sweep import default_gamma_grid
 
 from oracles import circuit_probs, u_matrix
+
+
+def is_unitary(m, tol: float) -> bool:
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(len(m))))) <= tol
 
 
 def random_params(rng) -> StrategyParams:
@@ -88,6 +91,14 @@ class TestStrategyMatrix:
         rng = np.random.default_rng(11)
         for _ in range(100):
             assert is_unitary(strategy_matrix(random_params(rng)), 1e-12)
+
+    def test_phi_is_inert_at_theta_pi(self):
+        # U(pi, 0, 0) and U(pi, 2pi, 0) both evaluate to [[0,1],[-1,0]]
+        m1 = strategy_matrix(StrategyParams(math.pi, 0.0, 0.0))
+        m2 = strategy_matrix(StrategyParams(math.pi, 2 * math.pi, 0.0))
+        np.testing.assert_allclose(m1, [[0, 1], [-1, 0]], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m2, [[0, 1], [-1, 0]], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m1, m2, rtol=0, atol=1e-12)
 
     def test_matches_reference_formula(self):
         rng = np.random.default_rng(12)

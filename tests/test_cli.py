@@ -119,8 +119,13 @@ class TestUsageErrors:
     def test_no_subcommand_exits_1(self):
         assert run() == 1
 
-    def test_unknown_flag_exits_1(self):
+    def test_unknown_flag_exits_1(self, tmp_path):
         assert run("solve", "--frobnicate") == 1
+        # analyze always writes CSV, so --format is not one of its flags
+        prefix = tmp_path / "a"
+        inline = ["--game", "prisoners_dilemma", "--gamma-grid", "3", "--gamma-slice", "0"]
+        assert run("analyze", *inline, "--out", str(prefix), "--format", "json") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_required_option_exits_1(self, capsys):
         assert run("solve", "--gamma", "0", "--out", "x.csv") == 1
@@ -214,6 +219,17 @@ class TestOptionTable:
         capsys.readouterr()
         assert run("strategies", "--config", str(cfg)) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 8
+        cfg.write_text("[run]\ngame = prisoners_dilemma\ngamma_grid = 3\ngamma_slice = 0\nformat = xml\n")
+        assert run("analyze", "--config", str(cfg), "--out", str(tmp_path / "a")) == 0
+
+    def test_help_shows_config_defaults(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nepsilon = 1e-6\ngamma_grid = 9\n")
+        assert run("sweep", "--config", str(cfg), "--help") == 0
+        help_text = capsys.readouterr().out
+        assert "(default: 1e-6)" in help_text
+        assert "(default: 9)" in help_text
+        assert f"(default: {DEFAULT_EPSILON})" not in help_text
 
 
 class TestBayesSweep:

@@ -17,7 +17,7 @@ from ewlgames import (
     pairwise_payoffs,
     payoff_tensor,
 )
-from ewlgames.grid import SteppingParams, build_grid, grid_lookup
+from ewlgames.grid import SteppingParams, build_grid
 
 from oracles import brute_force_bayes, brute_force_nash, passes_deviation
 
@@ -41,7 +41,7 @@ class TestPayoffTensor:
 
     def test_classical_cells_at_zero_entanglement(self, coarse_grid, prisoners_dilemma):
         t = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(0.0))
-        defect = grid_lookup(coarse_grid, DEFECT_STRATEGY)
+        defect = coarse_grid.params.index(DEFECT_STRATEGY)
         assert (t.payoff_a[0, 0], t.payoff_b[0, 0]) == pytest.approx((3, 3), abs=1e-10)
         assert (t.payoff_a[defect, 0], t.payoff_b[defect, 0]) == pytest.approx((5, 0), abs=1e-10)
 
@@ -119,7 +119,7 @@ class TestBestResponses:
         t = payoff_tensor(
             self.with_indifferent_b(prisoners_dilemma), coarse_grid, EntanglementParam(0.0)
         )
-        defect = grid_lookup(coarse_grid, DEFECT_STRATEGY)
+        defect = coarse_grid.params.index(DEFECT_STRATEGY)
         vs_identity = self.a_best_sets(t)[0]
         assert defect in vs_identity
         assert 0 not in vs_identity

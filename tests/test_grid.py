@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ewlgames import SteppingParams, StrategyParams, build_grid, grid_lookup, strategy_matrix
+from ewlgames import SteppingParams, StrategyParams, build_grid, strategy_matrix
 
 PI = math.pi
 
@@ -108,15 +108,3 @@ class TestContents:
         for got, expected in zip(grid.matrices, reference):
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
-
-class TestLookup:
-    def test_identity(self, coarse_grid):
-        assert grid_lookup(coarse_grid, StrategyParams(0, 0, 0)) == 0
-
-    def test_wrapped_phi_maps_to_representative(self, coarse_grid):
-        idx_wrapped = grid_lookup(coarse_grid, StrategyParams(PI, 2 * PI, 0))
-        idx_rep = grid_lookup(coarse_grid, StrategyParams(PI, 0, 0))
-        assert idx_wrapped == idx_rep is not None
-
-    def test_off_grid_absent(self, coarse_grid):
-        assert grid_lookup(coarse_grid, StrategyParams(PI / 3, 0, 0)) is None
