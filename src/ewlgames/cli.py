@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import re
 import sys
@@ -122,6 +123,38 @@ OPTIONS = {
 }
 
 
+class _FileValue(str):
+    """A `[run]` value, tagged with the file and key it came from."""
+
+    def __new__(cls, text: str, where: str):
+        value = super().__new__(cls, text)
+        value.where = where
+        return value
+
+
+def _reporting_file(convert):
+    """`convert`, but a bad `_FileValue` is reported by its file and key.
+
+    argparse converts a config value only when its flag is absent, and would
+    report a bad one as if the flag had been given.
+    """
+
+    @functools.wraps(convert)  # keeps the type name argparse prints for a bad flag
+    def converted(text):
+        try:
+            return convert(text)
+        except ConfigError as exc:
+            if not isinstance(text, _FileValue):
+                raise
+            raise ConfigError(f"{text.where}: {exc}") from None
+        except (TypeError, ValueError):
+            if not isinstance(text, _FileValue):
+                raise
+            raise ConfigError(f"{text.where}: invalid {convert.__name__} value: {str(text)!r}") from None
+
+    return converted
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     parser = configparser.ConfigParser(interpolation=None)
     with open(path, "r", encoding="utf-8") as fh:
@@ -135,7 +168,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     unknown = set(values) - set(OPTIONS)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    return values
+    return {key: _FileValue(text, f"{path}: [run] {key}") for key, text in values.items()}
 
 
 def _require(args: argparse.Namespace, key: str):
@@ -370,6 +403,8 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
         for name in names:
             convert, default, text = OPTIONS[name]
             default = config.get(name, default)
+            if isinstance(default, _FileValue):
+                convert = _reporting_file(convert)
             if default is not None:
                 text += " (default: %(default)s)"
             sub.add_argument("--" + name.replace("_", "-"), type=convert, default=default, help=text)

@@ -6,11 +6,15 @@ the row/column intersections of those sets. The three-player Bayesian
 composition mixes two tensors that share a grid and entanglement: player
 A scores p * game1 + (1-p) * game2 while each B-type scores its own game
 at full weight.
+
+Bayesian equilibria are found without a loop over A's strategies; see
+`nash_bayesian` for the algorithm, its order and its memory.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -158,44 +162,88 @@ def _require_compatible(t1: PayoffTensor, t2: PayoffTensor) -> None:
         )
 
 
+# Column pairs per step of A's column maxima. A step's scratch is a few
+# (n, _COLUMN_BLOCK) float arrays, 3.7 MB each on the 1824 grid.
+_COLUMN_BLOCK = 256
+
+
+def _bayes_equilibria(
+    t1: PayoffTensor,
+    t2: PayoffTensor,
+    priors: Sequence[PriorProbability],
+    epsilon: float,
+) -> list[list[NashEquilibrium]]:
+    """`nash_bayesian` for each prior in turn, sharing the p-independent work.
+
+    B1's and B2's best-response masks, the candidate triples, their
+    distinct (b1, b2) column pairs and the gathered payoff columns are
+    built once for all priors.
+    """
+    _require_epsilon(epsilon)
+    _require_compatible(t1, t2)
+    n = len(t1)
+    best1 = t1.payoff_b >= t1.payoff_b.max(axis=1, keepdims=True) - epsilon
+    best2 = t2.payoff_b >= t2.payoff_b.max(axis=1, keepdims=True) - epsilon
+    rows1, cols1 = np.nonzero(best1)
+    rows2, cols2 = np.nonzero(best2)
+    # Candidate triples in (a, b1, b2) order: each (a, b1) of B1's mask is
+    # repeated once per b2 in B2's set for that a, and the k-th repeat
+    # takes the k-th such b2. np.nonzero already lists both masks row-major.
+    count2 = np.bincount(rows2, minlength=n)
+    reps = count2[rows1]
+    a = np.repeat(rows1, reps)
+    b1 = np.repeat(cols1, reps)
+    within = np.arange(len(a)) - np.repeat(np.cumsum(reps) - reps, reps)
+    b2 = cols2[np.repeat((np.cumsum(count2) - count2)[rows1], reps) + within]
+    del reps, within
+
+    # A's column maxima max_a' p*X[a', b1] + (1-p)*Y[a', b2], taken once per
+    # distinct (b1, b2) pair and prior.
+    pairs, column = np.unique(b1 * n + b2, return_inverse=True)
+    u1, u2 = np.divmod(pairs, n)
+    colmax = np.empty((len(priors), len(pairs)))
+    for start in range(0, len(pairs), _COLUMN_BLOCK):
+        block = slice(start, start + _COLUMN_BLOCK)
+        xb, yb = t1.payoff_a[:, u1[block]], t2.payoff_a[:, u2[block]]
+        for k, prior in enumerate(priors):
+            colmax[k, block] = (prior.p * xb + (1.0 - prior.p) * yb).max(axis=0)
+
+    x, y = t1.payoff_a[a, b1], t2.payoff_a[a, b2]
+    out = []
+    for k, prior in enumerate(priors):
+        mixed = prior.p * x + (1.0 - prior.p) * y
+        ok = np.nonzero(mixed >= (colmax[k] - epsilon)[column])[0]
+        hit_a, hit_b1, hit_b2 = a[ok], b1[ok], b2[ok]
+        columns = (
+            hit_a, hit_b1, hit_b2, mixed[ok], t1.payoff_b[hit_a, hit_b1], t2.payoff_b[hit_a, hit_b2]
+        )
+        out.append(
+            [
+                NashEquilibrium(strategy_indices=(i, j, l), payoffs=(pa, pb1, pb2))
+                for i, j, l, pa, pb1, pb2 in zip(*(c.tolist() for c in columns))
+            ]
+        )
+    return out
+
+
 def nash_bayesian(
     t1: PayoffTensor,
     t2: PayoffTensor,
     p: PriorProbability,
     epsilon: float = DEFAULT_EPSILON,
 ) -> list[NashEquilibrium]:
-    """All (a, b1, b2) triples where each player is a best response.
+    """All (a, b1, b2) triples where each player is a best response, in
+    lexicographic index order.
 
     B1 maximizes game1's B-payoff vs a and B2 game2's, independent of p;
-    A maximizes the p-mixture. For each a only the product of the two
-    B-best sets needs A's condition checked.
+    A maximizes the p-mixture p * game1 + (1-p) * game2. Only triples
+    whose b1 and b2 are both best responses to a are candidates: they are
+    enumerated with array arithmetic in (a, b1, b2) order, which is the
+    order of the result. A's condition, p*X[a, b1] + (1-p)*Y[a, b2] >=
+    colmax(b1, b2) - epsilon, needs the column maximum over all a' only
+    once per distinct (b1, b2) pair. Those maxima are taken in blocks of
+    _COLUMN_BLOCK pairs, so their scratch is O(n * _COLUMN_BLOCK); the
+    candidate arrays take O(number of candidates). `bayes_sweep` shares
+    all of this work across the priors of one gamma.
     """
-    _require_epsilon(epsilon)
-    _require_compatible(t1, t2)
-    n = len(t1)
-    ga = p.p * t1.payoff_a
-    ha = (1.0 - p.p) * t2.payoff_a
-    b1_best = t1.payoff_b >= t1.payoff_b.max(axis=1, keepdims=True) - epsilon
-    b2_best = t2.payoff_b >= t2.payoff_b.max(axis=1, keepdims=True) - epsilon
-
-    out = []
-    for a in range(n):
-        cand1 = np.nonzero(b1_best[a])[0]
-        cand2 = np.nonzero(b2_best[a])[0]
-        # mix[a', b1, b2] over the candidate product; A's check needs the
-        # column max over all a'.
-        mix = ga[:, cand1][:, :, None] + ha[:, cand2][:, None, :]
-        ok = np.argwhere(mix[a] >= mix.max(axis=0) - epsilon)
-        for k1, k2 in ok:
-            b1, b2 = int(cand1[k1]), int(cand2[k2])
-            out.append(
-                NashEquilibrium(
-                    strategy_indices=(a, b1, b2),
-                    payoffs=(
-                        float(ga[a, b1] + ha[a, b2]),
-                        float(t1.payoff_b[a, b1]),
-                        float(t2.payoff_b[a, b2]),
-                    ),
-                )
-            )
-    return out
+    return _bayes_equilibria(t1, t2, [p], epsilon)[0]

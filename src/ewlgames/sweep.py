@@ -16,7 +16,7 @@ from .equilibrium import (
     DEFAULT_EPSILON,
     NashEquilibrium,
     PriorProbability,
-    nash_bayesian,
+    _bayes_equilibria,
     nash_two_player,
     payoff_tensor,
 )
@@ -107,24 +107,29 @@ def bayes_sweep(
 ) -> list[SweepRecord]:
     """Bayesian (A, B1, B2) equilibria over the full (gamma, p) product grid.
 
-    Both component tensors are built once per gamma and reused across the
-    prior values.
+    Both component tensors are built once per gamma, and one candidate set
+    (B's best-response masks, the candidate triples and A's distinct
+    column pairs) serves every prior value of that gamma.
     """
+    priors = [PriorProbability(p) for p in p_points]
     records: list[SweepRecord] = []
     for g in gamma_points:
         gamma = EntanglementParam(g)
-        t1 = payoff_tensor(game1, grid, gamma)
-        t2 = payoff_tensor(game2, grid, gamma)
-        for p in p_points:
-            for eq in nash_bayesian(t1, t2, PriorProbability(p), epsilon):
-                records.append(
-                    SweepRecord(
-                        gamma=g,
-                        p=p,
-                        equilibrium=eq,
-                        strategy_params=tuple(grid.params[k] for k in eq.strategy_indices),
-                    )
+        # The tensors go straight in, so this gamma's tables are freed
+        # before the next gamma's pair is built.
+        per_prior = _bayes_equilibria(
+            payoff_tensor(game1, grid, gamma), payoff_tensor(game2, grid, gamma), priors, epsilon
+        )
+        for p, eqs in zip(p_points, per_prior):
+            records.extend(
+                SweepRecord(
+                    gamma=g,
+                    p=p,
+                    equilibrium=eq,
+                    strategy_params=tuple(grid.params[k] for k in eq.strategy_indices),
                 )
+                for eq in eqs
+            )
     return records
 
 

@@ -211,6 +211,28 @@ class TestOptionTable:
         assert run("sweep", "--config", str(cfg), "--out", str(out)) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("gamma_grid = x", "[run] gamma_grid: invalid int value: 'x'"),
+            ("epsilon = x", "[run] epsilon: invalid float value: 'x'"),
+            ("format = xml", "[run] format: --format must be csv or json, got 'xml'"),
+            ("steps = pi,x,pi", "[run] steps: cannot parse angle 'x'"),
+        ],
+    )
+    def test_bad_config_value_names_file_and_key(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "a.ini"
+        cfg.write_text(f"[run]\ngame = prisoners_dilemma\n{line}\n")
+        assert run("sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cfg}: {message}" in err
+        assert "argument --" not in err
+        # the same bad value given as a flag is still reported as the flag
+        flag, value = line.split(" = ")
+        assert run("sweep", "--game", "prisoners_dilemma", "--" + flag.replace("_", "-"), value,
+                   "--out", str(tmp_path / "x.csv")) == 1
+        assert str(cfg) not in capsys.readouterr().err
+
     def test_key_of_another_subcommand_is_ignored(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[run]\ngame = prisoners_dilemma\ngame2 = deadlock\ngamma_grid = 3\n")

@@ -17,6 +17,7 @@ from ewlgames import (
     pairwise_payoffs,
     payoff_tensor,
 )
+from ewlgames import equilibrium
 from ewlgames.grid import SteppingParams, build_grid
 
 from oracles import brute_force_bayes, brute_force_nash, passes_deviation
@@ -27,6 +28,14 @@ PI = math.pi
 def random_game(rng, name="rnd") -> GameDefinition:
     return GameDefinition(
         name, tuple(rng.uniform(-3, 5, size=4)), tuple(rng.uniform(-3, 5, size=4))
+    )
+
+
+def integer_game(rng, name) -> GameDefinition:
+    return GameDefinition(
+        name,
+        tuple(float(v) for v in rng.integers(0, 10, size=4)),
+        tuple(float(v) for v in rng.integers(0, 10, size=4)),
     )
 
 
@@ -308,6 +317,51 @@ class TestBayesian:
                 t2.payoff_a.tolist(), t2.payoff_b.tolist(), p, 1e-9,
             )
             assert sorted(got) == expected
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-9])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("pair", ["pd-deadlock", "random-integer"])
+    def test_order_and_ties_at_zero_entanglement(
+        self, coarse_grid, prisoners_dilemma, deadlock, pair, p, epsilon
+    ):
+        # At gamma = 0 B's best-response sets are wide (every row has at
+        # least a phase twin), so the emitted order is not trivially sorted.
+        if pair == "pd-deadlock":
+            g1, g2 = prisoners_dilemma, deadlock
+        else:
+            rng = np.random.default_rng(36)
+            g1, g2 = integer_game(rng, "i1"), integer_game(rng, "i2")
+        gamma = EntanglementParam(0.0)
+        t1, t2 = payoff_tensor(g1, coarse_grid, gamma), payoff_tensor(g2, coarse_grid, gamma)
+        for t in (t1, t2):
+            best = t.payoff_b >= t.payoff_b.max(axis=1, keepdims=True) - epsilon
+            assert best.sum(axis=1).min() >= 2
+        eqs = nash_bayesian(t1, t2, PriorProbability(p), epsilon)
+        expected = brute_force_bayes(
+            t1.payoff_a.tolist(), t1.payoff_b.tolist(),
+            t2.payoff_a.tolist(), t2.payoff_b.tolist(), p, epsilon,
+        )
+        assert expected
+        assert [eq.strategy_indices for eq in eqs] == expected
+        for eq in eqs:
+            a, b1, b2 = eq.strategy_indices
+            assert eq.payoffs == (
+                p * t1.payoff_a[a, b1] + (1 - p) * t2.payoff_a[a, b2],
+                t1.payoff_b[a, b1],
+                t2.payoff_b[a, b2],
+            )
+
+    @pytest.mark.parametrize("column_block", [1, 3])
+    def test_column_blocking_does_not_change_result(self, monkeypatch, tensors, column_block):
+        t1, t2 = tensors
+        priors = [PriorProbability(p) for p in (0.0, 0.3, 1.0)]
+        whole = [nash_bayesian(t1, t2, prior) for prior in priors]
+        zero = [payoff_tensor(t.game, t.grid, EntanglementParam(0.0)) for t in (t1, t2)]
+        whole_zero = nash_bayesian(*zero, priors[1])
+        assert all(whole) and whole_zero
+        monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", column_block)
+        assert [nash_bayesian(t1, t2, prior) for prior in priors] == whole
+        assert nash_bayesian(*zero, priors[1]) == whole_zero
 
     def test_b1_is_always_a_best_response(self, tensors):
         t1, t2 = tensors

@@ -7,6 +7,7 @@ from ewlgames import (
     EntanglementParam,
     GameDefinition,
     NashEquilibrium,
+    PriorProbability,
     StrategyParams,
     SweepRecord,
     bayes_sweep,
@@ -14,6 +15,7 @@ from ewlgames import (
     default_gamma_grid,
     default_p_grid,
     gamma_sweep,
+    nash_bayesian,
     payoff_histogram,
     payoff_tensor,
     scatter_theta,
@@ -207,6 +209,31 @@ class TestBayesSweep:
             and r.equilibrium.strategy_indices[1] == r.equilibrium.strategy_indices[2]
         }
         assert diag == two
+
+    def test_matches_nash_bayesian_per_point(self, prisoners_dilemma, deadlock, coarse_grid):
+        # bayes_sweep shares one candidate set per gamma across the priors;
+        # it must give exactly what one nash_bayesian call per (gamma, p) gives
+        gammas, priors = [0.0, 0.35, PI / 2], [0.0, 0.4, 1.0]
+        brecs = bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, gammas, priors)
+        expected = []
+        for g in gammas:
+            t1 = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(g))
+            t2 = payoff_tensor(deadlock, coarse_grid, EntanglementParam(g))
+            for p in priors:
+                expected.extend(
+                    (g, p, eq.strategy_indices, eq.payoffs)
+                    for eq in nash_bayesian(t1, t2, PriorProbability(p))
+                )
+        got = [
+            (r.gamma, r.p, r.equilibrium.strategy_indices, r.equilibrium.payoffs) for r in brecs
+        ]
+        # every point but the empty gamma = pi/2 contributes
+        assert {(g, p) for g, p, _, _ in got} == {(g, p) for g in gammas[:2] for p in priors}
+        assert got == expected
+        for r in brecs:
+            assert r.strategy_params == tuple(
+                coarse_grid.params[k] for k in r.equilibrium.strategy_indices
+            )
 
     def test_record_ordering(self, prisoners_dilemma, deadlock, coarse_grid):
         pts = default_gamma_grid(5)
