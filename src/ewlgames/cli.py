@@ -287,10 +287,23 @@ def cmd_bayes_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# A records CSV prints gamma to 12 digits; a grid gamma this close to a
+# record's gamma is that record's gamma.
+_GAMMA_MATCH = 1e-9
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.records:
         loaded = read_two_player_csv(args.records)
-        records, gamma_values = loaded.records, loaded.gamma_values
+        records = loaded.records
+        if not records:
+            raise ConfigError(f"{args.records}: no records to analyze")
+        # The file only holds gammas with equilibria; the swept grid holds the rest.
+        gamma_values = loaded.gamma_values + [
+            g
+            for g in default_gamma_grid(args.gamma_grid)
+            if all(abs(g - r) > _GAMMA_MATCH for r in loaded.gamma_values)
+        ]
     else:
         (game,) = _load_games(args, [_require(args, "game")])
         grid = build_grid(args.steps)
@@ -299,8 +312,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     gamma_slice = _require(args, "gamma_slice")
     swept = sorted({r.gamma for r in records} | set(gamma_values))
-    if not swept:
-        raise ConfigError(f"{args.records}: no records to analyze")
     if gamma_slice < swept[0] - 1e-12 or gamma_slice > swept[-1] + 1e-12:
         raise ConfigError(
             f"--gamma-slice {gamma_slice:.12g} outside the swept range "

@@ -7,11 +7,15 @@ composition mixes two tensors that share a grid and entanglement: player
 A scores p * game1 + (1-p) * game2 while each B-type scores its own game
 at full weight.
 
+Both reductions run on the grid's +-U class tables, where every class is
+scored once, and expand each class equilibrium to its member index
+tuples; a partner's record carries its representative's payoffs.
 Bayesian equilibria are found without a loop over A's strategies; see
 `nash_bayesian` for the algorithm, its order and its memory.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -84,16 +88,29 @@ def pairwise_payoffs(
 
 @dataclass(frozen=True)
 class PayoffTensor:
-    """Complete |V| x |V| payoff table for one game at one entanglement."""
+    """Both players' payoffs for one game at one entanglement.
+
+    `class_a[c, d]` and `class_b[c, d]` score the grid's class pair (c, d);
+    `payoff_a` and `payoff_b` expand them to the full |V| x |V| tables on
+    each access.
+    """
 
     game: GameDefinition
     gamma: EntanglementParam
     grid: StrategyGrid
-    payoff_a: np.ndarray = field(repr=False)
-    payoff_b: np.ndarray = field(repr=False)
+    class_a: np.ndarray = field(repr=False)
+    class_b: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
-        return self.payoff_a.shape[0]
+        return len(self.grid)
+
+    @property
+    def payoff_a(self) -> np.ndarray:
+        return self.class_a[np.ix_(self.grid.classes, self.grid.classes)]
+
+    @property
+    def payoff_b(self) -> np.ndarray:
+        return self.class_b[np.ix_(self.grid.classes, self.grid.classes)]
 
 
 def payoff_tensor(
@@ -101,13 +118,14 @@ def payoff_tensor(
     grid: StrategyGrid,
     gamma: EntanglementParam,
 ) -> PayoffTensor:
-    """Tabulate both players' payoffs over every grid pairing."""
+    """Tabulate both players' payoffs over every pairing of class representatives."""
     if len(grid) == 0:
         raise ValueError("empty strategy grid")
-    pa, pb = pairwise_payoffs(grid.matrices, grid.matrices, gamma, game)
+    reps = grid.matrices[grid.representatives]
+    pa, pb = pairwise_payoffs(reps, reps, gamma, game)
     pa.setflags(write=False)
     pb.setflags(write=False)
-    return PayoffTensor(game=game, gamma=gamma, grid=grid, payoff_a=pa, payoff_b=pb)
+    return PayoffTensor(game=game, gamma=gamma, grid=grid, class_a=pa, class_b=pb)
 
 
 @dataclass(frozen=True)
@@ -123,18 +141,47 @@ def _require_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
 
 
+def _expand(grid: StrategyGrid, class_tuples: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Every member index tuple of the given class tuples, in lexicographic order.
+
+    `class_tuples` holds one class array per tuple position. Returns one
+    member index array per position, and for each member tuple the position
+    of its class tuple in the input.
+    """
+    members = np.full((len(grid.representatives), 2), -1, dtype=np.intp)
+    members[:, 0] = grid.representatives
+    partners = np.nonzero(grid.representatives[grid.classes] != np.arange(len(grid)))[0]
+    members[grid.classes[partners], 1] = partners
+    parts, sources = [], []
+    for slots in itertools.product((0, 1), repeat=len(class_tuples)):
+        columns = [members[c, slot] for c, slot in zip(class_tuples, slots)]
+        present = np.nonzero(np.logical_and.reduce([col >= 0 for col in columns]))[0]
+        parts.append([col[present] for col in columns])
+        sources.append(present)
+    columns = [np.concatenate(col) for col in zip(*parts)]
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    for col in columns:
+        key = key * len(grid) + col
+    order = np.argsort(key)  # keys are distinct
+    return [col[order] for col in columns], np.concatenate(sources)[order]
+
+
 def nash_two_player(tensor: PayoffTensor, epsilon: float = DEFAULT_EPSILON) -> list[NashEquilibrium]:
-    """All (i, j) lying in both players' best-response sets, in index order."""
+    """All (i, j) lying in both players' best-response sets, in index order.
+
+    The sets are taken over the class tables; each class pair then expands
+    to its up to 4 member pairs, which carry the class pair's payoffs.
+    """
     _require_epsilon(epsilon)
-    a_best = tensor.payoff_a >= tensor.payoff_a.max(axis=0, keepdims=True) - epsilon
-    b_best = tensor.payoff_b >= tensor.payoff_b.max(axis=1, keepdims=True) - epsilon
-    pairs = np.argwhere(a_best & b_best)  # argwhere is already lexicographic
+    pa, pb = tensor.class_a, tensor.class_b
+    a_best = pa >= pa.max(axis=0, keepdims=True) - epsilon
+    b_best = pb >= pb.max(axis=1, keepdims=True) - epsilon
+    ca, cb = np.nonzero(a_best & b_best)
+    (i, j), source = _expand(tensor.grid, (ca, cb))
+    columns = (i, j, pa[ca, cb][source], pb[ca, cb][source])
     return [
-        NashEquilibrium(
-            strategy_indices=(int(i), int(j)),
-            payoffs=(float(tensor.payoff_a[i, j]), float(tensor.payoff_b[i, j])),
-        )
-        for i, j in pairs
+        NashEquilibrium(strategy_indices=(ai, bj), payoffs=(x, y))
+        for ai, bj, x, y in zip(*(c.tolist() for c in columns))
     ]
 
 
@@ -163,7 +210,7 @@ def _require_compatible(t1: PayoffTensor, t2: PayoffTensor) -> None:
 
 
 # Column pairs per step of A's column maxima. A step's scratch is a few
-# (n, _COLUMN_BLOCK) float arrays, 3.7 MB each on the 1824 grid.
+# (classes, _COLUMN_BLOCK) float arrays, 1.9 MB each on the 1824 grid.
 _COLUMN_BLOCK = 256
 
 
@@ -175,15 +222,16 @@ def _bayes_equilibria(
 ) -> list[list[NashEquilibrium]]:
     """`nash_bayesian` for each prior in turn, sharing the p-independent work.
 
-    B1's and B2's best-response masks, the candidate triples, their
+    B1's and B2's best-response masks, the candidate class triples, their
     distinct (b1, b2) column pairs and the gathered payoff columns are
-    built once for all priors.
+    built once for all priors; only each prior's accepted class triples
+    are expanded to member triples.
     """
     _require_epsilon(epsilon)
     _require_compatible(t1, t2)
-    n = len(t1)
-    best1 = t1.payoff_b >= t1.payoff_b.max(axis=1, keepdims=True) - epsilon
-    best2 = t2.payoff_b >= t2.payoff_b.max(axis=1, keepdims=True) - epsilon
+    n = len(t1.class_a)  # classes, not strategies
+    best1 = t1.class_b >= t1.class_b.max(axis=1, keepdims=True) - epsilon
+    best2 = t2.class_b >= t2.class_b.max(axis=1, keepdims=True) - epsilon
     rows1, cols1 = np.nonzero(best1)
     rows2, cols2 = np.nonzero(best2)
     # Candidate triples in (a, b1, b2) order: each (a, b1) of B1's mask is
@@ -204,18 +252,22 @@ def _bayes_equilibria(
     colmax = np.empty((len(priors), len(pairs)))
     for start in range(0, len(pairs), _COLUMN_BLOCK):
         block = slice(start, start + _COLUMN_BLOCK)
-        xb, yb = t1.payoff_a[:, u1[block]], t2.payoff_a[:, u2[block]]
+        xb, yb = t1.class_a[:, u1[block]], t2.class_a[:, u2[block]]
         for k, prior in enumerate(priors):
             colmax[k, block] = (prior.p * xb + (1.0 - prior.p) * yb).max(axis=0)
 
-    x, y = t1.payoff_a[a, b1], t2.payoff_a[a, b2]
+    x, y = t1.class_a[a, b1], t2.class_a[a, b2]
     out = []
     for k, prior in enumerate(priors):
         mixed = prior.p * x + (1.0 - prior.p) * y
         ok = np.nonzero(mixed >= (colmax[k] - epsilon)[column])[0]
         hit_a, hit_b1, hit_b2 = a[ok], b1[ok], b2[ok]
+        members, source = _expand(t1.grid, (hit_a, hit_b1, hit_b2))
         columns = (
-            hit_a, hit_b1, hit_b2, mixed[ok], t1.payoff_b[hit_a, hit_b1], t2.payoff_b[hit_a, hit_b2]
+            *members,
+            mixed[ok][source],
+            t1.class_b[hit_a, hit_b1][source],
+            t2.class_b[hit_a, hit_b2][source],
         )
         out.append(
             [
@@ -236,14 +288,17 @@ def nash_bayesian(
     lexicographic index order.
 
     B1 maximizes game1's B-payoff vs a and B2 game2's, independent of p;
-    A maximizes the p-mixture p * game1 + (1-p) * game2. Only triples
-    whose b1 and b2 are both best responses to a are candidates: they are
-    enumerated with array arithmetic in (a, b1, b2) order, which is the
-    order of the result. A's condition, p*X[a, b1] + (1-p)*Y[a, b2] >=
-    colmax(b1, b2) - epsilon, needs the column maximum over all a' only
-    once per distinct (b1, b2) pair. Those maxima are taken in blocks of
-    _COLUMN_BLOCK pairs, so their scratch is O(n * _COLUMN_BLOCK); the
-    candidate arrays take O(number of candidates). `bayes_sweep` shares
-    all of this work across the priors of one gamma.
+    A maximizes the p-mixture p * game1 + (1-p) * game2. All of this runs
+    on the +-U class tables, with a, b1 and b2 standing for classes. Only
+    triples whose b1 and b2 are both best responses to a are candidates:
+    they are enumerated with array arithmetic in (a, b1, b2) order. A's
+    condition, p*X[a, b1] + (1-p)*Y[a, b2] >= colmax(b1, b2) - epsilon,
+    needs the column maximum over all a' only once per distinct (b1, b2)
+    pair. Those maxima are taken in blocks of _COLUMN_BLOCK pairs, so their
+    scratch is O(classes * _COLUMN_BLOCK); the candidate arrays take
+    O(number of candidate class triples). Each accepted class triple
+    expands to its up to 8 member triples, sorted once into lexicographic
+    index order. `bayes_sweep` shares all of the p-independent work across
+    the priors of one gamma.
     """
     return _bayes_equilibria(t1, t2, [p], epsilon)[0]

@@ -3,15 +3,18 @@
 Numeric CSV fields carry 12 significant digits with a dot decimal
 separator and LF line endings. JSON files hold a metadata header plus the
 record array with full-precision floats, so a load/dump cycle is
-byte-identical.
+byte-identical. Every file is written to a temporary file beside its target
+and renamed onto it, so a failed write leaves the target as it was.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from . import __version__
 from .circuit import StrategyParams
@@ -71,11 +74,35 @@ def record_rows(records: Sequence[SweepRecord], bayes: bool) -> list[list[float 
     return rows
 
 
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8, LF text handle on a new temporary file beside `path`.
+
+    The file replaces `path` when the block ends; if the block raises, the
+    temporary file is removed and `path` is left untouched. A symlink or a
+    non-regular file (/dev/null, /dev/stdout) is written through instead,
+    since replacing it would replace the link or device itself.
+    """
+    target = Path(path)
+    if target.is_symlink() or (target.exists() and not target.is_file()):
+        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        return
+    temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(temp, "x", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def write_rows_csv(path: str | Path, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with atomic_writer(path) as fh:
+        lines = [",".join(columns)]
+        lines.extend(",".join(fmt(v) for v in row) for row in rows)
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_records_csv(path: str | Path, records: Sequence[SweepRecord], *, bayes: bool) -> None:
@@ -96,9 +123,8 @@ def write_records_json(
             dict(zip(columns, row)) for row in record_rows(records, bayes)
         ],
     }
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
+    with atomic_writer(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .output import atomic_writer
+
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 20, 36, 48
 PALETTE = ["#1f5fa8", "#c23b22", "#2e8540", "#8a5fa8", "#b8860b", "#3aa6a6"]
@@ -141,4 +143,5 @@ class Figure:
                 f'font-size="11">{html.escape(lab, quote=False)}</text>'
             )
         parts.append("</svg>")
-        Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+        with atomic_writer(path) as fh:
+            fh.write("\n".join(parts) + "\n")

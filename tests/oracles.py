@@ -19,6 +19,17 @@ def u_matrix(theta: float, phi: float, alpha: float) -> list[list[complex]]:
     ]
 
 
+def phase_partners(triples, tol: float = 1e-9) -> dict[int, list[int]]:
+    """Index -> the other indices whose U(theta, phi, alpha) is -U, entrywise within tol."""
+    mats = [u_matrix(*t) for t in triples]
+    out: dict[int, list[int]] = {}
+    for i, mi in enumerate(mats):
+        for j, mj in enumerate(mats):
+            if i != j and all(abs(mi[r][c] + mj[r][c]) <= tol for r in range(2) for c in range(2)):
+                out.setdefault(i, []).append(j)
+    return out
+
+
 def j_matrix(gamma: float) -> list[list[complex]]:
     c = math.cos(gamma / 2)
     s = math.sin(gamma / 2)

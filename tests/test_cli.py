@@ -341,6 +341,30 @@ class TestFlagPlumbing:
         assert proc.returncode == 0
         assert "ewlgames" in proc.stdout
 
+    def test_blas_thread_count_does_not_change_records(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.csv"
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "ewlgames", "sweep", "--game", "stag_hunt",
+                    "--steps", "pi/4,pi/4,pi/4", "--out", str(out),
+                ],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert written[0].count(b"\n") > 1
+
     def test_identical_runs_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         base = [
@@ -406,6 +430,18 @@ class TestAnalyze:
         )
         assert code == 1
         assert "outside the swept range" in capsys.readouterr().err
+
+    def test_slice_past_the_last_record_gamma_matches_inline(self, tmp_path, sweep_csv, capsys):
+        # the dilemma's records end at gamma 0.589 of the 17-point grid, but
+        # 0.687 was swept too and has no equilibria
+        from_records, inline = str(tmp_path / "rec"), str(tmp_path / "inline")
+        common = ["--gamma-grid", "17", "--gamma-slice", "0.7"]
+        assert run("analyze", "--records", str(sweep_csv), *common, "--out", from_records) == 0
+        assert "nearest swept gamma 0.687223392973" in capsys.readouterr().out
+        assert run("analyze", "--game", "prisoners_dilemma", *common, "--out", inline) == 0
+        for part in ("payoff_hist", "theta_scatter", "theta_payoff"):
+            assert (tmp_path / f"rec_{part}.csv").read_bytes() == (tmp_path / f"inline_{part}.csv").read_bytes()
+        assert (tmp_path / "rec_payoff_hist.csv").read_text() == "bin_center,count\n"
 
     @pytest.mark.parametrize("bin_width", ["inf", "nan", "0"])
     def test_bad_bin_width_writes_nothing(self, tmp_path, sweep_csv, capsys, bin_width):

@@ -20,7 +20,7 @@ from ewlgames import (
 from ewlgames import equilibrium
 from ewlgames.grid import SteppingParams, build_grid
 
-from oracles import brute_force_bayes, brute_force_nash, passes_deviation
+from oracles import brute_force_bayes, brute_force_nash, passes_deviation, phase_partners
 
 PI = math.pi
 
@@ -385,3 +385,73 @@ def test_zero_epsilon_accepted(tensors):
     t1, t2 = tensors
     nash_two_player(t1, 0.0)
     nash_bayesian(t1, t2, PriorProbability(0.5), 0.0)
+
+
+def partner_swaps(indices, partners):
+    """Each index tuple reached by swapping one strategy for its -U partner."""
+    for k, i in enumerate(indices):
+        for j in partners.get(i, []):
+            yield indices[:k] + (j,) + indices[k + 1:]
+
+
+@pytest.fixture(scope="module")
+def quarter_grid():
+    return build_grid(SteppingParams(PI / 4, PI / 4, PI / 4))
+
+
+@pytest.fixture(scope="module")
+def quarter_partners(quarter_grid):
+    return phase_partners(p.astuple() for p in quarter_grid.params)
+
+
+class TestPhaseClasses:
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.8])
+    @pytest.mark.parametrize("game", ["prisoners_dilemma", "stag_hunt"])
+    def test_two_player_set_is_closed_under_partner_swap(
+        self, request, quarter_grid, quarter_partners, game, gamma
+    ):
+        assert len(quarter_partners) == len(quarter_grid)
+        t = payoff_tensor(request.getfixturevalue(game), quarter_grid, EntanglementParam(gamma))
+        eqs = {eq.strategy_indices: eq.payoffs for eq in nash_two_player(t, 0.0)}
+        for indices, payoffs in eqs.items():
+            for swapped in partner_swaps(indices, quarter_partners):
+                assert eqs[swapped] == payoffs
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.8])
+    def test_bayesian_set_is_closed_under_partner_swap(
+        self, quarter_grid, quarter_partners, prisoners_dilemma, deadlock, gamma
+    ):
+        t1 = payoff_tensor(prisoners_dilemma, quarter_grid, EntanglementParam(gamma))
+        t2 = payoff_tensor(deadlock, quarter_grid, EntanglementParam(gamma))
+        for p in (0.0, 0.3, 1.0):
+            eqs = {eq.strategy_indices: eq.payoffs for eq in nash_bayesian(t1, t2, PriorProbability(p), 0.0)}
+            for indices, payoffs in eqs.items():
+                for swapped in partner_swaps(indices, quarter_partners):
+                    assert eqs[swapped] == payoffs
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-9])
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            SteppingParams(PI / 2, 2 * PI / 3, 2 * PI / 3),  # no strategy has a partner
+            SteppingParams(PI / 2, PI / 2, 2 * PI / 3),  # partners only at theta = 0
+        ],
+    )
+    def test_singleton_classes_match_brute_force(
+        self, prisoners_dilemma, deadlock, stag_hunt, steps, epsilon
+    ):
+        grid = build_grid(steps)
+        assert len(phase_partners(p.astuple() for p in grid.params)) < len(grid)
+        for g1, g2 in ((prisoners_dilemma, deadlock), (stag_hunt, prisoners_dilemma)):
+            for gamma in (0.0, 0.3):
+                t1 = payoff_tensor(g1, grid, EntanglementParam(gamma))
+                t2 = payoff_tensor(g2, grid, EntanglementParam(gamma))
+                a1, b1, a2, b2 = (t.tolist() for t in (t1.payoff_a, t1.payoff_b, t2.payoff_a, t2.payoff_b))
+                pairs = nash_two_player(t1, epsilon)
+                assert pairs and [eq.strategy_indices for eq in pairs] == brute_force_nash(a1, b1, epsilon)
+                assert len({eq.strategy_indices for eq in pairs}) == len(pairs)
+                assert all(eq.payoffs == (a1[i][j], b1[i][j]) for eq in pairs for i, j in [eq.strategy_indices])
+                triples = nash_bayesian(t1, t2, PriorProbability(0.3), epsilon)
+                assert triples
+                assert [eq.strategy_indices for eq in triples] == brute_force_bayes(a1, b1, a2, b2, 0.3, epsilon)
+                assert len({eq.strategy_indices for eq in triples}) == len(triples)

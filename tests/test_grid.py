@@ -5,6 +5,8 @@ import pytest
 
 from ewlgames import SteppingParams, StrategyParams, build_grid, strategy_matrix
 
+from oracles import phase_partners
+
 PI = math.pi
 
 
@@ -108,3 +110,37 @@ class TestContents:
         for got, expected in zip(grid.matrices, reference):
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
+
+class TestPhaseClasses:
+    def test_eighth_grid_has_912_classes_of_exact_negations(self):
+        grid = build_grid(SteppingParams(PI / 8, PI / 8, PI / 8))
+        assert len(grid.representatives) == 912
+        np.testing.assert_array_equal(grid.representatives, np.unique(grid.classes, return_index=True)[1])
+        reps = grid.representatives[grid.classes]
+        partners = np.nonzero(reps != np.arange(len(grid)))[0]
+        assert len(partners) == 912
+        negated = -grid.matrices[reps[partners]]
+        assert (grid.matrices[partners].view(np.int64) == negated.view(np.int64)).all()  # bitwise
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            SteppingParams(PI, PI / 2, PI / 2),
+            SteppingParams(PI / 4, PI / 4, PI / 4),
+            SteppingParams(PI / 2, 2 * PI / 3, 2 * PI / 3),
+            SteppingParams(PI / 2, PI / 2, 2 * PI / 3),
+            SteppingParams(1.0, 1.5, 2.0),
+        ],
+    )
+    def test_classes_are_exactly_the_negation_pairs(self, steps):
+        grid = build_grid(steps)
+        same_class = {
+            (i, j)
+            for i in range(len(grid))
+            for j in range(i + 1, len(grid))
+            if grid.classes[i] == grid.classes[j]
+        }
+        partners = phase_partners(p.astuple() for p in grid.params)
+        assert same_class == {(i, j) for i, js in partners.items() for j in js if i < j}
+        assert np.bincount(grid.classes).max() <= 2
+        np.testing.assert_array_equal(grid.representatives, np.unique(grid.classes, return_index=True)[1])

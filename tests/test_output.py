@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -11,7 +12,9 @@ from ewlgames.output import (
     read_two_player_csv,
     write_records_csv,
     write_records_json,
+    write_rows_csv,
 )
+from ewlgames.svgplot import Figure
 
 PI = math.pi
 
@@ -116,3 +119,47 @@ class TestJson:
         assert "version" in payload["metadata"]
         assert len(payload["records"]) == len(small_sweep)
         assert set(payload["records"][0]) == set(TWO_PLAYER_COLUMNS)
+
+
+class TestAtomicWrites:
+    def test_exception_mid_write_keeps_target_and_leaves_no_temp(self, tmp_path):
+        target = tmp_path / "rows.csv"
+        target.write_text("old\n")
+
+        def rows():
+            yield [1, 2.5]
+            raise RuntimeError("row generator failed")
+
+        with pytest.raises(RuntimeError, match="row generator failed"):
+            write_rows_csv(target, ["a", "b"], rows())
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+    @pytest.mark.parametrize("writer", ["csv", "json", "svg"])
+    def test_failed_rename_keeps_target_and_leaves_no_temp(self, tmp_path, monkeypatch, small_sweep, writer):
+        target = tmp_path / f"out.{writer}"
+        target.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            if writer == "csv":
+                write_records_csv(target, small_sweep, bayes=False)
+            elif writer == "json":
+                write_records_json(target, small_sweep, bayes=False, metadata={})
+            else:
+                Figure("t", "x", "y").render(target)
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+    def test_symlink_is_written_through(self, tmp_path, small_sweep):
+        real = tmp_path / "real.csv"
+        real.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        write_records_csv(link, small_sweep, bayes=False)
+        assert link.is_symlink()
+        assert real.read_text().startswith("gamma,eq_index,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
