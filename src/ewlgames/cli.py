@@ -11,7 +11,8 @@ wins over the built-in defaults.
 
 Exit codes: 0 success (an empty equilibrium set is a result, not an
 error), 1 usage/config error (an unknown key, a bad value, a non-finite
-angle or bin width), 2 I/O error.
+angle or bin width, a malformed or out-of-range --records file), 2 I/O
+error.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .output import (
     STRATEGY_COLUMNS,
     fmt,
     read_two_player_csv,
+    record_columns,
     write_records_csv,
     write_records_json,
     write_rows_csv,
@@ -44,8 +46,7 @@ from .sweep import (
     default_gamma_grid,
     default_p_grid,
     gamma_sweep,
-    payoff_histogram,
-    scatter_theta,
+    payoff_bins,
 )
 from .svgplot import Figure
 
@@ -295,9 +296,9 @@ _GAMMA_MATCH = 1e-9
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.records:
         loaded = read_two_player_csv(args.records)
-        records = loaded.records
-        if not records:
+        if not len(loaded):
             raise ConfigError(f"{args.records}: no records to analyze")
+        columns = loaded.columns
         # The file only holds gammas with equilibria; the swept grid holds the rest.
         gamma_values = loaded.gamma_values + [
             g
@@ -308,10 +309,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         (game,) = _load_games(args, [_require(args, "game")])
         grid = build_grid(args.steps)
         gamma_values = default_gamma_grid(args.gamma_grid)
-        records = gamma_sweep(game, grid, gamma_values, args.epsilon)
+        columns = record_columns(gamma_sweep(game, grid, gamma_values, args.epsilon))
 
     gamma_slice = _require(args, "gamma_slice")
-    swept = sorted({r.gamma for r in records} | set(gamma_values))
+    # every record's gamma is one of gamma_values
+    swept = sorted(set(gamma_values))
     if gamma_slice < swept[0] - 1e-12 or gamma_slice > swept[-1] + 1e-12:
         raise ConfigError(
             f"--gamma-slice {gamma_slice:.12g} outside the swept range "
@@ -323,11 +325,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         gamma_slice = nearest
 
     prefix = _require(args, "out")
-    theta_points = scatter_theta(records)
-    hist = payoff_histogram(records, gamma_slice, args.bin_width)
-    theta_payoff = [
-        (r.strategy_params[0].theta, r.equilibrium.payoffs[0]) for r in records
-    ]
+    hist = payoff_bins(columns["gamma"], columns["payoff_a"], gamma_slice, args.bin_width)
+    theta_a, theta_b, payoff_a = (columns[name].tolist() for name in ("theta_a", "theta_b", "payoff_a"))
+    theta_points = list(zip(theta_a, theta_b))
+    theta_payoff = list(zip(theta_a, payoff_a))
 
     paths = {
         "theta_scatter": f"{prefix}_theta_scatter.csv",

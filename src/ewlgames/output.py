@@ -11,13 +11,16 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 from . import __version__
-from .circuit import StrategyParams
+from .circuit import TWO_PI, StrategyParams
 from .equilibrium import NashEquilibrium
 from .sweep import SweepRecord
 
@@ -33,6 +36,19 @@ BAYES_COLUMNS = [
     "payoff_a", "payoff_b1", "payoff_b2",
 ]
 STRATEGY_COLUMNS = ["index", "theta", "phi", "alpha"]
+
+# Column types of a two-player records CSV: the three index columns are
+# integers, the rest floats.
+TWO_PLAYER_DTYPE = np.dtype(
+    [(name, np.int64 if name.endswith("_index") else np.float64) for name in TWO_PLAYER_COLUMNS]
+)
+# Upper bound of each angle column (the lower bound is 0): gamma as in
+# EntanglementParam, theta/phi/alpha as in StrategyParams.
+_ANGLE_BOUNDS = {
+    "gamma": math.pi / 2,
+    "theta_a": math.pi, "phi_a": TWO_PI, "alpha_a": TWO_PI,
+    "theta_b": math.pi, "phi_b": TWO_PI, "alpha_b": TWO_PI,
+}
 
 
 def fmt(value: float | int) -> str:
@@ -98,10 +114,22 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def write_rows_csv(path: str | Path, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _row_format(types: tuple[type, ...]) -> str:
+    # `fmt` as one %-format: str() for ints, 12 digits for everything else
+    return ",".join("%s" if issubclass(t, int) else "%.12g" for t in types)
+
+
+def write_rows_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header line, then each row's fields formatted by `fmt`, comma-joined."""
+    formats: dict[tuple[type, ...], str] = {}
     with atomic_writer(path) as fh:
         lines = [",".join(columns)]
-        lines.extend(",".join(fmt(v) for v in row) for row in rows)
+        for row in rows:
+            types = tuple(map(type, row))
+            spec = formats.get(types)
+            if spec is None:
+                spec = formats[types] = _row_format(types)
+            lines.append(spec % tuple(row))
         fh.write("\n".join(lines) + "\n")
 
 
@@ -124,50 +152,101 @@ def write_records_json(
         ],
     }
     with atomic_writer(path) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        # streamed: the whole document is never held as one string
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
 class LoadedRecords:
-    """Two-player records round-tripped through a CSV file."""
+    """Two-player records read from a CSV file, one array per column.
 
-    records: list[SweepRecord]
+    `columns` maps every TWO_PLAYER_COLUMNS name to its array: int64 for
+    the three index columns, float64 for the rest. `gamma_values` lists
+    the file's gammas in order, once per run of equal values. `records`
+    builds SweepRecord objects on each access; the analyze command never
+    needs them.
+    """
+
+    columns: dict[str, np.ndarray]
     gamma_values: list[float]
 
+    def __len__(self) -> int:
+        return len(self.columns["gamma"])
 
-def _clamped_angle(text: str, high: float) -> float:
-    # 12-digit CSV rounding can push a boundary angle past its interval
-    # (e.g. pi prints as 3.14159265359 > pi); snap it back.
-    v = float(text)
-    return min(max(v, 0.0), high) if abs(v - high) < 1e-9 or abs(v) < 1e-9 else v
+    @property
+    def records(self) -> list[SweepRecord]:
+        c = {name: col.tolist() for name, col in self.columns.items()}
+        return [
+            SweepRecord(
+                gamma=gamma,
+                p=None,
+                equilibrium=NashEquilibrium(strategy_indices=(a, b), payoffs=(pay_a, pay_b)),
+                strategy_params=(StrategyParams(ta, fa, aa), StrategyParams(tb, fb, ab)),
+            )
+            for gamma, a, b, ta, fa, aa, tb, fb, ab, pay_a, pay_b in zip(
+                *(c[name] for name in TWO_PLAYER_COLUMNS if name != "eq_index")
+            )
+        ]
+
+
+def record_columns(records: Sequence[SweepRecord]) -> dict[str, np.ndarray]:
+    """Two-player records as the column arrays `read_two_player_csv` gives."""
+    table = np.array(record_rows(records, bayes=False), dtype=np.float64)
+    table = table.reshape(len(records), len(TWO_PLAYER_COLUMNS))
+    return {
+        name: table[:, k].astype(TWO_PLAYER_DTYPE[name]) for k, name in enumerate(TWO_PLAYER_COLUMNS)
+    }
+
+
+def _checked_column(name: str, col: np.ndarray) -> np.ndarray:
+    """`col` with its boundary angles snapped; ValueError on a value out of range."""
+    high = _ANGLE_BOUNDS.get(name)
+    if high is not None:
+        # 12-digit CSV rounding can push a boundary angle past its interval
+        # (e.g. pi prints as 3.14159265359 > pi); snap it back.
+        col[(col < 0.0) & (col > -1e-9)] = 0.0
+        col[(col > high) & (col - high < 1e-9)] = high
+        bad = ~((col >= 0.0) & (col <= high))
+        rule = f"in [0, {high:g}]"
+    elif name.startswith("payoff"):
+        bad = ~np.isfinite(col)
+        rule = "finite"
+    else:
+        return col
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"record {k + 1}: {name} must be {rule}, got {col[k].item()!r}")
+    return col
 
 
 def read_two_player_csv(path: str | Path) -> LoadedRecords:
-    """Parse a two-player sweep/solve CSV back into records."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines or lines[0].split(",") != TWO_PLAYER_COLUMNS:
-        raise ValueError(f"{path}: not a two-player records CSV")
-    pi, two_pi = math.pi, 2.0 * math.pi
-    records = []
-    gammas: list[float] = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(TWO_PLAYER_COLUMNS):
-            raise ValueError(f"{path}: bad row {ln!r}")
-        gamma = float(parts[0])
-        a_index, b_index = int(parts[2]), int(parts[3])
-        pa = StrategyParams(
-            _clamped_angle(parts[4], pi), _clamped_angle(parts[5], two_pi), _clamped_angle(parts[6], two_pi)
-        )
-        pb = StrategyParams(
-            _clamped_angle(parts[7], pi), _clamped_angle(parts[8], two_pi), _clamped_angle(parts[9], two_pi)
-        )
-        eq = NashEquilibrium(
-            strategy_indices=(a_index, b_index),
-            payoffs=(float(parts[10]), float(parts[11])),
-        )
-        records.append(SweepRecord(gamma=gamma, p=None, equilibrium=eq, strategy_params=(pa, pb)))
-        if not gammas or gammas[-1] != gamma:
-            gammas.append(gamma)
-    return LoadedRecords(records=records, gamma_values=gammas)
+    """Parse a two-player sweep/solve CSV into column arrays.
+
+    The first non-blank line must be the TWO_PLAYER_COLUMNS header, and
+    every other non-blank line a record of exactly 12 fields: integer
+    indices, finite payoffs, gamma in [0, pi/2], theta in [0, pi], phi
+    and alpha in [0, 2pi]. An angle less than 1e-9 outside its interval,
+    as 12-digit rounding prints pi, is snapped onto the bound. Anything
+    else raises ValueError naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = "\n"
+            while header == "\n":
+                header = fh.readline()
+            if header.rstrip("\n").split(",") != TWO_PLAYER_COLUMNS:
+                raise ValueError("not a two-player records CSV")
+            with warnings.catch_warnings():
+                # a header-only file is an empty record set
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", comments=None, dtype=TWO_PLAYER_DTYPE, ndmin=1)
+        columns = {
+            name: _checked_column(name, np.ascontiguousarray(table[name])) for name in TWO_PLAYER_COLUMNS
+        }
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    gamma = columns["gamma"]
+    first_of_run = np.ones(len(gamma), dtype=bool)
+    first_of_run[1:] = gamma[1:] != gamma[:-1]
+    return LoadedRecords(columns=columns, gamma_values=gamma[first_of_run].tolist())

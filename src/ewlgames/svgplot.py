@@ -127,9 +127,11 @@ class Figure:
             )
         for _, pts, color in self.scatters:
             # one circle per drawn position, in first-seen order, so float noise in
-            # repeated points cannot change what the plot holds
+            # repeated points cannot change what the plot holds; exact repeats
+            # are dropped before they are formatted
             circles = dict.fromkeys(
-                f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="2.4" fill="{color}"/>' for x, y in pts
+                f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="2.4" fill="{color}"/>'
+                for x, y in dict.fromkeys(map(tuple, pts))
             )
             parts.extend(circles)
 

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .circuit import EntanglementParam, GameDefinition, StrategyParams
 from .equilibrium import (
     DEFAULT_EPSILON,
@@ -166,22 +168,40 @@ def scatter_theta(records: Sequence[SweepRecord]) -> list[tuple[float, float]]:
     ]
 
 
+def payoff_bins(
+    gammas: np.ndarray,
+    payoffs: np.ndarray,
+    gamma_slice: float,
+    bin_width: float = DEFAULT_BIN_WIDTH,
+) -> list[tuple[float, int]]:
+    """Binned counts of the payoffs whose gamma is within 1e-12 of `gamma_slice`.
+
+    Bin k covers [k*w, (k+1)*w); rows are (bin center, count), sorted.
+    k stays a float, so a tiny width cannot overflow an integer, and
+    (k + 0.5) * w is the float that integer arithmetic on k gives.
+    """
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise ValueError(f"bin_width must be finite and positive, got {bin_width!r}")
+    gammas = np.asarray(gammas, dtype=np.float64)
+    at_slice = np.asarray(payoffs, dtype=np.float64)[np.abs(gammas - gamma_slice) <= 1e-12]
+    with np.errstate(over="ignore"):
+        # the 1e-9 nudge keeps payoffs that sit on a bin edge up to float
+        # noise (e.g. 3.0/0.1) in the upper bin
+        k = np.floor(at_slice / bin_width + 1e-9)
+    unbinnable = ~np.isfinite(k)
+    if unbinnable.any():
+        payoff = at_slice[np.argmax(unbinnable)].item()
+        raise ValueError(f"cannot bin payoff {payoff!r} at bin_width {bin_width!r}")
+    keys, counts = np.unique(k, return_counts=True)
+    return [((key + 0.5) * bin_width, n) for key, n in zip(keys.tolist(), counts.tolist())]
+
+
 def payoff_histogram(
     records: Sequence[SweepRecord],
     gamma_slice: float,
     bin_width: float = DEFAULT_BIN_WIDTH,
 ) -> list[tuple[float, int]]:
-    """Binned counts of player-A payoffs among records at one gamma.
-
-    Bin k covers [k*w, (k+1)*w); rows are (bin center, count), sorted.
-    """
-    if not (math.isfinite(bin_width) and bin_width > 0):
-        raise ValueError(f"bin_width must be finite and positive, got {bin_width!r}")
-    counts: dict[int, int] = {}
-    for r in records:
-        if abs(r.gamma - gamma_slice) <= 1e-12:
-            # the 1e-9 nudge keeps payoffs that sit on a bin edge up to
-            # float noise (e.g. 3.0/0.1) in the upper bin
-            k = math.floor(r.equilibrium.payoffs[0] / bin_width + 1e-9)
-            counts[k] = counts.get(k, 0) + 1
-    return [((k + 0.5) * bin_width, counts[k]) for k in sorted(counts)]
+    """`payoff_bins` of player A's payoffs among `records`."""
+    return payoff_bins(
+        [r.gamma for r in records], [r.equilibrium.payoffs[0] for r in records], gamma_slice, bin_width
+    )

@@ -132,3 +132,60 @@ def brute_force_bayes(t1a, t1b, t2a, t2b, p, eps) -> list[tuple[int, int, int]]:
         for b2 in range(n)
         if passes_deviation_bayes(t1a, t1b, t2a, t2b, p, a, b1, b2, eps)
     ]
+
+
+# ---------------------------------------------------------------------------
+# records CSV reading and payoff binning, one row / one record at a time
+
+TWO_PLAYER_HEADER = (
+    "gamma,eq_index,a_index,b_index,theta_a,phi_a,alpha_a,theta_b,phi_b,alpha_b,payoff_a,payoff_b"
+)
+_INDEX_FIELDS = (1, 2, 3)
+_PAYOFF_FIELDS = (10, 11)
+# field -> upper bound of an angle field (gamma, theta, phi, alpha, theta, phi, alpha)
+_ANGLE_FIELDS = {
+    0: math.pi / 2,
+    4: math.pi, 5: 2.0 * math.pi, 6: 2.0 * math.pi,
+    7: math.pi, 8: 2.0 * math.pi, 9: 2.0 * math.pi,
+}
+
+
+def read_records_rows(text: str) -> list[list]:
+    """Rows of a two-player records CSV, parsed field by field.
+
+    int() for the three index fields and float() for the rest; an angle
+    within 1e-9 of a bound is clamped onto it, then must lie in its
+    interval, and payoffs must be finite. Blank lines are skipped. Any
+    violation raises ValueError.
+    """
+    lines = [ln for ln in text.split("\n") if ln]
+    if not lines or lines[0] != TWO_PLAYER_HEADER:
+        raise ValueError("not a two-player records CSV")
+    rows = []
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != 12:
+            raise ValueError(f"{len(parts)} fields")
+        row = [int(t) if k in _INDEX_FIELDS else float(t) for k, t in enumerate(parts)]
+        for k, high in _ANGLE_FIELDS.items():
+            v = row[k]
+            if abs(v - high) < 1e-9 or abs(v) < 1e-9:
+                v = min(max(v, 0.0), high)
+            if not (math.isfinite(v) and 0.0 <= v <= high):
+                raise ValueError(f"field {k} out of range: {v!r}")
+            row[k] = v
+        for k in _PAYOFF_FIELDS:
+            if not math.isfinite(row[k]):
+                raise ValueError(f"field {k} not finite: {row[k]!r}")
+        rows.append(row)
+    return rows
+
+
+def payoff_histogram(points, gamma_slice: float, bin_width: float) -> list[tuple[float, int]]:
+    """(bin center, count) of the (gamma, payoff) points at gamma_slice, bins k*w with integer k."""
+    counts: dict[int, int] = {}
+    for gamma, payoff in points:
+        if abs(gamma - gamma_slice) <= 1e-12:
+            k = math.floor(payoff / bin_width + 1e-9)
+            counts[k] = counts.get(k, 0) + 1
+    return [((k + 0.5) * bin_width, counts[k]) for k in sorted(counts)]

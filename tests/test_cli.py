@@ -443,6 +443,24 @@ class TestAnalyze:
             assert (tmp_path / f"rec_{part}.csv").read_bytes() == (tmp_path / f"inline_{part}.csv").read_bytes()
         assert (tmp_path / "rec_payoff_hist.csv").read_text() == "bin_center,count\n"
 
+    @pytest.mark.parametrize(
+        "field,value", [("payoff_a", "inf"), ("payoff_a", "nan"), ("gamma", "1.6"), ("theta_b", "-1")]
+    )
+    def test_bad_record_value_exits_1_naming_the_file(self, tmp_path, sweep_csv, capsys, field, value):
+        header, *rows = sweep_csv.read_text().split("\n")
+        first = rows[0].split(",")
+        first[TWO_PLAYER_COLUMNS.index(field)] = value
+        records = tmp_path / "edited.csv"
+        records.write_text("\n".join([header, ",".join(first), *rows]))
+        prefix = str(tmp_path / "an")
+        code = run(
+            "analyze", "--records", str(records), "--gamma-slice", "0",
+            "--out", prefix, "--plot", prefix,
+        )
+        assert code == 1
+        assert f"error: {records}: record 1: {field} must be" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["edited.csv", "sweep.csv"]
+
     @pytest.mark.parametrize("bin_width", ["inf", "nan", "0"])
     def test_bad_bin_width_writes_nothing(self, tmp_path, sweep_csv, capsys, bin_width):
         prefix = str(tmp_path / "an")

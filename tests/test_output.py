@@ -1,7 +1,9 @@
 import json
 import math
 import os
+import re
 
+import numpy as np
 import pytest
 
 from ewlgames import bayes_sweep, gamma_sweep
@@ -10,11 +12,14 @@ from ewlgames.output import (
     TWO_PLAYER_COLUMNS,
     fmt,
     read_two_player_csv,
+    record_columns,
     write_records_csv,
     write_records_json,
     write_rows_csv,
 )
 from ewlgames.svgplot import Figure
+
+from oracles import TWO_PLAYER_HEADER, read_records_rows
 
 PI = math.pi
 
@@ -95,6 +100,118 @@ class TestCsv:
         path.write_text("x,y\n1,2\n")
         with pytest.raises(ValueError):
             read_two_player_csv(path)
+
+
+class TestRowWriter:
+    def test_bytes_equal_per_field_fmt(self, tmp_path):
+        rows = [
+            [0, 2.5, 3],
+            (np.int64(7), np.float64(-0.0), np.float32(0.1)),
+            [-0.0, 1e-300, -1e-300],
+            [1e16, float("nan"), 1e12],
+            [float("inf"), float("-inf"), 0.1 + 0.2],
+            [True, 10**13, -(2**70)],
+            [np.int32(-3), np.float64(1 / 3), 12345678901234.5],
+            [1, 2],
+            [],
+            [2.5, 0, 1.0],
+        ]
+        path = tmp_path / "rows.csv"
+        write_rows_csv(path, ["a", "b", "c"], iter(rows))
+        expected = "a,b,c\n" + "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode()
+
+
+def _read_case(tmp_path, body: str):
+    path = tmp_path / "records.csv"
+    path.write_text(TWO_PLAYER_HEADER + "\n" + body)
+    return path
+
+
+class TestReader:
+    BODY = (
+        "\n"
+        "0,0,4,5,3.14159265359,6.28318530718,-1e-12,0,0,0,1.25,-2\n"
+        "0,1,4,6,1.57079632679,-0,1e-10,3.14159265358,6.2831853071,1,1e-300,4\n"
+        "\n\n"
+        "1.57079632679,0,0,1823,0,0,0,3.14159265359,3.14159265359,6.28318530718,3.999999999999,0\n"
+        "1.5707963268,1,12,13,0.785398163397,0.785398163397,0.785398163397,0,0,0,-0,1e16\n"
+    )
+
+    def test_columns_equal_the_per_row_oracle_bit_for_bit(self, tmp_path):
+        path = _read_case(tmp_path, self.BODY)
+        rows = read_records_rows(path.read_text())
+        loaded = read_two_player_csv(path)
+        assert len(loaded) == len(rows) == 4
+        for k, name in enumerate(TWO_PLAYER_COLUMNS):
+            col = loaded.columns[name]
+            assert col.dtype == (np.int64 if k in (1, 2, 3) else np.float64)
+            assert col.tobytes() == np.array([row[k] for row in rows], dtype=col.dtype).tobytes(), name
+        # the boundary snaps: pi and 2pi prints come back as pi and 2pi, -1e-12 as 0
+        assert loaded.columns["theta_a"][0] == math.pi and loaded.columns["phi_a"][0] == 2 * math.pi
+        assert loaded.columns["alpha_a"][0] == 0.0 and loaded.columns["gamma"][3] == math.pi / 2
+        assert loaded.gamma_values == [0.0, rows[2][0], math.pi / 2]
+
+    def test_records_view_matches_the_oracle(self, tmp_path):
+        path = _read_case(tmp_path, self.BODY)
+        rows = read_records_rows(path.read_text())
+        records = read_two_player_csv(path).records
+        for row, r in zip(rows, records, strict=True):
+            assert r.gamma == row[0] and r.p is None
+            assert r.equilibrium.strategy_indices == tuple(row[2:4])
+            assert r.equilibrium.payoffs == tuple(row[10:12])
+            assert [p.astuple() for p in r.strategy_params] == [tuple(row[4:7]), tuple(row[7:10])]
+            assert all(type(v) is int for v in r.equilibrium.strategy_indices)
+
+    def test_header_only_and_blank_lines_give_no_records(self, tmp_path):
+        loaded = read_two_player_csv(_read_case(tmp_path, "\n\n"))
+        assert len(loaded) == 0 and loaded.records == [] and loaded.gamma_values == []
+
+    GOOD = "0.5,0,4,5,3.14159265359,0,0,3.14159265359,0,1.57079632679,1.25,1.25"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param("#" + GOOD + "\n", id="comment-line"),
+            pytest.param(GOOD + "\n# trailing note\n", id="hash-line"),
+            pytest.param(GOOD.rsplit(",", 1)[0] + "\n", id="11-fields"),
+            pytest.param(GOOD + ",1\n", id="13-fields"),
+            pytest.param(GOOD.replace(",4,5,", ",3.0,5,") + "\n", id="float-index"),
+            pytest.param(GOOD.replace(",4,5,", ",4,3e0,") + "\n", id="exponent-index"),
+            pytest.param(GOOD.replace(",3.14159265359,0,0,", ",3.2,0,0,", 1) + "\n", id="theta-3.2"),
+            pytest.param(GOOD.replace(",1.25,1.25", ",inf,1.25") + "\n", id="inf-payoff"),
+            pytest.param(GOOD.replace(",1.25,1.25", ",1.25,nan") + "\n", id="nan-payoff"),
+            pytest.param(GOOD.replace("0.5,", "1.6,", 1) + "\n", id="gamma-1.6"),
+            pytest.param(GOOD.replace("0.5,", "-0.1,", 1) + "\n", id="negative-gamma"),
+            pytest.param(GOOD.replace("0.5,", "nan,", 1) + "\n", id="nan-gamma"),
+            pytest.param(GOOD.replace(",0,1.57079632679,", ",-inf,1.57079632679,") + "\n", id="inf-phi"),
+            pytest.param(GOOD + "\n   \n", id="whitespace-line"),
+        ],
+    )
+    def test_bad_rows_raise_naming_the_file(self, tmp_path, body):
+        path = _read_case(tmp_path, body)
+        with pytest.raises(ValueError):
+            read_records_rows(path.read_text())
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_two_player_csv(path)
+
+    @pytest.mark.parametrize("header", ["x,y", ",".join(TWO_PLAYER_COLUMNS[:-1]), ""])
+    def test_header_mismatch_names_the_file(self, tmp_path, header):
+        path = tmp_path / "foreign.csv"
+        path.write_text(header + "\n" + self.GOOD + "\n")
+        with pytest.raises(ValueError):
+            read_records_rows(path.read_text())
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a two-player records CSV")):
+            read_two_player_csv(path)
+
+    def test_record_columns_match_the_written_file(self, tmp_path, small_sweep):
+        path = tmp_path / "records.csv"
+        write_records_csv(path, small_sweep, bayes=False)
+        read, built = read_two_player_csv(path).columns, record_columns(small_sweep)
+        for name in TWO_PLAYER_COLUMNS:
+            assert built[name].dtype == read[name].dtype
+            np.testing.assert_allclose(built[name], read[name], rtol=0, atol=1e-9)
+        assert built["gamma"].tolist() == [r.gamma for r in small_sweep]
 
 
 class TestJson:

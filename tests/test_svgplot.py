@@ -56,3 +56,13 @@ def test_bars_render_rects(tmp_path):
 def test_empty_figure_still_valid(tmp_path):
     root = render(Figure("empty", "x", "y"), tmp_path)
     assert root.tag == f"{SVG_NS}svg"
+
+
+def test_exact_repeats_do_not_change_the_bytes(tmp_path):
+    points = [(0.5, 1.0), (0.25, 2.0), (0.5, 1.0 + 1e-13), (-0.0, 3.0)]
+    once, repeated = tmp_path / "once.svg", tmp_path / "repeated.svg"
+    for path, pts in ((once, points), (repeated, points * 3 + [(0.0, 3.0)])):
+        fig = Figure("scatter", "x", "y")
+        fig.add_scatter("s", pts)
+        fig.render(path)
+    assert once.read_bytes() == repeated.read_bytes()

@@ -23,6 +23,7 @@ from ewlgames import (
 from ewlgames.grid import SteppingParams, build_grid
 
 from oracles import brute_force_bayes
+from oracles import payoff_histogram as reference_histogram
 
 PI = math.pi
 
@@ -277,6 +278,22 @@ class TestPayoffHistogram:
     def test_other_gammas_excluded(self):
         records = [_record(0.5, 2.0), _record(0.6, 9.0)]
         assert payoff_histogram(records, 0.5, 0.5) == [(2.25, 1)]
+
+    @pytest.mark.parametrize("bin_width", [1e-300, 0.05, 0.1, 0.3])
+    def test_bins_equal_integer_bin_arithmetic(self, bin_width):
+        # float bin indices give the centers that Python-int indices give,
+        # also where k = payoff / 1e-300 is far past the int64 range
+        payoffs = [0.0, -0.0, 1.0, 2.5, 2.5, 3.0, 3.999, 4.0, -1.5, 1e-300, 5e-301, 0.15, 0.45]
+        records = [_record(0.5, x) for x in payoffs] + [_record(0.6, 7.0)]
+        hist = payoff_histogram(records, 0.5, bin_width)
+        expected = reference_histogram([(r.gamma, r.equilibrium.payoffs[0]) for r in records], 0.5, bin_width)
+        assert hist == expected
+        assert [(type(c), type(n)) for c, n in hist] == [(float, int)] * len(expected)
+
+    @pytest.mark.parametrize("payoff,bin_width", [(5.0, 1e-310), (math.inf, 0.05), (math.nan, 0.05)])
+    def test_unbinnable_payoff_raises(self, payoff, bin_width):
+        with pytest.raises(ValueError, match="cannot bin payoff"):
+            payoff_histogram([_record(0.5, 1.0), _record(0.5, payoff)], 0.5, bin_width)
 
     def test_bad_bin_width(self):
         for bin_width in (0.0, -0.1, math.inf, math.nan):
