@@ -32,20 +32,20 @@ from .output import (
     STRATEGY_COLUMNS,
     fmt,
     read_two_player_csv,
-    record_columns,
     write_records_csv,
     write_records_json,
     write_rows_csv,
 )
 from .sweep import (
+    _GAMMA_MATCH,
     DEFAULT_BIN_WIDTH,
     DEFAULT_GAMMA_POINTS,
     DEFAULT_P_POINTS,
-    SweepRecord,
-    bayes_sweep,
+    RecordTable,
+    _bayes_table,
+    _gamma_table,
     default_gamma_grid,
     default_p_grid,
-    gamma_sweep,
     payoff_bins,
 )
 from .svgplot import Figure
@@ -186,44 +186,51 @@ def _load_games(args: argparse.Namespace, names: list[str]) -> list[GameDefiniti
 
 def _emit_records(
     args: argparse.Namespace,
-    records: list[SweepRecord],
+    table: RecordTable,
     *,
     bayes: bool,
     metadata: dict,
 ) -> None:
     out = _require(args, "out")
     if args.format == "csv":
-        write_records_csv(out, records, bayes=bayes)
+        write_records_csv(out, table, bayes=bayes)
     else:
-        write_records_json(out, records, bayes=bayes, metadata=metadata)
-    print(f"wrote {len(records)} record(s) to {out}")
+        write_records_json(out, table, bayes=bayes, metadata=metadata)
+    print(f"wrote {len(table)} record(s) to {out}")
 
 
-def _plot_two_player(records: list[SweepRecord], title: str, path: str) -> None:
+def _branch_points(table: RecordTable, payoff: str, rows=slice(None)) -> list[tuple[float, float]]:
+    """The distinct (gamma, payoff) points of the selected rows, sorted.
+
+    The set is filled in record order, so of two equal points (0.0 and
+    -0.0) the first record's is the one drawn.
+    """
+    gamma, value = (table.columns[name][rows].tolist() for name in ("gamma", payoff))
+    return sorted(set(zip(gamma, value)))
+
+
+def _plot_two_player(table: RecordTable, title: str, path: str) -> None:
     fig = Figure(title=title, xlabel="entanglement gamma (rad)", ylabel="payoff")
-    seen_a = sorted({(r.gamma, r.equilibrium.payoffs[0]) for r in records})
-    seen_b = sorted({(r.gamma, r.equilibrium.payoffs[1]) for r in records})
-    fig.add_scatter("player A", seen_a)
-    fig.add_scatter("player B", seen_b)
+    fig.add_scatter("player A", _branch_points(table, "payoff_a"))
+    fig.add_scatter("player B", _branch_points(table, "payoff_b"))
     fig.render(path)
 
 
-def _plot_bayes(records: list[SweepRecord], p_points: list[float], title: str, path: str) -> None:
+def _plot_bayes(table: RecordTable, p_points: list[float], title: str, path: str) -> None:
     fig = Figure(title=title, xlabel="entanglement gamma (rad)", ylabel="payoff A")
     slices = sorted({p_points[0], p_points[len(p_points) // 2], p_points[-1]})
     for p in slices:
-        pts = sorted({(r.gamma, r.equilibrium.payoffs[0]) for r in records if r.p == p})
-        fig.add_scatter(f"p={p:.3g}", pts)
+        fig.add_scatter(f"p={p:.3g}", _branch_points(table, "payoff_a", table.columns["p"] == p))
     fig.render(path)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     (game,) = _load_games(args, [_require(args, "game")])
     grid = build_grid(args.steps)
-    records = gamma_sweep(game, grid, [args.gamma], args.epsilon)
+    table = _gamma_table(game, grid, [args.gamma], args.epsilon)
     _emit_records(
         args,
-        records,
+        table,
         bayes=False,
         metadata={
             "command": "solve",
@@ -241,10 +248,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     (game,) = _load_games(args, [_require(args, "game")])
     grid = build_grid(args.steps)
     gamma_points = default_gamma_grid(args.gamma_grid)
-    records = gamma_sweep(game, grid, gamma_points, args.epsilon)
+    table = _gamma_table(game, grid, gamma_points, args.epsilon)
     _emit_records(
         args,
-        records,
+        table,
         bayes=False,
         metadata={
             "command": "sweep",
@@ -256,7 +263,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         },
     )
     if args.plot:
-        _plot_two_player(records, f"{game.name}: equilibrium payoffs vs entanglement", args.plot)
+        _plot_two_player(table, f"{game.name}: equilibrium payoffs vs entanglement", args.plot)
         print(f"wrote plot to {args.plot}")
     return EXIT_OK
 
@@ -266,10 +273,10 @@ def cmd_bayes_sweep(args: argparse.Namespace) -> int:
     grid = build_grid(args.steps)
     gamma_points = default_gamma_grid(args.gamma_grid)
     p_points = default_p_grid(args.p_grid)
-    records = bayes_sweep(game1, game2, grid, gamma_points, p_points, args.epsilon)
+    table = _bayes_table(game1, game2, grid, gamma_points, p_points, args.epsilon)
     _emit_records(
         args,
-        records,
+        table,
         bayes=True,
         metadata={
             "command": "bayes-sweep",
@@ -283,14 +290,9 @@ def cmd_bayes_sweep(args: argparse.Namespace) -> int:
         },
     )
     if args.plot:
-        _plot_bayes(records, p_points, f"{game1.name} vs {game2.name}: A payoff", args.plot)
+        _plot_bayes(table, p_points, f"{game1.name} vs {game2.name}: A payoff", args.plot)
         print(f"wrote plot to {args.plot}")
     return EXIT_OK
-
-
-# A records CSV prints gamma to 12 digits; a grid gamma this close to a
-# record's gamma is that record's gamma.
-_GAMMA_MATCH = 1e-9
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -309,7 +311,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         (game,) = _load_games(args, [_require(args, "game")])
         grid = build_grid(args.steps)
         gamma_values = default_gamma_grid(args.gamma_grid)
-        columns = record_columns(gamma_sweep(game, grid, gamma_values, args.epsilon))
+        columns = _gamma_table(game, grid, gamma_values, args.epsilon).columns
 
     gamma_slice = _require(args, "gamma_slice")
     # every record's gamma is one of gamma_values

@@ -12,6 +12,11 @@ scored once, and expand each class equilibrium to its member index
 tuples; a partner's record carries its representative's payoffs.
 Bayesian equilibria are found without a loop over A's strategies; see
 `nash_bayesian` for the algorithm, its order and its memory.
+
+The reductions produce columns: one member index array per player, then
+one payoff array per player. Sweeps consume those columns directly;
+`nash_two_player` and `nash_bayesian` are adapters that build
+`NashEquilibrium` objects from them.
 """
 from __future__ import annotations
 
@@ -166,23 +171,33 @@ def _expand(grid: StrategyGrid, class_tuples: Sequence[np.ndarray]) -> tuple[lis
     return [col[order] for col in columns], np.concatenate(sources)[order]
 
 
-def nash_two_player(tensor: PayoffTensor, epsilon: float = DEFAULT_EPSILON) -> list[NashEquilibrium]:
-    """All (i, j) lying in both players' best-response sets, in index order.
+def _equilibria(columns: Sequence[np.ndarray]) -> list[NashEquilibrium]:
+    """NashEquilibrium objects from index columns followed by as many payoff columns."""
+    players = len(columns) // 2
+    return [
+        NashEquilibrium(strategy_indices=row[:players], payoffs=row[players:])
+        for row in zip(*(c.tolist() for c in columns))
+    ]
 
-    The sets are taken over the class tables; each class pair then expands
-    to its up to 4 member pairs, which carry the class pair's payoffs.
-    """
+
+def _two_player_columns(tensor: PayoffTensor, epsilon: float) -> tuple[np.ndarray, ...]:
+    """`nash_two_player` as columns (a_index, b_index, payoff_a, payoff_b)."""
     _require_epsilon(epsilon)
     pa, pb = tensor.class_a, tensor.class_b
     a_best = pa >= pa.max(axis=0, keepdims=True) - epsilon
     b_best = pb >= pb.max(axis=1, keepdims=True) - epsilon
     ca, cb = np.nonzero(a_best & b_best)
     (i, j), source = _expand(tensor.grid, (ca, cb))
-    columns = (i, j, pa[ca, cb][source], pb[ca, cb][source])
-    return [
-        NashEquilibrium(strategy_indices=(ai, bj), payoffs=(x, y))
-        for ai, bj, x, y in zip(*(c.tolist() for c in columns))
-    ]
+    return i, j, pa[ca, cb][source], pb[ca, cb][source]
+
+
+def nash_two_player(tensor: PayoffTensor, epsilon: float = DEFAULT_EPSILON) -> list[NashEquilibrium]:
+    """All (i, j) lying in both players' best-response sets, in index order.
+
+    The sets are taken over the class tables; each class pair then expands
+    to its up to 4 member pairs, which carry the class pair's payoffs.
+    """
+    return _equilibria(_two_player_columns(tensor, epsilon))
 
 
 @dataclass(frozen=True)
@@ -219,13 +234,14 @@ def _bayes_equilibria(
     t2: PayoffTensor,
     priors: Sequence[PriorProbability],
     epsilon: float,
-) -> list[list[NashEquilibrium]]:
+) -> list[tuple[np.ndarray, ...]]:
     """`nash_bayesian` for each prior in turn, sharing the p-independent work.
 
-    B1's and B2's best-response masks, the candidate class triples, their
-    distinct (b1, b2) column pairs and the gathered payoff columns are
-    built once for all priors; only each prior's accepted class triples
-    are expanded to member triples.
+    Returns one column tuple (a_index, b1_index, b2_index, payoff_a,
+    payoff_b1, payoff_b2) per prior. B1's and B2's best-response masks, the
+    candidate class triples, their distinct (b1, b2) column pairs and the
+    gathered payoff columns are built once for all priors; only each
+    prior's accepted class triples are expanded to member triples.
     """
     _require_epsilon(epsilon)
     _require_compatible(t1, t2)
@@ -263,17 +279,13 @@ def _bayes_equilibria(
         ok = np.nonzero(mixed >= (colmax[k] - epsilon)[column])[0]
         hit_a, hit_b1, hit_b2 = a[ok], b1[ok], b2[ok]
         members, source = _expand(t1.grid, (hit_a, hit_b1, hit_b2))
-        columns = (
-            *members,
-            mixed[ok][source],
-            t1.class_b[hit_a, hit_b1][source],
-            t2.class_b[hit_a, hit_b2][source],
-        )
         out.append(
-            [
-                NashEquilibrium(strategy_indices=(i, j, l), payoffs=(pa, pb1, pb2))
-                for i, j, l, pa, pb1, pb2 in zip(*(c.tolist() for c in columns))
-            ]
+            (
+                *members,
+                mixed[ok][source],
+                t1.class_b[hit_a, hit_b1][source],
+                t2.class_b[hit_a, hit_b2][source],
+            )
         )
     return out
 
@@ -301,4 +313,4 @@ def nash_bayesian(
     index order. `bayes_sweep` shares all of the p-independent work across
     the priors of one gamma.
     """
-    return _bayes_equilibria(t1, t2, [p], epsilon)[0]
+    return _equilibria(_bayes_equilibria(t1, t2, [p], epsilon)[0])

@@ -2,9 +2,14 @@
 
 Numeric CSV fields carry 12 significant digits with a dot decimal
 separator and LF line endings. JSON files hold a metadata header plus the
-record array with full-precision floats, so a load/dump cycle is
+record array with full-precision floats, byte for byte what
+`json.dump(..., indent=2, sort_keys=True)` writes, so a load/dump cycle is
 byte-identical. Every file is written to a temporary file beside its target
 and renamed onto it, so a failed write leaves the target as it was.
+
+The record writers take a `RecordTable` and format each column's distinct
+values once; a `SweepRecord` sequence is first turned into a table by
+`record_columns`. The reader returns a table too.
 """
 from __future__ import annotations
 
@@ -13,28 +18,15 @@ import math
 import os
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from . import __version__
-from .circuit import TWO_PI, StrategyParams
-from .equilibrium import NashEquilibrium
-from .sweep import SweepRecord
+from .circuit import TWO_PI
+from .sweep import BAYES_COLUMNS, TWO_PLAYER_COLUMNS, RecordTable, SweepRecord, record_columns
 
-TWO_PLAYER_COLUMNS = [
-    "gamma", "eq_index", "a_index", "b_index",
-    "theta_a", "phi_a", "alpha_a", "theta_b", "phi_b", "alpha_b",
-    "payoff_a", "payoff_b",
-]
-BAYES_COLUMNS = [
-    "gamma", "p", "eq_index", "a_index", "b1_index", "b2_index",
-    "theta_a", "phi_a", "alpha_a",
-    "theta_b1", "phi_b1", "alpha_b1", "theta_b2", "phi_b2", "alpha_b2",
-    "payoff_a", "payoff_b1", "payoff_b2",
-]
 STRATEGY_COLUMNS = ["index", "theta", "phi", "alpha"]
 
 # Column types of a two-player records CSV: the three index columns are
@@ -56,38 +48,6 @@ def fmt(value: float | int) -> str:
     if isinstance(value, int):
         return str(value)
     return format(float(value), ".12g")
-
-
-def _eq_indices(records: Sequence[SweepRecord]) -> list[int]:
-    """Per-point running equilibrium index (resets whenever (gamma, p) changes)."""
-    out = []
-    prev_key = object()
-    counter = 0
-    for r in records:
-        key = (r.gamma, r.p)
-        counter = counter + 1 if key == prev_key else 0
-        prev_key = key
-        out.append(counter)
-    return out
-
-
-def record_rows(records: Sequence[SweepRecord], bayes: bool) -> list[list[float | int]]:
-    rows = []
-    for eq_index, r in zip(_eq_indices(records), records):
-        eq = r.equilibrium
-        row: list[float | int] = [r.gamma]
-        if bayes:
-            row.append(0.0 if r.p is None else r.p)
-        row.append(eq_index)
-        row.extend(eq.strategy_indices)
-        for p in r.strategy_params:
-            row.extend(p.astuple())
-        row.extend(eq.payoffs)
-        expected = len(BAYES_COLUMNS) if bayes else len(TWO_PLAYER_COLUMNS)
-        if len(row) != expected:
-            raise ValueError("record arity does not match the schema")
-        rows.append(row)
-    return rows
 
 
 @contextmanager
@@ -133,70 +93,75 @@ def write_rows_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequ
         fh.write("\n".join(lines) + "\n")
 
 
-def write_records_csv(path: str | Path, records: Sequence[SweepRecord], *, bayes: bool) -> None:
-    write_rows_csv(path, BAYES_COLUMNS if bayes else TWO_PLAYER_COLUMNS, record_rows(records, bayes))
+def _record_table(records: RecordTable | Sequence[SweepRecord], bayes: bool) -> RecordTable:
+    if not isinstance(records, RecordTable):
+        records = RecordTable(record_columns(records, bayes=bayes))
+    if records.bayes != bayes:
+        schema = "Bayesian" if records.bayes else "two-player"
+        raise ValueError(f"a {schema} table written with bayes={bayes}")
+    return records
+
+
+def _column_text(col: np.ndarray, text: Callable[[float | int], str]) -> tuple[np.ndarray, np.ndarray]:
+    """(strings, inverse): `strings[inverse]` is `text` of every value of `col`.
+
+    `text` is called once per distinct value. Floats are keyed on their bit
+    pattern, so -0.0 and 0.0, or two floats that print alike at 12 digits,
+    each get their own text.
+    """
+    keys = col.view(np.int64) if col.dtype == np.float64 else col
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return np.array([text(v) for v in col[first].tolist()], dtype=object), inverse
+
+
+# Rows formatted and written per step, so a large table is never held as text.
+_WRITE_BLOCK = 4096
+
+
+def _write_rows(fh: TextIO, table: RecordTable, names: Sequence[str], template: str, text, sep: str) -> None:
+    """`template % row` for every row of the named columns, `sep`-joined.
+
+    The fields of a row are `text` of its values, in `names` order.
+    """
+    texts = [_column_text(table.columns[name], text) for name in names]
+    for start in range(0, len(table), _WRITE_BLOCK):
+        block = slice(start, start + _WRITE_BLOCK)
+        rows = zip(*(strings[inverse[block]].tolist() for strings, inverse in texts))
+        fh.write((sep if start else "") + sep.join(map(template.__mod__, rows)))
+
+
+def write_records_csv(path: str | Path, records: RecordTable | Sequence[SweepRecord], *, bayes: bool) -> None:
+    """The schema header, then one line of `fmt` fields per record."""
+    table = _record_table(records, bayes)
+    names = BAYES_COLUMNS if bayes else TWO_PLAYER_COLUMNS
+    with atomic_writer(path) as fh:
+        fh.write(",".join(names) + "\n")
+        _write_rows(fh, table, names, ",".join(["%s"] * len(names)) + "\n", fmt, "")
 
 
 def write_records_json(
     path: str | Path,
-    records: Sequence[SweepRecord],
+    records: RecordTable | Sequence[SweepRecord],
     *,
     bayes: bool,
     metadata: dict,
 ) -> None:
-    columns = BAYES_COLUMNS if bayes else TWO_PLAYER_COLUMNS
-    payload = {
-        "metadata": {"tool": "ewlgames", "version": __version__, **metadata},
-        "records": [
-            dict(zip(columns, row)) for row in record_rows(records, bayes)
-        ],
-    }
+    """{"metadata": ..., "records": [...]} as `json.dump(indent=2, sort_keys=True)` writes it."""
+    table = _record_table(records, bayes)
+    names = sorted(BAYES_COLUMNS if bayes else TWO_PLAYER_COLUMNS)
+    head = json.dumps(
+        {"metadata": {"tool": "ewlgames", "version": __version__, **metadata}}, indent=2, sort_keys=True
+    )
+    # a record as the indented encoder lays out a dict inside the list
+    template = "    {\n" + ",\n".join(f"      {json.dumps(name)}: %s" for name in names) + "\n    }"
     with atomic_writer(path) as fh:
-        # streamed: the whole document is never held as one string
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-@dataclass(frozen=True)
-class LoadedRecords:
-    """Two-player records read from a CSV file, one array per column.
-
-    `columns` maps every TWO_PLAYER_COLUMNS name to its array: int64 for
-    the three index columns, float64 for the rest. `gamma_values` lists
-    the file's gammas in order, once per run of equal values. `records`
-    builds SweepRecord objects on each access; the analyze command never
-    needs them.
-    """
-
-    columns: dict[str, np.ndarray]
-    gamma_values: list[float]
-
-    def __len__(self) -> int:
-        return len(self.columns["gamma"])
-
-    @property
-    def records(self) -> list[SweepRecord]:
-        c = {name: col.tolist() for name, col in self.columns.items()}
-        return [
-            SweepRecord(
-                gamma=gamma,
-                p=None,
-                equilibrium=NashEquilibrium(strategy_indices=(a, b), payoffs=(pay_a, pay_b)),
-                strategy_params=(StrategyParams(ta, fa, aa), StrategyParams(tb, fb, ab)),
-            )
-            for gamma, a, b, ta, fa, aa, tb, fb, ab, pay_a, pay_b in zip(
-                *(c[name] for name in TWO_PLAYER_COLUMNS if name != "eq_index")
-            )
-        ]
-
-
-def record_columns(records: Sequence[SweepRecord]) -> dict[str, np.ndarray]:
-    """Two-player records as the column arrays `read_two_player_csv` gives."""
-    table = np.array(record_rows(records, bayes=False), dtype=np.float64)
-    table = table.reshape(len(records), len(TWO_PLAYER_COLUMNS))
-    return {
-        name: table[:, k].astype(TWO_PLAYER_DTYPE[name]) for k, name in enumerate(TWO_PLAYER_COLUMNS)
-    }
+        # drop the head's closing "\n}" and add the records array after the metadata
+        fh.write(f'{head[:-2]},\n  "records": [')
+        if len(table):
+            fh.write("\n")
+            _write_rows(fh, table, names, template, json.dumps, ",\n")
+            fh.write("\n  ")
+        fh.write("]\n}\n")
 
 
 def _checked_column(name: str, col: np.ndarray) -> np.ndarray:
@@ -220,7 +185,7 @@ def _checked_column(name: str, col: np.ndarray) -> np.ndarray:
     return col
 
 
-def read_two_player_csv(path: str | Path) -> LoadedRecords:
+def read_two_player_csv(path: str | Path) -> RecordTable:
     """Parse a two-player sweep/solve CSV into column arrays.
 
     The first non-blank line must be the TWO_PLAYER_COLUMNS header, and
@@ -246,7 +211,4 @@ def read_two_player_csv(path: str | Path) -> LoadedRecords:
         }
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    gamma = columns["gamma"]
-    first_of_run = np.ones(len(gamma), dtype=bool)
-    first_of_run[1:] = gamma[1:] != gamma[:-1]
-    return LoadedRecords(columns=columns, gamma_values=gamma[first_of_run].tolist())
+    return RecordTable(columns)

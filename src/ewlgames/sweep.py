@@ -2,11 +2,15 @@
 projections used for plotting: payoff branches, disappearance brackets,
 theta scatters and payoff histograms.
 
-Records stream in sorted (gamma, p, index-tuple) order; a gamma point
-with no equilibria simply contributes no records.
+Records are columns: a `RecordTable` holds one array per field of the
+README schemas, in sorted (gamma, p, index-tuple) order, and a sweep point
+with no equilibria simply contributes no rows. The CLI builds, writes and
+plots tables; `gamma_sweep`, `bayes_sweep` and `RecordTable.records` are
+adapters that build `SweepRecord` objects from them.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -19,12 +23,28 @@ from .equilibrium import (
     NashEquilibrium,
     PriorProbability,
     _bayes_equilibria,
-    nash_two_player,
+    _two_player_columns,
     payoff_tensor,
 )
 from .grid import StrategyGrid
 
 GAMMA_MAX = math.pi / 2
+
+# A records CSV prints gamma to 12 digits; a grid gamma this close to a
+# record's gamma is that record's gamma.
+_GAMMA_MATCH = 1e-9
+
+TWO_PLAYER_COLUMNS = [
+    "gamma", "eq_index", "a_index", "b_index",
+    "theta_a", "phi_a", "alpha_a", "theta_b", "phi_b", "alpha_b",
+    "payoff_a", "payoff_b",
+]
+BAYES_COLUMNS = [
+    "gamma", "p", "eq_index", "a_index", "b1_index", "b2_index",
+    "theta_a", "phi_a", "alpha_a",
+    "theta_b1", "phi_b1", "alpha_b1", "theta_b2", "phi_b2", "alpha_b2",
+    "payoff_a", "payoff_b1", "payoff_b2",
+]
 
 # pi/128 gamma steps resolve a disappearance bracket to ~0.012 rad while
 # keeping coarse-grid sweeps instant; 21 prior points match the visual
@@ -67,23 +87,159 @@ class CriticalBracket:
     branch_payoff_at_last: tuple[float, ...]
 
 
-def _records_at(
+def _roles(bayes: bool) -> tuple[str, ...]:
+    """Column suffixes of the players, in index-tuple order."""
+    return ("a", "b1", "b2") if bayes else ("a", "b")
+
+
+def _schema_columns(
+    bayes: bool,
+    gamma: np.ndarray,
+    p: np.ndarray | None,
+    eq_index: np.ndarray,
+    indices: np.ndarray,
+    angles: np.ndarray,
+    payoffs: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """The schema's columns, in order, from per-record arrays: `indices` and
+    `payoffs` are (records, players), `angles` (records, players, 3)."""
+    values = {"gamma": gamma, "p": p, "eq_index": eq_index}
+    for j, role in enumerate(_roles(bayes)):
+        values[f"{role}_index"] = np.ascontiguousarray(indices[:, j], dtype=np.int64)
+        for k, angle in enumerate(("theta", "phi", "alpha")):
+            values[f"{angle}_{role}"] = np.ascontiguousarray(angles[:, j, k], dtype=np.float64)
+        values[f"payoff_{role}"] = np.ascontiguousarray(payoffs[:, j], dtype=np.float64)
+    return {name: values[name] for name in (BAYES_COLUMNS if bayes else TWO_PLAYER_COLUMNS)}
+
+
+@dataclass(frozen=True)
+class RecordTable:
+    """Sweep records as columns, one array per TWO_PLAYER_COLUMNS or
+    BAYES_COLUMNS name: int64 for `eq_index` and the `*_index` columns,
+    float64 for the rest.
+
+    A table with a `p` column holds Bayesian records. `eq_index` counts
+    the equilibria of each (gamma, p) point from 0. `records` builds
+    SweepRecord objects on each access; the CLI never needs them.
+    """
+
+    columns: dict[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.columns["gamma"])
+
+    @property
+    def bayes(self) -> bool:
+        return "p" in self.columns
+
+    @property
+    def gamma_values(self) -> list[float]:
+        """The table's gammas in order, once per run of equal values."""
+        gamma = self.columns["gamma"]
+        first_of_run = np.ones(len(gamma), dtype=bool)
+        first_of_run[1:] = gamma[1:] != gamma[:-1]
+        return gamma[first_of_run].tolist()
+
+    @property
+    def records(self) -> list[SweepRecord]:
+        c = {name: col.tolist() for name, col in self.columns.items()}
+        roles = _roles(self.bayes)
+        indices = zip(*(c[f"{r}_index"] for r in roles))
+        payoffs = zip(*(c[f"payoff_{r}"] for r in roles))
+        params = zip(*(map(StrategyParams, c[f"theta_{r}"], c[f"phi_{r}"], c[f"alpha_{r}"]) for r in roles))
+        return [
+            SweepRecord(
+                gamma=gamma,
+                p=p,
+                equilibrium=NashEquilibrium(strategy_indices=ij, payoffs=pay),
+                strategy_params=sp,
+            )
+            for gamma, p, ij, pay, sp in zip(
+                c["gamma"], c["p"] if self.bayes else itertools.repeat(None), indices, payoffs, params
+            )
+        ]
+
+
+def record_columns(records: Sequence[SweepRecord], *, bayes: bool = False) -> dict[str, np.ndarray]:
+    """SweepRecord objects as the columns of a RecordTable.
+
+    `eq_index` restarts at 0 whenever (gamma, p) changes; a Bayesian
+    record without a prior gets p = 0.
+    """
+    n, players = len(records), len(_roles(bayes))
+    gamma = np.array([r.gamma for r in records], dtype=np.float64)
+    new_point = np.ones(n, dtype=bool)
+    new_point[1:] = gamma[1:] != gamma[:-1]
+    p = None
+    if bayes:
+        p = np.array([0.0 if r.p is None else r.p for r in records], dtype=np.float64)
+        new_point[1:] |= p[1:] != p[:-1]
+    position = np.arange(n)
+    return _schema_columns(
+        bayes,
+        gamma,
+        p,
+        position - np.maximum.accumulate(np.where(new_point, position, 0)),
+        np.array([r.equilibrium.strategy_indices for r in records], dtype=np.int64).reshape(n, players),
+        np.array(
+            [[sp.astuple() for sp in r.strategy_params] for r in records], dtype=np.float64
+        ).reshape(n, players, 3),
+        np.array([r.equilibrium.payoffs for r in records], dtype=np.float64).reshape(n, players),
+    )
+
+
+def _table(
+    grid: StrategyGrid,
+    points: Sequence[tuple[float, float | None, tuple[np.ndarray, ...]]],
+    *,
+    bayes: bool,
+) -> RecordTable:
+    """The table of sweep points given as (gamma, p or None, equilibrium columns).
+
+    Each point's columns are its member index arrays, one per player, then
+    its payoff arrays; angles are gathered from `grid.params` by index.
+    """
+    players = len(_roles(bayes))
+    sizes = np.array([len(cols[0]) for _, _, cols in points], dtype=np.int64)
+
+    def stacked(dtype, part: slice) -> np.ndarray:
+        # the empty head keeps the shape and dtype when there are no points
+        blocks = (np.stack(cols[part], axis=1) for _, _, cols in points)
+        return np.concatenate([np.empty((0, players), dtype), *blocks])
+
+    def per_point(values) -> np.ndarray:
+        return np.repeat(np.array(values, dtype=np.float64), sizes)
+
+    indices = stacked(np.int64, slice(players))
+    angles = np.array([sp.astuple() for sp in grid.params], dtype=np.float64).reshape(-1, 3)
+    return RecordTable(
+        _schema_columns(
+            bayes,
+            per_point([g for g, _, _ in points]),
+            per_point([p for _, p, _ in points]) if bayes else None,
+            np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes),
+            indices,
+            angles[indices],
+            stacked(np.float64, slice(players, None)),
+        )
+    )
+
+
+def _gamma_table(
     game: GameDefinition,
     grid: StrategyGrid,
-    gamma_value: float,
-    epsilon: float,
-) -> list[SweepRecord]:
-    gamma = EntanglementParam(gamma_value)
-    tensor = payoff_tensor(game, grid, gamma)
-    return [
-        SweepRecord(
-            gamma=gamma_value,
-            p=None,
-            equilibrium=eq,
-            strategy_params=tuple(grid.params[k] for k in eq.strategy_indices),
-        )
-        for eq in nash_two_player(tensor, epsilon)
-    ]
+    gamma_points: Sequence[float],
+    epsilon: float = DEFAULT_EPSILON,
+) -> RecordTable:
+    """`gamma_sweep` as a table."""
+    return _table(
+        grid,
+        [
+            (g, None, _two_player_columns(payoff_tensor(game, grid, EntanglementParam(g)), epsilon))
+            for g in gamma_points
+        ],
+        bayes=False,
+    )
 
 
 def gamma_sweep(
@@ -93,10 +249,29 @@ def gamma_sweep(
     epsilon: float = DEFAULT_EPSILON,
 ) -> list[SweepRecord]:
     """Two-player equilibria at each entanglement value, concatenated."""
-    records: list[SweepRecord] = []
+    return _gamma_table(game, grid, gamma_points, epsilon).records
+
+
+def _bayes_table(
+    game1: GameDefinition,
+    game2: GameDefinition,
+    grid: StrategyGrid,
+    gamma_points: Sequence[float],
+    p_points: Sequence[float],
+    epsilon: float = DEFAULT_EPSILON,
+) -> RecordTable:
+    """`bayes_sweep` as a table."""
+    priors = [PriorProbability(p) for p in p_points]
+    points = []
     for g in gamma_points:
-        records.extend(_records_at(game, grid, g, epsilon))
-    return records
+        gamma = EntanglementParam(g)
+        # The tensors go straight in, so this gamma's tables are freed
+        # before the next gamma's pair is built.
+        per_prior = _bayes_equilibria(
+            payoff_tensor(game1, grid, gamma), payoff_tensor(game2, grid, gamma), priors, epsilon
+        )
+        points.extend((g, p, cols) for p, cols in zip(p_points, per_prior))
+    return _table(grid, points, bayes=True)
 
 
 def bayes_sweep(
@@ -113,26 +288,7 @@ def bayes_sweep(
     (B's best-response masks, the candidate triples and A's distinct
     column pairs) serves every prior value of that gamma.
     """
-    priors = [PriorProbability(p) for p in p_points]
-    records: list[SweepRecord] = []
-    for g in gamma_points:
-        gamma = EntanglementParam(g)
-        # The tensors go straight in, so this gamma's tables are freed
-        # before the next gamma's pair is built.
-        per_prior = _bayes_equilibria(
-            payoff_tensor(game1, grid, gamma), payoff_tensor(game2, grid, gamma), priors, epsilon
-        )
-        for p, eqs in zip(p_points, per_prior):
-            records.extend(
-                SweepRecord(
-                    gamma=g,
-                    p=p,
-                    equilibrium=eq,
-                    strategy_params=tuple(grid.params[k] for k in eq.strategy_indices),
-                )
-                for eq in eqs
-            )
-    return records
+    return _bayes_table(game1, game2, grid, gamma_points, p_points, epsilon).records
 
 
 def critical_gamma(
@@ -144,18 +300,23 @@ def critical_gamma(
 
     Returns the adjacent (last-with, first-without) pair of sweep points,
     or None when the branch never appears or persists through the final
-    sweep point.
+    sweep point. A record's gamma matches the nearest sweep point within
+    1e-9, so records read back from a 12-digit CSV bracket like the sweep's
+    own; a gamma with no sweep point that close raises ValueError.
     """
     selected = [r for r in records if branch_selector(r)]
     if not selected:
         return None
     last_with = max(r.gamma for r in selected)
-    position = list(gamma_points).index(last_with)
+    distance = [abs(g - last_with) for g in gamma_points]
+    position = min(range(len(distance)), key=distance.__getitem__, default=None)
+    if position is None or not distance[position] <= _GAMMA_MATCH:
+        raise ValueError(f"record gamma {last_with!r} is not within {_GAMMA_MATCH:g} of a sweep point")
     if position == len(gamma_points) - 1:
         return None
     at_last = next(r for r in selected if r.gamma == last_with)
     return CriticalBracket(
-        last_gamma_with=last_with,
+        last_gamma_with=gamma_points[position],
         first_gamma_without=gamma_points[position + 1],
         branch_payoff_at_last=at_last.equilibrium.payoffs,
     )

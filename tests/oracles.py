@@ -7,6 +7,8 @@ path with the vectorized implementations it cross-checks.
 from __future__ import annotations
 
 import cmath
+import io
+import json
 import math
 
 
@@ -189,3 +191,25 @@ def payoff_histogram(points, gamma_slice: float, bin_width: float) -> list[tuple
             k = math.floor(payoff / bin_width + 1e-9)
             counts[k] = counts.get(k, 0) + 1
     return [((k + 0.5) * bin_width, counts[k]) for k in sorted(counts)]
+
+
+# ---------------------------------------------------------------------------
+# records CSV and JSON text, one field / one dict at a time
+
+def _fmt(value) -> str:
+    if isinstance(value, int):
+        return str(value)
+    return format(float(value), ".12g")
+
+
+def records_csv_text(columns: list[str], rows: list[list]) -> str:
+    """The header, then every row's fields formatted one by one, comma-joined."""
+    return ",".join(columns) + "\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+
+
+def records_json_text(columns: list[str], rows: list[list], metadata: dict) -> str:
+    """json.dump of {"metadata", "records"} with one dict per row, indent 2, sorted keys."""
+    payload = {"metadata": metadata, "records": [dict(zip(columns, row)) for row in rows]}
+    fh = io.StringIO()
+    json.dump(payload, fh, indent=2, sort_keys=True)
+    return fh.getvalue() + "\n"

@@ -455,3 +455,30 @@ class TestPhaseClasses:
                 assert triples
                 assert [eq.strategy_indices for eq in triples] == brute_force_bayes(a1, b1, a2, b2, 0.3, epsilon)
                 assert len({eq.strategy_indices for eq in triples}) == len(triples)
+
+
+class TestColumnAdapters:
+    """nash_two_player and nash_bayesian are the reductions' columns as objects."""
+
+    @staticmethod
+    def as_rows(columns):
+        players = len(columns) // 2
+        return [(row[:players], row[players:]) for row in zip(*(c.tolist() for c in columns))]
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.35, PI / 2])
+    def test_two_player(self, coarse_grid, stag_hunt, gamma):
+        tensor = payoff_tensor(stag_hunt, coarse_grid, EntanglementParam(gamma))
+        columns = equilibrium._two_player_columns(tensor, 1e-9)
+        assert len(columns) == 4 and len(columns[0]) > 0
+        eqs = nash_two_player(tensor, 1e-9)
+        assert [(eq.strategy_indices, eq.payoffs) for eq in eqs] == self.as_rows(columns)
+        assert all(type(i) is int for eq in eqs for i in eq.strategy_indices)
+        assert all(type(x) is float for eq in eqs for x in eq.payoffs)
+
+    def test_bayesian(self, tensors):
+        priors = [PriorProbability(p) for p in (0.0, 0.4, 1.0)]
+        per_prior = equilibrium._bayes_equilibria(*tensors, priors, 1e-9)
+        for prior, columns in zip(priors, per_prior, strict=True):
+            assert len(columns) == 6 and len(columns[0]) > 0
+            eqs = nash_bayesian(*tensors, prior)
+            assert [(eq.strategy_indices, eq.payoffs) for eq in eqs] == self.as_rows(columns)

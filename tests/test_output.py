@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from ewlgames import bayes_sweep, gamma_sweep
+from ewlgames import __version__, bayes_sweep, gamma_sweep
 from ewlgames.output import (
     BAYES_COLUMNS,
     TWO_PLAYER_COLUMNS,
@@ -18,8 +18,9 @@ from ewlgames.output import (
     write_rows_csv,
 )
 from ewlgames.svgplot import Figure
+from ewlgames.sweep import RecordTable, _bayes_table, _gamma_table
 
-from oracles import TWO_PLAYER_HEADER, read_records_rows
+from oracles import TWO_PLAYER_HEADER, read_records_rows, records_csv_text, records_json_text
 
 PI = math.pi
 
@@ -212,6 +213,88 @@ class TestReader:
             assert built[name].dtype == read[name].dtype
             np.testing.assert_allclose(built[name], read[name], rtol=0, atol=1e-9)
         assert built["gamma"].tolist() == [r.gamma for r in small_sweep]
+
+
+# Values that the per-distinct-value writers must keep apart: -0.0 next to
+# 0.0, 0.1+0.2 next to 0.3 (same 12-digit text, different JSON text), and
+# extreme and non-finite payoffs.
+MIXED_FLOATS = [
+    -0.0, 0.0, 0.1 + 0.2, 0.3, 1e16, 1e-300, float("nan"), float("inf"), float("-inf"),
+    1 / 3, 2.5, -2.5e-13, 0.3, -0.0,
+]
+
+
+def mixed_table(bayes: bool, rows: int) -> RecordTable:
+    names = BAYES_COLUMNS if bayes else TWO_PLAYER_COLUMNS
+    ints = [0, 7, 1823, 10**13, 7]
+    columns = {}
+    for k, name in enumerate(names):
+        if name.endswith("_index"):
+            columns[name] = np.array([ints[(3 * r + k) % len(ints)] for r in range(rows)], dtype=np.int64)
+        else:
+            values = [MIXED_FLOATS[(r * (k + 1) + k) % len(MIXED_FLOATS)] for r in range(rows)]
+            columns[name] = np.array(values, dtype=np.float64)
+    return RecordTable(columns)
+
+
+def table_rows(table: RecordTable, names) -> list[list]:
+    return [list(row) for row in zip(*(table.columns[name].tolist() for name in names))]
+
+
+class TestRecordWriters:
+    @pytest.mark.parametrize("rows", [0, 1, 57])
+    @pytest.mark.parametrize("bayes", [False, True], ids=["two-player", "bayes"])
+    def test_bytes_equal_the_per_field_oracle(self, tmp_path, bayes, rows):
+        names = BAYES_COLUMNS if bayes else TWO_PLAYER_COLUMNS
+        table = mixed_table(bayes, rows)
+        metadata = {"command": "test", "epsilon": 1e-9, "steps": [0.1 + 0.2, -0.0]}
+        csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
+        write_records_csv(csv_path, table, bayes=bayes)
+        write_records_json(json_path, table, bayes=bayes, metadata=metadata)
+        expected_meta = {"tool": "ewlgames", "version": __version__, **metadata}
+        rows = table_rows(table, names)
+        assert csv_path.read_bytes() == records_csv_text(names, rows).encode()
+        assert json_path.read_bytes() == records_json_text(names, rows, expected_meta).encode()
+
+    def test_distinct_bit_patterns_keep_their_own_text(self, tmp_path):
+        table = mixed_table(False, 57)
+        write_records_json(tmp_path / "r.json", table, bayes=False, metadata={})
+        write_records_csv(tmp_path / "r.csv", table, bayes=False)
+        text = (tmp_path / "r.json").read_text()
+        literals = ("-0.0", ": 0.0", "0.30000000000000004", ": 0.3,", "NaN", "-Infinity", "1e-300", "1e+16")
+        assert all(literal in text for literal in literals)
+        assert {"-0", "0", "0.3"} <= set((tmp_path / "r.csv").read_text().replace("\n", ",").split(","))
+
+    def test_empty_table_files(self, tmp_path):
+        write_records_csv(tmp_path / "r.csv", mixed_table(True, 0), bayes=True)
+        write_records_json(tmp_path / "r.json", mixed_table(True, 0), bayes=True, metadata={})
+        assert (tmp_path / "r.csv").read_text() == ",".join(BAYES_COLUMNS) + "\n"
+        assert (tmp_path / "r.json").read_text().endswith('\n  "records": []\n}\n')
+
+    def test_table_of_the_other_schema_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="two-player table"):
+            write_records_csv(tmp_path / "r.csv", mixed_table(False, 3), bayes=True)
+        with pytest.raises(ValueError, match="Bayesian table"):
+            write_records_json(tmp_path / "r.json", mixed_table(True, 3), bayes=False, metadata={})
+
+    @pytest.mark.parametrize("fmt_name", ["csv", "json"])
+    @pytest.mark.parametrize("bayes", [False, True], ids=["two-player", "bayes"])
+    def test_records_and_table_write_the_same_bytes(
+        self, tmp_path, prisoners_dilemma, deadlock, coarse_grid, bayes, fmt_name
+    ):
+        gammas = [0.0, PI / 8, PI / 2]
+        if bayes:
+            table = _bayes_table(prisoners_dilemma, deadlock, coarse_grid, gammas, [0.0, 0.5, 1.0])
+        else:
+            table = _gamma_table(prisoners_dilemma, coarse_grid, gammas)
+        paths = [tmp_path / f"table.{fmt_name}", tmp_path / f"records.{fmt_name}"]
+        for path, source in zip(paths, [table, table.records]):
+            if fmt_name == "csv":
+                write_records_csv(path, source, bayes=bayes)
+            else:
+                write_records_json(path, source, bayes=bayes, metadata={"command": "test"})
+        assert len(table) > 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestJson:

@@ -21,6 +21,8 @@ from ewlgames import (
     scatter_theta,
 )
 from ewlgames.grid import SteppingParams, build_grid
+from ewlgames.output import read_two_player_csv, record_columns, write_records_csv
+from ewlgames.sweep import BAYES_COLUMNS, TWO_PLAYER_COLUMNS, _bayes_table, _gamma_table
 
 from oracles import brute_force_bayes
 from oracles import payoff_histogram as reference_histogram
@@ -150,6 +152,26 @@ class TestCriticalGamma:
     def test_selector_matching_nothing(self, pd_records, gamma_points):
         assert critical_gamma(pd_records, gamma_points, lambda r: False) is None
 
+    def test_records_read_from_a_csv_bracket_like_the_sweep(self, tmp_path, prisoners_dilemma, coarse_grid):
+        # the CSV prints gamma to 12 digits, so the read gammas are not grid points
+        points = default_gamma_grid(9)
+        records = gamma_sweep(prisoners_dilemma, coarse_grid, points)
+        path = tmp_path / "sweep.csv"
+        write_records_csv(path, records, bayes=False)
+        read = read_two_player_csv(path).records
+        assert {r.gamma for r in read} - set(points)
+        expected, got = critical_gamma(records, points), critical_gamma(read, points)
+        assert expected.last_gamma_with == 3 * PI / 16
+        assert got.last_gamma_with == expected.last_gamma_with
+        assert got.first_gamma_without == expected.first_gamma_without
+        assert got.branch_payoff_at_last == pytest.approx(expected.branch_payoff_at_last, abs=1e-9)
+
+    def test_gamma_off_the_sweep_points_is_named(self, pd_records):
+        with pytest.raises(ValueError, match=r"record gamma 0\.3001 "):
+            critical_gamma([_record(0.3001, 1.0)], [0.0, 0.3001 - 2e-9, 0.3001 + 2e-9, PI / 2])
+        with pytest.raises(ValueError, match=r"record gamma 0\.0 "):
+            critical_gamma(pd_records, [], lambda r: r.gamma == 0.0)
+
 
 class TestBayesSweep:
     def test_boundary_projections(self, prisoners_dilemma, deadlock, coarse_grid):
@@ -242,6 +264,66 @@ class TestBayesSweep:
         brecs = bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, pts, pp)
         keys = [(r.gamma, r.p, r.equilibrium.strategy_indices) for r in brecs]
         assert keys == sorted(keys)
+
+
+@pytest.fixture(scope="module")
+def bayes_case(prisoners_dilemma, deadlock, coarse_grid):
+    return (prisoners_dilemma, deadlock, coarse_grid, [0.0, 0.35, PI / 2], [0.0, 0.4, 1.0])
+
+
+class TestRecordTables:
+    def test_gamma_sweep_is_the_table_records(self, prisoners_dilemma, coarse_grid):
+        points = default_gamma_grid(9)
+        table = _gamma_table(prisoners_dilemma, coarse_grid, points)
+        assert not table.bayes and len(table) > 0
+        assert gamma_sweep(prisoners_dilemma, coarse_grid, points) == table.records
+
+    def test_bayes_sweep_is_the_table_records(self, bayes_case):
+        table = _bayes_table(*bayes_case)
+        assert table.bayes and len(table) > 0
+        assert bayes_sweep(*bayes_case) == table.records
+
+    @pytest.mark.parametrize("bayes", [False, True], ids=["two-player", "bayes"])
+    def test_record_columns_equal_the_table_bit_for_bit(self, bayes_case, bayes):
+        game1, game2, grid, gammas, priors = bayes_case
+        if bayes:
+            table, records = _bayes_table(*bayes_case), bayes_sweep(*bayes_case)
+        else:
+            table, records = _gamma_table(game1, grid, gammas), gamma_sweep(game1, grid, gammas)
+        columns = record_columns(records, bayes=bayes)
+        assert list(columns) == list(table.columns) == (BAYES_COLUMNS if bayes else TWO_PLAYER_COLUMNS)
+        for name, col in table.columns.items():
+            assert col.dtype == columns[name].dtype == (np.int64 if name.endswith("index") else np.float64)
+            assert col.tobytes() == columns[name].tobytes(), name
+
+    def test_eq_index_restarts_at_every_point(self, bayes_case):
+        table = _bayes_table(*bayes_case)
+        expected, counts = [], {}
+        for gamma, p in zip(table.columns["gamma"].tolist(), table.columns["p"].tolist()):
+            expected.append(counts.get((gamma, p), 0))
+            counts[(gamma, p)] = expected[-1] + 1
+        assert len(counts) == 6  # gamma = pi/2 has no equilibria
+        assert table.columns["eq_index"].tolist() == expected
+        assert record_columns(table.records, bayes=True)["eq_index"].tolist() == expected
+
+    def test_angles_are_the_grid_params(self, bayes_case):
+        table = _bayes_table(*bayes_case)
+        grid = bayes_case[2]
+        for role in ("a", "b1", "b2"):
+            index = table.columns[f"{role}_index"].tolist()
+            for k, angle in enumerate(("theta", "phi", "alpha")):
+                expected = [grid.params[i].astuple()[k] for i in index]
+                assert table.columns[f"{angle}_{role}"].tolist() == expected
+
+    def test_empty_sweeps_keep_the_schema_and_dtypes(self, matching_pennies, prisoners_dilemma, coarse_grid):
+        for table, names in (
+            (_gamma_table(matching_pennies, coarse_grid, [0.0, 0.5]), TWO_PLAYER_COLUMNS),
+            (_gamma_table(matching_pennies, coarse_grid, []), TWO_PLAYER_COLUMNS),
+            (_bayes_table(prisoners_dilemma, matching_pennies, coarse_grid, [], [0.5]), BAYES_COLUMNS),
+        ):
+            assert len(table) == 0 and table.records == [] and list(table.columns) == names
+            for name, col in table.columns.items():
+                assert col.dtype == (np.int64 if name.endswith("index") else np.float64)
 
 
 class TestScatterTheta:
