@@ -140,23 +140,41 @@ class RecordTable:
         first_of_run[1:] = gamma[1:] != gamma[:-1]
         return gamma[first_of_run].tolist()
 
+    def _params(self, role: str) -> list[StrategyParams]:
+        """One role's StrategyParams per record, built once per distinct angle triple.
+
+        Triples are told apart by their float64 bits, so a -0.0 angle stays -0.0.
+        """
+        angles = np.stack([self.columns[f"{a}_{role}"] for a in ("theta", "phi", "alpha")], axis=1)
+        bits = angles.view(np.int64)
+        order = np.lexsort(bits.T)
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (bits[order[1:]] != bits[order[:-1]]).any(axis=1)
+        inverse = np.empty(len(order), dtype=np.intp)
+        inverse[order] = np.cumsum(first) - 1
+        params = np.empty(int(first.sum()), dtype=object)
+        params[:] = [StrategyParams(*triple) for triple in angles[order[first]].tolist()]
+        return params[inverse].tolist()
+
     @property
     def records(self) -> list[SweepRecord]:
-        c = {name: col.tolist() for name, col in self.columns.items()}
         roles = _roles(self.bayes)
-        indices = zip(*(c[f"{r}_index"] for r in roles))
-        payoffs = zip(*(c[f"payoff_{r}"] for r in roles))
-        params = zip(*(map(StrategyParams, c[f"theta_{r}"], c[f"phi_{r}"], c[f"alpha_{r}"]) for r in roles))
+
+        def listed(name: str) -> list:
+            return self.columns[name].tolist()
+
+        indices = zip(*(listed(f"{r}_index") for r in roles))
+        payoffs = zip(*(listed(f"payoff_{r}") for r in roles))
+        params = zip(*(self._params(r) for r in roles))
+        p = listed("p") if self.bayes else itertools.repeat(None)
         return [
             SweepRecord(
                 gamma=gamma,
-                p=p,
+                p=prior,
                 equilibrium=NashEquilibrium(strategy_indices=ij, payoffs=pay),
                 strategy_params=sp,
             )
-            for gamma, p, ij, pay, sp in zip(
-                c["gamma"], c["p"] if self.bayes else itertools.repeat(None), indices, payoffs, params
-            )
+            for gamma, prior, ij, pay, sp in zip(listed("gamma"), p, indices, payoffs, params)
         ]
 
 

@@ -22,7 +22,7 @@ from ewlgames import (
 )
 from ewlgames.grid import SteppingParams, build_grid
 from ewlgames.output import read_two_player_csv, record_columns, write_records_csv
-from ewlgames.sweep import BAYES_COLUMNS, TWO_PLAYER_COLUMNS, _bayes_table, _gamma_table
+from ewlgames.sweep import BAYES_COLUMNS, TWO_PLAYER_COLUMNS, RecordTable, _bayes_table, _gamma_table
 
 from oracles import brute_force_bayes
 from oracles import payoff_histogram as reference_histogram
@@ -314,6 +314,28 @@ class TestRecordTables:
             for k, angle in enumerate(("theta", "phi", "alpha")):
                 expected = [grid.params[i].astuple()[k] for i in index]
                 assert table.columns[f"{angle}_{role}"].tolist() == expected
+
+    def test_records_keep_the_angle_bits(self):
+        # -0.0 and 0.0 angles in one column: the records share StrategyParams
+        # per distinct triple, told apart by bits
+        signed = np.array([0.0, -0.0, PI, 0.0, -0.0])
+        columns = {
+            "gamma": np.array([0.1, 0.1, 0.2, 0.2, 0.2]),
+            "eq_index": np.array([0, 1, 0, 1, 2]),
+            "a_index": np.array([0, 1, 2, 0, 1]),
+            "b_index": np.array([3, 3, 3, 3, 4]),
+            **{f"{angle}_{role}": signed[::-1].copy() if role == "b" else signed.copy()
+               for role in ("a", "b") for angle in ("theta", "phi", "alpha")},
+            "payoff_a": np.array([1.0, -0.0, 0.0, 2.5, 2.5]),
+            "payoff_b": np.array([0.0, 0.0, 1.0, 1.0, 1.0]),
+        }
+        table = RecordTable({name: columns[name] for name in TWO_PLAYER_COLUMNS})
+        records = table.records
+        assert records[0].strategy_params[0] is records[3].strategy_params[0]
+        assert records[0].strategy_params[0] is not records[1].strategy_params[0]
+        rebuilt = record_columns(records)
+        for name, col in table.columns.items():
+            assert rebuilt[name].tobytes() == col.astype(rebuilt[name].dtype).tobytes(), name
 
     def test_empty_sweeps_keep_the_schema_and_dtypes(self, matching_pennies, prisoners_dilemma, coarse_grid):
         for table, names in (
