@@ -118,7 +118,14 @@ def _column_text(col: np.ndarray, text: Callable[[float | int], str]) -> tuple[n
 _WRITE_BLOCK = 4096
 
 
-def _write_rows(fh: TextIO, table: RecordTable, names: Sequence[str], template: str, text, sep: str) -> None:
+def _write_rows(
+    fh: TextIO,
+    table: RecordTable,
+    names: Sequence[str],
+    template: str,
+    text: Callable[[float | int], str],
+    sep: str,
+) -> None:
     """`template % row` for every row of the named columns, `sep`-joined.
 
     The fields of a row are `text` of its values, in `names` order.
