@@ -2,12 +2,13 @@
 
 Subcommands: solve, sweep, bayes-sweep, analyze, strategies. Each option
 is declared once in OPTIONS (type, default, help), and COMMANDS names the
-options each subcommand takes; `ewlgames <command> --help` shows every
-default. A `[run]` section in an INI config file (--config) replaces those
-defaults, in --help too: its keys are the flag names with `_` for `-`, its
-values are converted and checked exactly like flags, and a key that belongs
-to another subcommand is ignored. Explicit flags win over the file, which
-wins over the built-in defaults.
+options each subcommand takes and which of them it requires; a missing
+one is reported before any work starts. `ewlgames <command> --help` shows
+every default. A `[run]` section in an INI config file (--config) replaces
+those defaults, in --help too: its keys are the flag names with `_` for
+`-`, its values are converted and checked exactly like flags, and a key
+that belongs to another subcommand is ignored. Explicit flags win over the
+file, which wins over the built-in defaults.
 
 Exit codes: 0 success (an empty equilibrium set is a result, not an
 error), 1 usage/config error (an unknown key, a bad value, a non-finite
@@ -42,10 +43,10 @@ from .sweep import (
     DEFAULT_GAMMA_POINTS,
     DEFAULT_P_POINTS,
     RecordTable,
-    _bayes_table,
-    _gamma_table,
+    bayes_sweep,
     default_gamma_grid,
     default_p_grid,
+    gamma_sweep,
     payoff_bins,
 )
 from .svgplot import Figure
@@ -172,13 +173,6 @@ def _read_config_file(path: str) -> dict[str, str]:
     return {key: _FileValue(text, f"{path}: [run] {key}") for key, text in values.items()}
 
 
-def _require(args: argparse.Namespace, key: str):
-    value = getattr(args, key)
-    if value is None:
-        raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-    return value
-
-
 def _load_games(args: argparse.Namespace, names: list[str]) -> list[GameDefinition]:
     catalogue = load_catalogue(args.catalogue) if args.catalogue else load_default_catalogue()
     return [catalogue.get(n) for n in names]
@@ -191,12 +185,11 @@ def _emit_records(
     bayes: bool,
     metadata: dict,
 ) -> None:
-    out = _require(args, "out")
     if args.format == "csv":
-        write_records_csv(out, table, bayes=bayes)
+        write_records_csv(args.out, table, bayes=bayes)
     else:
-        write_records_json(out, table, bayes=bayes, metadata=metadata)
-    print(f"wrote {len(table)} record(s) to {out}")
+        write_records_json(args.out, table, bayes=bayes, metadata=metadata)
+    print(f"wrote {len(table)} record(s) to {args.out}")
 
 
 def _branch_points(table: RecordTable, payoff: str, rows=slice(None)) -> list[tuple[float, float]]:
@@ -225,9 +218,9 @@ def _plot_bayes(table: RecordTable, p_points: list[float], title: str, path: str
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    (game,) = _load_games(args, [_require(args, "game")])
+    (game,) = _load_games(args, [args.game])
     grid = build_grid(args.steps)
-    table = _gamma_table(game, grid, [args.gamma], args.epsilon)
+    table = gamma_sweep(game, grid, [args.gamma], args.epsilon)
     _emit_records(
         args,
         table,
@@ -245,10 +238,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    (game,) = _load_games(args, [_require(args, "game")])
+    (game,) = _load_games(args, [args.game])
     grid = build_grid(args.steps)
     gamma_points = default_gamma_grid(args.gamma_grid)
-    table = _gamma_table(game, grid, gamma_points, args.epsilon)
+    table = gamma_sweep(game, grid, gamma_points, args.epsilon)
     _emit_records(
         args,
         table,
@@ -269,11 +262,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_bayes_sweep(args: argparse.Namespace) -> int:
-    game1, game2 = _load_games(args, [_require(args, "game"), _require(args, "game2")])
+    game1, game2 = _load_games(args, [args.game, args.game2])
     grid = build_grid(args.steps)
     gamma_points = default_gamma_grid(args.gamma_grid)
     p_points = default_p_grid(args.p_grid)
-    table = _bayes_table(game1, game2, grid, gamma_points, p_points, args.epsilon)
+    table = bayes_sweep(game1, game2, grid, gamma_points, p_points, args.epsilon)
     _emit_records(
         args,
         table,
@@ -308,12 +301,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             if all(abs(g - r) > _GAMMA_MATCH for r in loaded.gamma_values)
         ]
     else:
-        (game,) = _load_games(args, [_require(args, "game")])
+        (game,) = _load_games(args, [args.game])
         grid = build_grid(args.steps)
         gamma_values = default_gamma_grid(args.gamma_grid)
-        columns = _gamma_table(game, grid, gamma_values, args.epsilon).columns
+        columns = gamma_sweep(game, grid, gamma_values, args.epsilon).columns
 
-    gamma_slice = _require(args, "gamma_slice")
+    gamma_slice = args.gamma_slice
     # every record's gamma is one of gamma_values
     swept = sorted(set(gamma_values))
     if gamma_slice < swept[0] - 1e-12 or gamma_slice > swept[-1] + 1e-12:
@@ -326,7 +319,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"note: histogram slice snapped to the nearest swept gamma {nearest:.12g}")
         gamma_slice = nearest
 
-    prefix = _require(args, "out")
+    prefix = args.out
     hist = payoff_bins(columns["gamma"], columns["payoff_a"], gamma_slice, args.bin_width)
     theta_a, theta_b, payoff_a = (columns[name].tolist() for name in ("theta_a", "theta_b", "payoff_a"))
     theta_points = list(zip(theta_a, theta_b))
@@ -375,29 +368,35 @@ def cmd_strategies(args: argparse.Namespace) -> int:
 
 _RECORD_OPTIONS = ("game", "catalogue", "steps", "epsilon", "out")
 
-# subcommand -> (handler, summary, option names); every one also takes --config
+# subcommand -> (handler, summary, option names, required option names in the
+# order `main` checks them); every one also takes --config. analyze needs
+# --game only without --records.
 COMMANDS = {
     "solve": (
         cmd_solve,
         "equilibria of one game at one entanglement",
         (*_RECORD_OPTIONS, "format", "gamma"),
+        ("game", "out"),
     ),
     "sweep": (
         cmd_sweep,
         "two-player equilibria across entanglement values",
         (*_RECORD_OPTIONS, "format", "gamma_grid", "plot"),
+        ("game", "out"),
     ),
     "bayes-sweep": (
         cmd_bayes_sweep,
         "Bayesian equilibria over the (gamma, p) grid",
         (*_RECORD_OPTIONS, "format", "game2", "gamma_grid", "p_grid", "plot"),
+        ("game", "game2", "out"),
     ),
     "analyze": (
         cmd_analyze,
         "theta scatters and payoff histogram from records",
         (*_RECORD_OPTIONS, "records", "gamma_grid", "gamma_slice", "bin_width", "plot"),
+        ("game", "gamma_slice", "out"),
     ),
-    "strategies": (cmd_strategies, "list the deduplicated strategy grid as CSV", ("steps", "out")),
+    "strategies": (cmd_strategies, "list the deduplicated strategy grid as CSV", ("steps", "out"), ()),
 }
 
 
@@ -411,7 +410,7 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     parser = _Parser(prog="ewlgames", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"ewlgames {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, (func, summary, names) in COMMANDS.items():
+    for command, (func, summary, names, _) in COMMANDS.items():
         sub = subs.add_parser(command, help=summary)
         sub.add_argument("--config", help="INI file with a [run] section of option defaults")
         for name in names:
@@ -434,6 +433,9 @@ def main(argv: list[str] | None = None) -> int:
         pre.add_argument("--config", nargs="?")
         path = pre.parse_known_args(argv)[0].config
         args = build_parser(_read_config_file(path) if path else None).parse_args(argv)
+        for name in COMMANDS[args.command][3]:
+            if getattr(args, name) is None and not (name == "game" and getattr(args, "records", None)):
+                raise ConfigError(f"missing required option --{name.replace('_', '-')}")
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

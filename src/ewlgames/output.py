@@ -185,7 +185,8 @@ def _checked_column(name: str, col: np.ndarray) -> np.ndarray:
         bad = ~np.isfinite(col)
         rule = "finite"
     else:
-        return col
+        bad = col < 0
+        rule = "non-negative"
     if bad.any():
         k = int(np.argmax(bad))
         raise ValueError(f"record {k + 1}: {name} must be {rule}, got {col[k].item()!r}")
@@ -196,11 +197,11 @@ def read_two_player_csv(path: str | Path) -> RecordTable:
     """Parse a two-player sweep/solve CSV into column arrays.
 
     The first non-blank line must be the TWO_PLAYER_COLUMNS header, and
-    every other non-blank line a record of exactly 12 fields: integer
-    indices, finite payoffs, gamma in [0, pi/2], theta in [0, pi], phi
-    and alpha in [0, 2pi]. An angle less than 1e-9 outside its interval,
-    as 12-digit rounding prints pi, is snapped onto the bound. Anything
-    else raises ValueError naming the file.
+    every other non-blank line a record of exactly 12 fields: non-negative
+    integer indices, finite payoffs, gamma in [0, pi/2], theta in [0, pi],
+    phi and alpha in [0, 2pi]. An angle less than 1e-9 outside its
+    interval, as 12-digit rounding prints pi, is snapped onto the bound.
+    Anything else raises ValueError naming the file.
     """
     try:
         with open(path, encoding="utf-8") as fh:

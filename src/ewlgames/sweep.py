@@ -2,18 +2,18 @@
 projections used for plotting: payoff branches, disappearance brackets,
 theta scatters and payoff histograms.
 
-Records are columns: a `RecordTable` holds one array per field of the
-README schemas, in sorted (gamma, p, index-tuple) order, and a sweep point
-with no equilibria simply contributes no rows. The CLI builds, writes and
-plots tables; `gamma_sweep`, `bayes_sweep` and `RecordTable.records` are
-adapters that build `SweepRecord` objects from them.
+Records are columns: `gamma_sweep` and `bayes_sweep` return a
+`RecordTable`, one array per field of the README schemas, in sorted
+(gamma, p, index-tuple) order, and a sweep point with no equilibria simply
+contributes no rows. `RecordTable.records` builds `SweepRecord` objects
+from a table on demand.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -243,13 +243,13 @@ def _table(
     )
 
 
-def _gamma_table(
+def gamma_sweep(
     game: GameDefinition,
     grid: StrategyGrid,
     gamma_points: Sequence[float],
     epsilon: float = DEFAULT_EPSILON,
 ) -> RecordTable:
-    """`gamma_sweep` as a table."""
+    """Two-player equilibria at each entanglement value, as one table."""
     return _table(
         grid,
         [
@@ -260,17 +260,7 @@ def _gamma_table(
     )
 
 
-def gamma_sweep(
-    game: GameDefinition,
-    grid: StrategyGrid,
-    gamma_points: Sequence[float],
-    epsilon: float = DEFAULT_EPSILON,
-) -> list[SweepRecord]:
-    """Two-player equilibria at each entanglement value, concatenated."""
-    return _gamma_table(game, grid, gamma_points, epsilon).records
-
-
-def _bayes_table(
+def bayes_sweep(
     game1: GameDefinition,
     game2: GameDefinition,
     grid: StrategyGrid,
@@ -278,7 +268,12 @@ def _bayes_table(
     p_points: Sequence[float],
     epsilon: float = DEFAULT_EPSILON,
 ) -> RecordTable:
-    """`bayes_sweep` as a table."""
+    """Bayesian (A, B1, B2) equilibria over the full (gamma, p) product grid, as one table.
+
+    Both component tensors are built once per gamma, and one candidate set
+    (B's best-response masks, the candidate triples and A's distinct
+    column pairs) serves every prior value of that gamma.
+    """
     priors = [PriorProbability(p) for p in p_points]
     points = []
     for g in gamma_points:
@@ -292,51 +287,38 @@ def _bayes_table(
     return _table(grid, points, bayes=True)
 
 
-def bayes_sweep(
-    game1: GameDefinition,
-    game2: GameDefinition,
-    grid: StrategyGrid,
-    gamma_points: Sequence[float],
-    p_points: Sequence[float],
-    epsilon: float = DEFAULT_EPSILON,
-) -> list[SweepRecord]:
-    """Bayesian (A, B1, B2) equilibria over the full (gamma, p) product grid.
-
-    Both component tensors are built once per gamma, and one candidate set
-    (B's best-response masks, the candidate triples and A's distinct
-    column pairs) serves every prior value of that gamma.
-    """
-    return _bayes_table(game1, game2, grid, gamma_points, p_points, epsilon).records
-
-
 def critical_gamma(
-    records: Sequence[SweepRecord],
+    table: RecordTable,
     gamma_points: Sequence[float],
-    branch_selector: Callable[[SweepRecord], bool] = lambda record: True,
+    rows: np.ndarray | None = None,
 ) -> CriticalBracket | None:
-    """Bracket the entanglement where the selected branch stops appearing.
+    """Bracket the entanglement where the branch in the `rows` mask stops appearing.
 
-    Returns the adjacent (last-with, first-without) pair of sweep points,
-    or None when the branch never appears or persists through the final
-    sweep point. A record's gamma matches the nearest sweep point within
-    1e-9, so records read back from a 12-digit CSV bracket like the sweep's
-    own; a gamma with no sweep point that close raises ValueError.
+    `rows` is a boolean mask over the table's records; None selects them
+    all. Returns the adjacent (last-with, first-without) pair of sweep
+    points, or None when the branch never appears or persists through the
+    final sweep point. A record's gamma matches the nearest sweep point
+    within 1e-9, so a table read back from a 12-digit CSV brackets like the
+    sweep's own; a gamma with no sweep point that close raises ValueError.
     """
-    selected = [r for r in records if branch_selector(r)]
-    if not selected:
+    selected = np.arange(len(table)) if rows is None else np.flatnonzero(rows)
+    if not len(selected):
         return None
-    last_with = max(r.gamma for r in selected)
+    # the first selected record of the largest gamma
+    at_last = selected[np.argmax(table.columns["gamma"][selected])]
+    last_with = table.columns["gamma"][at_last].item()
     distance = [abs(g - last_with) for g in gamma_points]
     position = min(range(len(distance)), key=distance.__getitem__, default=None)
     if position is None or not distance[position] <= _GAMMA_MATCH:
         raise ValueError(f"record gamma {last_with!r} is not within {_GAMMA_MATCH:g} of a sweep point")
     if position == len(gamma_points) - 1:
         return None
-    at_last = next(r for r in selected if r.gamma == last_with)
     return CriticalBracket(
         last_gamma_with=gamma_points[position],
         first_gamma_without=gamma_points[position + 1],
-        branch_payoff_at_last=at_last.equilibrium.payoffs,
+        branch_payoff_at_last=tuple(
+            table.columns[f"payoff_{role}"][at_last].item() for role in _roles(table.bayes)
+        ),
     )
 
 

@@ -155,10 +155,10 @@ _ANGLE_FIELDS = {
 def read_records_rows(text: str) -> list[list]:
     """Rows of a two-player records CSV, parsed field by field.
 
-    int() for the three index fields and float() for the rest; an angle
-    within 1e-9 of a bound is clamped onto it, then must lie in its
-    interval, and payoffs must be finite. Blank lines are skipped. Any
-    violation raises ValueError.
+    int() for the three index fields, which must be non-negative, and
+    float() for the rest; an angle within 1e-9 of a bound is clamped onto
+    it, then must lie in its interval, and payoffs must be finite. Blank
+    lines are skipped. Any violation raises ValueError.
     """
     lines = [ln for ln in text.split("\n") if ln]
     if not lines or lines[0] != TWO_PLAYER_HEADER:
@@ -169,6 +169,9 @@ def read_records_rows(text: str) -> list[list]:
         if len(parts) != 12:
             raise ValueError(f"{len(parts)} fields")
         row = [int(t) if k in _INDEX_FIELDS else float(t) for k, t in enumerate(parts)]
+        for k in _INDEX_FIELDS:
+            if row[k] < 0:
+                raise ValueError(f"field {k} negative: {row[k]!r}")
         for k, high in _ANGLE_FIELDS.items():
             v = row[k]
             if abs(v - high) < 1e-9 or abs(v) < 1e-9:

@@ -92,7 +92,8 @@ def test_criterion_04_pd_phase_structure(prisoners_dilemma, coarse_grid):
     budget = 2.0
     gamma_points = default_gamma_grid()
     t0 = time.perf_counter()
-    records = gamma_sweep(prisoners_dilemma, coarse_grid, gamma_points)
+    table = gamma_sweep(prisoners_dilemma, coarse_grid, gamma_points)
+    records = table.records
 
     # (a) classical payoffs at zero entanglement
     at_zero = [r for r in records if r.gamma == 0.0]
@@ -111,7 +112,7 @@ def test_criterion_04_pd_phase_structure(prisoners_dilemma, coarse_grid):
     assert not any(r.gamma == gamma_points[-1] for r in records)
 
     # (d) a bracket strictly inside (0, pi/2), frozen to the derived grid pair
-    bracket = critical_gamma(records, gamma_points)
+    bracket = critical_gamma(table, gamma_points)
     assert bracket is not None
     assert 0.0 < bracket.last_gamma_with < bracket.first_gamma_without < PI / 2
     assert bracket.last_gamma_with == 25 * PI / 128
@@ -145,9 +146,9 @@ def test_criterion_04_pd_phase_structure(prisoners_dilemma, coarse_grid):
 def test_criterion_05_matching_pennies_empty(matching_pennies, coarse_grid):
     budget = 2.0
     t0 = time.perf_counter()
-    records = gamma_sweep(matching_pennies, coarse_grid, default_gamma_grid())
+    table = gamma_sweep(matching_pennies, coarse_grid, default_gamma_grid())
     elapsed = time.perf_counter() - t0
-    assert records == []
+    assert len(table) == 0 and table.records == []
     assert elapsed < budget
     _passed("criterion 5 (matching pennies)", f"0 equilibria at 65 gammas in {elapsed:.2f}s")
 
@@ -162,7 +163,7 @@ def test_criterion_06_bayesian_boundaries(prisoners_dilemma, deadlock, coarse_gr
     for game2 in (prisoners_dilemma, deadlock):
         brecs = bayes_sweep(
             prisoners_dilemma, game2, coarse_grid, gamma_points, p_points, epsilon
-        )
+        ).records
 
         def projection(p_value, b_slot, payoff_slot):
             return {
@@ -186,7 +187,7 @@ def test_criterion_06_bayesian_boundaries(prisoners_dilemma, deadlock, coarse_gr
                     round(r.equilibrium.payoffs[1], 12),
                 )
                 for r in gamma_sweep(prisoners_dilemma if game is None else game,
-                                     coarse_grid, gamma_points, epsilon)
+                                     coarse_grid, gamma_points, epsilon).records
             }
 
         assert projection(1.0, 1, 1) == two_player(prisoners_dilemma)

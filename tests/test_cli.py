@@ -12,6 +12,7 @@ from ewlgames import (
     gamma_sweep,
     load_default_catalogue,
 )
+from ewlgames import cli
 from ewlgames.cli import ConfigError, build_parser, main, parse_angle, parse_steps
 from ewlgames.output import BAYES_COLUMNS, TWO_PLAYER_COLUMNS
 from ewlgames.svgplot import Figure
@@ -139,6 +140,25 @@ class TestUsageErrors:
     def test_missing_required_option_exits_1(self, capsys):
         assert run("solve", "--gamma", "0", "--out", "x.csv") == 1
         assert "--game" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,missing",
+        [
+            (["solve", "--game", "prisoners_dilemma"], "--out"),
+            (["sweep", "--game", "prisoners_dilemma"], "--out"),
+            (["bayes-sweep", "--game", "prisoners_dilemma", "--game2", "deadlock"], "--out"),
+            (["analyze", "--game", "prisoners_dilemma", "--gamma-slice", "0"], "--out"),
+            (["analyze", "--game", "prisoners_dilemma", "--out", "an"], "--gamma-slice"),
+        ],
+        ids=["solve", "sweep", "bayes-sweep", "analyze", "analyze-gamma-slice"],
+    )
+    def test_missing_option_exits_before_the_grid_is_built(self, tmp_path, monkeypatch, capsys, argv, missing):
+        built = []
+        monkeypatch.setattr(cli, "build_grid", built.append)
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == f"error: missing required option {missing}\n"
+        assert built == [] and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize(
@@ -302,7 +322,7 @@ class TestPlotsFromColumns:
         run("sweep", "--game", "stag_hunt", "--steps", self.STEPS, "--gamma-grid", "9",
             "--out", str(tmp_path / "sweep.csv"), "--plot", str(svg))
         game = load_default_catalogue().get("stag_hunt")
-        records = gamma_sweep(game, build_grid(parse_steps(self.STEPS)), default_gamma_grid(9))
+        records = gamma_sweep(game, build_grid(parse_steps(self.STEPS)), default_gamma_grid(9)).records
         fig = Figure("stag_hunt: equilibrium payoffs vs entanglement", "entanglement gamma (rad)", "payoff")
         fig.add_scatter("player A", sorted({(r.gamma, r.equilibrium.payoffs[0]) for r in records}))
         fig.add_scatter("player B", sorted({(r.gamma, r.equilibrium.payoffs[1]) for r in records}))
@@ -318,7 +338,7 @@ class TestPlotsFromColumns:
         records = bayes_sweep(
             catalogue.get("prisoners_dilemma"), catalogue.get("deadlock"),
             build_grid(parse_steps(self.STEPS)), default_gamma_grid(5), p_points,
-        )
+        ).records
         fig = Figure("prisoners_dilemma vs deadlock: A payoff", "entanglement gamma (rad)", "payoff A")
         for p in (0.0, 0.5, 1.0):
             points = {(r.gamma, r.equilibrium.payoffs[0]) for r in records if r.p == p}
@@ -488,7 +508,11 @@ class TestAnalyze:
         assert (tmp_path / "rec_payoff_hist.csv").read_text() == "bin_center,count\n"
 
     @pytest.mark.parametrize(
-        "field,value", [("payoff_a", "inf"), ("payoff_a", "nan"), ("gamma", "1.6"), ("theta_b", "-1")]
+        "field,value",
+        [
+            ("payoff_a", "inf"), ("payoff_a", "nan"), ("gamma", "1.6"), ("theta_b", "-1"),
+            ("eq_index", "-3"), ("a_index", "-4"),
+        ],
     )
     def test_bad_record_value_exits_1_naming_the_file(self, tmp_path, sweep_csv, capsys, field, value):
         header, *rows = sweep_csv.read_text().split("\n")

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from ewlgames import __version__, bayes_sweep, gamma_sweep
+from ewlgames import RecordTable, __version__, bayes_sweep, gamma_sweep
 from ewlgames.output import (
     BAYES_COLUMNS,
     TWO_PLAYER_COLUMNS,
@@ -18,7 +18,6 @@ from ewlgames.output import (
     write_rows_csv,
 )
 from ewlgames.svgplot import Figure
-from ewlgames.sweep import RecordTable, _bayes_table, _gamma_table
 
 from oracles import TWO_PLAYER_HEADER, read_records_rows, records_csv_text, records_json_text
 
@@ -27,7 +26,7 @@ PI = math.pi
 
 @pytest.fixture(scope="module")
 def small_sweep(prisoners_dilemma, coarse_grid):
-    return gamma_sweep(prisoners_dilemma, coarse_grid, [0.0, PI / 8, PI / 2])
+    return gamma_sweep(prisoners_dilemma, coarse_grid, [0.0, PI / 8, PI / 2]).records
 
 
 class TestFormatting:
@@ -66,17 +65,17 @@ class TestCsv:
             seen[gamma] = eq_index
 
     def test_header_only_when_no_equilibria(self, tmp_path, matching_pennies, coarse_grid):
-        records = gamma_sweep(matching_pennies, coarse_grid, [0.0, 0.5])
+        table = gamma_sweep(matching_pennies, coarse_grid, [0.0, 0.5])
         path = tmp_path / "empty.csv"
-        write_records_csv(path, records, bayes=False)
+        write_records_csv(path, table, bayes=False)
         assert path.read_text() == ",".join(TWO_PLAYER_COLUMNS) + "\n"
 
     def test_bayes_schema(self, tmp_path, prisoners_dilemma, deadlock, coarse_grid):
-        records = bayes_sweep(
+        table = bayes_sweep(
             prisoners_dilemma, deadlock, coarse_grid, [0.0], [0.0, 1.0]
         )
         path = tmp_path / "bayes.csv"
-        write_records_csv(path, records, bayes=True)
+        write_records_csv(path, table, bayes=True)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == ",".join(BAYES_COLUMNS)
         assert len(lines[1].split(",")) == len(BAYES_COLUMNS)
@@ -187,6 +186,8 @@ class TestReader:
             pytest.param(GOOD.replace("0.5,", "nan,", 1) + "\n", id="nan-gamma"),
             pytest.param(GOOD.replace(",0,1.57079632679,", ",-inf,1.57079632679,") + "\n", id="inf-phi"),
             pytest.param(GOOD + "\n   \n", id="whitespace-line"),
+            pytest.param(GOOD.replace("0.5,0,", "0.5,-3,", 1) + "\n", id="negative-eq-index"),
+            pytest.param(GOOD.replace(",4,5,", ",-4,5,") + "\n", id="negative-a-index"),
         ],
     )
     def test_bad_rows_raise_naming_the_file(self, tmp_path, body):
@@ -284,9 +285,9 @@ class TestRecordWriters:
     ):
         gammas = [0.0, PI / 8, PI / 2]
         if bayes:
-            table = _bayes_table(prisoners_dilemma, deadlock, coarse_grid, gammas, [0.0, 0.5, 1.0])
+            table = bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, gammas, [0.0, 0.5, 1.0])
         else:
-            table = _gamma_table(prisoners_dilemma, coarse_grid, gammas)
+            table = gamma_sweep(prisoners_dilemma, coarse_grid, gammas)
         paths = [tmp_path / f"table.{fmt_name}", tmp_path / f"records.{fmt_name}"]
         for path, source in zip(paths, [table, table.records]):
             if fmt_name == "csv":

@@ -8,6 +8,7 @@ from ewlgames import (
     GameDefinition,
     NashEquilibrium,
     PriorProbability,
+    RecordTable,
     StrategyParams,
     SweepRecord,
     bayes_sweep,
@@ -15,14 +16,16 @@ from ewlgames import (
     default_gamma_grid,
     default_p_grid,
     gamma_sweep,
+    load_default_catalogue,
     nash_bayesian,
     payoff_histogram,
     payoff_tensor,
     scatter_theta,
 )
+from ewlgames.cli import main
 from ewlgames.grid import SteppingParams, build_grid
-from ewlgames.output import read_two_player_csv, record_columns, write_records_csv
-from ewlgames.sweep import BAYES_COLUMNS, TWO_PLAYER_COLUMNS, RecordTable, _bayes_table, _gamma_table
+from ewlgames.output import read_two_player_csv, record_columns, write_records_csv, write_records_json
+from ewlgames.sweep import BAYES_COLUMNS, TWO_PLAYER_COLUMNS
 
 from oracles import brute_force_bayes
 from oracles import payoff_histogram as reference_histogram
@@ -43,8 +46,13 @@ def gamma_points():
 
 
 @pytest.fixture(scope="module")
-def pd_records(prisoners_dilemma, coarse_grid, gamma_points):
+def pd_table(prisoners_dilemma, coarse_grid, gamma_points):
     return gamma_sweep(prisoners_dilemma, coarse_grid, gamma_points)
+
+
+@pytest.fixture(scope="module")
+def pd_records(pd_table):
+    return pd_table.records
 
 
 class TestDefaultGrids:
@@ -91,7 +99,7 @@ class TestGammaSweep:
         assert all(best[a] <= best[b] + 1e-12 for a, b in zip(gammas, gammas[1:]))
 
     def test_stag_hunt_branches(self, stag_hunt, coarse_grid, gamma_points):
-        records = gamma_sweep(stag_hunt, coarse_grid, gamma_points)
+        records = gamma_sweep(stag_hunt, coarse_grid, gamma_points).records
         by_gamma: dict[float, set[float]] = {}
         for r in records:
             by_gamma.setdefault(r.gamma, set()).add(round(r.equilibrium.payoffs[0], 9))
@@ -105,12 +113,12 @@ class TestGammaSweep:
         assert by_gamma[gamma_points[-1]] == {4.0}
 
     def test_matching_pennies_empty(self, matching_pennies, coarse_grid, gamma_points):
-        assert gamma_sweep(matching_pennies, coarse_grid, gamma_points) == []
+        assert len(gamma_sweep(matching_pennies, coarse_grid, gamma_points)) == 0
 
     def test_deterministic(self, prisoners_dilemma, coarse_grid):
         pts = default_gamma_grid(9)
-        r1 = gamma_sweep(prisoners_dilemma, coarse_grid, pts)
-        r2 = gamma_sweep(prisoners_dilemma, coarse_grid, pts)
+        r1 = gamma_sweep(prisoners_dilemma, coarse_grid, pts).records
+        r2 = gamma_sweep(prisoners_dilemma, coarse_grid, pts).records
         assert r1 == r2
 
     def test_sorted_by_gamma_then_indices(self, pd_records):
@@ -119,8 +127,8 @@ class TestGammaSweep:
 
 
 class TestCriticalGamma:
-    def test_pd_bracket(self, pd_records, gamma_points):
-        bracket = critical_gamma(pd_records, gamma_points)
+    def test_pd_bracket(self, pd_table, gamma_points):
+        bracket = critical_gamma(pd_table, gamma_points)
         assert bracket is not None
         assert bracket.last_gamma_with == pytest.approx(25 * PI / 128, abs=0)
         assert bracket.first_gamma_without == pytest.approx(26 * PI / 128, abs=0)
@@ -131,58 +139,71 @@ class TestCriticalGamma:
         )
 
     def test_deadlock_bracket(self, deadlock, coarse_grid, gamma_points):
-        records = gamma_sweep(deadlock, coarse_grid, gamma_points)
-        for r in records:
+        table = gamma_sweep(deadlock, coarse_grid, gamma_points)
+        for r in table.records:
             assert r.equilibrium.payoffs == pytest.approx((2.0, 2.0), abs=1e-9)
-        bracket = critical_gamma(records, gamma_points)
+        bracket = critical_gamma(table, gamma_points)
         assert bracket.last_gamma_with == pytest.approx(38 * PI / 128, abs=0)
         assert bracket.first_gamma_without == pytest.approx(39 * PI / 128, abs=0)
         assert bracket.last_gamma_with < DEADLOCK_GAMMA_CRITICAL < bracket.first_gamma_without
 
     def test_persistent_branch_has_no_bracket(self, stag_hunt, coarse_grid, gamma_points):
-        records = gamma_sweep(stag_hunt, coarse_grid, gamma_points)
-        pareto = critical_gamma(
-            records, gamma_points, lambda r: abs(r.equilibrium.payoffs[0] - 4.0) < 1e-6
-        )
+        table = gamma_sweep(stag_hunt, coarse_grid, gamma_points)
+        pareto = critical_gamma(table, gamma_points, np.abs(table.columns["payoff_a"] - 4.0) < 1e-6)
         assert pareto is None
 
-    def test_empty_records(self, gamma_points):
-        assert critical_gamma([], gamma_points) is None
+    def test_empty_records(self, matching_pennies, coarse_grid, gamma_points):
+        assert critical_gamma(gamma_sweep(matching_pennies, coarse_grid, [0.0]), gamma_points) is None
 
-    def test_selector_matching_nothing(self, pd_records, gamma_points):
-        assert critical_gamma(pd_records, gamma_points, lambda r: False) is None
+    def test_selector_matching_nothing(self, pd_table, gamma_points):
+        assert critical_gamma(pd_table, gamma_points, np.zeros(len(pd_table), dtype=bool)) is None
+
+    def test_mask_selects_the_branch_and_its_payoffs(self, prisoners_dilemma, deadlock, coarse_grid):
+        # the p = 1 rows bracket like the dilemma alone and the p = 0 rows
+        # like the deadlock; a Bayesian bracket carries all three payoffs
+        points = default_gamma_grid(17)
+        table = bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, points, [0.0, 1.0])
+        for p, game in ((1.0, prisoners_dilemma), (0.0, deadlock)):
+            got = critical_gamma(table, points, table.columns["p"] == p)
+            expected = critical_gamma(gamma_sweep(game, coarse_grid, points), points)
+            assert (got.last_gamma_with, got.first_gamma_without) == (
+                expected.last_gamma_with, expected.first_gamma_without
+            )
+            assert len(got.branch_payoff_at_last) == 3
+            assert got.branch_payoff_at_last[0] == pytest.approx(expected.branch_payoff_at_last[0], abs=1e-12)
 
     def test_records_read_from_a_csv_bracket_like_the_sweep(self, tmp_path, prisoners_dilemma, coarse_grid):
         # the CSV prints gamma to 12 digits, so the read gammas are not grid points
         points = default_gamma_grid(9)
-        records = gamma_sweep(prisoners_dilemma, coarse_grid, points)
+        table = gamma_sweep(prisoners_dilemma, coarse_grid, points)
         path = tmp_path / "sweep.csv"
-        write_records_csv(path, records, bayes=False)
-        read = read_two_player_csv(path).records
-        assert {r.gamma for r in read} - set(points)
-        expected, got = critical_gamma(records, points), critical_gamma(read, points)
+        write_records_csv(path, table, bayes=False)
+        read = read_two_player_csv(path)
+        assert set(read.gamma_values) - set(points)
+        expected, got = critical_gamma(table, points), critical_gamma(read, points)
         assert expected.last_gamma_with == 3 * PI / 16
         assert got.last_gamma_with == expected.last_gamma_with
         assert got.first_gamma_without == expected.first_gamma_without
         assert got.branch_payoff_at_last == pytest.approx(expected.branch_payoff_at_last, abs=1e-9)
 
-    def test_gamma_off_the_sweep_points_is_named(self, pd_records):
+    def test_gamma_off_the_sweep_points_is_named(self, pd_table):
+        off_grid = RecordTable(record_columns([_record(0.3001, 1.0)]))
         with pytest.raises(ValueError, match=r"record gamma 0\.3001 "):
-            critical_gamma([_record(0.3001, 1.0)], [0.0, 0.3001 - 2e-9, 0.3001 + 2e-9, PI / 2])
+            critical_gamma(off_grid, [0.0, 0.3001 - 2e-9, 0.3001 + 2e-9, PI / 2])
         with pytest.raises(ValueError, match=r"record gamma 0\.0 "):
-            critical_gamma(pd_records, [], lambda r: r.gamma == 0.0)
+            critical_gamma(pd_table, [], pd_table.columns["gamma"] == 0.0)
 
 
 class TestBayesSweep:
     def test_boundary_projections(self, prisoners_dilemma, deadlock, coarse_grid):
         pts = default_gamma_grid(9)
         pp = default_p_grid(5)
-        brecs = bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, pts, pp)
+        brecs = bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, pts, pp).records
 
         def two_player_set(game):
             return {
                 (r.gamma, *r.equilibrium.strategy_indices, round(r.equilibrium.payoffs[0], 12))
-                for r in gamma_sweep(game, coarse_grid, pts)
+                for r in gamma_sweep(game, coarse_grid, pts).records
             }
 
         proj_p1 = {
@@ -206,7 +227,7 @@ class TestBayesSweep:
         for p in (0.0, 0.25, 0.5, 1.0):
             brecs = bayes_sweep(
                 prisoners_dilemma, deadlock, coarse_grid, [0.0], [p]
-            )
+            ).records
             got = sorted(r.equilibrium.strategy_indices for r in brecs)
             expected = brute_force_bayes(
                 t1.payoff_a.tolist(), t1.payoff_b.tolist(),
@@ -216,14 +237,14 @@ class TestBayesSweep:
 
     def test_same_game_twice_is_p_independent(self, prisoners_dilemma, coarse_grid):
         pts = default_gamma_grid(5)
-        brecs = bayes_sweep(prisoners_dilemma, prisoners_dilemma, coarse_grid, pts, [0.25, 0.75])
+        brecs = bayes_sweep(prisoners_dilemma, prisoners_dilemma, coarse_grid, pts, [0.25, 0.75]).records
         by_p = {}
         for r in brecs:
             by_p.setdefault(r.p, []).append((r.gamma, r.equilibrium.strategy_indices))
         assert by_p[0.25] == by_p[0.75]
         two = {
             (r.gamma, *r.equilibrium.strategy_indices)
-            for r in gamma_sweep(prisoners_dilemma, coarse_grid, pts)
+            for r in gamma_sweep(prisoners_dilemma, coarse_grid, pts).records
         }
         diag = {
             (r.gamma, r.equilibrium.strategy_indices[0], r.equilibrium.strategy_indices[1])
@@ -237,7 +258,7 @@ class TestBayesSweep:
         # bayes_sweep shares one candidate set per gamma across the priors;
         # it must give exactly what one nash_bayesian call per (gamma, p) gives
         gammas, priors = [0.0, 0.35, PI / 2], [0.0, 0.4, 1.0]
-        brecs = bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, gammas, priors)
+        brecs = bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, gammas, priors).records
         expected = []
         for g in gammas:
             t1 = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(g))
@@ -261,7 +282,7 @@ class TestBayesSweep:
     def test_record_ordering(self, prisoners_dilemma, deadlock, coarse_grid):
         pts = default_gamma_grid(5)
         pp = default_p_grid(3)
-        brecs = bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, pts, pp)
+        brecs = bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, pts, pp).records
         keys = [(r.gamma, r.p, r.equilibrium.strategy_indices) for r in brecs]
         assert keys == sorted(keys)
 
@@ -272,32 +293,57 @@ def bayes_case(prisoners_dilemma, deadlock, coarse_grid):
 
 
 class TestRecordTables:
-    def test_gamma_sweep_is_the_table_records(self, prisoners_dilemma, coarse_grid):
-        points = default_gamma_grid(9)
-        table = _gamma_table(prisoners_dilemma, coarse_grid, points)
-        assert not table.bayes and len(table) > 0
-        assert gamma_sweep(prisoners_dilemma, coarse_grid, points) == table.records
+    STEPS = "pi/4,pi/4,pi/4"
 
-    def test_bayes_sweep_is_the_table_records(self, bayes_case):
-        table = _bayes_table(*bayes_case)
+    def test_library_csv_equals_the_sweep_command(self, tmp_path):
+        cli_out, lib_out = tmp_path / "cli.csv", tmp_path / "lib.csv"
+        argv = ["sweep", "--game", "stag_hunt", "--steps", self.STEPS, "--gamma-grid", "9"]
+        assert main([*argv, "--out", str(cli_out)]) == 0
+        grid = build_grid(SteppingParams(PI / 4, PI / 4, PI / 4))
+        table = gamma_sweep(load_default_catalogue().get("stag_hunt"), grid, default_gamma_grid(9))
+        assert not table.bayes and len(table) > 0
+        write_records_csv(lib_out, table, bayes=False)
+        assert lib_out.read_bytes() == cli_out.read_bytes()
+
+    def test_library_json_equals_the_bayes_sweep_command(self, tmp_path):
+        cli_out, lib_out = tmp_path / "cli.json", tmp_path / "lib.json"
+        argv = [
+            "bayes-sweep", "--game", "prisoners_dilemma", "--game2", "deadlock", "--steps", self.STEPS,
+            "--gamma-grid", "5", "--p-grid", "5", "--format", "json",
+        ]
+        assert main([*argv, "--out", str(cli_out)]) == 0
+        grid = build_grid(SteppingParams(PI / 4, PI / 4, PI / 4))
+        catalogue = load_default_catalogue()
+        table = bayes_sweep(
+            catalogue.get("prisoners_dilemma"), catalogue.get("deadlock"),
+            grid, default_gamma_grid(5), default_p_grid(5),
+        )
         assert table.bayes and len(table) > 0
-        assert bayes_sweep(*bayes_case) == table.records
+        metadata = {
+            "command": "bayes-sweep",
+            "game": "prisoners_dilemma",
+            "game2": "deadlock",
+            "steps": list(grid.source_steps.astuple()),
+            "gamma_points": 5,
+            "p_points": 5,
+            "epsilon": 1e-9,
+            "grid_size": len(grid),
+        }
+        write_records_json(lib_out, table, bayes=True, metadata=metadata)
+        assert lib_out.read_bytes() == cli_out.read_bytes()
 
     @pytest.mark.parametrize("bayes", [False, True], ids=["two-player", "bayes"])
     def test_record_columns_equal_the_table_bit_for_bit(self, bayes_case, bayes):
         game1, game2, grid, gammas, priors = bayes_case
-        if bayes:
-            table, records = _bayes_table(*bayes_case), bayes_sweep(*bayes_case)
-        else:
-            table, records = _gamma_table(game1, grid, gammas), gamma_sweep(game1, grid, gammas)
-        columns = record_columns(records, bayes=bayes)
+        table = bayes_sweep(*bayes_case) if bayes else gamma_sweep(game1, grid, gammas)
+        columns = record_columns(table.records, bayes=bayes)
         assert list(columns) == list(table.columns) == (BAYES_COLUMNS if bayes else TWO_PLAYER_COLUMNS)
         for name, col in table.columns.items():
             assert col.dtype == columns[name].dtype == (np.int64 if name.endswith("index") else np.float64)
             assert col.tobytes() == columns[name].tobytes(), name
 
     def test_eq_index_restarts_at_every_point(self, bayes_case):
-        table = _bayes_table(*bayes_case)
+        table = bayes_sweep(*bayes_case)
         expected, counts = [], {}
         for gamma, p in zip(table.columns["gamma"].tolist(), table.columns["p"].tolist()):
             expected.append(counts.get((gamma, p), 0))
@@ -307,7 +353,7 @@ class TestRecordTables:
         assert record_columns(table.records, bayes=True)["eq_index"].tolist() == expected
 
     def test_angles_are_the_grid_params(self, bayes_case):
-        table = _bayes_table(*bayes_case)
+        table = bayes_sweep(*bayes_case)
         grid = bayes_case[2]
         for role in ("a", "b1", "b2"):
             index = table.columns[f"{role}_index"].tolist()
@@ -339,9 +385,9 @@ class TestRecordTables:
 
     def test_empty_sweeps_keep_the_schema_and_dtypes(self, matching_pennies, prisoners_dilemma, coarse_grid):
         for table, names in (
-            (_gamma_table(matching_pennies, coarse_grid, [0.0, 0.5]), TWO_PLAYER_COLUMNS),
-            (_gamma_table(matching_pennies, coarse_grid, []), TWO_PLAYER_COLUMNS),
-            (_bayes_table(prisoners_dilemma, matching_pennies, coarse_grid, [], [0.5]), BAYES_COLUMNS),
+            (gamma_sweep(matching_pennies, coarse_grid, [0.0, 0.5]), TWO_PLAYER_COLUMNS),
+            (gamma_sweep(matching_pennies, coarse_grid, []), TWO_PLAYER_COLUMNS),
+            (bayes_sweep(prisoners_dilemma, matching_pennies, coarse_grid, [], [0.5]), BAYES_COLUMNS),
         ):
             assert len(table) == 0 and table.records == [] and list(table.columns) == names
             for name, col in table.columns.items():
@@ -354,7 +400,7 @@ class TestScatterTheta:
         assert points == [(PI, PI)] * 16
 
     def test_symmetric_game_scatter_mirrors(self, stag_hunt, coarse_grid):
-        records = gamma_sweep(stag_hunt, coarse_grid, default_gamma_grid(9))
+        records = gamma_sweep(stag_hunt, coarse_grid, default_gamma_grid(9)).records
         points = set(scatter_theta(records))
         assert points == {(b, a) for a, b in points}
 
@@ -411,7 +457,7 @@ class TestPayoffHistogram:
         game = GameDefinition("favored", (5, 2, 4, 1), (4, 3, 0, 1))
         grid = build_grid(SteppingParams(PI / 4, PI / 4, PI / 4))
         g = 29 * PI / 128
-        records = gamma_sweep(game, grid, [g])
+        records = gamma_sweep(game, grid, [g]).records
         hist = payoff_histogram(records, g, 0.05)
         assert [(round(c, 9), n) for c, n in hist] == [
             (4.175, 32),
