@@ -24,18 +24,20 @@ import math
 import re
 import sys
 
+import numpy as np
+
 from . import __version__
 from .catalogue import CatalogueError, load_catalogue, load_default_catalogue
 from .circuit import GameDefinition
 from .equilibrium import DEFAULT_EPSILON
-from .grid import SteppingParams, build_grid
+from .grid import SteppingParams, StrategyGrid, build_grid
 from .output import (
     STRATEGY_COLUMNS,
     fmt,
     read_two_player_csv,
+    write_columns_csv,
     write_records_csv,
     write_records_json,
-    write_rows_csv,
 )
 from .sweep import (
     _GAMMA_MATCH,
@@ -178,17 +180,18 @@ def _load_games(args: argparse.Namespace, names: list[str]) -> list[GameDefiniti
     return [catalogue.get(n) for n in names]
 
 
-def _emit_records(
-    args: argparse.Namespace,
-    table: RecordTable,
-    *,
-    bayes: bool,
-    metadata: dict,
-) -> None:
+def _emit_records(args: argparse.Namespace, grid: StrategyGrid, table: RecordTable, **metadata) -> None:
+    """Write `table` as --format says; JSON metadata is the run's plus the command's own keys."""
     if args.format == "csv":
-        write_records_csv(args.out, table, bayes=bayes)
+        write_records_csv(args.out, table, bayes=table.bayes)
     else:
-        write_records_json(args.out, table, bayes=bayes, metadata=metadata)
+        metadata.update(
+            command=args.command,
+            steps=list(grid.source_steps.astuple()),
+            epsilon=args.epsilon,
+            grid_size=len(grid),
+        )
+        write_records_json(args.out, table, bayes=table.bayes, metadata=metadata)
     print(f"wrote {len(table)} record(s) to {args.out}")
 
 
@@ -221,19 +224,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     (game,) = _load_games(args, [args.game])
     grid = build_grid(args.steps)
     table = gamma_sweep(game, grid, [args.gamma], args.epsilon)
-    _emit_records(
-        args,
-        table,
-        bayes=False,
-        metadata={
-            "command": "solve",
-            "game": game.name,
-            "steps": list(grid.source_steps.astuple()),
-            "gamma": args.gamma,
-            "epsilon": args.epsilon,
-            "grid_size": len(grid),
-        },
-    )
+    _emit_records(args, grid, table, game=game.name, gamma=args.gamma)
     return EXIT_OK
 
 
@@ -242,19 +233,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = build_grid(args.steps)
     gamma_points = default_gamma_grid(args.gamma_grid)
     table = gamma_sweep(game, grid, gamma_points, args.epsilon)
-    _emit_records(
-        args,
-        table,
-        bayes=False,
-        metadata={
-            "command": "sweep",
-            "game": game.name,
-            "steps": list(grid.source_steps.astuple()),
-            "gamma_points": len(gamma_points),
-            "epsilon": args.epsilon,
-            "grid_size": len(grid),
-        },
-    )
+    _emit_records(args, grid, table, game=game.name, gamma_points=len(gamma_points))
     if args.plot:
         _plot_two_player(table, f"{game.name}: equilibrium payoffs vs entanglement", args.plot)
         print(f"wrote plot to {args.plot}")
@@ -268,19 +247,8 @@ def cmd_bayes_sweep(args: argparse.Namespace) -> int:
     p_points = default_p_grid(args.p_grid)
     table = bayes_sweep(game1, game2, grid, gamma_points, p_points, args.epsilon)
     _emit_records(
-        args,
-        table,
-        bayes=True,
-        metadata={
-            "command": "bayes-sweep",
-            "game": game1.name,
-            "game2": game2.name,
-            "steps": list(grid.source_steps.astuple()),
-            "gamma_points": len(gamma_points),
-            "p_points": len(p_points),
-            "epsilon": args.epsilon,
-            "grid_size": len(grid),
-        },
+        args, grid, table, game=game1.name, game2=game2.name,
+        gamma_points=len(gamma_points), p_points=len(p_points),
     )
     if args.plot:
         _plot_bayes(table, p_points, f"{game1.name} vs {game2.name}: A payoff", args.plot)
@@ -319,33 +287,30 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"note: histogram slice snapped to the nearest swept gamma {nearest:.12g}")
         gamma_slice = nearest
 
-    prefix = args.out
     hist = payoff_bins(columns["gamma"], columns["payoff_a"], gamma_slice, args.bin_width)
-    theta_a, theta_b, payoff_a = (columns[name].tolist() for name in ("theta_a", "theta_b", "payoff_a"))
-    theta_points = list(zip(theta_a, theta_b))
-    theta_payoff = list(zip(theta_a, payoff_a))
-
-    paths = {
-        "theta_scatter": f"{prefix}_theta_scatter.csv",
-        "payoff_hist": f"{prefix}_payoff_hist.csv",
-        "theta_payoff": f"{prefix}_theta_payoff.csv",
+    bins = np.array(hist, dtype=[("bin_center", np.float64), ("count", np.int64)])
+    tables = {
+        "theta_scatter": {name: columns[name] for name in ("theta_a", "theta_b")},
+        "payoff_hist": {name: bins[name] for name in bins.dtype.names},
+        "theta_payoff": {name: columns[name] for name in ("theta_a", "payoff_a")},
     }
-    write_rows_csv(paths["theta_scatter"], ["theta_a", "theta_b"], theta_points)
-    write_rows_csv(paths["payoff_hist"], ["bin_center", "count"], hist)
-    write_rows_csv(paths["theta_payoff"], ["theta_a", "payoff_a"], theta_payoff)
+    paths = {name: f"{args.out}_{name}.csv" for name in tables}
+    for name, table in tables.items():
+        write_columns_csv(paths[name], list(table), list(table.values()))
     for name, p in paths.items():
         print(f"wrote {name} to {p}")
 
     plot = args.plot
     if plot:
+        theta_a, theta_b, payoff_a = (columns[name].tolist() for name in ("theta_a", "theta_b", "payoff_a"))
         fig = Figure("equilibrium strategy angles", "theta_A (rad)", "theta_B (rad)")
-        fig.add_scatter("", theta_points)
+        fig.add_scatter("", zip(theta_a, theta_b))
         fig.render(f"{plot}_theta_scatter.svg")
         fig = Figure(f"A payoffs at gamma={gamma_slice:.4g}", "payoff A", "count")
         fig.add_bars((c, n, args.bin_width) for c, n in hist)
         fig.render(f"{plot}_payoff_hist.svg")
         fig = Figure("A payoff vs theta_A", "theta_A (rad)", "payoff A")
-        fig.add_scatter("", theta_payoff)
+        fig.add_scatter("", zip(theta_a, payoff_a))
         fig.render(f"{plot}_theta_payoff.svg")
         print(f"wrote plots to {plot}_*.svg")
     return EXIT_OK
@@ -353,16 +318,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_strategies(args: argparse.Namespace) -> int:
     grid = build_grid(args.steps)
-    rows = [
-        [i, p.theta, p.phi, p.alpha] for i, p in enumerate(grid.params)
-    ]
+    columns = [np.arange(len(grid)), *np.array([p.astuple() for p in grid.params]).T]
     if args.out:
-        write_rows_csv(args.out, STRATEGY_COLUMNS, rows)
-        print(f"wrote {len(rows)} strategies to {args.out}")
+        write_columns_csv(args.out, STRATEGY_COLUMNS, columns)
+        print(f"wrote {len(grid)} strategies to {args.out}")
     else:
         print(",".join(STRATEGY_COLUMNS))
-        for row in rows:
-            print(",".join(fmt(v) for v in row))
+        for row in zip(*(col.tolist() for col in columns)):
+            print(",".join(map(fmt, row)))
     return EXIT_OK
 
 

@@ -7,9 +7,11 @@ record array with full-precision floats, byte for byte what
 byte-identical. Every file is written to a temporary file beside its target
 and renamed onto it, so a failed write leaves the target as it was.
 
-The record writers take a `RecordTable` and format each column's distinct
-values once; a `SweepRecord` sequence is first turned into a table by
-`record_columns`. The reader returns a table too.
+Every CLI CSV is written by `write_columns_csv`, which formats each
+column's distinct values once; `write_rows_csv` is the per-field form for
+arbitrary rows. The record writers take a `RecordTable`; a `SweepRecord`
+sequence is first turned into a table by `record_columns`. The reader
+returns a table too.
 """
 from __future__ import annotations
 
@@ -74,23 +76,11 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def _row_format(types: tuple[type, ...]) -> str:
-    # `fmt` as one %-format: str() for ints, 12 digits for everything else
-    return ",".join("%s" if issubclass(t, int) else "%.12g" for t in types)
-
-
 def write_rows_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
     """A header line, then each row's fields formatted by `fmt`, comma-joined."""
-    formats: dict[tuple[type, ...], str] = {}
     with atomic_writer(path) as fh:
-        lines = [",".join(columns)]
-        for row in rows:
-            types = tuple(map(type, row))
-            spec = formats.get(types)
-            if spec is None:
-                spec = formats[types] = _row_format(types)
-            lines.append(spec % tuple(row))
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
 
 
 def _record_table(records: RecordTable | Sequence[SweepRecord], bayes: bool) -> RecordTable:
@@ -120,30 +110,34 @@ _WRITE_BLOCK = 4096
 
 def _write_rows(
     fh: TextIO,
-    table: RecordTable,
-    names: Sequence[str],
+    columns: Sequence[np.ndarray],
     template: str,
     text: Callable[[float | int], str],
     sep: str,
 ) -> None:
-    """`template % row` for every row of the named columns, `sep`-joined.
+    """`template % row` for every row of the equal-length `columns`, `sep`-joined.
 
-    The fields of a row are `text` of its values, in `names` order.
+    The fields of a row are `text` of its values, in column order.
     """
-    texts = [_column_text(table.columns[name], text) for name in names]
-    for start in range(0, len(table), _WRITE_BLOCK):
+    texts = [_column_text(col, text) for col in columns]
+    for start in range(0, len(columns[0]), _WRITE_BLOCK):
         block = slice(start, start + _WRITE_BLOCK)
         rows = zip(*(strings[inverse[block]].tolist() for strings, inverse in texts))
         fh.write((sep if start else "") + sep.join(map(template.__mod__, rows)))
+
+
+def write_columns_csv(path: str | Path, names: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """A header line, then one line of `fmt` fields per row of the equal-length `columns`."""
+    with atomic_writer(path) as fh:
+        fh.write(",".join(names) + "\n")
+        _write_rows(fh, columns, ",".join(["%s"] * len(names)) + "\n", fmt, "")
 
 
 def write_records_csv(path: str | Path, records: RecordTable | Sequence[SweepRecord], *, bayes: bool) -> None:
     """The schema header, then one line of `fmt` fields per record."""
     table = _record_table(records, bayes)
     names = BAYES_COLUMNS if bayes else TWO_PLAYER_COLUMNS
-    with atomic_writer(path) as fh:
-        fh.write(",".join(names) + "\n")
-        _write_rows(fh, table, names, ",".join(["%s"] * len(names)) + "\n", fmt, "")
+    write_columns_csv(path, names, [table.columns[name] for name in names])
 
 
 def write_records_json(
@@ -166,7 +160,7 @@ def write_records_json(
         fh.write(f'{head[:-2]},\n  "records": [')
         if len(table):
             fh.write("\n")
-            _write_rows(fh, table, names, template, json.dumps, ",\n")
+            _write_rows(fh, [table.columns[name] for name in names], template, json.dumps, ",\n")
             fh.write("\n  ")
         fh.write("]\n}\n")
 

@@ -26,6 +26,8 @@ def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     t = first
     while t <= hi + 1e-12 * step:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:  # step under half an ulp of t: one tick is all there is
+            break
         t += step
     return ticks
 
@@ -67,7 +69,13 @@ class Figure:
         return x0 - padx, x1 + padx, y0 - pady, y1 + pady
 
     def render(self, path: str | Path) -> None:
+        """Write the SVG; ValueError, before any file is made, if an axis range overflows."""
         x0, x1, y0, y1 = self._bounds()
+        for axis, lo, hi in (("x", x0, x1), ("y", y0, y1)):
+            if not math.isfinite(hi - lo):
+                raise ValueError(
+                    f"cannot plot {self.title!r}: the {axis} axis range [{lo:.4g}, {hi:.4g}] overflows"
+                )
         pw = WIDTH - MARGIN_L - MARGIN_R
         ph = HEIGHT - MARGIN_T - MARGIN_B
 

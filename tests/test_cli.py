@@ -205,6 +205,30 @@ class TestSweep:
         assert run("sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 1
         assert "wibble" in capsys.readouterr().err
 
+    def test_plot_of_payoffs_equal_up_to_float_noise_finishes(self, tmp_path):
+        # every payoff prints as 1000000 but differs by an ulp, so the y ticks
+        # step by less than half an ulp; a subprocess, so a hang fails on the timeout
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        (tmp_path / "flat.ini").write_text("[flat6]\npayoff_a = 1e6,1e6,1e6,1e6\npayoff_b = 1e6,1e6,1e6,1e6\n")
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "ewlgames", "sweep", "--catalogue", "flat.ini", "--game", "flat6",
+                "--gamma-grid", "5", "--out", "f.csv", "--plot", "f.svg",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "wrote 320 record(s)" in proc.stdout
+        assert (tmp_path / "f.svg").read_text().endswith("</svg>\n")
+
 
 class TestOptionTable:
     def test_defaults_are_library_constants(self):
@@ -539,6 +563,17 @@ class TestAnalyze:
         assert code == 1
         assert "bin_width" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+    def test_overflowing_plot_range_exits_1_without_the_svg(self, tmp_path, sweep_csv, capsys):
+        prefix = str(tmp_path / "bw")
+        code = run(
+            "analyze", "--records", str(sweep_csv), "--gamma-slice", "0",
+            "--bin-width", "1.7e308", "--out", prefix, "--plot", prefix,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "x axis range" in err and "Traceback" not in err
+        assert not (tmp_path / "bw_payoff_hist.svg").exists()
 
     def test_inline_sweep(self, tmp_path):
         prefix = str(tmp_path / "inline")

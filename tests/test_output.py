@@ -13,6 +13,7 @@ from ewlgames.output import (
     fmt,
     read_two_player_csv,
     record_columns,
+    write_columns_csv,
     write_records_csv,
     write_records_json,
     write_rows_csv,
@@ -256,6 +257,11 @@ class TestRecordWriters:
         rows = table_rows(table, names)
         assert csv_path.read_bytes() == records_csv_text(names, rows).encode()
         assert json_path.read_bytes() == records_json_text(names, rows, expected_meta).encode()
+        # the column writer alone, against `fmt` field by field
+        columns_path = tmp_path / "c.csv"
+        write_columns_csv(columns_path, names, [table.columns[name] for name in names])
+        fields = "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
+        assert columns_path.read_bytes() == (",".join(names) + "\n" + fields).encode()
 
     def test_distinct_bit_patterns_keep_their_own_text(self, tmp_path):
         table = mixed_table(False, 57)

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
+
+import pytest
 
 from ewlgames.svgplot import Figure
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -66,3 +74,38 @@ def test_exact_repeats_do_not_change_the_bytes(tmp_path):
         fig.add_scatter("s", pts)
         fig.render(path)
     assert once.read_bytes() == repeated.read_bytes()
+
+
+def test_axis_range_of_one_ulp_renders(tmp_path):
+    # the y ticks step by less than half an ulp of 1e6; a subprocess, so a
+    # tick loop that never ends fails on the timeout instead of hanging
+    code = (
+        "import math, sys\n"
+        "from ewlgames.svgplot import Figure\n"
+        "fig = Figure('flat', 'x', 'y')\n"
+        "fig.add_scatter('', [(0, 1e6), (1, math.nextafter(1e6, 2e6))])\n"
+        "fig.render(sys.argv[1])\n"
+    )
+    path = tmp_path / "flat.svg"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    texts = [t.text for t in ET.parse(path).getroot().findall(f"{SVG_NS}text")]
+    assert "1e+06" in texts
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_overflowing_axis_range_raises_before_writing(tmp_path, axis):
+    fig = Figure("huge", "x", "y")
+    if axis == "x":
+        fig.add_bars([(0.5 * 1.7e308, 1, 1.7e308)])
+    else:
+        fig.add_scatter("", [(0, -1e308), (1, 1e308)])
+    with pytest.raises(ValueError, match=f"the {axis} axis range .* overflows"):
+        fig.render(tmp_path / "huge.svg")
+    assert list(tmp_path.iterdir()) == []
