@@ -25,8 +25,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-
 
 def _require_complex(values, shape: tuple[int, ...]) -> np.ndarray:
     """Coerce to a complex128 array of the given shape with finite entries."""

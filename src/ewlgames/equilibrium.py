@@ -1,8 +1,11 @@
 """Payoff tensors over a strategy grid and pure-strategy Nash enumeration.
 
-A tensor row is player A's strategy index, a column player B's. Best
-responses are argmax-with-ties sets (tolerance epsilon); equilibria are
-the row/column intersections of those sets. The three-player Bayesian
+The payoff kernel `pairwise_payoffs` gives each strategy 10 gamma-free
+rotation features, exactly the same for U and -U; each gamma builds only
+one 10x10 matrix K per payoff vector from `circuit.entangler`. A tensor
+row is player A's strategy index, a column player B's. Best responses
+are argmax-with-ties sets (tolerance epsilon); equilibria are the
+row/column intersections of those sets. The three-player Bayesian
 composition mixes two tensors that share a grid and entanglement: player
 A scores p * game1 + (1-p) * game2 while each B-type scores its own game
 at full weight.
@@ -27,12 +30,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import PAULI_X, EntanglementParam, GameDefinition
+from .circuit import EntanglementParam, GameDefinition, entangler
 from .grid import StrategyGrid
 
 # Payoff ties: far below any gap in integer-scale payoff tables, far above
-# double rounding in <=4 chained 4x4 products.
+# double rounding in two chained real products of inner dimension 10.
 DEFAULT_EPSILON = 1e-9
+
+# The Paulis (I, sx, sy, sz). Row mu * 4 + nu of _PAULI_FORM is conj(sigma_mu (x) sigma_nu)
+# flattened, so _PAULI_FORM @ op.ravel() is Tr(op sigma_mu (x) sigma_nu), real for Hermitian op.
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI_FORM = np.einsum("pab,qcd->pqacbd", _PAULIS, _PAULIS).reshape(16, 16).conj()
+# The flat positions mu' * 4 + mu where R_U[mu', mu] can be nonzero: (0, 0) and the 3x3 block.
+_ROTATION = [0, 5, 6, 7, 9, 10, 11, 13, 14, 15]
 
 
 def pairwise_payoffs(
@@ -43,24 +53,19 @@ def pairwise_payoffs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both players' expected payoffs for every strategy pairing.
 
-    With C = diag(c, i s) for c=cos(g/2), s=sin(g/2), the final-state
-    amplitudes for the pair (Ua_i, Ub_j), read as a 2x2 array
-    Psi[a_bit, b_bit], are
+    A payoff is Tr(Q (Ua (x) Ub) rho0 (Ua (x) Ub)^dag), with rho0 = J|00><00|J^dag
+    and Q = J diag(w) J^dag for the player's payoff vector w. Conjugation by U
+    rotates the Paulis, U sigma_mu U^dag = sum_mu' R_U[mu', mu] sigma_mu', with
+    R_U[mu', mu] = 1/2 Tr(sigma_mu' U sigma_mu U^dag) real, R_U[0, 0] = 1 and
+    zeros on the rest of row and column 0. With the Pauli forms
+    r[mu, nu] = Tr(rho0 sigma_mu (x) sigma_nu) and q alike for Q,
 
-        Psi = c * S - i s * (sx S sx),   S = Ua_i C Ub_j^T,
+        payoff(i, j) = 1/4 sum q[mu', nu'] r[mu, nu] R_i[mu', mu] R_j[nu', nu] = f_i^T K f_j
 
-    i.e. Psi[a, b] = sum_m L_i[a, m] R_j[b, m] with the 2x4 blocks
-    L_i = [c*Ua_i*C | -i s*sx*Ua_i*C] and R_j = [Ub_j | sx*Ub_j]. Hence
-
-        |Psi[a, b]|^2 = sum_{m,m'} F_i[a, m, m'] G_j[b, m, m']
-
-    for the outer products F_i[a, m, m'] = L_i[a, m] conj(L_i[a, m']) and
-    G_j[b, m, m'] = R_j[b, m] conj(R_j[b, m']), and a payoff table w[a, b]
-    scores payoff(i, j) = Re sum_{a,m,m'} F_i[a, m, m'] H_j[a, m, m'] with
-    H_j[a] = sum_b w[a, b] G_j[b]. As 64 real features per strategy,
-    f_i = [Re F_i, -Im F_i] and h_j = [Re H_j, Im H_j], each player's
-    whole table is the one real matrix product f @ h^T. Agreement with the
-    naive product path is enforced by tests at 1e-12.
+    for the 10 gamma-free rotation features f (R_U at (0, 0) and its 3x3
+    block, identical for U and -U) and the 10x10 K = 1/4 kron(q, r) at those
+    positions, built per gamma from `entangler`. Tests hold the kernel to the
+    naive product path at 1e-12.
 
     Returns (payoff_a, payoff_b) as (len(mats_a), len(mats_b)) float arrays.
     """
@@ -68,25 +73,22 @@ def pairwise_payoffs(
     mats_b = np.asarray(mats_b, dtype=np.complex128)
     if mats_a.ndim != 3 or mats_a.shape[1:] != (2, 2) or mats_b.ndim != 3 or mats_b.shape[1:] != (2, 2):
         raise ValueError("strategy stacks must have shape (N, 2, 2)")
-    na, nb = mats_a.shape[0], mats_b.shape[0]
-    c = math.cos(gamma.gamma / 2.0)
-    s = math.sin(gamma.gamma / 2.0)
 
-    # L[i] = [c * Ua_i C | -i s * sx Ua_i C]  (2x4 per strategy)
-    ac = mats_a * np.array([c, 1j * s])  # right-multiply by diag(c, i s)
-    left = np.concatenate([c * ac, -1j * s * (PAULI_X @ ac)], axis=2)
-    # R[j] = [Ub_j | sx Ub_j]
-    right = np.concatenate([mats_b, PAULI_X @ mats_b], axis=2)
+    def pauli_form(ops) -> np.ndarray:
+        """Tr(op sigma_mu (x) sigma_nu) at flat mu * 4 + nu, for each 4x4 op in a stack."""
+        return (ops.reshape(-1, 16) @ _PAULI_FORM.T).real
 
-    outer_left = left[:, :, :, None] * left[:, :, None, :].conj()  # F: (na, 2, 4, 4)
-    outer_right = right[:, :, :, None] * right[:, :, None, :].conj()  # G: (nb, 2, 4, 4)
-    feat_a = np.stack([outer_left.real, -outer_left.imag], axis=1).reshape(na, 64)
+    # R_U[mu', mu] is 1/2 the Pauli form of V[(b, d), (a, c)] = U[b, c] conj(U[a, d]).
+    feat_a, feat_b = (
+        0.5 * pauli_form(np.einsum("nbc,nad->nbdac", m, m.conj()))[:, _ROTATION] for m in (mats_a, mats_b)
+    )
+    j = entangler(gamma)
+    r = pauli_form(np.outer(j[:, 0], j[:, 0].conj())).reshape(4, 4)  # J|00> is J's first column
 
     def payoffs(pay) -> np.ndarray:
-        weights = np.asarray(pay, dtype=np.float64).reshape(2, 2)
-        hermit = np.einsum("ab,jbmn->jamn", weights, outer_right)  # H: (nb, 2, 4, 4)
-        feat_b = np.stack([hermit.real, hermit.imag], axis=1).reshape(nb, 64)
-        return feat_a @ feat_b.T
+        q = pauli_form((j * np.asarray(pay, dtype=np.float64)) @ j.conj().T).reshape(4, 4)
+        k = 0.25 * np.kron(q, r)[np.ix_(_ROTATION, _ROTATION)]
+        return feat_a @ k @ feat_b.T
 
     return payoffs(game.payoff_a), payoffs(game.payoff_b)
 

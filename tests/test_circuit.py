@@ -14,6 +14,7 @@ from ewlgames import (
     final_state,
     final_state_from_matrices,
     outcome_probs,
+    pairwise_payoffs,
     strategy_matrix,
 )
 from ewlgames.sweep import default_gamma_grid
@@ -222,3 +223,16 @@ class TestClassicalEmbedding:
             shifted_b = outcome_probs(final_state_from_matrices(gamma, ua, phase * ub))
             np.testing.assert_allclose(shifted_a, base, atol=1e-12)
             np.testing.assert_allclose(shifted_b, base, atol=1e-12)
+        # The payoff kernel: random phases on the rows and the columns, and -U, whose
+        # rotation features equal U's bit for bit.
+        for gamma in (0.0, 0.6, math.pi / 2):
+            gamma = EntanglementParam(gamma)
+            game = GameDefinition("rnd", tuple(rng.uniform(-3, 5, 4)), tuple(rng.uniform(-3, 5, 4)))
+            mats = np.array([strategy_matrix(random_params(rng)) for _ in range(12)])
+            phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=(2, 12, 1, 1)))
+            base = pairwise_payoffs(mats, mats, gamma, game)
+            shifted = pairwise_payoffs(phases[0] * mats, phases[1] * mats, gamma, game)
+            np.testing.assert_allclose(shifted, base, atol=1e-12)
+            for rows, cols in ((-mats, mats), (mats, -mats)):
+                negated = pairwise_payoffs(rows, cols, gamma, game)
+                assert all(np.array_equal(n, b) for n, b in zip(negated, base))

@@ -8,6 +8,7 @@ from ewlgames import (
     EntanglementParam,
     GameDefinition,
     PriorProbability,
+    StrategyParams,
     expected_payoffs,
     final_state,
     final_state_from_matrices,
@@ -16,6 +17,7 @@ from ewlgames import (
     outcome_probs,
     pairwise_payoffs,
     payoff_tensor,
+    strategy_matrix,
 )
 from ewlgames import equilibrium
 from ewlgames.grid import SteppingParams, build_grid
@@ -94,6 +96,28 @@ class TestPayoffTensor:
                         )
                         naive = expected_payoffs(probs, game)
                         assert (pa[i, j], pb[i, j]) == pytest.approx(naive, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [0.5, 3.0, 1e8])
+    @pytest.mark.parametrize("shift", [-2.0, 5.0])
+    def test_kernel_tables_follow_affine_payoff_change(self, request, scale, shift):
+        # w -> scale * w + shift must give scale * P + shift; the shift reaches
+        # the tables only through the R[0, 0] rotation feature.
+        rng = np.random.default_rng(36)
+        angles = rng.uniform(0, 1, size=(40, 3)) * (PI, 2 * PI, 2 * PI)
+        mats = np.array([strategy_matrix(StrategyParams(*row)) for row in angles])
+        names = ["prisoners_dilemma", "deadlock", "stag_hunt", "matching_pennies"]
+        for game in [request.getfixturevalue(name) for name in names] + [random_game(rng)]:
+            moved = GameDefinition(
+                "moved",
+                tuple(scale * w + shift for w in game.payoff_a),
+                tuple(scale * w + shift for w in game.payoff_b),
+            )
+            for gamma in (0.0, 0.9, PI / 2):
+                base = pairwise_payoffs(mats[:25], mats[15:], EntanglementParam(gamma), game)
+                got = pairwise_payoffs(mats[:25], mats[15:], EntanglementParam(gamma), moved)
+                for table, want, weights in zip(got, base, (moved.payoff_a, moved.payoff_b)):
+                    size = max(abs(w) for w in weights)
+                    np.testing.assert_allclose(table, scale * want + shift, rtol=0, atol=1e-12 * size)
 
     def test_kernel_rejects_bad_shapes(self, prisoners_dilemma):
         with pytest.raises(ValueError):
