@@ -111,12 +111,16 @@ def strategy_matrix(p: StrategyParams) -> np.ndarray:
     """
     c = math.cos(p.theta / 2.0)
     s = math.sin(p.theta / 2.0)
-    return np.array(
-        [
-            [np.exp(-1j * p.phi) * c, np.exp(1j * p.alpha) * s],
-            [-np.exp(-1j * p.alpha) * s, np.exp(1j * p.phi) * c],
-        ],
-        dtype=np.complex128,
+    (d0, d1), (o0, o1) = _rotation_entries(c, s, p.phi, p.alpha)
+    return np.array([[d0, o0], [o1, d1]], dtype=np.complex128)
+
+
+def _rotation_entries(c, s, phi, alpha):
+    """strategy_matrix's (diagonal, off-diagonal) entry pairs; the grid passes
+    arrays and relies on numpy's array exp matching its scalar exp bit for bit."""
+    return (
+        (np.exp(-1j * phi) * c, np.exp(1j * phi) * c),
+        (np.exp(1j * alpha) * s, -np.exp(-1j * alpha) * s),
     )
 
 

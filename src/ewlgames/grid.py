@@ -2,19 +2,21 @@
 with entrywise-duplicate matrices removed, split into +-U classes.
 
 Duplicates arise because phi and alpha wrap at 2pi, alpha is inert at
-theta=0 and phi is inert at theta=pi. Deduplication compares matrices
-entrywise (tolerance DEDUP_TOL) and keeps the lexicographically first
-(theta, phi, alpha) triple. Matrices that differ only by a global phase
-are distinct entries on purpose: they count as separate strategy choices.
+theta=0 and phi is inert at theta=pi. Deduplication is greedy: in
+lexicographic (theta, phi, alpha) order, a candidate is dropped when it
+equals an earlier kept one entrywise within DEDUP_TOL, so the first kept
+triple wins even where the match is not transitive (near theta=pi).
+Matrices that differ only by a global phase are distinct entries on
+purpose: they count as separate strategy choices.
 
 Every U has determinant 1, so the only global phase that maps it onto
 another grid matrix is -1: U(theta, phi+pi, alpha+pi) = -U. Payoffs depend
 on |psi|^2 only, so U and -U score identically, and the pair forms a
-class. The partner's matrix is stored as the exact negation of the
-lower-index representative's, and the payoff kernel and the Nash
-reductions score each class once. A strategy whose negation is not on
-the grid (pi is not a multiple of the phi or alpha step) is a class of
-its own.
+class of at most two members. The partner's matrix is stored as the
+exact negation of the lower-index representative's, and the payoff kernel
+and the Nash reductions score each class once. A strategy whose negation
+is not on the grid (pi is not a multiple of the phi or alpha step), or
+whose first negation already has a partner, is a class of its own.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import TWO_PI, StrategyParams, strategy_matrix
+from .circuit import TWO_PI, StrategyParams, _rotation_entries
 
 DEDUP_TOL = 1e-9
 
@@ -84,32 +86,23 @@ def _multiples(step: float, bound: float) -> list[float]:
     return values
 
 
-# (row, candidate) pairs per step of `_matches`' prefilter; a step's
-# scratch is about 25 bytes per pair, 25 MiB in all.
-_MATCH_BLOCK = 1 << 20
+def _axis_matches(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy keep mask and first kept negation along one angle axis.
 
-
-def _matches(mats: np.ndarray, sign: float) -> list[tuple[int, int]]:
-    """Every (j, i) with i < j and max|mats[j] - sign * mats[i]| <= DEDUP_TOL,
-    in row-major order.
-
-    All of `mats` share theta, so entries (0, 0) and (0, 1) each have one
-    magnitude across the bucket. The larger one (at least 1/sqrt(2)) is
-    compared first: a pair can match only if that entry does, so only
-    matrices whose phi (or alpha) agrees reach the full comparison.
+    `pairs` is (thetas, values, 2): the two U entries that depend on this
+    axis only. Per theta, value k is kept when no earlier kept value
+    matches both its entries within DEDUP_TOL. `twin[t, k]` is the first
+    kept value whose entries match the negations of k's, or -1.
     """
-    flat = mats.reshape(len(mats), 4)
-    key = flat[:, 0] if abs(flat[0, 0]) >= abs(flat[0, 1]) else flat[:, 1]
-    rows = max(1, _MATCH_BLOCK // len(flat))
-    pairs: list[tuple[int, int]] = []
-    for start in range(0, len(flat), rows):
-        j, i = np.nonzero(np.abs(key[start:start + rows, None] - sign * key) <= DEDUP_TOL)
-        j += start
-        earlier = i < j
-        j, i = j[earlier], i[earlier]
-        close = np.abs(flat[j] - sign * flat[i]).max(axis=1) <= DEDUP_TOL
-        pairs.extend(zip(j[close].tolist(), i[close].tolist()))
-    return pairs
+    keep = np.ones(pairs.shape[:2], dtype=bool)
+    twin = np.full(pairs.shape[:2], -1, dtype=np.intp)
+    for k in range(pairs.shape[1]):  # keep[:, k] is final from here on
+        kept = keep[:, k, None]
+        same = np.abs(pairs[:, k + 1:] - pairs[:, k, None]).max(axis=2) <= DEDUP_TOL
+        keep[:, k + 1:] &= ~(same & kept)
+        negated = np.abs(pairs + pairs[:, k, None]).max(axis=2) <= DEDUP_TOL
+        twin[negated & kept & (twin < 0)] = k
+    return keep, twin
 
 
 def build_grid(steps: SteppingParams) -> StrategyGrid:
@@ -120,52 +113,54 @@ def build_grid(steps: SteppingParams) -> StrategyGrid:
     including the interval endpoints when they are exact multiples.
     Duplicates and negations only ever share a theta value (distinct theta
     multiples separate by ~step/2 in the off-diagonal magnitude, far above
-    DEDUP_TOL), so both searches run per theta bucket. A candidate is
-    dropped when it equals an earlier kept one within DEDUP_TOL. A kept
-    strategy whose matrix M_j has max|M_j + M_i| <= DEDUP_TOL for an earlier
-    kept M_i joins i's class.
+    DEDUP_TOL). At one theta, U's diagonal depends on phi only and its
+    off-diagonal on alpha only, so two matrices match (or negate) within
+    DEDUP_TOL exactly when their phis do and their alphas do. The greedy
+    rule therefore keeps (phi, alpha) exactly when the same rule keeps phi
+    along the phi axis and alpha along the alpha axis. A strategy's first
+    earlier kept negation is the pair of its per-axis first kept negations,
+    if that pair comes earlier; the strategy joins its class only if it is
+    a representative with no partner yet.
     """
     thetas = _multiples(steps.d_theta, math.pi)
     phis = _multiples(steps.d_phi, TWO_PI)
     alphas = _multiples(steps.d_alpha, TWO_PI)
 
-    kept_params: list[StrategyParams] = []
-    kept_mats: list[np.ndarray] = []
-    classes: list[int] = []
-    representatives: list[int] = []
-    for theta in thetas:
-        params = [StrategyParams(theta, phi, alpha) for phi in phis for alpha in alphas]
-        mats = np.stack([strategy_matrix(p) for p in params])
-        kept = [True] * len(params)
-        for j, i in _matches(mats, 1.0):  # i < j, so kept[i] is already final
-            if kept[i]:
-                kept[j] = False
-        partner: dict[int, int] = {}
-        for j, i in _matches(mats, -1.0):
-            if kept[j] and kept[i]:
-                partner.setdefault(j, i)
-        index: dict[int, int] = {}  # bucket position -> grid index
-        for pos, p in enumerate(params):
-            if not kept[pos]:
-                continue
-            index[pos] = len(kept_params)
-            kept_params.append(p)
-            if pos in partner:
-                c = classes[index[partner[pos]]]
-                classes.append(c)
-                kept_mats.append(-kept_mats[representatives[c]])
-            else:
-                classes.append(len(representatives))
-                representatives.append(len(kept_mats))
-                kept_mats.append(mats[pos])
+    c = np.array([[math.cos(t / 2.0)] for t in thetas])
+    s = np.array([[math.sin(t / 2.0)] for t in thetas])
+    diagonal, off_diagonal = (
+        np.stack(entries, axis=-1) for entries in _rotation_entries(c, s, np.array(phis), np.array(alphas))
+    )
+    keep_phi, twin_phi = _axis_matches(diagonal)
+    keep_alpha, twin_alpha = _axis_matches(off_diagonal)
 
-    matrices = np.stack(kept_mats)
-    class_index = np.array(classes, dtype=np.intp)
-    reps = np.array(representatives, dtype=np.intp)
+    kept = keep_phi[:, :, None] & keep_alpha[:, None, :]
+    t, k, a = np.nonzero(kept)  # lexicographic order
+    index = np.full(kept.shape, -1, dtype=np.intp)
+    index[t, k, a] = np.arange(len(t))
+    tk, ta = twin_phi[t, k], twin_alpha[t, a]
+    paired = np.nonzero((tk >= 0) & (ta >= 0) & ((tk < k) | ((tk == k) & (ta < a))))[0]
+    rep = np.arange(len(t))
+    used: set[int] = set()  # partners and the representatives they joined
+    for j, i in zip(paired.tolist(), index[t[paired], tk[paired], ta[paired]].tolist()):
+        if i not in used:
+            used.update((i, j))
+            rep[j] = i
+
+    is_rep = rep == np.arange(len(t))
+    matrices = np.empty((len(t), 2, 2), dtype=np.complex128)
+    matrices[:, [0, 1], [0, 1]] = diagonal[t, k]
+    matrices[:, [0, 1], [1, 0]] = off_diagonal[t, a]
+    matrices[~is_rep] = -matrices[rep[~is_rep]]
+    class_index = (np.cumsum(is_rep, dtype=np.intp) - 1)[rep]
+    reps = np.nonzero(is_rep)[0]
     for arr in (matrices, class_index, reps):
         arr.setflags(write=False)
     return StrategyGrid(
-        params=tuple(kept_params),
+        params=tuple(
+            StrategyParams(thetas[i], phis[j], alphas[m])
+            for i, j, m in zip(t.tolist(), k.tolist(), a.tolist())
+        ),
         matrices=matrices,
         source_steps=steps,
         classes=class_index,

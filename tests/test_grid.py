@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ewlgames import SteppingParams, StrategyParams, build_grid, strategy_matrix
+from ewlgames import GameDefinition, SteppingParams, StrategyParams, build_grid, gamma_sweep, strategy_matrix
 
 from oracles import phase_partners
 
@@ -33,6 +33,11 @@ class TestCounts:
     def test_fine_theta_steps_yield_7968(self):
         assert len(build_grid(SteppingParams(PI / 32, PI / 8, PI / 8))) == 7968
 
+    def test_fine_phi_alpha_steps_yield_114944(self):
+        grid = build_grid(SteppingParams(PI / 8, PI / 64, PI / 64))
+        assert len(grid) == 114944
+        assert len(grid.representatives) == 57472
+
 
 class TestContents:
     def test_identity_is_entry_zero(self):
@@ -48,6 +53,22 @@ class TestContents:
     def test_matrices_match_their_params(self, coarse_grid):
         for p, m in zip(coarse_grid.params, coarse_grid.matrices):
             np.testing.assert_allclose(m, strategy_matrix(p), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            SteppingParams(PI, PI / 2, PI / 2),
+            SteppingParams(PI / 8, PI / 8, PI / 8),
+            SteppingParams(PI / 32, PI / 8, PI / 8),
+            SteppingParams(1.0, 1.5, 2.0),
+        ],
+    )
+    def test_representatives_are_bitwise_strategy_matrices(self, steps):
+        # every downstream byte relies on the grid and strategy_matrix
+        # sharing one entry formula
+        grid = build_grid(steps)
+        for i in grid.representatives:
+            assert grid.matrices[i].tobytes() == strategy_matrix(grid.params[i]).tobytes()
 
     def test_lexicographic_order(self, coarse_grid):
         triples = [p.astuple() for p in coarse_grid.params]
@@ -86,6 +107,9 @@ class TestContents:
             SteppingParams(PI / 2, PI, PI),
             SteppingParams(1.0, 1.5, 2.0),
             SteppingParams(PI / 3, 2 * PI / 3, PI / 2),
+            # at theta = pi - 2e-9 neighbouring phis match but phi 0 and 2
+            # do not; the greedy rule keeps phi in {0, 2, 4}
+            SteppingParams((PI - 2e-9) / 2, 1.0, 2.0),
         ],
     )
     def test_matches_brute_force_dedup(self, steps):
@@ -144,3 +168,41 @@ class TestPhaseClasses:
         assert same_class == {(i, j) for i, js in partners.items() for j in js if i < j}
         assert np.bincount(grid.classes).max() <= 2
         np.testing.assert_array_equal(grid.representatives, np.unique(grid.classes, return_index=True)[1])
+
+    # Near theta = pi the negation match chains: one strategy can be the
+    # first earlier negation of another while being a partner itself.
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            SteppingParams((PI - 1.2e-9) / 3, 0.5, PI / 2),
+            SteppingParams((PI - 2e-9) / 2, 1.0, PI / 2),
+            SteppingParams(PI / 8, PI / 8, PI / 8),
+        ],
+    )
+    def test_classes_have_at_most_two_members(self, steps):
+        grid = build_grid(steps)
+        assert np.bincount(grid.classes).max() <= 2
+        reps = grid.representatives[grid.classes]
+        partners = np.nonzero(reps != np.arange(len(grid)))[0]
+        assert len(partners) > 0
+        negated = -grid.matrices[reps[partners]]
+        assert grid.matrices[partners].tobytes() == negated.tobytes()
+        for j in partners:
+            assert np.abs(grid.matrices[j] - strategy_matrix(grid.params[j])).max() <= 1e-9
+
+    # The 1824 grid's zero-game sweep would hold 3.3M records, so only the
+    # near-pi grids run it.
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            SteppingParams((PI - 1.2e-9) / 3, 0.5, PI / 2),
+            SteppingParams((PI - 2e-9) / 2, 1.0, PI / 2),
+        ],
+    )
+    def test_zero_game_records_every_strategy_pair(self, steps):
+        grid = build_grid(steps)
+        n = len(grid)
+        table = gamma_sweep(GameDefinition("zero", (0, 0, 0, 0), (0, 0, 0, 0)), grid, [0.0])
+        assert len(table) == n * n
+        for role in ("a", "b"):
+            assert np.bincount(table.columns[f"{role}_index"], minlength=n).tolist() == [n] * n
