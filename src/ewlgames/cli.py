@@ -101,6 +101,17 @@ def parse_steps(text: str) -> SteppingParams:
         raise ConfigError(str(exc)) from None
 
 
+def _parse_epsilon(text: str) -> float:
+    """A finite tie tolerance >= 0, checked before any command reads or writes a file."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ConfigError(f"epsilon must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _output_format(text: str) -> str:
     if text not in ("csv", "json"):
         raise ConfigError(f"--format must be csv or json, got {text!r}")
@@ -117,7 +128,7 @@ OPTIONS = {
     "gamma": (parse_angle, "0", "entanglement angle (radians or pi fraction)"),
     "gamma_grid": (int, DEFAULT_GAMMA_POINTS, "number of gamma points"),
     "p_grid": (int, DEFAULT_P_POINTS, "number of prior points"),
-    "epsilon": (float, DEFAULT_EPSILON, "payoff tie tolerance"),
+    "epsilon": (_parse_epsilon, DEFAULT_EPSILON, "payoff tie tolerance"),
     "out": (str, None, "output path (analyze: prefix of the CSV files)"),
     "format": (_output_format, "csv", "output format, csv or json"),
     "plot": (str, None, "SVG output path (analyze: prefix of the SVG files)"),

@@ -4,8 +4,10 @@ The payoff kernel `pairwise_payoffs` gives each strategy 10 gamma-free
 rotation features, exactly the same for U and -U; each gamma builds only
 one 10x10 matrix K per payoff vector from `circuit.entangler`. A tensor
 row is player A's strategy index, a column player B's. Best responses
-are argmax-with-ties sets (tolerance epsilon); equilibria are the
-row/column intersections of those sets. The three-player Bayesian
+are argmax-with-ties sets (tolerance epsilon), and both reductions find
+equilibria by one rule: list B's best-response cells, then keep those
+where A's payoff is within epsilon of its column's maximum (for the
+Bayesian A, of the p-mixed (b1, b2) column). The three-player Bayesian
 composition mixes two tensors that share a grid and entanglement: player
 A scores p * game1 + (1-p) * game2 while each B-type scores its own game
 at full weight.
@@ -148,12 +150,17 @@ def _require_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
 
 
-def _expand(grid: StrategyGrid, class_tuples: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+def _best_responses(table: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """B's best responses: the (row, column) cells within epsilon of their row's maximum, row-major."""
+    return np.nonzero(table >= table.max(axis=1, keepdims=True) - epsilon)
+
+
+def _expand(grid: StrategyGrid, class_tuples: Sequence[np.ndarray], payoffs: Sequence[np.ndarray]) -> tuple:
     """Every member index tuple of the given class tuples, in lexicographic order.
 
-    `class_tuples` holds one class array per tuple position. Returns one
-    member index array per position, and for each member tuple the position
-    of its class tuple in the input.
+    `class_tuples` holds one class array per position, `payoffs` one array
+    per player aligned with them. Returns the member index arrays, then the
+    payoff arrays: each member tuple carries its class tuple's payoffs.
     """
     members = np.full((len(grid.representatives), 2), -1, dtype=np.intp)
     members[:, 0] = grid.representatives
@@ -170,7 +177,8 @@ def _expand(grid: StrategyGrid, class_tuples: Sequence[np.ndarray]) -> tuple[lis
     for col in columns:
         key = key * len(grid) + col
     order = np.argsort(key)  # keys are distinct
-    return [col[order] for col in columns], np.concatenate(sources)[order]
+    source = np.concatenate(sources)[order]
+    return (*(col[order] for col in columns), *(pay[source] for pay in payoffs))
 
 
 def _equilibria(columns: Sequence[np.ndarray]) -> list[NashEquilibrium]:
@@ -186,17 +194,17 @@ def _two_player_columns(tensor: PayoffTensor, epsilon: float) -> tuple[np.ndarra
     """`nash_two_player` as columns (a_index, b_index, payoff_a, payoff_b)."""
     _require_epsilon(epsilon)
     pa, pb = tensor.class_a, tensor.class_b
-    a_best = pa >= pa.max(axis=0, keepdims=True) - epsilon
-    b_best = pb >= pb.max(axis=1, keepdims=True) - epsilon
-    ca, cb = np.nonzero(a_best & b_best)
-    (i, j), source = _expand(tensor.grid, (ca, cb))
-    return i, j, pa[ca, cb][source], pb[ca, cb][source]
+    ca, cb = _best_responses(pb, epsilon)
+    keep = pa[ca, cb] >= (pa.max(axis=0) - epsilon)[cb]
+    ca, cb = ca[keep], cb[keep]
+    return _expand(tensor.grid, (ca, cb), (pa[ca, cb], pb[ca, cb]))
 
 
 def nash_two_player(tensor: PayoffTensor, epsilon: float = DEFAULT_EPSILON) -> list[NashEquilibrium]:
     """All (i, j) lying in both players' best-response sets, in index order.
 
-    The sets are taken over the class tables; each class pair then expands
+    Only B's best-response class cells (a, b) are tested: one is kept when
+    A's payoff there is within epsilon of A's column-b maximum. It expands
     to its up to 4 member pairs, which carry the class pair's payoffs.
     """
     return _equilibria(_two_player_columns(tensor, epsilon))
@@ -240,7 +248,7 @@ def _bayes_equilibria(
     """`nash_bayesian` for each prior in turn, sharing the p-independent work.
 
     Returns one column tuple (a_index, b1_index, b2_index, payoff_a,
-    payoff_b1, payoff_b2) per prior. B1's and B2's best-response masks, the
+    payoff_b1, payoff_b2) per prior. B1's and B2's best-response cells, the
     candidate class triples, their distinct (b1, b2) column pairs and the
     gathered payoff columns are built once for all priors; only each
     prior's accepted class triples are expanded to member triples.
@@ -248,13 +256,11 @@ def _bayes_equilibria(
     _require_epsilon(epsilon)
     _require_compatible(t1, t2)
     n = len(t1.class_a)  # classes, not strategies
-    best1 = t1.class_b >= t1.class_b.max(axis=1, keepdims=True) - epsilon
-    best2 = t2.class_b >= t2.class_b.max(axis=1, keepdims=True) - epsilon
-    rows1, cols1 = np.nonzero(best1)
-    rows2, cols2 = np.nonzero(best2)
-    # Candidate triples in (a, b1, b2) order: each (a, b1) of B1's mask is
+    rows1, cols1 = _best_responses(t1.class_b, epsilon)
+    rows2, cols2 = _best_responses(t2.class_b, epsilon)
+    # Candidate triples in (a, b1, b2) order: each of B1's cells (a, b1) is
     # repeated once per b2 in B2's set for that a, and the k-th repeat
-    # takes the k-th such b2. np.nonzero already lists both masks row-major.
+    # takes the k-th such b2. Both cell lists are row-major.
     count2 = np.bincount(rows2, minlength=n)
     reps = count2[rows1]
     a = np.repeat(rows1, reps)
@@ -280,15 +286,8 @@ def _bayes_equilibria(
         mixed = prior.p * x + (1.0 - prior.p) * y
         ok = np.nonzero(mixed >= (colmax[k] - epsilon)[column])[0]
         hit_a, hit_b1, hit_b2 = a[ok], b1[ok], b2[ok]
-        members, source = _expand(t1.grid, (hit_a, hit_b1, hit_b2))
-        out.append(
-            (
-                *members,
-                mixed[ok][source],
-                t1.class_b[hit_a, hit_b1][source],
-                t2.class_b[hit_a, hit_b2][source],
-            )
-        )
+        payoffs = (mixed[ok], t1.class_b[hit_a, hit_b1], t2.class_b[hit_a, hit_b2])
+        out.append(_expand(t1.grid, (hit_a, hit_b1, hit_b2), payoffs))
     return out
 
 

@@ -408,16 +408,26 @@ class TestFlagPlumbing:
         assert run(*base, "--config", str(cfg), "--out", str(tmp_path / "c.csv")) == 1
         assert not (tmp_path / "t.csv").exists() and not (tmp_path / "c.csv").exists()
 
-    @pytest.mark.parametrize("command", ["sweep", "bayes-sweep"])
+    @pytest.mark.parametrize("command", ["solve", "sweep", "bayes-sweep", "analyze-records"])
     @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
     def test_bad_epsilon_exits_1(self, tmp_path, capsys, command, epsilon):
-        out = tmp_path / "out.csv"
-        args = [command, "--game", "prisoners_dilemma", "--gamma-grid", "3"]
-        if command == "bayes-sweep":
-            args += ["--game2", "deadlock", "--p-grid", "3"]
-        assert run(*args, "--epsilon", epsilon, "--out", str(out)) == 1
+        # analyze --records runs no reduction, so only the option check can catch it
+        records = tmp_path / "records" / "pd.csv"
+        records.parent.mkdir()
+        assert run("sweep", "--game", "prisoners_dilemma", "--gamma-grid", "3", "--out", str(records)) == 0
+        capsys.readouterr()
+        game = ["--game", "prisoners_dilemma"]
+        args = {
+            "solve": ["solve", *game],
+            "sweep": ["sweep", *game, "--gamma-grid", "3"],
+            "bayes-sweep": ["bayes-sweep", *game, "--game2", "deadlock", "--gamma-grid", "3", "--p-grid", "3"],
+            "analyze-records": [
+                "analyze", "--records", str(records), "--gamma-slice", "0", "--plot", str(tmp_path / "fig"),
+            ],
+        }[command]
+        assert run(*args, "--epsilon", epsilon, "--out", str(tmp_path / "out.csv")) == 1
         assert "epsilon" in capsys.readouterr().err
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == [records.parent]
 
     def test_module_entry_point(self, tmp_path):
         import subprocess

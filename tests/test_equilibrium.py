@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ewlgames import (
     expected_payoffs,
     final_state,
     final_state_from_matrices,
+    load_default_catalogue,
     nash_bayesian,
     nash_two_player,
     outcome_probs,
@@ -506,3 +508,42 @@ class TestColumnAdapters:
             assert len(columns) == 6 and len(columns[0]) > 0
             eqs = nash_bayesian(*tensors, prior)
             assert [(eq.strategy_indices, eq.payoffs) for eq in eqs] == self.as_rows(columns)
+
+
+CATALOGUE = load_default_catalogue()
+
+
+@pytest.fixture(scope="module")
+def eighth_grid():
+    """The 1824-strategy grid (912 classes), wide enough for real tie sets."""
+    return build_grid(SteppingParams(PI / 8, PI / 8, PI / 8))
+
+
+class TestTwoPlayerOnEighthGrid:
+    @pytest.mark.parametrize("gamma", [0.0, PI / 8, PI / 2], ids=["0", "pi/8", "pi/2"])
+    @pytest.mark.parametrize("name", CATALOGUE.names)
+    def test_matches_member_level_definition(self, eighth_grid, name, gamma):
+        t = payoff_tensor(CATALOGUE.get(name), eighth_grid, EntanglementParam(gamma))
+        a, b = t.payoff_a, t.payoff_b
+        a_max, b_max = a.max(0), b.max(1, keepdims=True)
+        for epsilon in (0.0, 1e-9, 0.5):
+            i, j = np.nonzero((a >= a_max - epsilon) & (b >= b_max - epsilon))
+            columns = equilibrium._two_player_columns(t, epsilon)
+            assert len(columns) == 4
+            for got, want in zip(columns, (i, j, a[i, j], b[i, j]), strict=True):
+                assert np.array_equal(got, want), (name, gamma, epsilon)
+
+    @pytest.mark.parametrize("name", CATALOGUE.names)
+    def test_scratch_stays_under_two_class_tables_of_bytes(self, eighth_grid, name):
+        # one boolean class table for B's tie test, and no full-size mask for A
+        t = payoff_tensor(CATALOGUE.get(name), eighth_grid, EntanglementParam(PI / 8))
+        n = len(t.class_a)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            columns = equilibrium._two_player_columns(t, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(columns) == 4
+        assert peak < 2 * n * n, (name, peak / n**2)
