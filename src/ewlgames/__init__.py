@@ -3,91 +3,43 @@ Bayesian three-player compositions."""
 
 __version__ = "0.1.0"
 
-from .circuit import (
-    DEFECT_STRATEGY,
-    IDENTITY_STRATEGY,
-    EntanglementParam,
-    GameDefinition,
-    StrategyParams,
-    entangler,
-    expected_payoffs,
-    final_state,
-    final_state_from_matrices,
-    outcome_probs,
-    strategy_matrix,
-)
-from .equilibrium import (
-    DEFAULT_EPSILON,
-    NashEquilibrium,
-    PayoffTensor,
-    PriorProbability,
-    nash_bayesian,
-    nash_two_player,
-    pairwise_payoffs,
-    payoff_tensor,
-)
+from .circuit import GameDefinition, StrategyParams
+from .equilibrium import DEFAULT_EPSILON
 from .grid import SteppingParams, StrategyGrid, build_grid
-from .catalogue import (
-    CatalogueError,
-    CatalogueParseError,
-    CatalogueValidationError,
-    GameCatalogue,
-    UnknownGameError,
-    load_catalogue,
-    load_default_catalogue,
-)
+from .catalogue import CatalogueError, GameCatalogue, load_catalogue, load_default_catalogue
 from .sweep import (
     CriticalBracket,
     RecordTable,
-    SweepRecord,
     bayes_sweep,
     critical_gamma,
     default_gamma_grid,
     default_p_grid,
     gamma_sweep,
-    payoff_histogram,
-    scatter_theta,
 )
+
+# Outside __all__: the traced benchmark mirror (perfbench/traced.py) still
+# reads these as ewlgames.<name>, until ROADMAP item 1 moves it to the sweeps.
+from .circuit import EntanglementParam
+from .equilibrium import PriorProbability, nash_bayesian, nash_two_player, payoff_tensor
+from .sweep import SweepRecord, payoff_histogram, scatter_theta
 
 __all__ = [
     "__version__",
-    "DEFECT_STRATEGY",
-    "IDENTITY_STRATEGY",
-    "EntanglementParam",
     "GameDefinition",
     "StrategyParams",
-    "entangler",
-    "expected_payoffs",
-    "final_state",
-    "final_state_from_matrices",
-    "outcome_probs",
-    "strategy_matrix",
-    "DEFAULT_EPSILON",
-    "NashEquilibrium",
-    "PayoffTensor",
-    "PriorProbability",
-    "nash_bayesian",
-    "nash_two_player",
-    "pairwise_payoffs",
-    "payoff_tensor",
     "SteppingParams",
     "StrategyGrid",
     "build_grid",
-    "CatalogueError",
-    "CatalogueParseError",
-    "CatalogueValidationError",
-    "GameCatalogue",
-    "UnknownGameError",
-    "load_catalogue",
-    "load_default_catalogue",
-    "CriticalBracket",
-    "RecordTable",
-    "SweepRecord",
-    "bayes_sweep",
-    "critical_gamma",
+    "DEFAULT_EPSILON",
     "default_gamma_grid",
     "default_p_grid",
     "gamma_sweep",
-    "payoff_histogram",
-    "scatter_theta",
+    "bayes_sweep",
+    "RecordTable",
+    "critical_gamma",
+    "CriticalBracket",
+    "GameCatalogue",
+    "CatalogueError",
+    "load_catalogue",
+    "load_default_catalogue",
 ]

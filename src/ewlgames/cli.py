@@ -33,8 +33,8 @@ from .equilibrium import DEFAULT_EPSILON
 from .grid import SteppingParams, StrategyGrid, build_grid
 from .output import (
     STRATEGY_COLUMNS,
-    fmt,
     read_two_player_csv,
+    write_columns,
     write_columns_csv,
     write_records_csv,
     write_records_json,
@@ -334,9 +334,7 @@ def cmd_strategies(args: argparse.Namespace) -> int:
         write_columns_csv(args.out, STRATEGY_COLUMNS, columns)
         print(f"wrote {len(grid)} strategies to {args.out}")
     else:
-        print(",".join(STRATEGY_COLUMNS))
-        for row in zip(*(col.tolist() for col in columns)):
-            print(",".join(map(fmt, row)))
+        write_columns(sys.stdout, STRATEGY_COLUMNS, columns)
     return EXIT_OK
 
 

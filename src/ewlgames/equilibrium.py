@@ -151,8 +151,12 @@ def _require_epsilon(epsilon: float) -> None:
 
 
 def _best_responses(table: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """B's best responses: the (row, column) cells within epsilon of their row's maximum, row-major."""
-    return np.nonzero(table >= table.max(axis=1, keepdims=True) - epsilon)
+    """B's best responses: the (row, column) cells within epsilon of their row's maximum, row-major.
+
+    One flat scan of the mask gives the same cells as a 2-D `np.nonzero`, faster.
+    """
+    mask = table >= table.max(axis=1, keepdims=True) - epsilon
+    return np.divmod(np.flatnonzero(mask), table.shape[1])
 
 
 def _expand(grid: StrategyGrid, class_tuples: Sequence[np.ndarray], payoffs: Sequence[np.ndarray]) -> tuple:

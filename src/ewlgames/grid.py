@@ -12,9 +12,10 @@ purpose: they count as separate strategy choices.
 Every U has determinant 1, so the only global phase that maps it onto
 another grid matrix is -1: U(theta, phi+pi, alpha+pi) = -U. Payoffs depend
 on |psi|^2 only, so U and -U score identically, and the pair forms a
-class of at most two members. The partner's matrix is stored as the
-exact negation of the lower-index representative's, and the payoff kernel
-and the Nash reductions score each class once. A strategy whose negation
+class of at most two members. The payoff kernel and the Nash reductions
+score each class once, through its lower-index representative; every
+stored matrix is the strategy's own `strategy_matrix`, so a partner's is
+the representative's negation within DEDUP_TOL. A strategy whose negation
 is not on the grid (pi is not a multiple of the phi or alpha step), or
 whose first negation already has a partner, is a class of its own.
 """
@@ -62,9 +63,11 @@ class StrategyGrid:
     `params[i]` is the representative triple for `matrices[i]`; the
     matrix stack is a read-only (N, 2, 2) complex array. `classes[i]` is
     strategy i's +-U class and `representatives[c]` the lowest index in
-    class c, increasing in c. A partner's matrix is the exact negation of
-    its representative's, so it scores exactly the representative's
-    payoffs, and each class is scored once.
+    class c, increasing in c. `matrices[i]` is `strategy_matrix(params[i])`
+    bit for bit, so a partner's matrix is its representative's negation
+    within DEDUP_TOL. Each class is scored once, through its
+    representative, and a partner carries exactly the representative's
+    payoffs.
     """
 
     params: tuple[StrategyParams, ...]
@@ -151,7 +154,6 @@ def build_grid(steps: SteppingParams) -> StrategyGrid:
     matrices = np.empty((len(t), 2, 2), dtype=np.complex128)
     matrices[:, [0, 1], [0, 1]] = diagonal[t, k]
     matrices[:, [0, 1], [1, 0]] = off_diagonal[t, a]
-    matrices[~is_rep] = -matrices[rep[~is_rep]]
     class_index = (np.cumsum(is_rep, dtype=np.intp) - 1)[rep]
     reps = np.nonzero(is_rep)[0]
     for arr in (matrices, class_index, reps):

@@ -126,11 +126,16 @@ def _write_rows(
         fh.write((sep if start else "") + sep.join(map(template.__mod__, rows)))
 
 
-def write_columns_csv(path: str | Path, names: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+def write_columns(fh: TextIO, names: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """A header line, then one line of `fmt` fields per row of the equal-length `columns`."""
+    fh.write(",".join(names) + "\n")
+    _write_rows(fh, columns, ",".join(["%s"] * len(names)) + "\n", fmt, "")
+
+
+def write_columns_csv(path: str | Path, names: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """`write_columns` to `path`, through `atomic_writer`."""
     with atomic_writer(path) as fh:
-        fh.write(",".join(names) + "\n")
-        _write_rows(fh, columns, ",".join(["%s"] * len(names)) + "\n", fmt, "")
+        write_columns(fh, names, columns)
 
 
 def write_records_csv(path: str | Path, records: RecordTable | Sequence[SweepRecord], *, bayes: bool) -> None:

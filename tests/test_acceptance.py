@@ -8,26 +8,26 @@ import numpy as np
 import pytest
 
 from ewlgames import (
-    DEFECT_STRATEGY,
-    IDENTITY_STRATEGY,
-    EntanglementParam,
     GameDefinition,
     StrategyParams,
     bayes_sweep,
     critical_gamma,
     default_gamma_grid,
     default_p_grid,
+    gamma_sweep,
+)
+from ewlgames.circuit import (
+    DEFECT_STRATEGY,
+    IDENTITY_STRATEGY,
+    EntanglementParam,
     entangler,
     expected_payoffs,
     final_state,
     final_state_from_matrices,
-    gamma_sweep,
-    nash_two_player,
     outcome_probs,
-    pairwise_payoffs,
-    payoff_tensor,
     strategy_matrix,
 )
+from ewlgames.equilibrium import nash_two_player, pairwise_payoffs, payoff_tensor
 from ewlgames.grid import SteppingParams, build_grid
 
 from oracles import brute_force_nash, passes_deviation

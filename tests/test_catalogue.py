@@ -1,12 +1,7 @@
 import pytest
 
-from ewlgames import (
-    CatalogueParseError,
-    CatalogueValidationError,
-    UnknownGameError,
-    load_catalogue,
-    load_default_catalogue,
-)
+from ewlgames import load_catalogue, load_default_catalogue
+from ewlgames.catalogue import CatalogueParseError, CatalogueValidationError, UnknownGameError
 
 
 @pytest.fixture(scope="module")

@@ -3,20 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from ewlgames import (
+from ewlgames import GameDefinition, StrategyParams
+from ewlgames.circuit import (
     DEFECT_STRATEGY,
     IDENTITY_STRATEGY,
     EntanglementParam,
-    GameDefinition,
-    StrategyParams,
     entangler,
     expected_payoffs,
     final_state,
     final_state_from_matrices,
     outcome_probs,
-    pairwise_payoffs,
     strategy_matrix,
 )
+from ewlgames.equilibrium import pairwise_payoffs
 from ewlgames.sweep import default_gamma_grid
 
 from oracles import circuit_probs, u_matrix

@@ -388,6 +388,14 @@ class TestStrategies:
         assert run("strategies", "--steps", "pi/32,pi/8,pi/8", "--out", str(out)) == 0
         assert len(out.read_text().strip().split("\n")) == 1 + 7968
 
+    @pytest.mark.parametrize("steps", ["pi,pi/2,pi/2", "pi/8,pi/8,pi/8", "pi/32,pi/8,pi/8"])
+    def test_stdout_is_the_out_file(self, capsysbinary, tmp_path, steps):
+        out = tmp_path / "strategies.csv"
+        assert run("strategies", "--steps", steps, "--out", str(out)) == 0
+        capsysbinary.readouterr()
+        assert run("strategies", "--steps", steps) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
     def test_bad_steps_exit_1(self):
         assert run("strategies", "--steps", "0,pi,pi") == 1
 

@@ -4,24 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ewlgames import (
+from ewlgames import GameDefinition, StrategyParams, load_default_catalogue
+from ewlgames import equilibrium
+from ewlgames.circuit import (
     DEFECT_STRATEGY,
     EntanglementParam,
-    GameDefinition,
-    PriorProbability,
-    StrategyParams,
     expected_payoffs,
     final_state,
     final_state_from_matrices,
-    load_default_catalogue,
-    nash_bayesian,
-    nash_two_player,
     outcome_probs,
-    pairwise_payoffs,
-    payoff_tensor,
     strategy_matrix,
 )
-from ewlgames import equilibrium
+from ewlgames.equilibrium import PriorProbability, nash_bayesian, nash_two_player, pairwise_payoffs, payoff_tensor
 from ewlgames.grid import SteppingParams, build_grid
 
 from oracles import brute_force_bayes, brute_force_nash, passes_deviation, phase_partners
@@ -191,6 +185,19 @@ class TestBestResponses:
                 assert best and int(np.argmax(col)) in best
                 for k in range(len(col)):
                     assert (col[k] >= col.max() - eps) == (k in best)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 7), (40, 40), (5, 13), (13, 5), (1, 9), (9, 1)])
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-9, 0.5])
+    def test_cells_are_the_2d_nonzero_of_the_row_mask(self, shape, epsilon):
+        # the Bayesian candidate triples are built on this row-major order
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        table = rng.integers(0, 4, size=shape).astype(float)  # many exact ties
+        table[rng.random(shape) < 0.3] += 1e-10  # ties within 1e-9 but not exact
+        rows, cols = equilibrium._best_responses(table, epsilon)
+        expected_rows, expected_cols = np.nonzero(table >= table.max(axis=1, keepdims=True) - epsilon)
+        for got, expected in ((rows, expected_rows), (cols, expected_cols)):
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestNashTwoPlayer:

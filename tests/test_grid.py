@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ewlgames import GameDefinition, SteppingParams, StrategyParams, build_grid, gamma_sweep, strategy_matrix
+from ewlgames import GameDefinition, SteppingParams, StrategyParams, build_grid, gamma_sweep
+from ewlgames.circuit import strategy_matrix
 
 from oracles import phase_partners
 
@@ -136,15 +137,16 @@ class TestContents:
 
 
 class TestPhaseClasses:
-    def test_eighth_grid_has_912_classes_of_exact_negations(self):
+    def test_eighth_grid_has_912_classes_of_negations(self):
         grid = build_grid(SteppingParams(PI / 8, PI / 8, PI / 8))
         assert len(grid.representatives) == 912
         np.testing.assert_array_equal(grid.representatives, np.unique(grid.classes, return_index=True)[1])
         reps = grid.representatives[grid.classes]
         partners = np.nonzero(reps != np.arange(len(grid)))[0]
         assert len(partners) == 912
-        negated = -grid.matrices[reps[partners]]
-        assert (grid.matrices[partners].view(np.int64) == negated.view(np.int64)).all()  # bitwise
+        own = np.array([strategy_matrix(p) for p in grid.params])
+        assert grid.matrices.tobytes() == own.tobytes()  # bitwise, partners and representatives
+        assert np.abs(grid.matrices[partners] + grid.matrices[reps[partners]]).max() <= 1e-9
 
     @pytest.mark.parametrize(
         "steps",
@@ -185,8 +187,9 @@ class TestPhaseClasses:
         reps = grid.representatives[grid.classes]
         partners = np.nonzero(reps != np.arange(len(grid)))[0]
         assert len(partners) > 0
-        negated = -grid.matrices[reps[partners]]
-        assert grid.matrices[partners].tobytes() == negated.tobytes()
+        own = np.array([strategy_matrix(p) for p in grid.params])
+        assert grid.matrices.tobytes() == own.tobytes()  # bitwise, partners and representatives
+        assert np.abs(grid.matrices[partners] + grid.matrices[reps[partners]]).max() <= 1e-9
         for j in partners:
             assert np.abs(grid.matrices[j] - strategy_matrix(grid.params[j])).max() <= 1e-9
 

@@ -52,3 +52,44 @@ def test_readme_command_line_block_runs(tmp_path):
                 assert len(list(tmp_path.glob(f"{target}_*{suffix}"))) == 3, argv
             else:
                 assert (tmp_path / target).is_file(), argv
+
+
+PUBLIC_NAMES = {
+    "__version__",
+    "GameDefinition",
+    "StrategyParams",
+    "SteppingParams",
+    "StrategyGrid",
+    "build_grid",
+    "DEFAULT_EPSILON",
+    "default_gamma_grid",
+    "default_p_grid",
+    "gamma_sweep",
+    "bayes_sweep",
+    "RecordTable",
+    "critical_gamma",
+    "CriticalBracket",
+    "GameCatalogue",
+    "CatalogueError",
+    "load_catalogue",
+    "load_default_catalogue",
+}
+
+
+def test_all_is_the_documented_library_path():
+    assert len(ewlgames.__all__) == len(PUBLIC_NAMES)
+    assert set(ewlgames.__all__) == PUBLIC_NAMES
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    undocumented = [
+        name for name in PUBLIC_NAMES - {"__version__"} if not re.search(rf"\b{name}\b", readme)
+    ]
+    assert undocumented == []
+
+
+def test_traced_benchmark_names_resolve():
+    # The benchmark's traced mirror reads these as ewlgames.<name>; it is
+    # read as text so that nothing from perfbench is imported here.
+    traced = (ROOT / "perfbench" / "traced.py").read_text(encoding="utf-8")
+    names = set(re.findall(r"\bew\.(\w+)", traced))
+    assert names
+    assert [name for name in sorted(names) if not hasattr(ewlgames, name)] == []

@@ -4,28 +4,22 @@ import numpy as np
 import pytest
 
 from ewlgames import (
-    EntanglementParam,
     GameDefinition,
-    NashEquilibrium,
-    PriorProbability,
     RecordTable,
     StrategyParams,
-    SweepRecord,
     bayes_sweep,
     critical_gamma,
     default_gamma_grid,
     default_p_grid,
     gamma_sweep,
     load_default_catalogue,
-    nash_bayesian,
-    payoff_histogram,
-    payoff_tensor,
-    scatter_theta,
 )
+from ewlgames.circuit import EntanglementParam
 from ewlgames.cli import main
+from ewlgames.equilibrium import NashEquilibrium, PriorProbability, nash_bayesian, payoff_tensor
 from ewlgames.grid import SteppingParams, build_grid
 from ewlgames.output import read_two_player_csv, record_columns, write_records_csv, write_records_json
-from ewlgames.sweep import BAYES_COLUMNS, TWO_PLAYER_COLUMNS
+from ewlgames.sweep import BAYES_COLUMNS, TWO_PLAYER_COLUMNS, SweepRecord, payoff_histogram, scatter_theta
 
 from oracles import brute_force_bayes
 from oracles import payoff_histogram as reference_histogram
