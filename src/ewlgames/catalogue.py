@@ -71,7 +71,8 @@ def load_catalogue(path: str | Path) -> GameCatalogue:
 
     Raises CatalogueParseError for unreadable structure (with the line
     configparser reports), CatalogueValidationError for bad game entries,
-    FileNotFoundError if the file is missing.
+    ValueError for a payoff beyond `circuit.PAYOFF_LIMIT`, FileNotFoundError
+    if the file is missing.
     """
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None)

@@ -1,9 +1,11 @@
-"""EWL circuit evaluation: entangle, play, unentangle, score.
+"""The EWL game model: strategies, entanglement, games and their gates.
 
 The protocol: both qubits start in |0>, an entangling gate J(gamma) is
 applied, each player applies a single-qubit strategy rotation U(theta,
 phi, alpha), J is undone, and the four outcome probabilities are dotted
-with per-player payoff vectors.
+with per-player payoff vectors. This module holds the model and its
+gates; `equilibrium.pairwise_payoffs` is the package's one evaluator of
+the circuit.
 
 J(gamma) = cos(gamma/2) I + i sin(gamma/2) (sigma_x (x) sigma_x), the
 exponential form: identity at gamma=0, a Bell-state maker at gamma=pi/2.
@@ -24,16 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-
-def _require_complex(values, shape: tuple[int, ...]) -> np.ndarray:
-    """Coerce to a complex128 array of the given shape with finite entries."""
-    arr = np.asarray(values, dtype=np.complex128)
-    if arr.shape != shape:
-        raise ValueError(f"expected shape {shape}, got {arr.shape}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-        raise ValueError("non-finite entry")
-    return arr
+# Largest payoff magnitude a game may have. A payoff table entry is a convex
+# combination of the payoff vector, and a crude count bounds the kernel's
+# intermediate sums by 2e5 times its largest |w|, so all of them stay finite.
+PAYOFF_LIMIT = 1e300
 
 
 def _require_range(name: str, value: float, low: float, high: float) -> None:
@@ -81,15 +77,9 @@ class GameDefinition:
             vec = tuple(float(x) for x in vec)
             if len(vec) != 4:
                 raise ValueError(f"{self.name}: {tag} needs exactly 4 entries, got {len(vec)}")
-            if not all(math.isfinite(x) for x in vec):
-                raise ValueError(f"{self.name}: {tag} has a non-finite entry")
+            if not all(abs(x) <= PAYOFF_LIMIT for x in vec):  # also false for nan
+                raise ValueError(f"{self.name}: {tag} needs finite entries with |w| <= {PAYOFF_LIMIT:g}")
             object.__setattr__(self, tag, vec)
-
-
-# The classical embedding pair: identity keeps |0> (confess), and
-# U(pi,0,pi/2) = i*sigma_x flips to |1> (defect) transparently to J.
-IDENTITY_STRATEGY = StrategyParams(0.0, 0.0, 0.0)
-DEFECT_STRATEGY = StrategyParams(math.pi, 0.0, math.pi / 2)
 
 
 def entangler(gamma: EntanglementParam) -> np.ndarray:
@@ -121,36 +111,4 @@ def _rotation_entries(c, s, phi, alpha):
     return (
         (np.exp(-1j * phi) * c, np.exp(1j * phi) * c),
         (np.exp(1j * alpha) * s, -np.exp(-1j * alpha) * s),
-    )
-
-
-def final_state_from_matrices(gamma: EntanglementParam, u_a, u_b) -> np.ndarray:
-    """Final circuit state J† (u_a (x) u_b) J |00> by explicit 4x4 products.
-
-    This naive path is the reference the vectorized payoff kernel is
-    checked against.
-    """
-    u_a = _require_complex(u_a, (2, 2))
-    u_b = _require_complex(u_b, (2, 2))
-    j = entangler(gamma)
-    return j.conj().T @ (np.kron(u_a, u_b) @ j[:, 0])  # J|00> is J's first column
-
-
-def final_state(gamma: EntanglementParam, a: StrategyParams, b: StrategyParams) -> np.ndarray:
-    """Final circuit state for two parameterized strategies."""
-    return final_state_from_matrices(gamma, strategy_matrix(a), strategy_matrix(b))
-
-
-def outcome_probs(state) -> np.ndarray:
-    """Squared amplitudes per outcome, in (00, 01, 10, 11) order."""
-    state = _require_complex(state, (4,))
-    return np.abs(state) ** 2
-
-
-def expected_payoffs(probs, game: GameDefinition) -> tuple[float, float]:
-    """Dot the outcome distribution with each player's payoff vector."""
-    probs = np.asarray(probs, dtype=np.float64)
-    return (
-        float(probs @ np.asarray(game.payoff_a)),
-        float(probs @ np.asarray(game.payoff_b)),
     )

@@ -67,7 +67,7 @@ def pairwise_payoffs(
     for the 10 gamma-free rotation features f (R_U at (0, 0) and its 3x3
     block, identical for U and -U) and the 10x10 K = 1/4 kron(q, r) at those
     positions, built per gamma from `entangler`. Tests hold the kernel to the
-    naive product path at 1e-12.
+    pure-Python circuit in `tests/oracles.py` at 1e-12.
 
     Returns (payoff_a, payoff_b) as (len(mats_a), len(mats_b)) float arrays.
     """

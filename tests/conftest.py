@@ -2,11 +2,34 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
 
 from ewlgames import GameDefinition, SteppingParams, build_grid
+from ewlgames.circuit import EntanglementParam
+from ewlgames.equilibrium import pairwise_payoffs
+
+
+@pytest.fixture(scope="session")
+def kernel_probs():
+    """probs(gamma, mats_a, mats_b): (len(mats_a), len(mats_b), 4) outcome probabilities.
+
+    They are read off the payoff kernel the CLI runs: a payoff vector that is 1
+    on outcome k and 0 elsewhere makes the kernel's table that outcome's
+    probability.
+    """
+
+    def probs(gamma: float, mats_a, mats_b) -> np.ndarray:
+        tables = []
+        for k in range(4):
+            w = tuple(float(k == m) for m in range(4))
+            game = GameDefinition(f"outcome_{k}", w, w)
+            tables.append(pairwise_payoffs(mats_a, mats_b, EntanglementParam(gamma), game)[0])
+        return np.stack(tables, axis=-1)
+
+    return probs
 
 
 @pytest.fixture(scope="session")

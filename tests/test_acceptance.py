@@ -16,21 +16,11 @@ from ewlgames import (
     default_p_grid,
     gamma_sweep,
 )
-from ewlgames.circuit import (
-    DEFECT_STRATEGY,
-    IDENTITY_STRATEGY,
-    EntanglementParam,
-    entangler,
-    expected_payoffs,
-    final_state,
-    final_state_from_matrices,
-    outcome_probs,
-    strategy_matrix,
-)
+from ewlgames.circuit import EntanglementParam, entangler, strategy_matrix
 from ewlgames.equilibrium import nash_two_player, pairwise_payoffs, payoff_tensor
 from ewlgames.grid import SteppingParams, build_grid
 
-from oracles import brute_force_nash, passes_deviation
+from oracles import brute_force_nash, circuit_payoffs, passes_deviation, u_matrix
 
 PI = math.pi
 
@@ -64,14 +54,14 @@ def test_criterion_02_classical_embedding(prisoners_dilemma):
         (1, 0): (5.0, 0.0),
         (1, 1): (1.0, 1.0),
     }
-    moves = {0: IDENTITY_STRATEGY, 1: DEFECT_STRATEGY}
+    identity, defect = StrategyParams(0, 0, 0), StrategyParams(PI, 0, PI / 2)
+    moves = np.array([strategy_matrix(identity), strategy_matrix(defect)])
     t0 = time.perf_counter()
     worst = 0.0
     for gamma in default_gamma_grid():
+        got = pairwise_payoffs(moves, moves, EntanglementParam(gamma), prisoners_dilemma)
         for (ma, mb), expected in cells.items():
-            state = final_state(EntanglementParam(gamma), moves[ma], moves[mb])
-            got = expected_payoffs(outcome_probs(state), prisoners_dilemma)
-            worst = max(worst, abs(got[0] - expected[0]), abs(got[1] - expected[1]))
+            worst = max(worst, abs(got[0][ma, mb] - expected[0]), abs(got[1][ma, mb] - expected[1]))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-9
     assert elapsed < budget
@@ -83,7 +73,7 @@ def test_criterion_02_classical_embedding(prisoners_dilemma):
 
 def test_criterion_03_bell_state():
     state = entangler(EntanglementParam(PI / 2)) @ np.array([1, 0, 0, 0], complex)
-    probs = outcome_probs(state)
+    probs = np.abs(state) ** 2
     np.testing.assert_allclose(probs, [0.5, 0, 0, 0.5], atol=1e-12)
     _passed("criterion 3 (Bell state)", f"probs {probs.round(15).tolist()}")
 
@@ -211,12 +201,11 @@ def test_criterion_07_oracle_equivalence(prisoners_dilemma, coarse_grid):
         gamma = EntanglementParam(rng.uniform(0, PI / 2))
         pa = StrategyParams(rng.uniform(0, PI), rng.uniform(0, 2 * PI), rng.uniform(0, 2 * PI))
         pb = StrategyParams(rng.uniform(0, PI), rng.uniform(0, 2 * PI), rng.uniform(0, 2 * PI))
-        ua, ub = strategy_matrix(pa), strategy_matrix(pb)
-        fast_a, fast_b = pairwise_payoffs(ua[None], ub[None], gamma, game)
-        naive = expected_payoffs(
-            outcome_probs(final_state_from_matrices(gamma, ua, ub)), game
+        fast_a, fast_b = pairwise_payoffs(strategy_matrix(pa)[None], strategy_matrix(pb)[None], gamma, game)
+        oracle = circuit_payoffs(
+            gamma.gamma, u_matrix(*pa.astuple()), u_matrix(*pb.astuple()), game.payoff_a, game.payoff_b
         )
-        worst = max(worst, abs(fast_a[0, 0] - naive[0]), abs(fast_b[0, 0] - naive[1]))
+        worst = max(worst, abs(fast_a[0, 0] - oracle[0]), abs(fast_b[0, 0] - oracle[1]))
     assert worst <= 1e-12
 
     agreements = 0
@@ -231,7 +220,7 @@ def test_criterion_07_oracle_equivalence(prisoners_dilemma, coarse_grid):
                 agreements += 1
     _passed(
         "criterion 7 (oracle equivalence)",
-        f"200 samples worst fast-vs-naive gap {worst:.2e}; "
+        f"200 samples worst kernel-vs-oracle gap {worst:.2e}; "
         f"{agreements} deviation-oracle cells agree at 5 gammas",
     )
 
@@ -282,19 +271,19 @@ def test_criterion_09_performance(prisoners_dilemma):
     )
 
 
-def test_criterion_10_zero_entanglement_factorization():
+def test_criterion_10_zero_entanglement_factorization(kernel_probs):
     rng = np.random.default_rng(31415)
-    gamma = EntanglementParam(0.0)
-    worst = 0.0
-    for _ in range(500):
-        pa = StrategyParams(rng.uniform(0, PI), rng.uniform(0, 2 * PI), rng.uniform(0, 2 * PI))
-        pb = StrategyParams(rng.uniform(0, PI), rng.uniform(0, 2 * PI), rng.uniform(0, 2 * PI))
-        probs = outcome_probs(final_state(gamma, pa, pb)).reshape(2, 2)
-        marg_a = probs.sum(axis=1)
-        marg_b = probs.sum(axis=0)
-        worst = max(worst, float(np.abs(probs - np.outer(marg_a, marg_b)).max()))
+    mats = []
+    for _ in range(1000):
+        p = StrategyParams(rng.uniform(0, PI), rng.uniform(0, 2 * PI), rng.uniform(0, 2 * PI))
+        mats.append(strategy_matrix(p))
+    mats_a, mats_b = np.array(mats[0::2]), np.array(mats[1::2])
+    probs = kernel_probs(0.0, mats_a, mats_b).reshape(500, 500, 2, 2)
+    marg_a = probs.sum(axis=3)
+    marg_b = probs.sum(axis=2)
+    worst = float(np.abs(probs - marg_a[..., :, None] * marg_b[..., None, :]).max())
     assert worst <= 1e-10
     _passed(
         "criterion 10 (zero-entanglement factorization)",
-        f"500 random pairs, worst product-distribution gap {worst:.2e}",
+        f"500 x 500 random pairs from the payoff kernel, worst product-distribution gap {worst:.2e}",
     )

@@ -4,17 +4,7 @@ import numpy as np
 import pytest
 
 from ewlgames import GameDefinition, StrategyParams
-from ewlgames.circuit import (
-    DEFECT_STRATEGY,
-    IDENTITY_STRATEGY,
-    EntanglementParam,
-    entangler,
-    expected_payoffs,
-    final_state,
-    final_state_from_matrices,
-    outcome_probs,
-    strategy_matrix,
-)
+from ewlgames.circuit import EntanglementParam, entangler, strategy_matrix
 from ewlgames.equilibrium import pairwise_payoffs
 from ewlgames.sweep import default_gamma_grid
 
@@ -23,6 +13,10 @@ from oracles import circuit_probs, u_matrix
 
 def is_unitary(m, tol: float) -> bool:
     return float(np.max(np.abs(m.conj().T @ m - np.eye(len(m))))) <= tol
+
+
+IDENTITY = strategy_matrix(StrategyParams(0, 0, 0))
+DEFECT = strategy_matrix(StrategyParams(math.pi, 0, math.pi / 2))
 
 
 def random_params(rng) -> StrategyParams:
@@ -62,7 +56,7 @@ class TestEntangler:
 
     def test_maximal_makes_bell_state(self):
         state = entangler(EntanglementParam(math.pi / 2)) @ np.array([1, 0, 0, 0], complex)
-        np.testing.assert_allclose(outcome_probs(state), [0.5, 0, 0, 0.5], atol=1e-12)
+        np.testing.assert_allclose(np.abs(state) ** 2, [0.5, 0, 0, 0.5], atol=1e-12)
 
     def test_first_column(self):
         gamma = 0.6
@@ -80,8 +74,7 @@ class TestStrategyMatrix:
         np.testing.assert_allclose(strategy_matrix(StrategyParams(0, 0, 0)), np.eye(2), atol=1e-15)
 
     def test_defect_embedding(self):
-        m = strategy_matrix(DEFECT_STRATEGY)
-        np.testing.assert_allclose(m, [[0, 1j], [1j, 0]], atol=1e-15)
+        np.testing.assert_allclose(DEFECT, [[0, 1j], [1j, 0]], atol=1e-15)
 
     def test_phase_rotation(self):
         m = strategy_matrix(StrategyParams(0, math.pi / 2, 0))
@@ -111,88 +104,56 @@ class TestStrategyMatrix:
 
 class TestFinalState:
     @pytest.mark.parametrize("gamma", [0.0, 0.4, math.pi / 2])
-    def test_identity_players_leave_00(self, gamma):
-        state = final_state(EntanglementParam(gamma), IDENTITY_STRATEGY, IDENTITY_STRATEGY)
-        np.testing.assert_allclose(state, [1, 0, 0, 0], atol=1e-12)
+    def test_identity_players_leave_00(self, kernel_probs, gamma):
+        probs = kernel_probs(gamma, IDENTITY[None], IDENTITY[None])[0, 0]
+        np.testing.assert_allclose(probs, [1, 0, 0, 0], atol=1e-12)
 
-    def test_one_sided_flip_at_zero_entanglement(self):
-        state = final_state(
-            EntanglementParam(0.0), StrategyParams(math.pi, 0, 0), IDENTITY_STRATEGY
-        )
-        np.testing.assert_allclose(outcome_probs(state), [0, 0, 1, 0], atol=1e-12)
+    def test_one_sided_flip_at_zero_entanglement(self, kernel_probs):
+        flip = strategy_matrix(StrategyParams(math.pi, 0, 0))
+        probs = kernel_probs(0.0, flip[None], IDENTITY[None])[0, 0]
+        np.testing.assert_allclose(probs, [0, 0, 1, 0], atol=1e-12)
 
-    def test_double_defect_at_maximal_entanglement(self):
-        # (i sx) (x) (i sx) commutes with the entangler: the state is -|11>
-        state = final_state(EntanglementParam(math.pi / 2), DEFECT_STRATEGY, DEFECT_STRATEGY)
-        np.testing.assert_allclose(state, [0, 0, 0, -1], atol=1e-12)
+    def test_double_defect_at_maximal_entanglement(self, kernel_probs):
+        # (i sx) (x) (i sx) commutes with the entangler: the state is |11> up to a global phase
+        probs = kernel_probs(math.pi / 2, DEFECT[None], DEFECT[None])[0, 0]
+        np.testing.assert_allclose(probs, [0, 0, 0, 1], atol=1e-12)
 
     def test_norm_one(self):
+        # a constant payoff vector scores its constant: the outcome probabilities sum to 1
         rng = np.random.default_rng(13)
-        for _ in range(100):
-            state = final_state(
-                EntanglementParam(rng.uniform(0, math.pi / 2)),
-                random_params(rng),
-                random_params(rng),
-            )
-            assert abs(np.linalg.norm(state) - 1.0) <= 1e-10
+        mats = np.array([strategy_matrix(random_params(rng)) for _ in range(20)])
+        const = GameDefinition("const", (1, 1, 1, 1), (-3, -3, -3, -3))
+        for gamma in rng.uniform(0, math.pi / 2, size=5):
+            pa, pb = pairwise_payoffs(mats, mats, EntanglementParam(gamma), const)
+            np.testing.assert_allclose(pa, 1.0, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(pb, -3.0, rtol=0, atol=1e-10)
 
-    def test_matches_pure_python_reference(self):
+    def test_matches_pure_python_reference(self, kernel_probs):
         rng = np.random.default_rng(14)
         for _ in range(50):
             gamma = rng.uniform(0, math.pi / 2)
             pa, pb = random_params(rng), random_params(rng)
-            probs = outcome_probs(final_state(EntanglementParam(gamma), pa, pb))
+            probs = kernel_probs(gamma, strategy_matrix(pa)[None], strategy_matrix(pb)[None])[0, 0]
             ref = circuit_probs(gamma, u_matrix(*pa.astuple()), u_matrix(*pb.astuple()))
             np.testing.assert_allclose(probs, ref, atol=1e-12)
 
 
 class TestOutcomeProbs:
-    def test_basis_state(self):
-        np.testing.assert_array_equal(outcome_probs([1, 0, 0, 0]), [1, 0, 0, 0])
-
-    def test_bell_state(self):
-        s = 1 / math.sqrt(2)
-        np.testing.assert_allclose(outcome_probs([s, 0, 0, 1j * s]), [0.5, 0, 0, 0.5], atol=1e-15)
-
-    def test_zero_entanglement_distribution_is_product(self):
+    def test_zero_entanglement_distribution_is_product(self, kernel_probs):
         rng = np.random.default_rng(15)
-        for _ in range(100):
-            pa, pb = random_params(rng), random_params(rng)
-            probs = outcome_probs(final_state(EntanglementParam(0.0), pa, pb))
-            da = [math.cos(pa.theta / 2) ** 2, math.sin(pa.theta / 2) ** 2]
-            db = [math.cos(pb.theta / 2) ** 2, math.sin(pb.theta / 2) ** 2]
-            np.testing.assert_allclose(probs, np.outer(da, db).ravel(), atol=1e-10)
+        params = [random_params(rng) for _ in range(100)]
+        mats = np.array([strategy_matrix(p) for p in params])
+        probs = kernel_probs(0.0, mats, mats)
+        flip = np.array([[math.cos(p.theta / 2) ** 2, math.sin(p.theta / 2) ** 2] for p in params])
+        product = np.einsum("ia,jb->ijab", flip, flip).reshape(100, 100, 4)
+        np.testing.assert_allclose(probs, product, atol=1e-10)
 
-    def test_sums_to_one(self):
+    def test_sums_to_one(self, kernel_probs):
         rng = np.random.default_rng(16)
-        for _ in range(50):
-            state = final_state(
-                EntanglementParam(rng.uniform(0, math.pi / 2)),
-                random_params(rng),
-                random_params(rng),
-            )
-            assert abs(outcome_probs(state).sum() - 1.0) <= 1e-10
-
-
-class TestExpectedPayoffs:
-    def test_pure_outcomes(self, prisoners_dilemma):
-        assert expected_payoffs([0, 0, 0, 1], prisoners_dilemma) == (1, 1)
-        assert expected_payoffs([0, 1, 0, 0], prisoners_dilemma) == (0, 5)
-
-    def test_even_mixture(self, prisoners_dilemma):
-        assert expected_payoffs([0.5, 0, 0, 0.5], prisoners_dilemma) == (2, 2)
-
-    def test_linear_in_payoff_vectors(self, prisoners_dilemma):
-        doubled = GameDefinition(
-            "pd2",
-            tuple(2 * x for x in prisoners_dilemma.payoff_a),
-            tuple(2 * x for x in prisoners_dilemma.payoff_b),
-        )
-        rng = np.random.default_rng(17)
-        probs = rng.dirichlet(np.ones(4))
-        base = expected_payoffs(probs, prisoners_dilemma)
-        twice = expected_payoffs(probs, doubled)
-        assert twice == (2 * base[0], 2 * base[1])
+        for _ in range(5):
+            mats = np.array([strategy_matrix(random_params(rng)) for _ in range(10)])
+            probs = kernel_probs(rng.uniform(0, math.pi / 2), mats, mats)
+            assert np.abs(probs.sum(axis=-1) - 1.0).max() <= 1e-10
 
 
 class TestClassicalEmbedding:
@@ -203,25 +164,27 @@ class TestClassicalEmbedding:
             (1, 0): (5.0, 0.0),
             (1, 1): (1.0, 1.0),
         }
-        moves = {0: IDENTITY_STRATEGY, 1: DEFECT_STRATEGY}
+        mats = np.array([IDENTITY, DEFECT])
         for gamma in default_gamma_grid():
+            got = pairwise_payoffs(mats, mats, EntanglementParam(gamma), prisoners_dilemma)
             for (ma, mb), expected in cells.items():
-                state = final_state(EntanglementParam(gamma), moves[ma], moves[mb])
-                got = expected_payoffs(outcome_probs(state), prisoners_dilemma)
-                assert got == pytest.approx(expected, abs=1e-9)
+                assert (got[0][ma, mb], got[1][ma, mb]) == pytest.approx(expected, abs=1e-9)
 
     def test_global_phase_invariance(self):
         rng = np.random.default_rng(18)
+
+        def phased(m, phase):
+            return [[phase * x for x in row] for row in m]
+
+        # The pure-Python circuit: U and e^(i chi) U give the same outcome distribution.
         for _ in range(50):
-            gamma = EntanglementParam(rng.uniform(0, math.pi / 2))
-            ua = strategy_matrix(random_params(rng))
-            ub = strategy_matrix(random_params(rng))
-            phase = np.exp(1j * rng.uniform(0, 2 * math.pi))
-            base = outcome_probs(final_state_from_matrices(gamma, ua, ub))
-            shifted_a = outcome_probs(final_state_from_matrices(gamma, phase * ua, ub))
-            shifted_b = outcome_probs(final_state_from_matrices(gamma, ua, phase * ub))
-            np.testing.assert_allclose(shifted_a, base, atol=1e-12)
-            np.testing.assert_allclose(shifted_b, base, atol=1e-12)
+            gamma = rng.uniform(0, math.pi / 2)
+            ua = u_matrix(*random_params(rng).astuple())
+            ub = u_matrix(*random_params(rng).astuple())
+            phase = complex(np.exp(1j * rng.uniform(0, 2 * math.pi)))
+            base = circuit_probs(gamma, ua, ub)
+            np.testing.assert_allclose(circuit_probs(gamma, phased(ua, phase), ub), base, atol=1e-12)
+            np.testing.assert_allclose(circuit_probs(gamma, ua, phased(ub, phase)), base, atol=1e-12)
         # The payoff kernel: random phases on the rows and the columns, and -U, whose
         # rotation features equal U's bit for bit.
         for gamma in (0.0, 0.6, math.pi / 2):

@@ -124,6 +124,18 @@ class TestSolve:
         _, rows = read_rows(out)
         assert len(rows) > 0
 
+    def test_payoff_beyond_the_limit_exits_1_without_output(self, tmp_path, capsys):
+        cat = tmp_path / "big.ini"
+        cat.write_text("[x]\npayoff_a = 1e308,1e308,-1e308,0\npayoff_b = 1,2,3,4\n")
+        out = tmp_path / "eq.csv"
+        # pytest turns warnings into errors (pyproject.toml), so a kernel overflow warning fails here.
+        code = run(
+            "solve", "--catalogue", str(cat), "--game", "x", "--steps", "pi,pi/2,pi/2", "--out", str(out),
+        )
+        assert code == 1
+        assert "x: payoff_a" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestUsageErrors:
     def test_no_subcommand_exits_1(self):
@@ -454,22 +466,27 @@ class TestFlagPlumbing:
         from pathlib import Path
 
         src = str(Path(__file__).resolve().parent.parent / "src")
-        written = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}.csv"
-            proc = subprocess.run(
-                [
-                    sys.executable, "-m", "ewlgames", "sweep", "--game", "stag_hunt",
-                    "--steps", "pi/4,pi/4,pi/4", "--out", str(out),
-                ],
-                capture_output=True,
-                text=True,
-                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
-            )
-            assert proc.returncode == 0, proc.stderr
-            written.append(out.read_bytes())
-        assert written[0] == written[1]
-        assert written[0].count(b"\n") > 1
+        commands = {
+            "sweep": ["sweep", "--game", "stag_hunt", "--steps", "pi/4,pi/4,pi/4"],
+            "bayes": [
+                "bayes-sweep", "--game", "prisoners_dilemma", "--game2", "deadlock",
+                "--steps", "pi/4,pi/4,pi/4", "--gamma-grid", "9", "--p-grid", "5",
+            ],
+        }
+        for name, argv in commands.items():
+            written = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{name}{threads}.csv"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "ewlgames", *argv, "--out", str(out)],
+                    capture_output=True,
+                    text=True,
+                    env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+                )
+                assert proc.returncode == 0, proc.stderr
+                written.append(out.read_bytes())
+            assert written[0] == written[1]
+            assert written[0].count(b"\n") > 1
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -6,19 +6,18 @@ import pytest
 
 from ewlgames import GameDefinition, StrategyParams, load_default_catalogue
 from ewlgames import equilibrium
-from ewlgames.circuit import (
-    DEFECT_STRATEGY,
-    EntanglementParam,
-    expected_payoffs,
-    final_state,
-    final_state_from_matrices,
-    outcome_probs,
-    strategy_matrix,
-)
+from ewlgames.circuit import PAYOFF_LIMIT, EntanglementParam, strategy_matrix
 from ewlgames.equilibrium import PriorProbability, nash_bayesian, nash_two_player, pairwise_payoffs, payoff_tensor
 from ewlgames.grid import SteppingParams, build_grid
 
-from oracles import brute_force_bayes, brute_force_nash, passes_deviation, phase_partners
+from oracles import (
+    brute_force_bayes,
+    brute_force_nash,
+    circuit_payoffs,
+    passes_deviation,
+    phase_partners,
+    u_matrix,
+)
 
 PI = math.pi
 
@@ -48,7 +47,7 @@ class TestPayoffTensor:
 
     def test_classical_cells_at_zero_entanglement(self, coarse_grid, prisoners_dilemma):
         t = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(0.0))
-        defect = coarse_grid.params.index(DEFECT_STRATEGY)
+        defect = coarse_grid.params.index(StrategyParams(PI, 0, PI / 2))
         assert (t.payoff_a[0, 0], t.payoff_b[0, 0]) == pytest.approx((3, 3), abs=1e-10)
         assert (t.payoff_a[defect, 0], t.payoff_b[defect, 0]) == pytest.approx((5, 0), abs=1e-10)
 
@@ -58,10 +57,13 @@ class TestPayoffTensor:
         rng = np.random.default_rng(31)
         for _ in range(20):
             i, j = rng.integers(0, len(coarse_grid), size=2)
-            state = final_state(
-                EntanglementParam(gamma), coarse_grid.params[i], coarse_grid.params[j]
+            naive = circuit_payoffs(
+                gamma,
+                u_matrix(*coarse_grid.params[i].astuple()),
+                u_matrix(*coarse_grid.params[j].astuple()),
+                prisoners_dilemma.payoff_a,
+                prisoners_dilemma.payoff_b,
             )
-            naive = expected_payoffs(outcome_probs(state), prisoners_dilemma)
             assert (t.payoff_a[i, j], t.payoff_b[i, j]) == pytest.approx(naive, abs=1e-10)
 
     def test_zero_sum_conservation(self, coarse_grid, matching_pennies):
@@ -87,13 +89,13 @@ class TestPayoffTensor:
                 assert pa.shape == pb.shape == (3, 5)
                 for i in range(3):
                     for j in range(5):
-                        probs = outcome_probs(
-                            final_state_from_matrices(gamma, mats_a[i], mats_b[j])
+                        naive = circuit_payoffs(
+                            gamma.gamma, mats_a[i].tolist(), mats_b[j].tolist(), game.payoff_a, game.payoff_b
                         )
-                        naive = expected_payoffs(probs, game)
                         assert (pa[i, j], pb[i, j]) == pytest.approx(naive, abs=1e-12)
 
-    @pytest.mark.parametrize("scale", [0.5, 3.0, 1e8])
+    # The largest scale keeps every moved payoff (|w| <= 5 before the move) within PAYOFF_LIMIT.
+    @pytest.mark.parametrize("scale", [0.5, 3.0, 1e8, PAYOFF_LIMIT / 8])
     @pytest.mark.parametrize("shift", [-2.0, 5.0])
     def test_kernel_tables_follow_affine_payoff_change(self, request, scale, shift):
         # w -> scale * w + shift must give scale * P + shift; the shift reaches
@@ -148,7 +150,7 @@ class TestBestResponses:
         t = payoff_tensor(
             self.with_indifferent_b(prisoners_dilemma), coarse_grid, EntanglementParam(0.0)
         )
-        defect = coarse_grid.params.index(DEFECT_STRATEGY)
+        defect = coarse_grid.params.index(StrategyParams(PI, 0, PI / 2))
         vs_identity = self.a_best_sets(t)[0]
         assert defect in vs_identity
         assert 0 not in vs_identity

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import shlex
@@ -93,3 +94,16 @@ def test_traced_benchmark_names_resolve():
     names = set(re.findall(r"\bew\.(\w+)", traced))
     assert names
     assert [name for name in sorted(names) if not hasattr(ewlgames, name)] == []
+
+
+def test_oracles_import_no_package_module():
+    # tests/oracles.py is the package's only circuit reference, so it must share no code with it.
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported
+    assert [name for name in sorted(imported) if name.split(".")[0] in ("ewlgames", "")] == []
