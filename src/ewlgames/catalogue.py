@@ -70,8 +70,8 @@ def load_catalogue(path: str | Path) -> GameCatalogue:
     """Read and validate a catalogue file.
 
     Raises CatalogueParseError for unreadable structure (with the line
-    configparser reports), CatalogueValidationError for bad game entries,
-    ValueError for a payoff beyond `circuit.PAYOFF_LIMIT`, FileNotFoundError
+    configparser reports), CatalogueValidationError for bad game entries
+    (a payoff beyond `circuit.PAYOFF_LIMIT` among them), FileNotFoundError
     if the file is missing.
     """
     path = Path(path)
@@ -98,11 +98,12 @@ def load_catalogue(path: str | Path) -> GameCatalogue:
             raise CatalogueValidationError(
                 f"game {section!r}: unexpected keys {sorted(extra)}"
             )
-        games[section] = GameDefinition(
-            name=section,
-            payoff_a=_parse_payoffs(section, "payoff_a", entries["payoff_a"]),
-            payoff_b=_parse_payoffs(section, "payoff_b", entries["payoff_b"]),
-        )
+        payoff_a = _parse_payoffs(section, "payoff_a", entries["payoff_a"])
+        payoff_b = _parse_payoffs(section, "payoff_b", entries["payoff_b"])
+        try:
+            games[section] = GameDefinition(section, payoff_a, payoff_b)
+        except ValueError as exc:
+            raise CatalogueValidationError(str(exc)) from exc
     return GameCatalogue(games=games)
 
 

@@ -80,6 +80,12 @@ class TestLoadCatalogue:
         with pytest.raises(CatalogueValidationError, match="not finite"):
             load_catalogue(path)
 
+    def test_payoff_beyond_the_limit(self, tmp_path):
+        # GameDefinition's ValueError reaches a library caller as a CatalogueError
+        path = self.write(tmp_path, "[a]\npayoff_a = 1e308, 0, 0, 0\npayoff_b = 0,0,0,0\n")
+        with pytest.raises(CatalogueValidationError, match="a: payoff_a"):
+            load_catalogue(path)
+
     def test_missing_payoff_b(self, tmp_path):
         path = self.write(tmp_path, "[a]\npayoff_a = 1, 2, 3, 4\n")
         with pytest.raises(CatalogueValidationError, match="missing payoff_b"):

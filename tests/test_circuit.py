@@ -138,6 +138,21 @@ class TestFinalState:
             np.testing.assert_allclose(probs, ref, atol=1e-12)
 
 
+    def test_phase_rotation_mixes_00_and_11_at_maximal_entanglement(self, kernel_probs, prisoners_dilemma):
+        # U(0, alpha, 0) against the identity: P = (cos^2 alpha, 0, 0, sin^2 alpha) at gamma = pi/2,
+        # while at gamma = 0 the phase is unobservable and the state stays |00>
+        alphas = np.linspace(0, math.pi, 9)
+        mats = np.array([strategy_matrix(StrategyParams(0, a, 0)) for a in alphas])
+        probs = kernel_probs(math.pi / 2, mats, IDENTITY[None])[:, 0]
+        expected = np.zeros((len(alphas), 4))
+        expected[:, 0], expected[:, 3] = np.cos(alphas) ** 2, np.sin(alphas) ** 2
+        np.testing.assert_allclose(probs, expected, atol=1e-12)
+        np.testing.assert_allclose(kernel_probs(0.0, mats, IDENTITY[None])[:, 0], [[1, 0, 0, 0]] * 9, atol=1e-12)
+        # alpha = pi/4 splits |00> and |11> evenly: the prisoner's dilemma pays (3 + 1)/2 to each
+        pa, pb = pairwise_payoffs(mats[2:3], IDENTITY[None], EntanglementParam(math.pi / 2), prisoners_dilemma)
+        assert (pa[0, 0], pb[0, 0]) == pytest.approx((2.0, 2.0), abs=1e-12)
+
+
 class TestOutcomeProbs:
     def test_zero_entanglement_distribution_is_product(self, kernel_probs):
         rng = np.random.default_rng(15)
