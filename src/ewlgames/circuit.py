@@ -4,8 +4,11 @@ The protocol: both qubits start in |0>, an entangling gate J(gamma) is
 applied, each player applies a single-qubit strategy rotation U(theta,
 phi, alpha), J is undone, and the four outcome probabilities are dotted
 with per-player payoff vectors. This module holds the model and its
-gates; `equilibrium.pairwise_payoffs` is the package's one evaluator of
-the circuit.
+gates, and the circuit's Pauli form: `rotation_features` gives each
+strategy 10 gamma-free features and `payoff_forms` each player's 10x10
+matrix K at one gamma, so that a payoff is f_A^T K f_B. The payoff kernel
+in `equilibrium` is that product, the package's one evaluator of the
+circuit.
 
 J(gamma) = cos(gamma/2) I + i sin(gamma/2) (sigma_x (x) sigma_x), the
 exponential form: identity at gamma=0, a Bell-state maker at gamma=pi/2.
@@ -112,3 +115,58 @@ def _rotation_entries(c, s, phi, alpha):
         (np.exp(-1j * phi) * c, np.exp(1j * phi) * c),
         (np.exp(1j * alpha) * s, -np.exp(-1j * alpha) * s),
     )
+
+
+# The Paulis (I, sx, sy, sz). Row mu * 4 + nu of _PAULI_FORM is conj(sigma_mu (x) sigma_nu)
+# flattened, so _PAULI_FORM @ op.ravel() is Tr(op sigma_mu (x) sigma_nu), real for Hermitian op.
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI_FORM = np.einsum("pab,qcd->pqacbd", _PAULIS, _PAULIS).reshape(16, 16).conj()
+# The flat positions mu' * 4 + mu where R_U[mu', mu] can be nonzero: (0, 0) and the 3x3 block.
+_ROTATION = [0, 5, 6, 7, 9, 10, 11, 13, 14, 15]
+
+
+def _pauli_form(ops) -> np.ndarray:
+    """Tr(op sigma_mu (x) sigma_nu) at flat mu * 4 + nu, for each 4x4 op in a stack."""
+    return (ops.reshape(-1, 16) @ _PAULI_FORM.T).real
+
+
+def rotation_features(mats) -> np.ndarray:
+    """The 10 gamma-free rotation features of each 2x2 strategy in an (N, 2, 2) stack.
+
+    Conjugation by U rotates the Paulis, U sigma_mu U^dag = sum_mu' R_U[mu', mu]
+    sigma_mu', with R_U[mu', mu] = 1/2 Tr(sigma_mu' U sigma_mu U^dag) real,
+    R_U[0, 0] = 1 and zeros on the rest of row and column 0. A strategy's
+    features are R_U at (0, 0) and in its 3x3 block, flattened. U and -U
+    share them bit for bit: negating U leaves every product U[b, c]
+    conj(U[a, d]) exactly as it was.
+
+    Returns an (N, 10) float array.
+    """
+    mats = np.asarray(mats, dtype=np.complex128)
+    if mats.ndim != 3 or mats.shape[1:] != (2, 2):
+        raise ValueError("strategy stacks must have shape (N, 2, 2)")
+    # R_U[mu', mu] is 1/2 the Pauli form of V[(b, d), (a, c)] = U[b, c] conj(U[a, d]).
+    return 0.5 * _pauli_form(np.einsum("nbc,nad->nbdac", mats, mats.conj()))[:, _ROTATION]
+
+
+def payoff_forms(gamma: EntanglementParam, game: GameDefinition) -> tuple[np.ndarray, np.ndarray]:
+    """Each player's 10x10 payoff form K at one entanglement, as (K_a, K_b).
+
+    A payoff is Tr(Q (Ua (x) Ub) rho0 (Ua (x) Ub)^dag), with rho0 = J|00><00|J^dag
+    and Q = J diag(w) J^dag for the player's payoff vector w. With the Pauli
+    forms r[mu, nu] = Tr(rho0 sigma_mu (x) sigma_nu) and q alike for Q, and
+    the rotations R of `rotation_features`,
+
+        payoff(i, j) = 1/4 sum q[mu', nu'] r[mu, nu] R_i[mu', mu] R_j[nu', nu] = f_i^T K f_j
+
+    for the features f of strategies i and j and K = 1/4 kron(q, r) at the
+    features' positions. Tests hold f_i^T K f_j to the pure-Python circuit in
+    `tests/oracles.py` at 1e-12.
+    """
+    j = entangler(gamma)
+    r = _pauli_form(np.outer(j[:, 0], j[:, 0].conj())).reshape(4, 4)  # J|00> is J's first column
+    forms = []
+    for pay in (game.payoff_a, game.payoff_b):
+        q = _pauli_form((j * np.asarray(pay, dtype=np.float64)) @ j.conj().T).reshape(4, 4)
+        forms.append(0.25 * np.kron(q, r)[np.ix_(_ROTATION, _ROTATION)])
+    return forms[0], forms[1]

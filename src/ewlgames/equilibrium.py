@@ -1,16 +1,17 @@
 """Payoff tensors over a strategy grid and pure-strategy Nash enumeration.
 
-The payoff kernel `pairwise_payoffs` gives each strategy 10 gamma-free
-rotation features, exactly the same for U and -U; each gamma builds only
-one 10x10 matrix K per payoff vector from `circuit.entangler`. A tensor
-row is player A's strategy index, a column player B's. Best responses
-are argmax-with-ties sets (tolerance epsilon), and both reductions find
-equilibria by one rule: list B's best-response cells, then keep those
-where A's payoff is within epsilon of its column's maximum (for the
-Bayesian A, of the p-mixed (b1, b2) column). The three-player Bayesian
-composition mixes two tensors that share a grid and entanglement: player
-A scores p * game1 + (1-p) * game2 while each B-type scores its own game
-at full weight.
+The payoff kernel scores a strategy pair as f_a @ K @ f_b.T: the grid's
+10 gamma-free rotation features per class (`StrategyGrid.features`,
+computed once per grid) around each player's 10x10 form K, which each
+gamma builds from `circuit.payoff_forms`. A tensor row is player A's
+strategy index, a column player B's. Best responses are argmax-with-ties
+sets (tolerance epsilon), and both reductions find equilibria by one
+rule: list B's best-response cells, then keep those where A's payoff is
+within epsilon of its column's maximum (for the Bayesian A, of the
+p-mixed (b1, b2) column). The three-player Bayesian composition mixes
+two tensors that share a grid and entanglement: player A scores
+p * game1 + (1-p) * game2 while each B-type scores its own game at full
+weight.
 
 Both reductions run on the grid's +-U class tables, where every class is
 scored once, and expand each class equilibrium to its member index
@@ -32,19 +33,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import EntanglementParam, GameDefinition, entangler
+from .circuit import EntanglementParam, GameDefinition, payoff_forms, rotation_features
 from .grid import StrategyGrid
 
 # Payoff ties: far below any gap in integer-scale payoff tables, far above
 # double rounding in two chained real products of inner dimension 10.
 DEFAULT_EPSILON = 1e-9
-
-# The Paulis (I, sx, sy, sz). Row mu * 4 + nu of _PAULI_FORM is conj(sigma_mu (x) sigma_nu)
-# flattened, so _PAULI_FORM @ op.ravel() is Tr(op sigma_mu (x) sigma_nu), real for Hermitian op.
-_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_PAULI_FORM = np.einsum("pab,qcd->pqacbd", _PAULIS, _PAULIS).reshape(16, 16).conj()
-# The flat positions mu' * 4 + mu where R_U[mu', mu] can be nonzero: (0, 0) and the 3x3 block.
-_ROTATION = [0, 5, 6, 7, 9, 10, 11, 13, 14, 15]
 
 
 def pairwise_payoffs(
@@ -55,44 +49,13 @@ def pairwise_payoffs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both players' expected payoffs for every strategy pairing.
 
-    A payoff is Tr(Q (Ua (x) Ub) rho0 (Ua (x) Ub)^dag), with rho0 = J|00><00|J^dag
-    and Q = J diag(w) J^dag for the player's payoff vector w. Conjugation by U
-    rotates the Paulis, U sigma_mu U^dag = sum_mu' R_U[mu', mu] sigma_mu', with
-    R_U[mu', mu] = 1/2 Tr(sigma_mu' U sigma_mu U^dag) real, R_U[0, 0] = 1 and
-    zeros on the rest of row and column 0. With the Pauli forms
-    r[mu, nu] = Tr(rho0 sigma_mu (x) sigma_nu) and q alike for Q,
-
-        payoff(i, j) = 1/4 sum q[mu', nu'] r[mu, nu] R_i[mu', mu] R_j[nu', nu] = f_i^T K f_j
-
-    for the 10 gamma-free rotation features f (R_U at (0, 0) and its 3x3
-    block, identical for U and -U) and the 10x10 K = 1/4 kron(q, r) at those
-    positions, built per gamma from `entangler`. Tests hold the kernel to the
-    pure-Python circuit in `tests/oracles.py` at 1e-12.
+    Each player's table is f_a @ K @ f_b.T, with the `rotation_features` f
+    of each stack and the player's `payoff_forms` K at `gamma`.
 
     Returns (payoff_a, payoff_b) as (len(mats_a), len(mats_b)) float arrays.
     """
-    mats_a = np.asarray(mats_a, dtype=np.complex128)
-    mats_b = np.asarray(mats_b, dtype=np.complex128)
-    if mats_a.ndim != 3 or mats_a.shape[1:] != (2, 2) or mats_b.ndim != 3 or mats_b.shape[1:] != (2, 2):
-        raise ValueError("strategy stacks must have shape (N, 2, 2)")
-
-    def pauli_form(ops) -> np.ndarray:
-        """Tr(op sigma_mu (x) sigma_nu) at flat mu * 4 + nu, for each 4x4 op in a stack."""
-        return (ops.reshape(-1, 16) @ _PAULI_FORM.T).real
-
-    # R_U[mu', mu] is 1/2 the Pauli form of V[(b, d), (a, c)] = U[b, c] conj(U[a, d]).
-    feat_a, feat_b = (
-        0.5 * pauli_form(np.einsum("nbc,nad->nbdac", m, m.conj()))[:, _ROTATION] for m in (mats_a, mats_b)
-    )
-    j = entangler(gamma)
-    r = pauli_form(np.outer(j[:, 0], j[:, 0].conj())).reshape(4, 4)  # J|00> is J's first column
-
-    def payoffs(pay) -> np.ndarray:
-        q = pauli_form((j * np.asarray(pay, dtype=np.float64)) @ j.conj().T).reshape(4, 4)
-        k = 0.25 * np.kron(q, r)[np.ix_(_ROTATION, _ROTATION)]
-        return feat_a @ k @ feat_b.T
-
-    return payoffs(game.payoff_a), payoffs(game.payoff_b)
+    feat_a, feat_b = rotation_features(mats_a), rotation_features(mats_b)
+    return tuple(feat_a @ k @ feat_b.T for k in payoff_forms(gamma, game))
 
 
 @dataclass(frozen=True)
@@ -130,8 +93,8 @@ def payoff_tensor(
     """Tabulate both players' payoffs over every pairing of class representatives."""
     if len(grid) == 0:
         raise ValueError("empty strategy grid")
-    reps = grid.matrices[grid.representatives]
-    pa, pb = pairwise_payoffs(reps, reps, gamma, game)
+    features = grid.features
+    pa, pb = (features @ k @ features.T for k in payoff_forms(gamma, game))
     pa.setflags(write=False)
     pb.setflags(write=False)
     return PayoffTensor(game=game, gamma=gamma, grid=grid, class_a=pa, class_b=pb)

@@ -13,20 +13,23 @@ Every U has determinant 1, so the only global phase that maps it onto
 another grid matrix is -1: U(theta, phi+pi, alpha+pi) = -U. Payoffs depend
 on |psi|^2 only, so U and -U score identically, and the pair forms a
 class of at most two members. The payoff kernel and the Nash reductions
-score each class once, through its lower-index representative; every
-stored matrix is the strategy's own `strategy_matrix`, so a partner's is
-the representative's negation within DEDUP_TOL. A strategy whose negation
-is not on the grid (pi is not a multiple of the phi or alpha step), or
-whose first negation already has a partner, is a class of its own.
+score each class once, through its lower-index representative, whose
+gamma-free rotation features the grid computes on the kernel's first
+call and keeps; every stored matrix is the strategy's own
+`strategy_matrix`, so a partner's is the representative's negation
+within DEDUP_TOL. A strategy whose negation is not on the grid (pi is
+not a multiple of the phi or alpha step), or whose first negation
+already has a partner, is a class of its own.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .circuit import TWO_PI, StrategyParams, _rotation_entries
+from .circuit import TWO_PI, StrategyParams, _rotation_entries, rotation_features
 
 DEDUP_TOL = 1e-9
 
@@ -66,8 +69,8 @@ class StrategyGrid:
     class c, increasing in c. `matrices[i]` is `strategy_matrix(params[i])`
     bit for bit, so a partner's matrix is its representative's negation
     within DEDUP_TOL. Each class is scored once, through its
-    representative, and a partner carries exactly the representative's
-    payoffs.
+    representative's row of `features`, and a partner carries exactly the
+    representative's payoffs.
     """
 
     params: tuple[StrategyParams, ...]
@@ -78,6 +81,14 @@ class StrategyGrid:
 
     def __len__(self) -> int:
         return len(self.params)
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        """The representatives' `rotation_features`, a read-only (classes, 10)
+        float array, computed on first read and kept for the grid's life."""
+        features = rotation_features(self.matrices[self.representatives])
+        features.setflags(write=False)
+        return features
 
 
 def _multiples(step: float, bound: float) -> list[float]:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ewlgames import GameDefinition, StrategyParams, load_default_catalogue
+from ewlgames import GameDefinition, StrategyParams, default_gamma_grid, gamma_sweep, load_default_catalogue
 from ewlgames import equilibrium
 from ewlgames.circuit import PAYOFF_LIMIT, EntanglementParam, strategy_matrix
 from ewlgames.equilibrium import PriorProbability, nash_bayesian, nash_two_player, pairwise_payoffs, payoff_tensor
@@ -245,17 +245,30 @@ class TestNashTwoPlayer:
             i, j = eq.strategy_indices
             assert passes_deviation(pa, pb, i, j, 1e-9)
 
-    def test_symmetric_game_mirror(self, coarse_grid, stag_hunt):
+    @pytest.mark.parametrize("name", ["prisoners_dilemma", "deadlock", "stag_hunt"])
+    def test_symmetric_game_mirror(self, request, coarse_grid, eighth_grid, name):
+        game = request.getfixturevalue(name)
         # payoff_b is payoff_a with outcomes 01 and 10 swapped
-        assert stag_hunt.payoff_b == (
-            stag_hunt.payoff_a[0],
-            stag_hunt.payoff_a[2],
-            stag_hunt.payoff_a[1],
-            stag_hunt.payoff_a[3],
-        )
-        t = payoff_tensor(stag_hunt, coarse_grid, EntanglementParam(0.7))
+        assert game.payoff_b == (game.payoff_a[0], game.payoff_a[2], game.payoff_a[1], game.payoff_a[3])
+        t = payoff_tensor(game, coarse_grid, EntanglementParam(0.7))
         pairs = {eq.strategy_indices for eq in nash_two_player(t)}
         assert pairs == {(j, i) for i, j in pairs}
+
+        # Swapping the players maps the game onto itself: every equilibrium
+        # (a, b) has its mirror (b, a), with the payoffs swapped.
+        gammas = default_gamma_grid(17)
+        cols = gamma_sweep(game, eighth_grid, gammas).columns
+        assert len(cols["gamma"]) > 0
+        for gamma in gammas:
+            at = cols["gamma"] == gamma
+            indices = zip(cols["a_index"][at].tolist(), cols["b_index"][at].tolist())
+            rows = dict(zip(indices, zip(cols["payoff_a"][at].tolist(), cols["payoff_b"][at].tolist())))
+            for (a, b), (pay_a, pay_b) in rows.items():
+                assert (b, a) in rows, (name, gamma, a, b)
+                mirror_a, mirror_b = rows[b, a]
+                assert abs(pay_a - mirror_b) <= 1e-12 and abs(pay_b - mirror_a) <= 1e-12
+            t = payoff_tensor(game, eighth_grid, EntanglementParam(gamma))
+            assert np.abs(t.class_b - t.class_a.T).max() <= 1e-12, (name, gamma)
 
 
 @pytest.fixture(scope="module")

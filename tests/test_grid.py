@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ewlgames import GameDefinition, SteppingParams, StrategyParams, build_grid, gamma_sweep
-from ewlgames.circuit import strategy_matrix
+from ewlgames.circuit import rotation_features, strategy_matrix
+from ewlgames.grid import DEDUP_TOL
 
 from oracles import phase_partners
 
@@ -62,14 +63,22 @@ class TestContents:
             SteppingParams(PI / 8, PI / 8, PI / 8),
             SteppingParams(PI / 32, PI / 8, PI / 8),
             SteppingParams(1.0, 1.5, 2.0),
+            # 85 strategies, each a class of its own
+            SteppingParams(PI / 4, 2 * PI / 5, 2 * PI / 5),
         ],
     )
     def test_representatives_are_bitwise_strategy_matrices(self, steps):
         # every downstream byte relies on the grid and strategy_matrix
-        # sharing one entry formula
+        # sharing one entry formula, and the kernel reads the features
         grid = build_grid(steps)
         for i in grid.representatives:
             assert grid.matrices[i].tobytes() == strategy_matrix(grid.params[i]).tobytes()
+        features = grid.features
+        assert not features.flags.writeable
+        assert grid.features is features
+        assert features.shape == (len(grid.representatives), 10)
+        own = np.array([strategy_matrix(grid.params[i]) for i in grid.representatives])
+        assert features.tobytes() == rotation_features(own).tobytes()
 
     def test_lexicographic_order(self, coarse_grid):
         triples = [p.astuple() for p in coarse_grid.params]
@@ -179,6 +188,8 @@ class TestPhaseClasses:
             SteppingParams((PI - 1.2e-9) / 3, 0.5, PI / 2),
             SteppingParams((PI - 2e-9) / 2, 1.0, PI / 2),
             SteppingParams(PI / 8, PI / 8, PI / 8),
+            SteppingParams(PI, PI / 2, PI / 2),
+            SteppingParams(PI / 32, PI / 8, PI / 8),
         ],
     )
     def test_classes_have_at_most_two_members(self, steps):
@@ -192,6 +203,11 @@ class TestPhaseClasses:
         assert np.abs(grid.matrices[partners] + grid.matrices[reps[partners]]).max() <= 1e-9
         for j in partners:
             assert np.abs(grid.matrices[j] - strategy_matrix(grid.params[j])).max() <= 1e-9
+        # Each strategy's own features are its class's up to rounding, except
+        # where theta steps miss pi: there partners are negations only within
+        # DEDUP_TOL.
+        tol = 1e-12 if PI % steps.d_theta == 0.0 else 4 * DEDUP_TOL
+        assert np.abs(rotation_features(own) - grid.features[grid.classes]).max() <= tol
 
     # The 1824 grid's zero-game sweep would hold 3.3M records, so only the
     # near-pi grids run it.

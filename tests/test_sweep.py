@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ewlgames.grid
 from ewlgames import (
     GameDefinition,
     RecordTable,
@@ -279,6 +280,35 @@ class TestBayesSweep:
         brecs = bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, pts, pp).records
         keys = [(r.gamma, r.p, r.equilibrium.strategy_indices) for r in brecs]
         assert keys == sorted(keys)
+
+
+class TestFeaturePass:
+    def test_one_feature_pass_per_grid(self, monkeypatch, prisoners_dilemma, deadlock):
+        # Every gamma of both sweeps reads the grid's features; they are
+        # computed once, on the first read.
+        steps = SteppingParams(PI / 8, PI / 8, PI / 8)
+
+        def tables(grid):
+            return (
+                gamma_sweep(prisoners_dilemma, grid, default_gamma_grid(65)),
+                bayes_sweep(prisoners_dilemma, deadlock, grid, default_gamma_grid(5), default_p_grid(5)),
+            )
+
+        expected = tables(build_grid(steps))
+        calls = []
+        features = ewlgames.grid.rotation_features
+
+        def counted(mats):
+            calls.append(len(mats))
+            return features(mats)
+
+        monkeypatch.setattr(ewlgames.grid, "rotation_features", counted)
+        got = tables(build_grid(steps))
+        assert calls == [912]
+        for table, want in zip(got, expected, strict=True):
+            assert len(table) > 0 and table.columns.keys() == want.columns.keys()
+            for name, column in table.columns.items():
+                assert np.array_equal(column, want.columns[name]), name
 
 
 @pytest.fixture(scope="module")
