@@ -13,9 +13,18 @@ two tensors that share a grid and entanglement: player A scores
 p * game1 + (1-p) * game2 while each B-type scores its own game at full
 weight.
 
-Both reductions run on the grid's +-U class tables, where every class is
-scored once, and expand each class equilibrium to its member index
-tuples; a partner's record carries its representative's payoffs.
+Both reductions run on the orbit rows of the grid's +-U class tables.
+The grid's maps G = {e, L, R, LR} (`StrategyGrid.orbit_maps`) leave each
+table invariant, pa[g.a, g.b] = pa[a, b], so the kernel computes one row
+per G-orbit of classes: the rows of S, the lowest class of each orbit,
+against every class. B's best responses to S[i] come from row i, A's
+column maximum at b is the maximum over g of the rows' column maxima at
+g.b, and every class equilibrium is the image (g.S[i], g.b) of an
+equilibrium (S[i], b) of the rows, with its payoffs. Each class
+equilibrium is then expanded to its member index tuples; a partner's
+record carries its representative's payoffs. Equilibrium sets are
+therefore closed under every g as well as under +-U. On a grid with
+G = {e}, S is every class and the arithmetic is the full class tables'.
 Bayesian equilibria are found without a loop over A's strategies; see
 `nash_bayesian` for the algorithm, its order and its memory.
 
@@ -58,23 +67,57 @@ def pairwise_payoffs(
     return tuple(feat_a @ k @ feat_b.T for k in payoff_forms(gamma, game))
 
 
+def _orbits(grid: StrategyGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's orbit rows S and the (g, |S|) mask of canonical maps.
+
+    S holds the lowest class of each orbit of `grid.orbit_maps`, in
+    increasing order. `canonical[g, i]` is true when g is the first map in
+    (e, L, R, LR) to send S[i] to g.S[i]: over all true entries, the
+    classes g.S[i] are every class exactly once.
+    """
+    maps = grid.orbit_maps
+    rows = np.flatnonzero(maps.min(axis=0) == np.arange(maps.shape[1]))
+    images = maps[:, rows]
+    canonical = np.array([(images[g] != images[:g]).all(axis=0) for g in range(len(maps))])
+    return rows, canonical
+
+
 @dataclass(frozen=True)
 class PayoffTensor:
     """Both players' payoffs for one game at one entanglement.
 
-    `class_a[c, d]` and `class_b[c, d]` score the grid's class pair (c, d);
-    `payoff_a` and `payoff_b` expand them to the full |V| x |V| tables on
-    each access.
+    `rows_a[i, b]` and `rows_b[i, b]` score the class pair (S[i], b), for
+    the orbit rows S of the grid's `orbit_maps`. Every class is g.S[i] for
+    one canonical map g, and scores as `class_x[g.S[i], b] = rows_x[i, g.b]`.
+    `class_a` and `class_b` expand the rows to the full class tables, and
+    `payoff_a` and `payoff_b` to the full |V| x |V| tables, on each access.
     """
 
     game: GameDefinition
     gamma: EntanglementParam
     grid: StrategyGrid
-    class_a: np.ndarray = field(repr=False)
-    class_b: np.ndarray = field(repr=False)
+    rows_a: np.ndarray = field(repr=False)
+    rows_b: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.grid)
+
+    def _class_table(self, rows: np.ndarray) -> np.ndarray:
+        orbit_rows, canonical = _orbits(self.grid)
+        n = len(self.grid.representatives)
+        table = np.empty((n, n))
+        for action, mine in zip(self.grid.orbit_maps, canonical):
+            i = np.flatnonzero(mine)
+            table[action[orbit_rows[i]]] = rows[i][:, action]
+        return table
+
+    @property
+    def class_a(self) -> np.ndarray:
+        return self._class_table(self.rows_a)
+
+    @property
+    def class_b(self) -> np.ndarray:
+        return self._class_table(self.rows_b)
 
     @property
     def payoff_a(self) -> np.ndarray:
@@ -90,14 +133,25 @@ def payoff_tensor(
     grid: StrategyGrid,
     gamma: EntanglementParam,
 ) -> PayoffTensor:
-    """Tabulate both players' payoffs over every pairing of class representatives."""
+    """Tabulate both players' payoffs of each orbit row against every class.
+
+    A row whose class a map fixes is folded onto one value per column pair
+    {b, g.b}, so that every expanded entry is well defined bit for bit.
+    Only LR can fix a class: i*sigma_z U = +-U has no solution.
+    """
     if len(grid) == 0:
         raise ValueError("empty strategy grid")
     features = grid.features
-    pa, pb = (features @ k @ features.T for k in payoff_forms(gamma, game))
-    pa.setflags(write=False)
-    pb.setflags(write=False)
-    return PayoffTensor(game=game, gamma=gamma, grid=grid, class_a=pa, class_b=pb)
+    orbit_rows, _ = _orbits(grid)
+    tables = [features[orbit_rows] @ k @ features.T for k in payoff_forms(gamma, game)]
+    for action in grid.orbit_maps[1:]:
+        fixed = np.flatnonzero(action[orbit_rows] == orbit_rows)
+        folded = np.minimum(action, np.arange(len(action)))
+        for table in tables:
+            table[fixed] = table[fixed][:, folded]
+    for table in tables:
+        table.setflags(write=False)
+    return PayoffTensor(game=game, gamma=gamma, grid=grid, rows_a=tables[0], rows_b=tables[1])
 
 
 @dataclass(frozen=True)
@@ -157,22 +211,44 @@ def _equilibria(columns: Sequence[np.ndarray]) -> list[NashEquilibrium]:
     ]
 
 
+def _orbit_images(
+    grid: StrategyGrid, rows: np.ndarray, columns: Sequence[np.ndarray], payoffs: Sequence[np.ndarray]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The class tuples (g.S[i], g.c, ...) of the cells (i, c, ...), one per
+    canonical map g of orbit row i, and the payoffs repeated alongside."""
+    orbit_rows, canonical = _orbits(grid)
+    parts = []
+    for action, mine in zip(grid.orbit_maps, canonical):
+        hit = np.flatnonzero(mine[rows])
+        parts.append(
+            [action[orbit_rows[rows[hit]]], *(action[c[hit]] for c in columns), *(p[hit] for p in payoffs)]
+        )
+    images = [np.concatenate(part) for part in zip(*parts)]
+    return images[: 1 + len(columns)], images[1 + len(columns):]
+
+
 def _two_player_columns(tensor: PayoffTensor, epsilon: float) -> tuple[np.ndarray, ...]:
     """`nash_two_player` as columns (a_index, b_index, payoff_a, payoff_b)."""
     _require_epsilon(epsilon)
-    pa, pb = tensor.class_a, tensor.class_b
-    ca, cb = _best_responses(pb, epsilon)
-    keep = pa[ca, cb] >= (pa.max(axis=0) - epsilon)[cb]
-    ca, cb = ca[keep], cb[keep]
-    return _expand(tensor.grid, (ca, cb), (pa[ca, cb], pb[ca, cb]))
+    pa, pb = tensor.rows_a, tensor.rows_b
+    ri, cb = _best_responses(pb, epsilon)
+    colmax = pa.max(axis=0)[tensor.grid.orbit_maps].max(axis=0)
+    keep = pa[ri, cb] >= (colmax - epsilon)[cb]
+    ri, cb = ri[keep], cb[keep]
+    del keep
+    classes, payoffs = _orbit_images(tensor.grid, ri, (cb,), (pa[ri, cb], pb[ri, cb]))
+    del ri, cb
+    return _expand(tensor.grid, classes, payoffs)
 
 
 def nash_two_player(tensor: PayoffTensor, epsilon: float = DEFAULT_EPSILON) -> list[NashEquilibrium]:
     """All (i, j) lying in both players' best-response sets, in index order.
 
-    Only B's best-response class cells (a, b) are tested: one is kept when
-    A's payoff there is within epsilon of A's column-b maximum. It expands
-    to its up to 4 member pairs, which carry the class pair's payoffs.
+    Only B's best-response cells (a, b) of the orbit rows are tested: one
+    is kept when A's payoff there is within epsilon of A's column-b
+    maximum over every class. Its images (g.a, g.b) are class
+    equilibria, and each expands to its up to 4 member pairs, which carry
+    the cell's payoffs.
     """
     return _equilibria(_two_player_columns(tensor, epsilon))
 
@@ -216,45 +292,49 @@ def _bayes_equilibria(
 
     Returns one column tuple (a_index, b1_index, b2_index, payoff_a,
     payoff_b1, payoff_b2) per prior. B1's and B2's best-response cells, the
-    candidate class triples, their distinct (b1, b2) column pairs and the
+    candidate triples, their distinct (b1, b2) column pairs and the
     gathered payoff columns are built once for all priors; only each
-    prior's accepted class triples are expanded to member triples.
+    prior's accepted triples are imaged and expanded to member triples.
     """
     _require_epsilon(epsilon)
     _require_compatible(t1, t2)
-    n = len(t1.class_a)  # classes, not strategies
-    rows1, cols1 = _best_responses(t1.class_b, epsilon)
-    rows2, cols2 = _best_responses(t2.class_b, epsilon)
-    # Candidate triples in (a, b1, b2) order: each of B1's cells (a, b1) is
-    # repeated once per b2 in B2's set for that a, and the k-th repeat
-    # takes the k-th such b2. Both cell lists are row-major.
-    count2 = np.bincount(rows2, minlength=n)
+    grid, maps = t1.grid, t1.grid.orbit_maps
+    n = maps.shape[1]  # classes, not strategies
+    rows1, cols1 = _best_responses(t1.rows_b, epsilon)
+    rows2, cols2 = _best_responses(t2.rows_b, epsilon)
+    # Candidate triples in (i, b1, b2) order, i an orbit row: each of B1's
+    # cells (i, b1) is repeated once per b2 in B2's set for that i, and the
+    # k-th repeat takes the k-th such b2. Both cell lists are row-major.
+    count2 = np.bincount(rows2, minlength=len(t1.rows_b))
     reps = count2[rows1]
-    a = np.repeat(rows1, reps)
+    i = np.repeat(rows1, reps)
     b1 = np.repeat(cols1, reps)
-    within = np.arange(len(a)) - np.repeat(np.cumsum(reps) - reps, reps)
+    within = np.arange(len(i)) - np.repeat(np.cumsum(reps) - reps, reps)
     b2 = cols2[np.repeat((np.cumsum(count2) - count2)[rows1], reps) + within]
     del reps, within
 
-    # A's column maxima max_a' p*X[a', b1] + (1-p)*Y[a', b2], taken once per
-    # distinct (b1, b2) pair and prior.
+    # A's column maxima max_a' p*X[a', b1] + (1-p)*Y[a', b2] over every class
+    # a' are the maxima over g of the orbit rows' maxima at (g.b1, g.b2).
+    # Those are taken once per distinct image pair and prior.
     pairs, column = np.unique(b1 * n + b2, return_inverse=True)
-    u1, u2 = np.divmod(pairs, n)
-    colmax = np.empty((len(priors), len(pairs)))
-    for start in range(0, len(pairs), _COLUMN_BLOCK):
+    images, image = np.unique((maps[:, pairs // n] * n + maps[:, pairs % n]).ravel(), return_inverse=True)
+    u1, u2 = np.divmod(images, n)
+    rowmax = np.empty((len(priors), len(images)))
+    for start in range(0, len(images), _COLUMN_BLOCK):
         block = slice(start, start + _COLUMN_BLOCK)
-        xb, yb = t1.class_a[:, u1[block]], t2.class_a[:, u2[block]]
+        xb, yb = t1.rows_a[:, u1[block]], t2.rows_a[:, u2[block]]
         for k, prior in enumerate(priors):
-            colmax[k, block] = (prior.p * xb + (1.0 - prior.p) * yb).max(axis=0)
+            rowmax[k, block] = (prior.p * xb + (1.0 - prior.p) * yb).max(axis=0)
+    colmax = rowmax[:, image.reshape(len(maps), len(pairs))].max(axis=1)
 
-    x, y = t1.class_a[a, b1], t2.class_a[a, b2]
+    x, y = t1.rows_a[i, b1], t2.rows_a[i, b2]
     out = []
     for k, prior in enumerate(priors):
         mixed = prior.p * x + (1.0 - prior.p) * y
         ok = np.nonzero(mixed >= (colmax[k] - epsilon)[column])[0]
-        hit_a, hit_b1, hit_b2 = a[ok], b1[ok], b2[ok]
-        payoffs = (mixed[ok], t1.class_b[hit_a, hit_b1], t2.class_b[hit_a, hit_b2])
-        out.append(_expand(t1.grid, (hit_a, hit_b1, hit_b2), payoffs))
+        hit_i, hit_b1, hit_b2 = i[ok], b1[ok], b2[ok]
+        payoffs = (mixed[ok], t1.rows_b[hit_i, hit_b1], t2.rows_b[hit_i, hit_b2])
+        out.append(_expand(grid, *_orbit_images(grid, hit_i, (hit_b1, hit_b2), payoffs)))
     return out
 
 
@@ -269,16 +349,19 @@ def nash_bayesian(
 
     B1 maximizes game1's B-payoff vs a and B2 game2's, independent of p;
     A maximizes the p-mixture p * game1 + (1-p) * game2. All of this runs
-    on the +-U class tables, with a, b1 and b2 standing for classes. Only
-    triples whose b1 and b2 are both best responses to a are candidates:
-    they are enumerated with array arithmetic in (a, b1, b2) order. A's
-    condition, p*X[a, b1] + (1-p)*Y[a, b2] >= colmax(b1, b2) - epsilon,
-    needs the column maximum over all a' only once per distinct (b1, b2)
-    pair. Those maxima are taken in blocks of _COLUMN_BLOCK pairs, so their
-    scratch is O(classes * _COLUMN_BLOCK); the candidate arrays take
-    O(number of candidate class triples). Each accepted class triple
-    expands to its up to 8 member triples, sorted once into lexicographic
-    index order. `bayes_sweep` shares all of the p-independent work across
-    the priors of one gamma.
+    on the orbit rows of the +-U class tables, with a standing for an
+    orbit row and b1 and b2 for classes. Only triples whose b1 and b2 are
+    both best responses to a are candidates: they are enumerated with
+    array arithmetic in (a, b1, b2) order. A's condition,
+    p*X[a, b1] + (1-p)*Y[a, b2] >= colmax(b1, b2) - epsilon, needs the
+    column maximum over all classes only once per distinct (b1, b2) pair:
+    the maximum over g of the rows' maximum at (g.b1, g.b2). Those row
+    maxima are taken once per distinct image pair, in blocks of
+    _COLUMN_BLOCK pairs, so their scratch is O(classes * _COLUMN_BLOCK);
+    the candidate arrays take O(number of candidate triples). Each
+    accepted triple is imaged to its class triples (g.a, g.b1, g.b2), and
+    each of those expands to its up to 8 member triples, sorted once into
+    lexicographic index order. `bayes_sweep` shares all of the
+    p-independent work across the priors of one gamma.
     """
     return _equilibria(_bayes_equilibria(t1, t2, [p], epsilon)[0])

@@ -20,12 +20,25 @@ call and keeps; every stored matrix is the strategy's own
 within DEDUP_TOL. A strategy whose negation is not on the grid (pi is
 not a multiple of the phi or alpha step), or whose first negation
 already has a partner, is a class of its own.
+
+The circuit has one more symmetry. The gate J(gamma) commutes with
+sigma_z (x) sigma_z, which fixes |00> and only flips the sign of other
+basis states, so the strategy pairs (i sigma_z U_A, i sigma_z U_B) and
+(U_A i sigma_z, U_B i sigma_z) give the same outcome probabilities as
+(U_A, U_B), at every gamma and in every game. The maps L: U -> i sigma_z U
+and R: U -> U i sigma_z send (theta, phi, alpha) to (theta, phi - pi/2,
+alpha +- pi/2), so a grid whose phi and alpha steps divide pi/2 is closed
+under them. On such a grid G = {e, L, R, LR} acts on the classes, and
+each player's class table satisfies pa[g.a, g.b] = pa[a, b]; the kernel
+then scores one class row per G-orbit. A grid where some class has no
+image, or where the images are not an action of G, gets G = {e}.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -71,6 +84,11 @@ class StrategyGrid:
     within DEDUP_TOL. Each class is scored once, through its
     representative's row of `features`, and a partner carries exactly the
     representative's payoffs.
+
+    `orbit_maps` is a read-only (g, classes) integer array: row g sends
+    class c to g.c, for the rows e, L, R and LR. A map finds a
+    representative's image matrix, or its negation, within DEDUP_TOL. A
+    grid not closed under the maps has the identity row only.
     """
 
     params: tuple[StrategyParams, ...]
@@ -78,6 +96,7 @@ class StrategyGrid:
     source_steps: SteppingParams
     classes: np.ndarray = field(repr=False)
     representatives: np.ndarray = field(repr=False)
+    orbit_maps: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.params)
@@ -100,23 +119,36 @@ def _multiples(step: float, bound: float) -> list[float]:
     return values
 
 
-def _axis_matches(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy keep mask and first kept negation along one angle axis.
+def _axis_matches(pairs: np.ndarray, targets: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Greedy keep mask and first kept images along one angle axis.
 
     `pairs` is (thetas, values, 2): the two U entries that depend on this
     axis only. Per theta, value k is kept when no earlier kept value
-    matches both its entries within DEDUP_TOL. `twin[t, k]` is the first
-    kept value whose entries match the negations of k's, or -1.
+    matches both its entries within DEDUP_TOL. Each target is an array
+    like `pairs`, holding what each value's entries map to; its image
+    array holds, at [t, k], the first kept value whose entries match
+    target[t, k], or -1.
     """
     keep = np.ones(pairs.shape[:2], dtype=bool)
-    twin = np.full(pairs.shape[:2], -1, dtype=np.intp)
+    images = [np.full(pairs.shape[:2], -1, dtype=np.intp) for _ in targets]
     for k in range(pairs.shape[1]):  # keep[:, k] is final from here on
         kept = keep[:, k, None]
         same = np.abs(pairs[:, k + 1:] - pairs[:, k, None]).max(axis=2) <= DEDUP_TOL
         keep[:, k + 1:] &= ~(same & kept)
-        negated = np.abs(pairs + pairs[:, k, None]).max(axis=2) <= DEDUP_TOL
-        twin[negated & kept & (twin < 0)] = k
-    return keep, twin
+        for image, target in zip(images, targets):
+            hit = np.abs(target - pairs[:, k, None]).max(axis=2) <= DEDUP_TOL
+            image[hit & kept & (image < 0)] = k
+    return keep, images
+
+
+def _first_images(index: np.ndarray, t: np.ndarray, choices) -> np.ndarray:
+    """Index of strategy (t, k', a') for the first (k', a') choice with both
+    parts found (>= 0), per entry of `t`, or -1 where no choice is found."""
+    out = np.full(len(t), -1, dtype=np.intp)
+    for k, a in reversed(choices):
+        found = (k >= 0) & (a >= 0)
+        out[found] = index[t[found], k[found], a[found]]
+    return out
 
 
 def build_grid(steps: SteppingParams) -> StrategyGrid:
@@ -134,7 +166,10 @@ def build_grid(steps: SteppingParams) -> StrategyGrid:
     along the phi axis and alpha along the alpha axis. A strategy's first
     earlier kept negation is the pair of its per-axis first kept negations,
     if that pair comes earlier; the strategy joins its class only if it is
-    a representative with no partner yet.
+    a representative with no partner yet. L and R are matched per axis
+    the same way: both turn the diagonal pair by (i, -i), L the
+    off-diagonal pair by (i, -i) and R by (-i, i); LR negates the diagonal
+    pair only.
     """
     thetas = _multiples(steps.d_theta, math.pi)
     phis = _multiples(steps.d_phi, TWO_PI)
@@ -145,8 +180,15 @@ def build_grid(steps: SteppingParams) -> StrategyGrid:
     diagonal, off_diagonal = (
         np.stack(entries, axis=-1) for entries in _rotation_entries(c, s, np.array(phis), np.array(alphas))
     )
-    keep_phi, twin_phi = _axis_matches(diagonal)
-    keep_alpha, twin_alpha = _axis_matches(off_diagonal)
+    # i*sigma_z multiplies the diagonal pair by (i, -i) from either side, and
+    # the off-diagonal pair by (i, -i) from the left and (-i, i) from the right.
+    quarter = np.array([1j, -1j])
+    keep_phi, (twin_phi, turn_phi, turn_phi_neg) = _axis_matches(
+        diagonal, (-diagonal, quarter * diagonal, -quarter * diagonal)
+    )
+    keep_alpha, (twin_alpha, left_alpha, right_alpha) = _axis_matches(
+        off_diagonal, (-off_diagonal, quarter * off_diagonal, -quarter * off_diagonal)
+    )
 
     kept = keep_phi[:, :, None] & keep_alpha[:, None, :]
     t, k, a = np.nonzero(kept)  # lexicographic order
@@ -167,7 +209,24 @@ def build_grid(steps: SteppingParams) -> StrategyGrid:
     matrices[:, [0, 1], [1, 0]] = off_diagonal[t, a]
     class_index = (np.cumsum(is_rep, dtype=np.intp) - 1)[rep]
     reps = np.nonzero(is_rep)[0]
-    for arr in (matrices, class_index, reps):
+
+    # L, R and LR of each representative, each found as +U' or else as -U'.
+    tr, kr, ar = t[reps], k[reps], a[reps]
+    turn, turn_neg = turn_phi[tr, kr], turn_phi_neg[tr, kr]
+    to_left, to_right = left_alpha[tr, ar], right_alpha[tr, ar]
+    images = [
+        _first_images(index, tr, [(turn, to_left), (turn_neg, to_right)]),
+        _first_images(index, tr, [(turn, to_right), (turn_neg, to_left)]),
+        _first_images(index, tr, [(twin_phi[tr, kr], ar), (kr, twin_alpha[tr, ar])]),
+    ]
+    identity = np.arange(len(reps))
+    orbit_maps = identity[None]
+    if all((image >= 0).all() for image in images):
+        left, right, both = (class_index[image] for image in images)
+        involutions = all((m[m] == identity).all() for m in (left, right))
+        if involutions and (left[right] == both).all() and (right[left] == both).all():
+            orbit_maps = np.stack([identity, left, right, both])
+    for arr in (matrices, class_index, reps, orbit_maps):
         arr.setflags(write=False)
     return StrategyGrid(
         params=tuple(
@@ -178,4 +237,5 @@ def build_grid(steps: SteppingParams) -> StrategyGrid:
         source_steps=steps,
         classes=class_index,
         representatives=reps,
+        orbit_maps=orbit_maps,
     )

@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
 
 from ewlgames import GameDefinition, SteppingParams, build_grid
-from ewlgames.circuit import EntanglementParam
+from ewlgames.circuit import EntanglementParam, payoff_forms
 from ewlgames.equilibrium import pairwise_payoffs
 
 
@@ -30,6 +30,18 @@ def kernel_probs():
         return np.stack(tables, axis=-1)
 
     return probs
+
+
+@pytest.fixture(scope="session")
+def full_class_tables():
+    """tables(game, grid, gamma): both players' class tables as the kernel
+    computed them before the orbit solve, every class against every class."""
+
+    def tables(game, grid, gamma: float) -> list[np.ndarray]:
+        features = grid.features
+        return [features @ k @ features.T for k in payoff_forms(EntanglementParam(gamma), game)]
+
+    return tables
 
 
 @pytest.fixture(scope="session")

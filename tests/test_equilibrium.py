@@ -541,11 +541,25 @@ def eighth_grid():
     return build_grid(SteppingParams(PI / 8, PI / 8, PI / 8))
 
 
+@pytest.fixture(scope="module")
+def open_grid():
+    """A grid the orbit maps do not close: phi and alpha steps miss pi/2."""
+    return build_grid(SteppingParams(PI / 8, PI / 5, PI / 4))
+
+
+MEMBER_GAMMAS = [(0.0, "0"), (PI / 8, "pi/8"), (PI / 2, "pi/2")]
+MEMBER_CASES = [
+    pytest.param(grid, name, gamma, id=f"{name}-{gamma_id}{suffix}")
+    for grid, suffix in (("eighth_grid", ""), ("open_grid", "-open"))
+    for gamma, gamma_id in MEMBER_GAMMAS
+    for name in CATALOGUE.names
+]
+
+
 class TestTwoPlayerOnEighthGrid:
-    @pytest.mark.parametrize("gamma", [0.0, PI / 8, PI / 2], ids=["0", "pi/8", "pi/2"])
-    @pytest.mark.parametrize("name", CATALOGUE.names)
-    def test_matches_member_level_definition(self, eighth_grid, name, gamma):
-        t = payoff_tensor(CATALOGUE.get(name), eighth_grid, EntanglementParam(gamma))
+    @pytest.mark.parametrize("grid, name, gamma", MEMBER_CASES)
+    def test_matches_member_level_definition(self, request, grid, name, gamma):
+        t = payoff_tensor(CATALOGUE.get(name), request.getfixturevalue(grid), EntanglementParam(gamma))
         a, b = t.payoff_a, t.payoff_b
         a_max, b_max = a.max(0), b.max(1, keepdims=True)
         for epsilon in (0.0, 1e-9, 0.5):
@@ -555,11 +569,22 @@ class TestTwoPlayerOnEighthGrid:
             for got, want in zip(columns, (i, j, a[i, j], b[i, j]), strict=True):
                 assert np.array_equal(got, want), (name, gamma, epsilon)
 
-    @pytest.mark.parametrize("name", CATALOGUE.names)
-    def test_scratch_stays_under_two_class_tables_of_bytes(self, eighth_grid, name):
-        # one boolean class table for B's tie test, and no full-size mask for A
-        t = payoff_tensor(CATALOGUE.get(name), eighth_grid, EntanglementParam(PI / 8))
-        n = len(t.class_a)
+    # At gamma = 0 the B tie sets of das_brother and matching_pennies are
+    # wide (15% of the class cells); their bounds are the peaks, in units of
+    # classes**2 bytes, of the reduction on full class tables.
+    @pytest.mark.parametrize(
+        "name, gamma, classes_squared",
+        [pytest.param(name, PI / 8, None, id=name) for name in CATALOGUE.names]
+        + [
+            pytest.param("das_brother", 0.0, 4.9, id="das_brother-gamma0"),
+            pytest.param("matching_pennies", 0.0, 8.4, id="matching_pennies-gamma0"),
+        ],
+    )
+    def test_scratch_stays_under_two_class_tables_of_bytes(self, eighth_grid, name, gamma, classes_squared):
+        # one boolean orbit-row table for B's tie test, and no full-size mask for A
+        t = payoff_tensor(CATALOGUE.get(name), eighth_grid, EntanglementParam(gamma))
+        rows, n = t.rows_a.shape
+        assert rows == 232 and n == 912
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -568,4 +593,90 @@ class TestTwoPlayerOnEighthGrid:
         finally:
             tracemalloc.stop()
         assert len(columns) == 4
-        assert peak < 2 * n * n, (name, peak / n**2)
+        bound = 2 * rows * n if classes_squared is None else classes_squared * n * n
+        assert peak < bound, (name, gamma, peak / n**2)
+
+
+def full_two_player(grid, pa, pb, epsilon):
+    """The two-player reduction rule on full class tables."""
+    ca, cb = np.nonzero(pb >= pb.max(axis=1, keepdims=True) - epsilon)
+    keep = pa[ca, cb] >= (pa.max(axis=0) - epsilon)[cb]
+    ca, cb = ca[keep], cb[keep]
+    return equilibrium._expand(grid, (ca, cb), (pa[ca, cb], pb[ca, cb]))
+
+
+def full_bayes(grid, x, xb, y, yb, p, epsilon):
+    """The Bayesian reduction rule on full class tables, one prior."""
+    best1 = xb >= xb.max(axis=1, keepdims=True) - epsilon
+    best2 = yb >= yb.max(axis=1, keepdims=True) - epsilon
+    triples = []  # (a, b1, b2) in lexicographic order
+    for a, (row1, row2) in enumerate(zip(best1, best2)):
+        c1, c2 = np.flatnonzero(row1), np.flatnonzero(row2)
+        triples.append((np.full(len(c1) * len(c2), a), np.repeat(c1, len(c2)), np.tile(c2, len(c1))))
+    a, b1, b2 = (np.concatenate(part) for part in zip(*triples))
+    pairs, column = np.unique(b1 * len(x) + b2, return_inverse=True)
+    u1, u2 = np.divmod(pairs, len(x))
+    colmax = np.concatenate([
+        (p * x[:, u1[k:k + 256]] + (1.0 - p) * y[:, u2[k:k + 256]]).max(axis=0)
+        for k in range(0, len(pairs), 256)
+    ])
+    mixed = p * x[a, b1] + (1.0 - p) * y[a, b2]
+    ok = mixed >= (colmax - epsilon)[column]
+    a, b1, b2 = a[ok], b1[ok], b2[ok]
+    return equilibrium._expand(grid, (a, b1, b2), (mixed[ok], xb[a, b1], yb[a, b2]))
+
+
+def assert_same_equilibria(got, want, players):
+    assert len(got) == len(want) == 2 * players
+    for g, w in zip(got[:players], want[:players]):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    for g, w in zip(got[players:], want[players:]):
+        assert np.abs(g - w).max(initial=0.0) <= 1e-12
+
+
+class TestOrbitSolve:
+    """The orbit solve gives the equilibria of the full class tables.
+
+    Against tables computed every class by every class, index columns are
+    equal and payoffs agree within 1e-12 (the row products round
+    differently). Its own expanded class tables are invariant under every
+    map bit for bit, and on them it is the same rule on the same floats, so
+    it agrees exactly, at epsilon 0 as well.
+    """
+
+    @pytest.mark.parametrize("name", CATALOGUE.names)
+    def test_two_player_on_the_1824_grid(self, full_class_tables, eighth_grid, name):
+        game = CATALOGUE.get(name)
+        for gamma in default_gamma_grid(17):
+            t = payoff_tensor(game, eighth_grid, EntanglementParam(gamma))
+            want = full_two_player(eighth_grid, *full_class_tables(game, eighth_grid, gamma), 1e-9)
+            assert_same_equilibria(equilibrium._two_player_columns(t, 1e-9), want, 2)
+            own_tables = t.class_a, t.class_b
+            for table in own_tables:  # folded rows make the expansion exactly invariant
+                for row in eighth_grid.orbit_maps[1:]:
+                    assert table[np.ix_(row, row)].tobytes() == table.tobytes(), (name, gamma)
+            for epsilon in (0.0, 1e-9):
+                own = full_two_player(eighth_grid, *own_tables, epsilon)
+                for g, w in zip(equilibrium._two_player_columns(t, epsilon), own, strict=True):
+                    assert g.tobytes() == w.tobytes(), (name, gamma, epsilon)
+
+    def test_stag_hunt_on_the_7968_grid(self, full_class_tables, stag_hunt):
+        grid = build_grid(SteppingParams(PI / 32, PI / 8, PI / 8))
+        t = payoff_tensor(stag_hunt, grid, EntanglementParam(PI / 8))
+        got = equilibrium._two_player_columns(t, 1e-9)
+        assert len(got[0]) > 0
+        assert_same_equilibria(got, full_two_player(grid, *full_class_tables(stag_hunt, grid, PI / 8), 1e-9), 2)
+
+    @pytest.mark.parametrize(
+        "names", [("prisoners_dilemma", "deadlock"), ("stag_hunt", "das_brother")], ids=["pd-deadlock", "stag-das"]
+    )
+    @pytest.mark.parametrize("gamma", [0.0, 0.35, 0.7])
+    def test_bayes_on_the_1824_grid(self, full_class_tables, eighth_grid, names, gamma):
+        games = [CATALOGUE.get(name) for name in names]
+        t1, t2 = (payoff_tensor(game, eighth_grid, EntanglementParam(gamma)) for game in games)
+        (x, xb), (y, yb) = (full_class_tables(game, eighth_grid, gamma) for game in games)
+        priors = (0.0, 0.3, 1.0)
+        per_prior = equilibrium._bayes_equilibria(t1, t2, [PriorProbability(p) for p in priors], 1e-9)
+        assert any(len(got[0]) for got in per_prior)
+        for p, got in zip(priors, per_prior, strict=True):
+            assert_same_equilibria(got, full_bayes(eighth_grid, x, xb, y, yb, p, 1e-9), 3)

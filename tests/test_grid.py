@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ewlgames import GameDefinition, SteppingParams, StrategyParams, build_grid, gamma_sweep
+from ewlgames import GameDefinition, SteppingParams, StrategyParams, build_grid, gamma_sweep, load_default_catalogue
 from ewlgames.circuit import rotation_features, strategy_matrix
 from ewlgames.grid import DEDUP_TOL
 
@@ -225,3 +225,62 @@ class TestPhaseClasses:
         assert len(table) == n * n
         for role in ("a", "b"):
             assert np.bincount(table.columns[f"{role}_index"], minlength=n).tolist() == [n] * n
+
+
+class TestOrbitMaps:
+    """The grid's action of G = {e, L, R, LR}: L is U -> i sigma_z U, R is U -> U i sigma_z."""
+
+    @pytest.mark.parametrize(
+        "steps, orbits, lr_fixed",
+        [
+            (SteppingParams(PI, PI / 2, PI / 2), 2, 4),
+            (SteppingParams(PI / 8, PI / 8, PI / 8), 232, 16),
+            (SteppingParams(PI / 32, PI / 8, PI / 8), 1000, 16),
+        ],
+    )
+    def test_klein_four_action_on_classes(self, steps, orbits, lr_fixed):
+        grid = build_grid(steps)
+        maps = grid.orbit_maps
+        classes = np.arange(len(grid.representatives))
+        assert maps.shape == (4, len(classes)) and not maps.flags.writeable
+        assert np.array_equal(maps[0], classes)
+        for row in maps:
+            assert np.array_equal(row[row], classes)  # involution
+        assert np.array_equal(maps[1][maps[2]], maps[3])  # L after R is LR
+        assert len(np.unique(maps.min(axis=0))) == orbits
+        assert [int((row == classes).sum()) for row in maps[1:]] == [0, 0, lr_fixed]
+        # Each map sends a representative's matrix to one of its image class's members, up to sign.
+        z = np.diag([1j, -1j])
+        reps = grid.matrices[grid.representatives]
+        for row, image in zip(maps[1:], (z @ reps, reps @ z, z @ reps @ z)):
+            got = grid.matrices[grid.representatives[row]]
+            distance = np.minimum(np.abs(got - image).max(axis=(1, 2)), np.abs(got + image).max(axis=(1, 2)))
+            assert distance.max() <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.7, PI / 2])
+    def test_tables_are_invariant_under_the_maps(self, full_class_tables, gamma):
+        grid = build_grid(SteppingParams(PI / 8, PI / 8, PI / 8))
+        rng = np.random.default_rng(40)
+        games = [load_default_catalogue().get(name) for name in load_default_catalogue().names]
+        games.append(GameDefinition("rnd", tuple(rng.uniform(-3, 5, 4)), tuple(rng.uniform(-3, 5, 4))))
+        assert len(games) == 6
+        for game in games:
+            for table in full_class_tables(game, grid, gamma):
+                for row in grid.orbit_maps[1:]:
+                    assert np.abs(table[np.ix_(row, row)] - table).max() <= 1e-12, (game.name, gamma)
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            SteppingParams(PI / 4, 2 * PI / 5, 2 * PI / 5),
+            SteppingParams(PI / 8, PI / 5, PI / 4),
+            # near theta = pi every image is found, but only within
+            # DEDUP_TOL, and L after L is not e
+            SteppingParams((PI - 1e-9) / 2, PI / 2, PI / 2),
+        ],
+    )
+    def test_grid_not_closed_under_the_maps_gets_the_identity_only(self, steps):
+        grid = build_grid(steps)
+        classes = np.arange(len(grid.representatives))
+        assert grid.orbit_maps.shape == (1, len(classes))
+        assert np.array_equal(grid.orbit_maps[0], classes)
