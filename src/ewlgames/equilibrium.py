@@ -16,14 +16,15 @@ weight.
 Both reductions run on the orbit rows of the grid's +-U class tables.
 The grid's maps G = {e, L, R, LR} (`StrategyGrid.orbit_maps`) leave each
 table invariant, pa[g.a, g.b] = pa[a, b], so the kernel computes one row
-per G-orbit of classes: the rows of S, the lowest class of each orbit,
-against every class. B's best responses to S[i] come from row i, A's
-column maximum at b is the maximum over g of the rows' column maxima at
-g.b, and every class equilibrium is the image (g.S[i], g.b) of an
-equilibrium (S[i], b) of the rows, with its payoffs. Each class
-equilibrium is then expanded to its member index tuples; a partner's
-record carries its representative's payoffs. Equilibrium sets are
-therefore closed under every g as well as under +-U. On a grid with
+per G-orbit of classes: the rows of S = `StrategyGrid.orbit_images[0]`,
+the lowest class of each orbit, against every class. B's best responses
+to S[i] come from row i, A's column maximum at b is the maximum over g
+of the rows' column maxima at g.b, and every class equilibrium is the
+image (g.S[i], g.b) of an equilibrium (S[i], b) of the rows, with its
+payoffs. `_expand` takes the rows' equilibrium cells straight to member
+index tuples, through the grid's `orbit_images` and `members` tables; a
+partner's record carries its representative's payoffs. Equilibrium sets
+are therefore closed under every g as well as under +-U. On a grid with
 G = {e}, S is every class and the arithmetic is the full class tables'.
 Bayesian equilibria are found without a loop over A's strategies; see
 `nash_bayesian` for the algorithm, its order and its memory.
@@ -35,14 +36,13 @@ one payoff array per player. Sweeps consume those columns directly;
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .circuit import EntanglementParam, GameDefinition, payoff_forms, rotation_features
+from .circuit import EntanglementParam, GameDefinition, payoff_forms
 from .grid import StrategyGrid
 
 # Payoff ties: far below any gap in integer-scale payoff tables, far above
@@ -50,45 +50,14 @@ from .grid import StrategyGrid
 DEFAULT_EPSILON = 1e-9
 
 
-def pairwise_payoffs(
-    mats_a: np.ndarray,
-    mats_b: np.ndarray,
-    gamma: EntanglementParam,
-    game: GameDefinition,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both players' expected payoffs for every strategy pairing.
-
-    Each player's table is f_a @ K @ f_b.T, with the `rotation_features` f
-    of each stack and the player's `payoff_forms` K at `gamma`.
-
-    Returns (payoff_a, payoff_b) as (len(mats_a), len(mats_b)) float arrays.
-    """
-    feat_a, feat_b = rotation_features(mats_a), rotation_features(mats_b)
-    return tuple(feat_a @ k @ feat_b.T for k in payoff_forms(gamma, game))
-
-
-def _orbits(grid: StrategyGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The grid's orbit rows S and the (g, |S|) mask of canonical maps.
-
-    S holds the lowest class of each orbit of `grid.orbit_maps`, in
-    increasing order. `canonical[g, i]` is true when g is the first map in
-    (e, L, R, LR) to send S[i] to g.S[i]: over all true entries, the
-    classes g.S[i] are every class exactly once.
-    """
-    maps = grid.orbit_maps
-    rows = np.flatnonzero(maps.min(axis=0) == np.arange(maps.shape[1]))
-    images = maps[:, rows]
-    canonical = np.array([(images[g] != images[:g]).all(axis=0) for g in range(len(maps))])
-    return rows, canonical
-
-
 @dataclass(frozen=True)
 class PayoffTensor:
     """Both players' payoffs for one game at one entanglement.
 
     `rows_a[i, b]` and `rows_b[i, b]` score the class pair (S[i], b), for
-    the orbit rows S of the grid's `orbit_maps`. Every class is g.S[i] for
-    one canonical map g, and scores as `class_x[g.S[i], b] = rows_x[i, g.b]`.
+    the orbit rows S = `grid.orbit_images[0]`. Every class is g.S[i] =
+    `grid.orbit_images[g, i]` for one map g, and scores as
+    `class_x[g.S[i], b] = rows_x[i, g.b]`.
     `class_a` and `class_b` expand the rows to the full class tables, and
     `payoff_a` and `payoff_b` to the full |V| x |V| tables, on each access.
     """
@@ -103,12 +72,11 @@ class PayoffTensor:
         return len(self.grid)
 
     def _class_table(self, rows: np.ndarray) -> np.ndarray:
-        orbit_rows, canonical = _orbits(self.grid)
         n = len(self.grid.representatives)
         table = np.empty((n, n))
-        for action, mine in zip(self.grid.orbit_maps, canonical):
-            i = np.flatnonzero(mine)
-            table[action[orbit_rows[i]]] = rows[i][:, action]
+        for action, images in zip(self.grid.orbit_maps, self.grid.orbit_images):
+            i = np.flatnonzero(images >= 0)
+            table[images[i]] = rows[i][:, action]
         return table
 
     @property
@@ -142,7 +110,7 @@ def payoff_tensor(
     if len(grid) == 0:
         raise ValueError("empty strategy grid")
     features = grid.features
-    orbit_rows, _ = _orbits(grid)
+    orbit_rows = grid.orbit_images[0]
     tables = [features[orbit_rows] @ k @ features.T for k in payoff_forms(gamma, game)]
     for action in grid.orbit_maps[1:]:
         fixed = np.flatnonzero(action[orbit_rows] == orbit_rows)
@@ -176,30 +144,38 @@ def _best_responses(table: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.n
     return np.divmod(np.flatnonzero(mask), table.shape[1])
 
 
-def _expand(grid: StrategyGrid, class_tuples: Sequence[np.ndarray], payoffs: Sequence[np.ndarray]) -> tuple:
-    """Every member index tuple of the given class tuples, in lexicographic order.
+def _expand(
+    grid: StrategyGrid, rows: np.ndarray, columns: Sequence[np.ndarray], payoffs: Sequence[np.ndarray]
+) -> tuple:
+    """Every member index tuple of the orbit-row cells (i, c, ...), in lexicographic order.
 
-    `class_tuples` holds one class array per position, `payoffs` one array
-    per player aligned with them. Returns the member index arrays, then the
-    payoff arrays: each member tuple carries its class tuple's payoffs.
+    Cell k is (S[rows[k]], columns[0][k], ...). It stands for the class
+    tuple (g.S[i], g.c, ...) of each map g with `grid.orbit_images[g, i]`
+    >= 0, and each class tuple for every choice of its classes' members
+    (`grid.members`). `payoffs` holds one array per player aligned with
+    the cells. Returns the member index arrays, then the payoff arrays:
+    each member tuple carries its cell's payoffs.
     """
-    members = np.full((len(grid.representatives), 2), -1, dtype=np.intp)
-    members[:, 0] = grid.representatives
-    partners = np.nonzero(grid.representatives[grid.classes] != np.arange(len(grid)))[0]
-    members[grid.classes[partners], 1] = partners
     parts, sources = [], []
-    for slots in itertools.product((0, 1), repeat=len(class_tuples)):
-        columns = [members[c, slot] for c, slot in zip(class_tuples, slots)]
-        present = np.nonzero(np.logical_and.reduce([col >= 0 for col in columns]))[0]
-        parts.append([col[present] for col in columns])
-        sources.append(present)
-    columns = [np.concatenate(col) for col in zip(*parts)]
-    key = np.zeros(len(columns[0]), dtype=np.int64)
-    for col in columns:
+    for action, images in zip(grid.orbit_maps, grid.orbit_images):
+        hit = np.flatnonzero(images[rows] >= 0)
+        classes = [images[rows[hit]], *(action[c[hit]] for c in columns)]
+        # One axis of two member slots per position, broadcast against the others.
+        slots = np.broadcast_arrays(*(
+            grid.members[c].reshape(len(hit), *(2 if j == k else 1 for j in range(len(classes))))
+            for k, c in enumerate(classes)
+        ))
+        found = np.nonzero(np.logical_and.reduce([slot >= 0 for slot in slots]))
+        parts.append([slot[found] for slot in slots])
+        sources.append(hit[found[0]])
+    indices = [np.concatenate(col) for col in zip(*parts)]
+    del parts
+    key = np.zeros(len(indices[0]), dtype=np.int64)
+    for col in indices:
         key = key * len(grid) + col
     order = np.argsort(key)  # keys are distinct
     source = np.concatenate(sources)[order]
-    return (*(col[order] for col in columns), *(pay[source] for pay in payoffs))
+    return (*(col[order] for col in indices), *(pay[source] for pay in payoffs))
 
 
 def _equilibria(columns: Sequence[np.ndarray]) -> list[NashEquilibrium]:
@@ -211,22 +187,6 @@ def _equilibria(columns: Sequence[np.ndarray]) -> list[NashEquilibrium]:
     ]
 
 
-def _orbit_images(
-    grid: StrategyGrid, rows: np.ndarray, columns: Sequence[np.ndarray], payoffs: Sequence[np.ndarray]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The class tuples (g.S[i], g.c, ...) of the cells (i, c, ...), one per
-    canonical map g of orbit row i, and the payoffs repeated alongside."""
-    orbit_rows, canonical = _orbits(grid)
-    parts = []
-    for action, mine in zip(grid.orbit_maps, canonical):
-        hit = np.flatnonzero(mine[rows])
-        parts.append(
-            [action[orbit_rows[rows[hit]]], *(action[c[hit]] for c in columns), *(p[hit] for p in payoffs)]
-        )
-    images = [np.concatenate(part) for part in zip(*parts)]
-    return images[: 1 + len(columns)], images[1 + len(columns):]
-
-
 def _two_player_columns(tensor: PayoffTensor, epsilon: float) -> tuple[np.ndarray, ...]:
     """`nash_two_player` as columns (a_index, b_index, payoff_a, payoff_b)."""
     _require_epsilon(epsilon)
@@ -236,9 +196,7 @@ def _two_player_columns(tensor: PayoffTensor, epsilon: float) -> tuple[np.ndarra
     keep = pa[ri, cb] >= (colmax - epsilon)[cb]
     ri, cb = ri[keep], cb[keep]
     del keep
-    classes, payoffs = _orbit_images(tensor.grid, ri, (cb,), (pa[ri, cb], pb[ri, cb]))
-    del ri, cb
-    return _expand(tensor.grid, classes, payoffs)
+    return _expand(tensor.grid, ri, (cb,), (pa[ri, cb], pb[ri, cb]))
 
 
 def nash_two_player(tensor: PayoffTensor, epsilon: float = DEFAULT_EPSILON) -> list[NashEquilibrium]:
@@ -246,8 +204,8 @@ def nash_two_player(tensor: PayoffTensor, epsilon: float = DEFAULT_EPSILON) -> l
 
     Only B's best-response cells (a, b) of the orbit rows are tested: one
     is kept when A's payoff there is within epsilon of A's column-b
-    maximum over every class. Its images (g.a, g.b) are class
-    equilibria, and each expands to its up to 4 member pairs, which carry
+    maximum over every class. `_expand` takes each kept cell to the member
+    pairs of its class images (g.a, g.b), up to 4 per image, which carry
     the cell's payoffs.
     """
     return _equilibria(_two_player_columns(tensor, epsilon))
@@ -294,7 +252,7 @@ def _bayes_equilibria(
     payoff_b1, payoff_b2) per prior. B1's and B2's best-response cells, the
     candidate triples, their distinct (b1, b2) column pairs and the
     gathered payoff columns are built once for all priors; only each
-    prior's accepted triples are imaged and expanded to member triples.
+    prior's accepted triples are expanded to member triples.
     """
     _require_epsilon(epsilon)
     _require_compatible(t1, t2)
@@ -334,7 +292,7 @@ def _bayes_equilibria(
         ok = np.nonzero(mixed >= (colmax[k] - epsilon)[column])[0]
         hit_i, hit_b1, hit_b2 = i[ok], b1[ok], b2[ok]
         payoffs = (mixed[ok], t1.rows_b[hit_i, hit_b1], t2.rows_b[hit_i, hit_b2])
-        out.append(_expand(grid, *_orbit_images(grid, hit_i, (hit_b1, hit_b2), payoffs)))
+        out.append(_expand(grid, hit_i, (hit_b1, hit_b2), payoffs))
     return out
 
 
@@ -358,10 +316,10 @@ def nash_bayesian(
     the maximum over g of the rows' maximum at (g.b1, g.b2). Those row
     maxima are taken once per distinct image pair, in blocks of
     _COLUMN_BLOCK pairs, so their scratch is O(classes * _COLUMN_BLOCK);
-    the candidate arrays take O(number of candidate triples). Each
-    accepted triple is imaged to its class triples (g.a, g.b1, g.b2), and
-    each of those expands to its up to 8 member triples, sorted once into
-    lexicographic index order. `bayes_sweep` shares all of the
-    p-independent work across the priors of one gamma.
+    the candidate arrays take O(number of candidate triples). `_expand`
+    takes each accepted triple to the member triples of its class images
+    (g.a, g.b1, g.b2), up to 8 per image, sorted once into lexicographic
+    index order. `bayes_sweep` shares all of the p-independent work
+    across the priors of one gamma.
     """
     return _equilibria(_bayes_equilibria(t1, t2, [p], epsilon)[0])

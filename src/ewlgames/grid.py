@@ -19,7 +19,9 @@ call and keeps; every stored matrix is the strategy's own
 `strategy_matrix`, so a partner's is the representative's negation
 within DEDUP_TOL. A strategy whose negation is not on the grid (pi is
 not a multiple of the phi or alpha step), or whose first negation
-already has a partner, is a class of its own.
+already has a partner, is a class of its own. The grid lists each class's
+members once, and the reductions expand class equilibria through that
+list.
 
 The circuit has one more symmetry. The gate J(gamma) commutes with
 sigma_z (x) sigma_z, which fixes |00> and only flips the sign of other
@@ -30,8 +32,10 @@ and R: U -> U i sigma_z send (theta, phi, alpha) to (theta, phi - pi/2,
 alpha +- pi/2), so a grid whose phi and alpha steps divide pi/2 is closed
 under them. On such a grid G = {e, L, R, LR} acts on the classes, and
 each player's class table satisfies pa[g.a, g.b] = pa[a, b]; the kernel
-then scores one class row per G-orbit. A grid where some class has no
-image, or where the images are not an action of G, gets G = {e}.
+then scores one class row per G-orbit, that of its lowest class, and the
+grid lists every class once as an image of one of those rows. A grid
+where some class has no image, or where the images are not an action of
+G, gets G = {e}.
 """
 from __future__ import annotations
 
@@ -85,10 +89,17 @@ class StrategyGrid:
     representative's row of `features`, and a partner carries exactly the
     representative's payoffs.
 
+    `members` is a read-only (classes, 2) integer array: each class's
+    representative, then its partner, or -1 where it has none.
+
     `orbit_maps` is a read-only (g, classes) integer array: row g sends
     class c to g.c, for the rows e, L, R and LR. A map finds a
     representative's image matrix, or its negation, within DEDUP_TOL. A
     grid not closed under the maps has the identity row only.
+    `orbit_images` is a read-only (g, orbits) integer array. Row 0 is S,
+    the lowest class of each orbit, increasing; `orbit_images[g, i]` is
+    g.S[i] where g is the first map to reach that class, and -1 elsewhere,
+    so its entries >= 0 are every class exactly once.
     """
 
     params: tuple[StrategyParams, ...]
@@ -97,6 +108,8 @@ class StrategyGrid:
     classes: np.ndarray = field(repr=False)
     representatives: np.ndarray = field(repr=False)
     orbit_maps: np.ndarray = field(repr=False)
+    orbit_images: np.ndarray = field(repr=False)
+    members: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.params)
@@ -226,7 +239,13 @@ def build_grid(steps: SteppingParams) -> StrategyGrid:
         involutions = all((m[m] == identity).all() for m in (left, right))
         if involutions and (left[right] == both).all() and (right[left] == both).all():
             orbit_maps = np.stack([identity, left, right, both])
-    for arr in (matrices, class_index, reps, orbit_maps):
+    # Each orbit's lowest class, and its images under the maps that reach a new class.
+    reached = orbit_maps[:, np.flatnonzero(orbit_maps.min(axis=0) == identity)]
+    first = np.array([(reached[g] != reached[:g]).all(axis=0) for g in range(len(reached))])
+    orbit_images = np.where(first, reached, -1)
+    members = np.stack([reps, np.full(len(reps), -1, dtype=np.intp)], axis=1)
+    members[class_index[~is_rep], 1] = np.flatnonzero(~is_rep)
+    for arr in (matrices, class_index, reps, orbit_maps, orbit_images, members):
         arr.setflags(write=False)
     return StrategyGrid(
         params=tuple(
@@ -238,4 +257,6 @@ def build_grid(steps: SteppingParams) -> StrategyGrid:
         classes=class_index,
         representatives=reps,
         orbit_maps=orbit_maps,
+        orbit_images=orbit_images,
+        members=members,
     )

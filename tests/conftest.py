@@ -8,12 +8,24 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
 
 from ewlgames import GameDefinition, SteppingParams, build_grid
-from ewlgames.circuit import EntanglementParam, payoff_forms
-from ewlgames.equilibrium import pairwise_payoffs
+from ewlgames.circuit import EntanglementParam, payoff_forms, rotation_features
 
 
 @pytest.fixture(scope="session")
-def kernel_probs():
+def kernel_payoffs():
+    """payoffs(mats_a, mats_b, gamma, game): both players' (len(mats_a), len(mats_b))
+    tables f_a @ K @ f_b.T, from the `rotation_features` f of each stack and the
+    player's `payoff_forms` K at `gamma`, as the kernel composes them."""
+
+    def payoffs(mats_a, mats_b, gamma: EntanglementParam, game: GameDefinition) -> tuple[np.ndarray, np.ndarray]:
+        feat_a, feat_b = rotation_features(mats_a), rotation_features(mats_b)
+        return tuple(feat_a @ k @ feat_b.T for k in payoff_forms(gamma, game))
+
+    return payoffs
+
+
+@pytest.fixture(scope="session")
+def kernel_probs(kernel_payoffs):
     """probs(gamma, mats_a, mats_b): (len(mats_a), len(mats_b), 4) outcome probabilities.
 
     They are read off the payoff kernel the CLI runs: a payoff vector that is 1
@@ -26,7 +38,7 @@ def kernel_probs():
         for k in range(4):
             w = tuple(float(k == m) for m in range(4))
             game = GameDefinition(f"outcome_{k}", w, w)
-            tables.append(pairwise_payoffs(mats_a, mats_b, EntanglementParam(gamma), game)[0])
+            tables.append(kernel_payoffs(mats_a, mats_b, EntanglementParam(gamma), game)[0])
         return np.stack(tables, axis=-1)
 
     return probs

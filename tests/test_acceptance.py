@@ -17,7 +17,7 @@ from ewlgames import (
     gamma_sweep,
 )
 from ewlgames.circuit import EntanglementParam, entangler, strategy_matrix
-from ewlgames.equilibrium import nash_two_player, pairwise_payoffs, payoff_tensor
+from ewlgames.equilibrium import nash_two_player, payoff_tensor
 from ewlgames.grid import SteppingParams, build_grid
 
 from oracles import brute_force_nash, circuit_payoffs, passes_deviation, u_matrix
@@ -46,7 +46,7 @@ def test_criterion_01_grid_counts():
     _passed("criterion 1 (grid counts)", f"8/1824/7968 exact in {elapsed:.2f}s")
 
 
-def test_criterion_02_classical_embedding(prisoners_dilemma):
+def test_criterion_02_classical_embedding(kernel_payoffs, prisoners_dilemma):
     budget = 1.0
     cells = {
         (0, 0): (3.0, 3.0),
@@ -59,7 +59,7 @@ def test_criterion_02_classical_embedding(prisoners_dilemma):
     t0 = time.perf_counter()
     worst = 0.0
     for gamma in default_gamma_grid():
-        got = pairwise_payoffs(moves, moves, EntanglementParam(gamma), prisoners_dilemma)
+        got = kernel_payoffs(moves, moves, EntanglementParam(gamma), prisoners_dilemma)
         for (ma, mb), expected in cells.items():
             worst = max(worst, abs(got[0][ma, mb] - expected[0]), abs(got[1][ma, mb] - expected[1]))
     elapsed = time.perf_counter() - t0
@@ -191,7 +191,7 @@ def test_criterion_06_bayesian_boundaries(prisoners_dilemma, deadlock, coarse_gr
     )
 
 
-def test_criterion_07_oracle_equivalence(prisoners_dilemma, coarse_grid):
+def test_criterion_07_oracle_equivalence(kernel_payoffs, prisoners_dilemma, coarse_grid):
     rng = np.random.default_rng(2026)
     worst = 0.0
     for _ in range(200):
@@ -201,7 +201,7 @@ def test_criterion_07_oracle_equivalence(prisoners_dilemma, coarse_grid):
         gamma = EntanglementParam(rng.uniform(0, PI / 2))
         pa = StrategyParams(rng.uniform(0, PI), rng.uniform(0, 2 * PI), rng.uniform(0, 2 * PI))
         pb = StrategyParams(rng.uniform(0, PI), rng.uniform(0, 2 * PI), rng.uniform(0, 2 * PI))
-        fast_a, fast_b = pairwise_payoffs(strategy_matrix(pa)[None], strategy_matrix(pb)[None], gamma, game)
+        fast_a, fast_b = kernel_payoffs(strategy_matrix(pa)[None], strategy_matrix(pb)[None], gamma, game)
         oracle = circuit_payoffs(
             gamma.gamma, u_matrix(*pa.astuple()), u_matrix(*pb.astuple()), game.payoff_a, game.payoff_b
         )

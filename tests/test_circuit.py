@@ -5,7 +5,6 @@ import pytest
 
 from ewlgames import GameDefinition, StrategyParams
 from ewlgames.circuit import EntanglementParam, entangler, strategy_matrix
-from ewlgames.equilibrium import pairwise_payoffs
 from ewlgames.sweep import default_gamma_grid
 
 from oracles import circuit_probs, u_matrix
@@ -118,13 +117,13 @@ class TestFinalState:
         probs = kernel_probs(math.pi / 2, DEFECT[None], DEFECT[None])[0, 0]
         np.testing.assert_allclose(probs, [0, 0, 0, 1], atol=1e-12)
 
-    def test_norm_one(self):
+    def test_norm_one(self, kernel_payoffs):
         # a constant payoff vector scores its constant: the outcome probabilities sum to 1
         rng = np.random.default_rng(13)
         mats = np.array([strategy_matrix(random_params(rng)) for _ in range(20)])
         const = GameDefinition("const", (1, 1, 1, 1), (-3, -3, -3, -3))
         for gamma in rng.uniform(0, math.pi / 2, size=5):
-            pa, pb = pairwise_payoffs(mats, mats, EntanglementParam(gamma), const)
+            pa, pb = kernel_payoffs(mats, mats, EntanglementParam(gamma), const)
             np.testing.assert_allclose(pa, 1.0, rtol=0, atol=1e-10)
             np.testing.assert_allclose(pb, -3.0, rtol=0, atol=1e-10)
 
@@ -138,7 +137,9 @@ class TestFinalState:
             np.testing.assert_allclose(probs, ref, atol=1e-12)
 
 
-    def test_phase_rotation_mixes_00_and_11_at_maximal_entanglement(self, kernel_probs, prisoners_dilemma):
+    def test_phase_rotation_mixes_00_and_11_at_maximal_entanglement(
+        self, kernel_payoffs, kernel_probs, prisoners_dilemma
+    ):
         # U(0, alpha, 0) against the identity: P = (cos^2 alpha, 0, 0, sin^2 alpha) at gamma = pi/2,
         # while at gamma = 0 the phase is unobservable and the state stays |00>
         alphas = np.linspace(0, math.pi, 9)
@@ -149,7 +150,7 @@ class TestFinalState:
         np.testing.assert_allclose(probs, expected, atol=1e-12)
         np.testing.assert_allclose(kernel_probs(0.0, mats, IDENTITY[None])[:, 0], [[1, 0, 0, 0]] * 9, atol=1e-12)
         # alpha = pi/4 splits |00> and |11> evenly: the prisoner's dilemma pays (3 + 1)/2 to each
-        pa, pb = pairwise_payoffs(mats[2:3], IDENTITY[None], EntanglementParam(math.pi / 2), prisoners_dilemma)
+        pa, pb = kernel_payoffs(mats[2:3], IDENTITY[None], EntanglementParam(math.pi / 2), prisoners_dilemma)
         assert (pa[0, 0], pb[0, 0]) == pytest.approx((2.0, 2.0), abs=1e-12)
 
 
@@ -172,7 +173,7 @@ class TestOutcomeProbs:
 
 
 class TestClassicalEmbedding:
-    def test_table_cells_at_every_gamma(self, prisoners_dilemma):
+    def test_table_cells_at_every_gamma(self, kernel_payoffs, prisoners_dilemma):
         cells = {
             (0, 0): (3.0, 3.0),
             (0, 1): (0.0, 5.0),
@@ -181,11 +182,11 @@ class TestClassicalEmbedding:
         }
         mats = np.array([IDENTITY, DEFECT])
         for gamma in default_gamma_grid():
-            got = pairwise_payoffs(mats, mats, EntanglementParam(gamma), prisoners_dilemma)
+            got = kernel_payoffs(mats, mats, EntanglementParam(gamma), prisoners_dilemma)
             for (ma, mb), expected in cells.items():
                 assert (got[0][ma, mb], got[1][ma, mb]) == pytest.approx(expected, abs=1e-9)
 
-    def test_global_phase_invariance(self):
+    def test_global_phase_invariance(self, kernel_payoffs):
         rng = np.random.default_rng(18)
 
         def phased(m, phase):
@@ -207,9 +208,9 @@ class TestClassicalEmbedding:
             game = GameDefinition("rnd", tuple(rng.uniform(-3, 5, 4)), tuple(rng.uniform(-3, 5, 4)))
             mats = np.array([strategy_matrix(random_params(rng)) for _ in range(12)])
             phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=(2, 12, 1, 1)))
-            base = pairwise_payoffs(mats, mats, gamma, game)
-            shifted = pairwise_payoffs(phases[0] * mats, phases[1] * mats, gamma, game)
+            base = kernel_payoffs(mats, mats, gamma, game)
+            shifted = kernel_payoffs(phases[0] * mats, phases[1] * mats, gamma, game)
             np.testing.assert_allclose(shifted, base, atol=1e-12)
             for rows, cols in ((-mats, mats), (mats, -mats)):
-                negated = pairwise_payoffs(rows, cols, gamma, game)
+                negated = kernel_payoffs(rows, cols, gamma, game)
                 assert all(np.array_equal(n, b) for n, b in zip(negated, base))

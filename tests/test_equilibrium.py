@@ -1,13 +1,21 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ewlgames import GameDefinition, StrategyParams, default_gamma_grid, gamma_sweep, load_default_catalogue
+from ewlgames import (
+    GameDefinition,
+    StrategyParams,
+    default_gamma_grid,
+    default_p_grid,
+    gamma_sweep,
+    load_default_catalogue,
+)
 from ewlgames import equilibrium
 from ewlgames.circuit import PAYOFF_LIMIT, EntanglementParam, strategy_matrix
-from ewlgames.equilibrium import PriorProbability, nash_bayesian, nash_two_player, pairwise_payoffs, payoff_tensor
+from ewlgames.equilibrium import PriorProbability, nash_bayesian, nash_two_player, payoff_tensor
 from ewlgames.grid import SteppingParams, build_grid
 
 from oracles import (
@@ -79,13 +87,13 @@ class TestPayoffTensor:
             np.testing.assert_allclose(t.payoff_a[a], t.payoff_a[b], atol=1e-12)
             np.testing.assert_allclose(t.payoff_a[:, a], t.payoff_a[:, b], atol=1e-12)
 
-    def test_rectangular_kernel_matches_naive(self, coarse_grid, prisoners_dilemma):
+    def test_rectangular_kernel_matches_naive(self, kernel_payoffs, coarse_grid, prisoners_dilemma):
         rng = np.random.default_rng(35)
         mats_a = coarse_grid.matrices[:3]
         mats_b = coarse_grid.matrices[3:]
         for game in (prisoners_dilemma, random_game(rng)):
             for gamma in (EntanglementParam(0.0), EntanglementParam(0.7), EntanglementParam(PI / 2)):
-                pa, pb = pairwise_payoffs(mats_a, mats_b, gamma, game)
+                pa, pb = kernel_payoffs(mats_a, mats_b, gamma, game)
                 assert pa.shape == pb.shape == (3, 5)
                 for i in range(3):
                     for j in range(5):
@@ -97,7 +105,7 @@ class TestPayoffTensor:
     # The largest scale keeps every moved payoff (|w| <= 5 before the move) within PAYOFF_LIMIT.
     @pytest.mark.parametrize("scale", [0.5, 3.0, 1e8, PAYOFF_LIMIT / 8])
     @pytest.mark.parametrize("shift", [-2.0, 5.0])
-    def test_kernel_tables_follow_affine_payoff_change(self, request, scale, shift):
+    def test_kernel_tables_follow_affine_payoff_change(self, kernel_payoffs, request, scale, shift):
         # w -> scale * w + shift must give scale * P + shift; the shift reaches
         # the tables only through the R[0, 0] rotation feature.
         rng = np.random.default_rng(36)
@@ -111,15 +119,15 @@ class TestPayoffTensor:
                 tuple(scale * w + shift for w in game.payoff_b),
             )
             for gamma in (0.0, 0.9, PI / 2):
-                base = pairwise_payoffs(mats[:25], mats[15:], EntanglementParam(gamma), game)
-                got = pairwise_payoffs(mats[:25], mats[15:], EntanglementParam(gamma), moved)
+                base = kernel_payoffs(mats[:25], mats[15:], EntanglementParam(gamma), game)
+                got = kernel_payoffs(mats[:25], mats[15:], EntanglementParam(gamma), moved)
                 for table, want, weights in zip(got, base, (moved.payoff_a, moved.payoff_b)):
                     size = max(abs(w) for w in weights)
                     np.testing.assert_allclose(table, scale * want + shift, rtol=0, atol=1e-12 * size)
 
-    def test_kernel_rejects_bad_shapes(self, prisoners_dilemma):
+    def test_kernel_rejects_bad_shapes(self, kernel_payoffs, prisoners_dilemma):
         with pytest.raises(ValueError):
-            pairwise_payoffs(
+            kernel_payoffs(
                 np.eye(2, dtype=complex),
                 np.eye(2, dtype=complex)[None],
                 EntanglementParam(0.0),
@@ -597,12 +605,56 @@ class TestTwoPlayerOnEighthGrid:
         assert peak < bound, (name, gamma, peak / n**2)
 
 
+class TestBayesOnEighthGrid:
+    # Bounds, in units of classes**2 bytes, are the peaks of the reduction
+    # before the cells were expanded in one step, rounded up.
+    @pytest.mark.parametrize(
+        "names, gamma, classes_squared",
+        [
+            pytest.param(("prisoners_dilemma", "deadlock"), 0.0, 6.86, id="pd-deadlock-0"),
+            pytest.param(("prisoners_dilemma", "deadlock"), 0.35, 2.45, id="pd-deadlock-0.35"),
+            pytest.param(("prisoners_dilemma", "deadlock"), 1.2, 2.54, id="pd-deadlock-1.2"),
+            pytest.param(("stag_hunt", "das_brother"), 0.35, 2.48, id="stag-das-0.35"),
+            pytest.param(("stag_hunt", "das_brother"), 0.7, 5.01, id="stag-das-0.7"),
+        ],
+    )
+    def test_scratch_over_21_priors_stays_under_its_recorded_peak(self, eighth_grid, names, gamma, classes_squared):
+        t1, t2 = (payoff_tensor(CATALOGUE.get(name), eighth_grid, EntanglementParam(gamma)) for name in names)
+        priors = [PriorProbability(p) for p in default_p_grid(21)]
+        n = t1.rows_a.shape[1]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            per_prior = equilibrium._bayes_equilibria(t1, t2, priors, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(per_prior) == 21
+        assert peak < classes_squared * n * n, (names, gamma, peak / n**2)
+
+
+def member_tuples(grid, class_tuples, payoffs):
+    """Every member index tuple of the class tuples, in lexicographic order,
+    each with its class tuple's payoffs: a plain-Python expansion that reads
+    nothing of the grid but `grid.classes`."""
+    members = {}
+    for index, c in enumerate(grid.classes.tolist()):
+        members.setdefault(c, []).append(index)
+    rows = sorted(
+        (member, pays)
+        for classes, pays in zip(zip(*(c.tolist() for c in class_tuples)), zip(*(p.tolist() for p in payoffs)))
+        for member in itertools.product(*(members[c] for c in classes))
+    )
+    indices = [np.array([row[0][k] for row in rows], dtype=np.intp) for k in range(len(class_tuples))]
+    return (*indices, *(np.array([row[1][k] for row in rows], dtype=float) for k in range(len(payoffs))))
+
+
 def full_two_player(grid, pa, pb, epsilon):
     """The two-player reduction rule on full class tables."""
     ca, cb = np.nonzero(pb >= pb.max(axis=1, keepdims=True) - epsilon)
     keep = pa[ca, cb] >= (pa.max(axis=0) - epsilon)[cb]
     ca, cb = ca[keep], cb[keep]
-    return equilibrium._expand(grid, (ca, cb), (pa[ca, cb], pb[ca, cb]))
+    return member_tuples(grid, (ca, cb), (pa[ca, cb], pb[ca, cb]))
 
 
 def full_bayes(grid, x, xb, y, yb, p, epsilon):
@@ -623,7 +675,7 @@ def full_bayes(grid, x, xb, y, yb, p, epsilon):
     mixed = p * x[a, b1] + (1.0 - p) * y[a, b2]
     ok = mixed >= (colmax - epsilon)[column]
     a, b1, b2 = a[ok], b1[ok], b2[ok]
-    return equilibrium._expand(grid, (a, b1, b2), (mixed[ok], xb[a, b1], yb[a, b2]))
+    return member_tuples(grid, (a, b1, b2), (mixed[ok], xb[a, b1], yb[a, b2]))
 
 
 def assert_same_equilibria(got, want, players):

@@ -227,17 +227,26 @@ class TestPhaseClasses:
             assert np.bincount(table.columns[f"{role}_index"], minlength=n).tolist() == [n] * n
 
 
+# Grids the orbit maps close: an action of G with this many orbits, LR fixing
+# this many classes (two in each of as many orbits of two classes).
+CLOSED_GRIDS = [
+    (SteppingParams(PI, PI / 2, PI / 2), 2, 4),
+    (SteppingParams(PI / 8, PI / 8, PI / 8), 232, 16),
+    (SteppingParams(PI / 32, PI / 8, PI / 8), 1000, 16),
+]
+OPEN_GRIDS = [
+    SteppingParams(PI / 4, 2 * PI / 5, 2 * PI / 5),
+    SteppingParams(PI / 8, PI / 5, PI / 4),
+    # near theta = pi every image is found, but only within
+    # DEDUP_TOL, and L after L is not e
+    SteppingParams((PI - 1e-9) / 2, PI / 2, PI / 2),
+]
+
+
 class TestOrbitMaps:
     """The grid's action of G = {e, L, R, LR}: L is U -> i sigma_z U, R is U -> U i sigma_z."""
 
-    @pytest.mark.parametrize(
-        "steps, orbits, lr_fixed",
-        [
-            (SteppingParams(PI, PI / 2, PI / 2), 2, 4),
-            (SteppingParams(PI / 8, PI / 8, PI / 8), 232, 16),
-            (SteppingParams(PI / 32, PI / 8, PI / 8), 1000, 16),
-        ],
-    )
+    @pytest.mark.parametrize("steps, orbits, lr_fixed", CLOSED_GRIDS)
     def test_klein_four_action_on_classes(self, steps, orbits, lr_fixed):
         grid = build_grid(steps)
         maps = grid.orbit_maps
@@ -269,18 +278,46 @@ class TestOrbitMaps:
                 for row in grid.orbit_maps[1:]:
                     assert np.abs(table[np.ix_(row, row)] - table).max() <= 1e-12, (game.name, gamma)
 
-    @pytest.mark.parametrize(
-        "steps",
-        [
-            SteppingParams(PI / 4, 2 * PI / 5, 2 * PI / 5),
-            SteppingParams(PI / 8, PI / 5, PI / 4),
-            # near theta = pi every image is found, but only within
-            # DEDUP_TOL, and L after L is not e
-            SteppingParams((PI - 1e-9) / 2, PI / 2, PI / 2),
-        ],
-    )
+    @pytest.mark.parametrize("steps", OPEN_GRIDS)
     def test_grid_not_closed_under_the_maps_gets_the_identity_only(self, steps):
         grid = build_grid(steps)
         classes = np.arange(len(grid.representatives))
         assert grid.orbit_maps.shape == (1, len(classes))
         assert np.array_equal(grid.orbit_maps[0], classes)
+        assert np.array_equal(grid.orbit_images, classes[None])
+
+    @pytest.mark.parametrize(
+        "steps, orbits, fixed_rows",
+        [(steps, orbits, lr_fixed // 2) for steps, orbits, lr_fixed in CLOSED_GRIDS]
+        + [(steps, None, 0) for steps in OPEN_GRIDS],
+    )
+    def test_orbit_images_list_every_class_once(self, steps, orbits, fixed_rows):
+        grid = build_grid(steps)
+        maps, images = grid.orbit_maps, grid.orbit_images
+        classes = np.arange(len(grid.representatives))
+        assert images.dtype == np.intp and not images.flags.writeable
+        rows = images[0]
+        assert np.array_equal(rows, np.unique(maps.min(axis=0)))  # the increasing orbit minima
+        assert len(rows) == (orbits or len(classes))
+        if orbits is not None:
+            # R.S[i] repeats L.S[i] and LR.S[i] repeats S[i] exactly where LR fixes S[i]
+            fixed = maps[3, rows] == rows
+            assert int(fixed.sum()) == fixed_rows
+            never = np.zeros(orbits, dtype=bool)
+            assert np.array_equal(images < 0, [never, never, fixed, fixed])
+        found = images >= 0
+        assert np.array_equal(np.sort(images[found]), classes)
+        g, i = np.nonzero(found)
+        assert np.array_equal(images[g, i], maps[g, rows[i]])
+
+    @pytest.mark.parametrize("steps", [steps for steps, _, _ in CLOSED_GRIDS] + OPEN_GRIDS)
+    def test_members_list_every_strategy_once(self, steps):
+        grid = build_grid(steps)
+        members = grid.members
+        classes = np.arange(len(grid.representatives))
+        assert members.dtype == np.intp and not members.flags.writeable
+        assert members.shape == (len(classes), 2)
+        assert np.array_equal(members[:, 0], grid.representatives)
+        partnered = members[:, 1] >= 0
+        assert np.array_equal(grid.classes[members[partnered, 1]], classes[partnered])
+        assert np.array_equal(np.sort(members[members >= 0]), np.arange(len(grid)))
