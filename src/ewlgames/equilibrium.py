@@ -29,6 +29,12 @@ G = {e}, S is every class and the arithmetic is the full class tables'.
 Bayesian equilibria are found without a loop over A's strategies; see
 `nash_bayesian` for the algorithm, its order and its memory.
 
+A sweep's tables live in one set of buffers, one (|S|, classes) table
+per player per game, allocated when the sweep starts: `_payoff_tensors`
+writes every gamma's tables into them, and its tensors are read-only
+views valid until the next gamma. A lone `payoff_tensor` call gets one
+fresh pair of tables of its own.
+
 The reductions produce columns: one member index array per player, then
 one payoff array per player. Sweeps consume those columns directly;
 `nash_two_player` and `nash_bayesian` are adapters that build
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,12 +102,19 @@ class PayoffTensor:
         return self.class_b[np.ix_(self.grid.classes, self.grid.classes)]
 
 
-def payoff_tensor(
-    game: GameDefinition,
+def _payoff_tensors(
+    games: Sequence[GameDefinition],
     grid: StrategyGrid,
-    gamma: EntanglementParam,
-) -> PayoffTensor:
-    """Tabulate both players' payoffs of each orbit row against every class.
+    gammas: Iterable[EntanglementParam],
+) -> Iterator[tuple[PayoffTensor, ...]]:
+    """One tensor per game at each gamma in turn, all written into one set of buffers.
+
+    The first step allocates one (|S|, classes) table per player per game;
+    every gamma's products are written into those tables, so a sweep does
+    not fault in fresh pages at each point. A yielded tensor's `rows_a`
+    and `rows_b` are read-only views of the buffers: they are valid only
+    until the generator resumes, which overwrites them with the next
+    gamma's tables. Copy what must outlive that step.
 
     A row whose class a map fixes is folded onto one value per column pair
     {b, g.b}, so that every expanded entry is well defined bit for bit.
@@ -111,15 +124,39 @@ def payoff_tensor(
         raise ValueError("empty strategy grid")
     features = grid.features
     orbit_rows = grid.orbit_images[0]
-    tables = [features[orbit_rows] @ k @ features.T for k in payoff_forms(gamma, game)]
-    for action in grid.orbit_maps[1:]:
-        fixed = np.flatnonzero(action[orbit_rows] == orbit_rows)
-        folded = np.minimum(action, np.arange(len(action)))
-        for table in tables:
-            table[fixed] = table[fixed][:, folded]
-    for table in tables:
-        table.setflags(write=False)
-    return PayoffTensor(game=game, gamma=gamma, grid=grid, rows_a=tables[0], rows_b=tables[1])
+    row_features = features[orbit_rows]
+    folds = [
+        (np.flatnonzero(action[orbit_rows] == orbit_rows), np.minimum(action, np.arange(len(action))))
+        for action in grid.orbit_maps[1:]
+    ]
+    buffers = [np.empty((len(orbit_rows), len(features))) for _ in range(2 * len(games))]
+    views = [table.view() for table in buffers]
+    for view in views:
+        view.setflags(write=False)
+    for gamma in gammas:
+        forms = [k for game in games for k in payoff_forms(gamma, game)]
+        for table, k in zip(buffers, forms):
+            np.matmul(row_features @ k, features.T, out=table)
+            for fixed, folded in folds:
+                table[fixed] = table[fixed][:, folded]
+        yield tuple(
+            PayoffTensor(game=game, gamma=gamma, grid=grid, rows_a=rows_a, rows_b=rows_b)
+            for game, rows_a, rows_b in zip(games, views[0::2], views[1::2])
+        )
+
+
+def payoff_tensor(
+    game: GameDefinition,
+    grid: StrategyGrid,
+    gamma: EntanglementParam,
+) -> PayoffTensor:
+    """Tabulate both players' payoffs of each orbit row against every class.
+
+    Sweeps write every gamma's tables into one set of buffers; this call
+    is one step of the same generator, with a fresh pair of tables
+    allocated for it alone, so no other call ever writes them.
+    """
+    return next(_payoff_tensors((game,), grid, (gamma,)))[0]
 
 
 @dataclass(frozen=True)
@@ -236,7 +273,7 @@ def _require_compatible(t1: PayoffTensor, t2: PayoffTensor) -> None:
 
 
 # Column pairs per step of A's column maxima. A step's scratch is a few
-# (classes, _COLUMN_BLOCK) float arrays, 1.9 MB each on the 1824 grid.
+# (|S|, _COLUMN_BLOCK) float arrays, 0.47 MB each on the 1824 grid.
 _COLUMN_BLOCK = 256
 
 
@@ -315,7 +352,7 @@ def nash_bayesian(
     column maximum over all classes only once per distinct (b1, b2) pair:
     the maximum over g of the rows' maximum at (g.b1, g.b2). Those row
     maxima are taken once per distinct image pair, in blocks of
-    _COLUMN_BLOCK pairs, so their scratch is O(classes * _COLUMN_BLOCK);
+    _COLUMN_BLOCK pairs, so their scratch is O(|S| * _COLUMN_BLOCK);
     the candidate arrays take O(number of candidate triples). `_expand`
     takes each accepted triple to the member triples of its class images
     (g.a, g.b1, g.b2), up to 8 per image, sorted once into lexicographic

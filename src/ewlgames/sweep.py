@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,8 +24,8 @@ from .equilibrium import (
     NashEquilibrium,
     PriorProbability,
     _bayes_equilibria,
+    _payoff_tensors,
     _two_player_columns,
-    payoff_tensor,
 )
 from .grid import StrategyGrid
 
@@ -249,15 +250,16 @@ def gamma_sweep(
     gamma_points: Sequence[float],
     epsilon: float = DEFAULT_EPSILON,
 ) -> RecordTable:
-    """Two-player equilibria at each entanglement value, as one table."""
-    return _table(
-        grid,
-        [
-            (g, None, _two_player_columns(payoff_tensor(game, grid, EntanglementParam(g)), epsilon))
-            for g in gamma_points
-        ],
-        bayes=False,
-    )
+    """Two-player equilibria at each entanglement value, as one table.
+
+    Every gamma's tables are written into one pair of buffers; the
+    reduction copies what it keeps, so no column is a view of them.
+    """
+    gammas = (EntanglementParam(g) for g in gamma_points)
+    # closing the generator frees the buffers before the record columns are built
+    with closing(_payoff_tensors((game,), grid, gammas)) as tensors:
+        points = [(g, None, _two_player_columns(t, epsilon)) for g, (t,) in zip(gamma_points, tensors)]
+    return _table(grid, points, bayes=False)
 
 
 def bayes_sweep(
@@ -270,20 +272,19 @@ def bayes_sweep(
 ) -> RecordTable:
     """Bayesian (A, B1, B2) equilibria over the full (gamma, p) product grid, as one table.
 
-    Both component tensors are built once per gamma, and one candidate set
-    (B's best-response masks, the candidate triples and A's distinct
-    column pairs) serves every prior value of that gamma.
+    Both component tensors of every gamma are written into one set of
+    buffers, and one candidate set (B's best-response masks, the candidate
+    triples and A's distinct column pairs) serves every prior value of
+    that gamma.
     """
     priors = [PriorProbability(p) for p in p_points]
-    points = []
-    for g in gamma_points:
-        gamma = EntanglementParam(g)
-        # The tensors go straight in, so this gamma's tables are freed
-        # before the next gamma's pair is built.
-        per_prior = _bayes_equilibria(
-            payoff_tensor(game1, grid, gamma), payoff_tensor(game2, grid, gamma), priors, epsilon
-        )
-        points.extend((g, p, cols) for p, cols in zip(p_points, per_prior))
+    gammas = (EntanglementParam(g) for g in gamma_points)
+    with closing(_payoff_tensors((game1, game2), grid, gammas)) as tensors:
+        points = [
+            (g, p, cols)
+            for g, (t1, t2) in zip(gamma_points, tensors)
+            for p, cols in zip(p_points, _bayes_equilibria(t1, t2, priors, epsilon))
+        ]
     return _table(grid, points, bayes=True)
 
 

@@ -564,6 +564,39 @@ MEMBER_CASES = [
 ]
 
 
+class TestPayoffBuffers:
+    """`_payoff_tensors` writes every gamma into one set of read-only-viewed
+    buffers; a lone `payoff_tensor` call owns its tables."""
+
+    GAMMAS = [EntanglementParam(0.0), EntanglementParam(PI / 8)]
+
+    def test_sweep_steps_share_their_buffers(self, eighth_grid, stag_hunt):
+        steps = equilibrium._payoff_tensors((stag_hunt,), eighth_grid, self.GAMMAS)
+        (first,), (second,) = next(steps), next(steps)
+        assert np.shares_memory(first.rows_a, second.rows_a)
+        assert np.shares_memory(first.rows_b, second.rows_b)
+        assert not np.shares_memory(second.rows_a, second.rows_b)
+        # the buffers hold the latest step's tables
+        lone = payoff_tensor(stag_hunt, eighth_grid, self.GAMMAS[1])
+        assert np.array_equal(second.rows_a, lone.rows_a) and np.array_equal(second.rows_b, lone.rows_b)
+
+    def test_tables_are_read_only(self, eighth_grid, stag_hunt, deadlock):
+        steps = equilibrium._payoff_tensors((stag_hunt, deadlock), eighth_grid, self.GAMMAS)
+        tensors = [*itertools.chain.from_iterable(steps), payoff_tensor(stag_hunt, eighth_grid, self.GAMMAS[0])]
+        assert len(tensors) == 5
+        for t in tensors:
+            for rows in (t.rows_a, t.rows_b):
+                assert not rows.flags.writeable
+                with pytest.raises(ValueError):
+                    rows[0, 0] = 0.0
+
+    def test_lone_calls_own_their_tables(self, eighth_grid, stag_hunt):
+        first, second = (payoff_tensor(stag_hunt, eighth_grid, self.GAMMAS[0]) for _ in range(2))
+        for x, y in itertools.product((first.rows_a, first.rows_b), (second.rows_a, second.rows_b)):
+            assert not np.shares_memory(x, y)
+        assert np.array_equal(first.rows_a, second.rows_a) and np.array_equal(first.rows_b, second.rows_b)
+
+
 class TestTwoPlayerOnEighthGrid:
     @pytest.mark.parametrize("grid, name, gamma", MEMBER_CASES)
     def test_matches_member_level_definition(self, request, grid, name, gamma):

@@ -282,6 +282,40 @@ class TestBayesSweep:
         assert keys == sorted(keys)
 
 
+class TestBufferReuse:
+    """A sweep writes every gamma's tables into one set of buffers; no
+    gamma's records may depend on what an earlier gamma left there."""
+
+    # out of order and with a repeat, so each step follows a different gamma
+    GAMMAS = [PI / 2, 0.0, 0.35, PI / 8, 1.2, 0.0, 0.7]
+
+    @pytest.fixture(scope="class")
+    def eighth_grid(self):
+        grid = build_grid(SteppingParams(PI / 8, PI / 8, PI / 8))
+        # the orbit maps are active and LR fixes some orbit rows
+        rows = grid.orbit_images[0]
+        assert len(grid.orbit_maps) == 4 and (grid.orbit_maps[3][rows] == rows).any()
+        return grid
+
+    @staticmethod
+    def assert_concatenation(table, parts):
+        for name, column in table.columns.items():
+            want = np.concatenate([part.columns[name] for part in parts])
+            assert column.dtype == want.dtype and np.array_equal(column, want), name
+
+    @pytest.mark.parametrize("name", load_default_catalogue().names)
+    def test_gamma_sweep_equals_one_gamma_sweeps(self, eighth_grid, name):
+        game = load_default_catalogue().get(name)
+        table = gamma_sweep(game, eighth_grid, self.GAMMAS)
+        self.assert_concatenation(table, [gamma_sweep(game, eighth_grid, [g]) for g in self.GAMMAS])
+
+    def test_bayes_sweep_equals_one_gamma_sweeps(self, eighth_grid, stag_hunt, deadlock):
+        priors = [0.0, 0.3, 1.0]
+        table = bayes_sweep(stag_hunt, deadlock, eighth_grid, self.GAMMAS, priors)
+        parts = [bayes_sweep(stag_hunt, deadlock, eighth_grid, [g], priors) for g in self.GAMMAS]
+        self.assert_concatenation(table, parts)
+
+
 class TestFeaturePass:
     def test_one_feature_pass_per_grid(self, monkeypatch, prisoners_dilemma, deadlock):
         # Every gamma of both sweeps reads the grid's features; they are
