@@ -329,7 +329,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_strategies(args: argparse.Namespace) -> int:
     grid = build_grid(args.steps)
-    columns = [np.arange(len(grid)), *np.array([p.astuple() for p in grid.params]).T]
+    columns = [np.arange(len(grid)), *grid.angles.T]
     if args.out:
         write_columns_csv(args.out, STRATEGY_COLUMNS, columns)
         print(f"wrote {len(grid)} strategies to {args.out}")

@@ -78,7 +78,7 @@ class PayoffTensor:
         return len(self.grid)
 
     def _class_table(self, rows: np.ndarray) -> np.ndarray:
-        n = len(self.grid.representatives)
+        n = len(self.grid.members)
         table = np.empty((n, n))
         for action, images in zip(self.grid.orbit_maps, self.grid.orbit_images):
             i = np.flatnonzero(images >= 0)
@@ -261,9 +261,8 @@ class PriorProbability:
 
 def _require_compatible(t1: PayoffTensor, t2: PayoffTensor) -> None:
     if t1.grid is not t2.grid and (
-        len(t1.grid) != len(t2.grid)
-        or t1.grid.source_steps != t2.grid.source_steps
-        or t1.grid.params != t2.grid.params
+        t1.grid.source_steps != t2.grid.source_steps
+        or not np.array_equal(t1.grid.angles, t2.grid.angles)
     ):
         raise ValueError("tensors built on different strategy grids")
     if t1.gamma != t2.gamma:

@@ -1,5 +1,6 @@
 """Discretized strategy sets: every (j*dt, k*dp, l*da) triple in bounds,
-with entrywise-duplicate matrices removed, split into +-U classes.
+with entrywise-duplicate matrices removed, split into +-U classes. A grid
+stores the kept triples once, as the rows of one (N, 3) angle array.
 
 Duplicates arise because phi and alpha wrap at 2pi, alpha is inert at
 theta=0 and phi is inert at theta=pi. Deduplication is greedy: in
@@ -14,14 +15,13 @@ another grid matrix is -1: U(theta, phi+pi, alpha+pi) = -U. Payoffs depend
 on |psi|^2 only, so U and -U score identically, and the pair forms a
 class of at most two members. The payoff kernel and the Nash reductions
 score each class once, through its lower-index representative, whose
-gamma-free rotation features the grid computes on the kernel's first
-call and keeps; every stored matrix is the strategy's own
-`strategy_matrix`, so a partner's is the representative's negation
-within DEDUP_TOL. A strategy whose negation is not on the grid (pi is
-not a multiple of the phi or alpha step), or whose first negation
-already has a partner, is a class of its own. The grid lists each class's
-members once, and the reductions expand class equilibria through that
-list.
+gamma-free rotation features the grid computes on first read and keeps;
+every stored matrix is the strategy's own `strategy_matrix`, so a
+partner's is the representative's negation within DEDUP_TOL. A
+strategy whose negation is not on the grid (pi is not a multiple of the
+phi or alpha step), or whose first negation already has a partner, is a
+class of its own. The grid lists each class's members once, and the
+reductions expand class equilibria through that list.
 
 The circuit has one more symmetry. The gate J(gamma) commutes with
 sigma_z (x) sigma_z, which fixes |00> and only flips the sign of other
@@ -80,17 +80,17 @@ class SteppingParams:
 class StrategyGrid:
     """Deduplicated, lexicographically ordered strategy set.
 
-    `params[i]` is the representative triple for `matrices[i]`; the
-    matrix stack is a read-only (N, 2, 2) complex array. `classes[i]` is
-    strategy i's +-U class and `representatives[c]` the lowest index in
-    class c, increasing in c. `matrices[i]` is `strategy_matrix(params[i])`
-    bit for bit, so a partner's matrix is its representative's negation
-    within DEDUP_TOL. Each class is scored once, through its
-    representative's row of `features`, and a partner carries exactly the
-    representative's payoffs.
-
-    `members` is a read-only (classes, 2) integer array: each class's
-    representative, then its partner, or -1 where it has none.
+    `angles` is a read-only (N, 3) float array: row i is strategy i's
+    (theta, phi, alpha), and `params[i]` the same triple as a
+    `StrategyParams`, built on first read. `matrices` is a read-only
+    (N, 2, 2) complex array, and `matrices[i]` is
+    `strategy_matrix(params[i])` bit for bit. `classes[i]` is strategy i's
+    +-U class. `members` is a read-only (classes, 2) integer array: each
+    class's representative, its lowest index and increasing in c, then its
+    partner, or -1 where it has none. A partner's matrix is its
+    representative's negation within DEDUP_TOL. Each class is scored once,
+    through its representative's row of `features`, and a partner carries
+    exactly the representative's payoffs.
 
     `orbit_maps` is a read-only (g, classes) integer array: row g sends
     class c to g.c, for the rows e, L, R and LR. A map finds a
@@ -102,23 +102,27 @@ class StrategyGrid:
     so its entries >= 0 are every class exactly once.
     """
 
-    params: tuple[StrategyParams, ...]
+    angles: np.ndarray = field(repr=False)
     matrices: np.ndarray = field(repr=False)
     source_steps: SteppingParams
     classes: np.ndarray = field(repr=False)
-    representatives: np.ndarray = field(repr=False)
     orbit_maps: np.ndarray = field(repr=False)
     orbit_images: np.ndarray = field(repr=False)
     members: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.params)
+        return len(self.angles)
+
+    @cached_property
+    def params(self) -> tuple[StrategyParams, ...]:
+        """One `StrategyParams` per row of `angles`, built on first read."""
+        return tuple(StrategyParams(*row) for row in self.angles.tolist())
 
     @cached_property
     def features(self) -> np.ndarray:
         """The representatives' `rotation_features`, a read-only (classes, 10)
         float array, computed on first read and kept for the grid's life."""
-        features = rotation_features(self.matrices[self.representatives])
+        features = rotation_features(self.matrices[self.members[:, 0]])
         features.setflags(write=False)
         return features
 
@@ -245,17 +249,14 @@ def build_grid(steps: SteppingParams) -> StrategyGrid:
     orbit_images = np.where(first, reached, -1)
     members = np.stack([reps, np.full(len(reps), -1, dtype=np.intp)], axis=1)
     members[class_index[~is_rep], 1] = np.flatnonzero(~is_rep)
-    for arr in (matrices, class_index, reps, orbit_maps, orbit_images, members):
+    angles = np.stack([np.array(thetas)[t], np.array(phis)[k], np.array(alphas)[a]], axis=1)
+    for arr in (angles, matrices, class_index, orbit_maps, orbit_images, members):
         arr.setflags(write=False)
     return StrategyGrid(
-        params=tuple(
-            StrategyParams(thetas[i], phis[j], alphas[m])
-            for i, j, m in zip(t.tolist(), k.tolist(), a.tolist())
-        ),
+        angles=angles,
         matrices=matrices,
         source_steps=steps,
         classes=class_index,
-        representatives=reps,
         orbit_maps=orbit_maps,
         orbit_images=orbit_images,
         members=members,

@@ -59,7 +59,9 @@ def default_gamma_grid(n: int = DEFAULT_GAMMA_POINTS) -> list[float]:
     """n uniform entanglement values covering [0, pi/2] inclusive."""
     if n < 2:
         raise ValueError("need at least 2 gamma points")
-    return [GAMMA_MAX * k / (n - 1) for k in range(n)]
+    # The endpoint is GAMMA_MAX itself: GAMMA_MAX * (n - 1) / (n - 1) can
+    # round one ulp to either side, and above pi/2 is not a valid gamma.
+    return [GAMMA_MAX * k / (n - 1) for k in range(n - 1)] + [GAMMA_MAX]
 
 
 def default_p_grid(n: int = DEFAULT_P_POINTS) -> list[float]:
@@ -216,7 +218,7 @@ def _table(
     """The table of sweep points given as (gamma, p or None, equilibrium columns).
 
     Each point's columns are its member index arrays, one per player, then
-    its payoff arrays; angles are gathered from `grid.params` by index.
+    its payoff arrays; angles are gathered from `grid.angles` by index.
     """
     players = len(_roles(bayes))
     sizes = np.array([len(cols[0]) for _, _, cols in points], dtype=np.int64)
@@ -230,7 +232,6 @@ def _table(
         return np.repeat(np.array(values, dtype=np.float64), sizes)
 
     indices = stacked(np.int64, slice(players))
-    angles = np.array([sp.astuple() for sp in grid.params], dtype=np.float64).reshape(-1, 3)
     return RecordTable(
         _schema_columns(
             bayes,
@@ -238,7 +239,7 @@ def _table(
             per_point([p for _, p, _ in points]) if bayes else None,
             np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes),
             indices,
-            angles[indices],
+            grid.angles[indices],
             stacked(np.float64, slice(players, None)),
         )
     )

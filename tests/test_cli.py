@@ -199,6 +199,13 @@ class TestSweep:
         assert rows[0][0] == "0"
         assert plot.read_text().startswith("<svg")
 
+    def test_gamma_grid_14_reaches_pi_over_2(self, tmp_path):
+        # 14 points once put the last gamma one ulp above pi/2, and the sweep exited 1
+        out = tmp_path / "g.csv"
+        assert run("sweep", "--game", "prisoners_dilemma", "--gamma-grid", "14", "--out", str(out)) == 0
+        header, rows = read_rows(out)
+        assert header == TWO_PLAYER_COLUMNS and rows
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text(

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -319,11 +320,25 @@ class TestBayesian:
             nash_bayesian(t1, t2, PriorProbability(0.5))
 
     def test_mismatched_grid_rejected(self, coarse_grid, prisoners_dilemma):
+        gamma, prior = EntanglementParam(0.1), PriorProbability(0.5)
         other = build_grid(SteppingParams(PI / 2, PI / 2, PI / 2))
-        t1 = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(0.1))
-        t2 = payoff_tensor(prisoners_dilemma, other, EntanglementParam(0.1))
+        t1 = payoff_tensor(prisoners_dilemma, coarse_grid, gamma)
+        t2 = payoff_tensor(prisoners_dilemma, other, gamma)
         with pytest.raises(ValueError):
-            nash_bayesian(t1, t2, PriorProbability(0.5))
+            nash_bayesian(t1, t2, prior)
+        # a grid built separately from equal steps is the same strategy set
+        twin = build_grid(coarse_grid.source_steps)
+        assert twin is not coarse_grid
+        same = nash_bayesian(t1, payoff_tensor(prisoners_dilemma, twin, gamma), prior)
+        assert same == nash_bayesian(t1, t1, prior)
+        # same length, different steps: caught by the steps, and by the angles alone
+        a, b = build_grid(SteppingParams(PI, PI / 2, 1.8)), build_grid(SteppingParams(PI, PI / 2, 2.0))
+        assert len(a) == len(b) and not np.array_equal(a.angles, b.angles)
+        for grid in (b, dataclasses.replace(b, source_steps=a.source_steps)):
+            with pytest.raises(ValueError, match="different strategy grids"):
+                nash_bayesian(
+                    payoff_tensor(prisoners_dilemma, a, gamma), payoff_tensor(prisoners_dilemma, grid, gamma), prior
+                )
 
     def test_prior_validation(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from ewlgames import GameDefinition, SteppingParams, StrategyParams, build_grid, gamma_sweep, load_default_catalogue
-from ewlgames.circuit import rotation_features, strategy_matrix
+from ewlgames import (
+    GameDefinition,
+    SteppingParams,
+    StrategyParams,
+    bayes_sweep,
+    build_grid,
+    gamma_sweep,
+    load_default_catalogue,
+)
+from ewlgames.circuit import EntanglementParam, rotation_features, strategy_matrix
+from ewlgames.equilibrium import payoff_tensor
 from ewlgames.grid import DEDUP_TOL
 
 from oracles import phase_partners
@@ -38,7 +47,7 @@ class TestCounts:
     def test_fine_phi_alpha_steps_yield_114944(self):
         grid = build_grid(SteppingParams(PI / 8, PI / 64, PI / 64))
         assert len(grid) == 114944
-        assert len(grid.representatives) == 57472
+        assert len(grid.members) == 57472
 
 
 class TestContents:
@@ -51,6 +60,41 @@ class TestContents:
             grid = build_grid(steps)
             assert grid.params[0] == StrategyParams(0.0, 0.0, 0.0)
             np.testing.assert_allclose(grid.matrices[0], np.eye(2), atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            SteppingParams(PI, PI / 2, PI / 2),
+            SteppingParams(PI / 8, PI / 8, PI / 8),
+            SteppingParams(PI / 32, PI / 8, PI / 8),
+            # multiples that overshoot their bound and are clamped onto it
+            SteppingParams(1.0, 1.5, 2.0),
+            SteppingParams(PI / 3, 2 * PI / 3, PI / 2),
+        ],
+    )
+    def test_angles_are_the_params_as_one_array(self, steps):
+        grid = build_grid(steps)
+        angles = grid.angles
+        assert angles.dtype == np.float64 and angles.shape == (len(grid), 3)
+        assert not angles.flags.writeable
+        assert ((angles >= 0.0) & (angles <= [PI, 2 * PI, 2 * PI])).all()
+        assert angles.tobytes() == np.array([p.astuple() for p in grid.params]).tobytes()
+
+    def test_params_are_built_on_first_read_only(self, prisoners_dilemma):
+        # the sweeps read `angles`; building the N-object tuple is most of a build's time
+        grid = build_grid(SteppingParams(PI / 4, PI / 2, PI / 2))
+        assert "params" not in vars(grid)
+        gamma_sweep(prisoners_dilemma, grid, [0.0, 0.5])
+        bayes_sweep(prisoners_dilemma, prisoners_dilemma, grid, [0.5], [0.0, 0.5])
+        assert "params" not in vars(grid)
+        assert grid.params is grid.params
+        assert "params" in vars(grid)
+
+    def test_reprs_leave_out_the_per_strategy_arrays(self, prisoners_dilemma):
+        grid = build_grid(SteppingParams(PI / 32, PI / 8, PI / 8))
+        assert len(grid) == 7968
+        assert len(repr(grid)) < 1000
+        assert len(repr(payoff_tensor(prisoners_dilemma, grid, EntanglementParam(0.5)))) < 1000
 
     def test_matrices_match_their_params(self, coarse_grid):
         for p, m in zip(coarse_grid.params, coarse_grid.matrices):
@@ -71,13 +115,13 @@ class TestContents:
         # every downstream byte relies on the grid and strategy_matrix
         # sharing one entry formula, and the kernel reads the features
         grid = build_grid(steps)
-        for i in grid.representatives:
+        for i in grid.members[:, 0]:
             assert grid.matrices[i].tobytes() == strategy_matrix(grid.params[i]).tobytes()
         features = grid.features
         assert not features.flags.writeable
         assert grid.features is features
-        assert features.shape == (len(grid.representatives), 10)
-        own = np.array([strategy_matrix(grid.params[i]) for i in grid.representatives])
+        assert features.shape == (len(grid.members), 10)
+        own = np.array([strategy_matrix(grid.params[i]) for i in grid.members[:, 0]])
         assert features.tobytes() == rotation_features(own).tobytes()
 
     def test_lexicographic_order(self, coarse_grid):
@@ -148,9 +192,9 @@ class TestContents:
 class TestPhaseClasses:
     def test_eighth_grid_has_912_classes_of_negations(self):
         grid = build_grid(SteppingParams(PI / 8, PI / 8, PI / 8))
-        assert len(grid.representatives) == 912
-        np.testing.assert_array_equal(grid.representatives, np.unique(grid.classes, return_index=True)[1])
-        reps = grid.representatives[grid.classes]
+        assert len(grid.members) == 912
+        np.testing.assert_array_equal(grid.members[:, 0], np.unique(grid.classes, return_index=True)[1])
+        reps = grid.members[:, 0][grid.classes]
         partners = np.nonzero(reps != np.arange(len(grid)))[0]
         assert len(partners) == 912
         own = np.array([strategy_matrix(p) for p in grid.params])
@@ -178,7 +222,7 @@ class TestPhaseClasses:
         partners = phase_partners(p.astuple() for p in grid.params)
         assert same_class == {(i, j) for i, js in partners.items() for j in js if i < j}
         assert np.bincount(grid.classes).max() <= 2
-        np.testing.assert_array_equal(grid.representatives, np.unique(grid.classes, return_index=True)[1])
+        np.testing.assert_array_equal(grid.members[:, 0], np.unique(grid.classes, return_index=True)[1])
 
     # Near theta = pi the negation match chains: one strategy can be the
     # first earlier negation of another while being a partner itself.
@@ -195,7 +239,7 @@ class TestPhaseClasses:
     def test_classes_have_at_most_two_members(self, steps):
         grid = build_grid(steps)
         assert np.bincount(grid.classes).max() <= 2
-        reps = grid.representatives[grid.classes]
+        reps = grid.members[:, 0][grid.classes]
         partners = np.nonzero(reps != np.arange(len(grid)))[0]
         assert len(partners) > 0
         own = np.array([strategy_matrix(p) for p in grid.params])
@@ -250,7 +294,7 @@ class TestOrbitMaps:
     def test_klein_four_action_on_classes(self, steps, orbits, lr_fixed):
         grid = build_grid(steps)
         maps = grid.orbit_maps
-        classes = np.arange(len(grid.representatives))
+        classes = np.arange(len(grid.members))
         assert maps.shape == (4, len(classes)) and not maps.flags.writeable
         assert np.array_equal(maps[0], classes)
         for row in maps:
@@ -260,9 +304,9 @@ class TestOrbitMaps:
         assert [int((row == classes).sum()) for row in maps[1:]] == [0, 0, lr_fixed]
         # Each map sends a representative's matrix to one of its image class's members, up to sign.
         z = np.diag([1j, -1j])
-        reps = grid.matrices[grid.representatives]
+        reps = grid.matrices[grid.members[:, 0]]
         for row, image in zip(maps[1:], (z @ reps, reps @ z, z @ reps @ z)):
-            got = grid.matrices[grid.representatives[row]]
+            got = grid.matrices[grid.members[:, 0][row]]
             distance = np.minimum(np.abs(got - image).max(axis=(1, 2)), np.abs(got + image).max(axis=(1, 2)))
             assert distance.max() <= 1e-12
 
@@ -281,7 +325,7 @@ class TestOrbitMaps:
     @pytest.mark.parametrize("steps", OPEN_GRIDS)
     def test_grid_not_closed_under_the_maps_gets_the_identity_only(self, steps):
         grid = build_grid(steps)
-        classes = np.arange(len(grid.representatives))
+        classes = np.arange(len(grid.members))
         assert grid.orbit_maps.shape == (1, len(classes))
         assert np.array_equal(grid.orbit_maps[0], classes)
         assert np.array_equal(grid.orbit_images, classes[None])
@@ -294,7 +338,7 @@ class TestOrbitMaps:
     def test_orbit_images_list_every_class_once(self, steps, orbits, fixed_rows):
         grid = build_grid(steps)
         maps, images = grid.orbit_maps, grid.orbit_images
-        classes = np.arange(len(grid.representatives))
+        classes = np.arange(len(grid.members))
         assert images.dtype == np.intp and not images.flags.writeable
         rows = images[0]
         assert np.array_equal(rows, np.unique(maps.min(axis=0)))  # the increasing orbit minima
@@ -314,10 +358,10 @@ class TestOrbitMaps:
     def test_members_list_every_strategy_once(self, steps):
         grid = build_grid(steps)
         members = grid.members
-        classes = np.arange(len(grid.representatives))
+        classes = np.arange(len(grid.members))
         assert members.dtype == np.intp and not members.flags.writeable
         assert members.shape == (len(classes), 2)
-        assert np.array_equal(members[:, 0], grid.representatives)
+        assert np.array_equal(members[:, 0], np.unique(grid.classes, return_index=True)[1])
         partnered = members[:, 1] >= 0
         assert np.array_equal(grid.classes[members[partnered, 1]], classes[partnered])
         assert np.array_equal(np.sort(members[members >= 0]), np.arange(len(grid)))

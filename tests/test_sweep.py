@@ -59,6 +59,21 @@ class TestDefaultGrids:
         steps = np.diff(pts)
         np.testing.assert_allclose(steps, PI / 128, atol=1e-15)
 
+    def test_gamma_grid_ends_at_pi_over_2(self):
+        # (pi/2) * (n-1) / (n-1) rounds one ulp above pi/2 at n = 14, 27, 48,
+        # 53, 84, 95, 100, ... and one ulp below at n = 12, 16, 23, ...
+        for n in range(2, 2001):
+            pts = default_gamma_grid(n)
+            assert len(pts) == n and pts[0] == 0.0, n
+            assert max(pts) <= PI / 2 and pts[-1] == PI / 2, n
+        EntanglementParam(default_gamma_grid(14)[-1])
+
+    def test_gamma_grid_keeps_the_65_point_bits(self):
+        # only the endpoint is pinned; every other gamma, and so every
+        # payoff of a default sweep, keeps its bits
+        expected = [PI / 2 * k / 64 for k in range(65)]
+        assert np.array(default_gamma_grid(65)).tobytes() == np.array(expected).tobytes()
+
     def test_p_grid(self):
         pts = default_p_grid()
         assert len(pts) == 21
@@ -389,6 +404,14 @@ class TestRecordTables:
         }
         write_records_json(lib_out, table, bayes=True, metadata=metadata)
         assert lib_out.read_bytes() == cli_out.read_bytes()
+
+    def test_columns_are_writable_and_own_their_memory(self, bayes_case):
+        game1, game2, grid, gammas, priors = bayes_case
+        for table in (gamma_sweep(game1, grid, gammas), bayes_sweep(game1, game2, grid, gammas, priors)):
+            assert len(table) > 0
+            for name, column in table.columns.items():
+                assert column.flags.writeable, name
+                assert not np.shares_memory(column, grid.angles), name
 
     @pytest.mark.parametrize("bayes", [False, True], ids=["two-player", "bayes"])
     def test_record_columns_equal_the_table_bit_for_bit(self, bayes_case, bayes):
