@@ -28,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+# Each strategy angle lies in [0, ANGLE_BOUNDS[name]], and gamma in [0, GAMMA_MAX].
+ANGLE_BOUNDS = {"theta": math.pi, "phi": 2.0 * math.pi, "alpha": 2.0 * math.pi}
+GAMMA_MAX = math.pi / 2
 # Largest payoff magnitude a game may have. A payoff table entry is a convex
 # combination of the payoff vector, and a crude count bounds the kernel's
 # intermediate sums by 2e5 times its largest |w|, so all of them stay finite.
@@ -49,9 +51,8 @@ class StrategyParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        _require_range("theta", self.theta, 0.0, math.pi)
-        _require_range("phi", self.phi, 0.0, TWO_PI)
-        _require_range("alpha", self.alpha, 0.0, TWO_PI)
+        for name, bound in ANGLE_BOUNDS.items():
+            _require_range(name, getattr(self, name), 0.0, bound)
 
     def astuple(self) -> tuple[float, float, float]:
         return (self.theta, self.phi, self.alpha)
@@ -64,7 +65,7 @@ class EntanglementParam:
     gamma: float
 
     def __post_init__(self) -> None:
-        _require_range("gamma", self.gamma, 0.0, math.pi / 2)
+        _require_range("gamma", self.gamma, 0.0, GAMMA_MAX)
 
 
 @dataclass(frozen=True)

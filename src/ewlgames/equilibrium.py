@@ -190,29 +190,22 @@ def _expand(
     tuple (g.S[i], g.c, ...) of each map g with `grid.orbit_images[g, i]`
     >= 0, and each class tuple for every choice of its classes' members
     (`grid.members`). `payoffs` holds one array per player aligned with
-    the cells. Returns the member index arrays, then the payoff arrays:
-    each member tuple carries its cell's payoffs.
+    the cells. All (map, cell) pairs are taken at once, then each
+    position's class is replaced by its members in turn, repeating the
+    rest of the tuple and its source cell once per member. Returns the
+    member index arrays, sorted once by their combined key, then the
+    payoff arrays: each member tuple carries its cell's payoffs.
     """
-    parts, sources = [], []
-    for action, images in zip(grid.orbit_maps, grid.orbit_images):
-        hit = np.flatnonzero(images[rows] >= 0)
-        classes = [images[rows[hit]], *(action[c[hit]] for c in columns)]
-        # One axis of two member slots per position, broadcast against the others.
-        slots = np.broadcast_arrays(*(
-            grid.members[c].reshape(len(hit), *(2 if j == k else 1 for j in range(len(classes))))
-            for k, c in enumerate(classes)
-        ))
-        found = np.nonzero(np.logical_and.reduce([slot >= 0 for slot in slots]))
-        parts.append([slot[found] for slot in slots])
-        sources.append(hit[found[0]])
-    indices = [np.concatenate(col) for col in zip(*parts)]
-    del parts
-    key = np.zeros(len(indices[0]), dtype=np.int64)
-    for col in indices:
-        key = key * len(grid) + col
-    order = np.argsort(key)  # keys are distinct
-    source = np.concatenate(sources)[order]
-    return (*(col[order] for col in indices), *(pay[source] for pay in payoffs))
+    g, cell = np.nonzero(grid.orbit_images[:, rows] >= 0)
+    tuples = [grid.orbit_images[g, rows[cell]], *(grid.orbit_maps[g, c[cell]] for c in columns)]
+    for k in range(len(tuples)):
+        members = grid.members[tuples[k]]
+        slot, member = np.nonzero(members >= 0)
+        tuples = [members[slot, member] if j == k else col[slot] for j, col in enumerate(tuples)]
+        cell = cell[slot]
+    order = np.argsort(np.ravel_multi_index(tuples, (len(grid),) * len(tuples)))  # keys are distinct
+    source = cell[order]
+    return (*(col[order] for col in tuples), *(pay[source] for pay in payoffs))
 
 
 def _equilibria(columns: Sequence[np.ndarray]) -> list[NashEquilibrium]:

@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import TWO_PI, StrategyParams, _rotation_entries, rotation_features
+from .circuit import ANGLE_BOUNDS, StrategyParams, _rotation_entries, rotation_features
 
 DEDUP_TOL = 1e-9
 
@@ -64,13 +64,10 @@ class SteppingParams:
     d_alpha: float
 
     def __post_init__(self) -> None:
-        for name, step, bound in (
-            ("d_theta", self.d_theta, math.pi),
-            ("d_phi", self.d_phi, TWO_PI),
-            ("d_alpha", self.d_alpha, TWO_PI),
-        ):
+        for name, bound in ANGLE_BOUNDS.items():
+            step = getattr(self, f"d_{name}")
             if not (math.isfinite(step) and 0.0 < step <= bound):
-                raise ValueError(f"{name} must be in (0, {bound:g}], got {step!r}")
+                raise ValueError(f"d_{name} must be in (0, {bound:g}], got {step!r}")
 
     def astuple(self) -> tuple[float, float, float]:
         return (self.d_theta, self.d_phi, self.d_alpha)
@@ -188,9 +185,9 @@ def build_grid(steps: SteppingParams) -> StrategyGrid:
     off-diagonal pair by (i, -i) and R by (-i, i); LR negates the diagonal
     pair only.
     """
-    thetas = _multiples(steps.d_theta, math.pi)
-    phis = _multiples(steps.d_phi, TWO_PI)
-    alphas = _multiples(steps.d_alpha, TWO_PI)
+    thetas, phis, alphas = (
+        _multiples(step, bound) for step, bound in zip(steps.astuple(), ANGLE_BOUNDS.values(), strict=True)
+    )
 
     c = np.array([[math.cos(t / 2.0)] for t in thetas])
     s = np.array([[math.sin(t / 2.0)] for t in thetas])

@@ -16,7 +16,6 @@ returns a table too.
 from __future__ import annotations
 
 import json
-import math
 import os
 import warnings
 from contextlib import contextmanager
@@ -26,8 +25,8 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .circuit import TWO_PI
-from .sweep import BAYES_COLUMNS, TWO_PLAYER_COLUMNS, RecordTable, SweepRecord, record_columns
+from .circuit import ANGLE_BOUNDS, GAMMA_MAX
+from .sweep import BAYES_COLUMNS, TWO_PLAYER_COLUMNS, RecordTable, SweepRecord, _roles, record_columns
 
 STRATEGY_COLUMNS = ["index", "theta", "phi", "alpha"]
 
@@ -37,11 +36,9 @@ TWO_PLAYER_DTYPE = np.dtype(
     [(name, np.int64 if name.endswith("_index") else np.float64) for name in TWO_PLAYER_COLUMNS]
 )
 # Upper bound of each angle column (the lower bound is 0): gamma as in
-# EntanglementParam, theta/phi/alpha as in StrategyParams.
-_ANGLE_BOUNDS = {
-    "gamma": math.pi / 2,
-    "theta_a": math.pi, "phi_a": TWO_PI, "alpha_a": TWO_PI,
-    "theta_b": math.pi, "phi_b": TWO_PI, "alpha_b": TWO_PI,
+# EntanglementParam, theta/phi/alpha of each player as in StrategyParams.
+_ANGLE_BOUNDS = {"gamma": GAMMA_MAX} | {
+    f"{angle}_{role}": bound for role in _roles(False) for angle, bound in ANGLE_BOUNDS.items()
 }
 
 
@@ -68,7 +65,12 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
         return
     temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(temp, "x", encoding="utf-8", newline="\n") as fh:
+        fh = open(temp, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        exc.filename = os.fspath(path)  # name the caller's file, not the hidden temporary one
+        raise
+    try:
+        with fh:
             yield fh
         os.replace(temp, target)
     except BaseException:

@@ -18,18 +18,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import EntanglementParam, GameDefinition, StrategyParams
+from .circuit import GAMMA_MAX, EntanglementParam, GameDefinition, StrategyParams
 from .equilibrium import (
     DEFAULT_EPSILON,
     NashEquilibrium,
     PriorProbability,
     _bayes_equilibria,
     _payoff_tensors,
+    _require_epsilon,
     _two_player_columns,
 )
 from .grid import StrategyGrid
-
-GAMMA_MAX = math.pi / 2
 
 # A records CSV prints gamma to 12 digits; a grid gamma this close to a
 # record's gamma is that record's gamma.
@@ -100,18 +99,19 @@ def _schema_columns(
     gamma: np.ndarray,
     p: np.ndarray | None,
     eq_index: np.ndarray,
-    indices: np.ndarray,
-    angles: np.ndarray,
-    payoffs: np.ndarray,
+    indices: Sequence[np.ndarray],
+    angles: Sequence[Sequence[np.ndarray]],
+    payoffs: Sequence[np.ndarray],
 ) -> dict[str, np.ndarray]:
-    """The schema's columns, in order, from per-record arrays: `indices` and
-    `payoffs` are (records, players), `angles` (records, players, 3)."""
+    """The schema's columns, in order, from per-record arrays given per
+    player: one index array, one (theta, phi, alpha) triple of angle
+    arrays and one payoff array each."""
     values = {"gamma": gamma, "p": p, "eq_index": eq_index}
-    for j, role in enumerate(_roles(bayes)):
-        values[f"{role}_index"] = np.ascontiguousarray(indices[:, j], dtype=np.int64)
-        for k, angle in enumerate(("theta", "phi", "alpha")):
-            values[f"{angle}_{role}"] = np.ascontiguousarray(angles[:, j, k], dtype=np.float64)
-        values[f"payoff_{role}"] = np.ascontiguousarray(payoffs[:, j], dtype=np.float64)
+    for role, index, triple, payoff in zip(_roles(bayes), indices, angles, payoffs, strict=True):
+        values[f"{role}_index"] = np.ascontiguousarray(index, dtype=np.int64)
+        for name, angle in zip(("theta", "phi", "alpha"), triple, strict=True):
+            values[f"{name}_{role}"] = np.ascontiguousarray(angle, dtype=np.float64)
+        values[f"payoff_{role}"] = np.ascontiguousarray(payoff, dtype=np.float64)
     return {name: values[name] for name in (BAYES_COLUMNS if bayes else TWO_PLAYER_COLUMNS)}
 
 
@@ -201,11 +201,11 @@ def record_columns(records: Sequence[SweepRecord], *, bayes: bool = False) -> di
         gamma,
         p,
         position - np.maximum.accumulate(np.where(new_point, position, 0)),
-        np.array([r.equilibrium.strategy_indices for r in records], dtype=np.int64).reshape(n, players),
+        np.array([r.equilibrium.strategy_indices for r in records], dtype=np.int64).reshape(n, players).T,
         np.array(
             [[sp.astuple() for sp in r.strategy_params] for r in records], dtype=np.float64
-        ).reshape(n, players, 3),
-        np.array([r.equilibrium.payoffs for r in records], dtype=np.float64).reshape(n, players),
+        ).reshape(n, players, 3).transpose(1, 2, 0),
+        np.array([r.equilibrium.payoffs for r in records], dtype=np.float64).reshape(n, players).T,
     )
 
 
@@ -218,20 +218,20 @@ def _table(
     """The table of sweep points given as (gamma, p or None, equilibrium columns).
 
     Each point's columns are its member index arrays, one per player, then
-    its payoff arrays; angles are gathered from `grid.angles` by index.
+    its payoff arrays. Each column is concatenated across the points, and
+    each angle column is gathered from a column of `grid.angles` by index.
     """
     players = len(_roles(bayes))
     sizes = np.array([len(cols[0]) for _, _, cols in points], dtype=np.int64)
 
-    def stacked(dtype, part: slice) -> np.ndarray:
-        # the empty head keeps the shape and dtype when there are no points
-        blocks = (np.stack(cols[part], axis=1) for _, _, cols in points)
-        return np.concatenate([np.empty((0, players), dtype), *blocks])
+    def joined(k: int, dtype) -> np.ndarray:
+        # the empty head keeps the dtype when there are no points
+        return np.concatenate([np.empty(0, dtype), *(cols[k] for _, _, cols in points)])
 
     def per_point(values) -> np.ndarray:
         return np.repeat(np.array(values, dtype=np.float64), sizes)
 
-    indices = stacked(np.int64, slice(players))
+    indices = [joined(k, np.int64) for k in range(players)]
     return RecordTable(
         _schema_columns(
             bayes,
@@ -239,8 +239,8 @@ def _table(
             per_point([p for _, p, _ in points]) if bayes else None,
             np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes),
             indices,
-            grid.angles[indices],
-            stacked(np.float64, slice(players, None)),
+            [[angle[index] for angle in grid.angles.T] for index in indices],
+            [joined(k, np.float64) for k in range(players, 2 * players)],
         )
     )
 
@@ -256,6 +256,7 @@ def gamma_sweep(
     Every gamma's tables are written into one pair of buffers; the
     reduction copies what it keeps, so no column is a view of them.
     """
+    _require_epsilon(epsilon)  # also when there are no gammas to reduce
     gammas = (EntanglementParam(g) for g in gamma_points)
     # closing the generator frees the buffers before the record columns are built
     with closing(_payoff_tensors((game,), grid, gammas)) as tensors:
@@ -278,6 +279,7 @@ def bayes_sweep(
     triples and A's distinct column pairs) serves every prior value of
     that gamma.
     """
+    _require_epsilon(epsilon)  # also when there are no gammas to reduce
     priors = [PriorProbability(p) for p in p_points]
     gammas = (EntanglementParam(g) for g in gamma_points)
     with closing(_payoff_tensors((game1, game2), grid, gammas)) as tensors:
@@ -296,14 +298,18 @@ def critical_gamma(
 ) -> CriticalBracket | None:
     """Bracket the entanglement where the branch in the `rows` mask stops appearing.
 
-    `rows` is a boolean mask over the table's records; None selects them
-    all. Returns the adjacent (last-with, first-without) pair of sweep
-    points, or None when the branch never appears or persists through the
-    final sweep point. A record's gamma matches the nearest sweep point
-    within 1e-9, so a table read back from a 12-digit CSV brackets like the
-    sweep's own; a gamma with no sweep point that close raises ValueError.
+    `rows` is a boolean mask over the table's records (ValueError
+    otherwise); None selects them all. Returns the adjacent (last-with,
+    first-without) pair of sweep points, or None when the branch never
+    appears or persists through the final sweep point. A record's gamma
+    matches the nearest sweep point within 1e-9, so a table read back from
+    a 12-digit CSV brackets like the sweep's own; a gamma with no sweep
+    point that close raises ValueError.
     """
-    selected = np.arange(len(table)) if rows is None else np.flatnonzero(rows)
+    rows = np.ones(len(table), dtype=bool) if rows is None else np.asarray(rows)
+    if rows.dtype != bool or rows.shape != (len(table),):
+        raise ValueError(f"rows must be a boolean mask of {len(table)} entries, not {rows.dtype} {rows.shape}")
+    selected = np.flatnonzero(rows)
     if not len(selected):
         return None
     # the first selected record of the largest gamma

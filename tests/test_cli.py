@@ -102,8 +102,11 @@ class TestSolve:
         assert payload["metadata"]["grid_size"] == 8
         assert len(payload["records"]) == 16
 
-    def test_unwritable_out_exits_2(self):
+    def test_unwritable_out_exits_2(self, capsys):
         assert run("solve", "--game", "prisoners_dilemma", "--gamma", "0", "--out", "/nonexistent/dir/x.csv") == 2
+        err = capsys.readouterr().err
+        # the message names the file asked for, not the temporary file beside it
+        assert "'/nonexistent/dir/x.csv'" in err and ".tmp" not in err
 
     def test_missing_catalogue_exits_2(self, tmp_path):
         code = run(

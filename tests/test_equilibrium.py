@@ -9,6 +9,7 @@ import pytest
 from ewlgames import (
     GameDefinition,
     StrategyParams,
+    bayes_sweep,
     default_gamma_grid,
     default_p_grid,
     gamma_sweep,
@@ -450,6 +451,11 @@ def test_bad_epsilon_rejected(tensors, epsilon):
         nash_two_player(t1, epsilon)
     with pytest.raises(ValueError, match="epsilon"):
         nash_bayesian(t1, t2, PriorProbability(0.5), epsilon)
+    # with no gammas the reductions never run, and the sweeps still refuse
+    with pytest.raises(ValueError, match="epsilon"):
+        gamma_sweep(t1.game, t1.grid, [], epsilon)
+    with pytest.raises(ValueError, match="epsilon"):
+        bayes_sweep(t1.game, t2.game, t1.grid, [], [0.5], epsilon)
 
 
 def test_zero_epsilon_accepted(tensors):
@@ -568,6 +574,16 @@ def eighth_grid():
 def open_grid():
     """A grid the orbit maps do not close: phi and alpha steps miss pi/2."""
     return build_grid(SteppingParams(PI / 8, PI / 5, PI / 4))
+
+
+@pytest.fixture(scope="module")
+def lone_class_grid():
+    """293 strategies in 289 classes, 4 of them with a partner, and G = {e}:
+    nearly every class the expansion meets has a single member."""
+    grid = build_grid(SteppingParams(PI / 8, 2 * PI / 5, PI / 4))
+    assert len(grid) == 293 and grid.orbit_maps.shape == (1, 289)
+    assert (grid.members[:, 1] >= 0).sum() == 4
+    return grid
 
 
 MEMBER_GAMMAS = [(0.0, "0"), (PI / 8, "pi/8"), (PI / 2, "pi/2")]
@@ -745,20 +761,21 @@ class TestOrbitSolve:
     """
 
     @pytest.mark.parametrize("name", CATALOGUE.names)
-    def test_two_player_on_the_1824_grid(self, full_class_tables, eighth_grid, name):
+    def test_two_player_on_the_1824_grid(self, full_class_tables, eighth_grid, lone_class_grid, name):
+        # the 1824 grid, and a G = {e} grid whose classes mostly have one member
         game = CATALOGUE.get(name)
-        for gamma in default_gamma_grid(17):
-            t = payoff_tensor(game, eighth_grid, EntanglementParam(gamma))
-            want = full_two_player(eighth_grid, *full_class_tables(game, eighth_grid, gamma), 1e-9)
+        for grid, gamma in itertools.product((eighth_grid, lone_class_grid), default_gamma_grid(17)):
+            t = payoff_tensor(game, grid, EntanglementParam(gamma))
+            want = full_two_player(grid, *full_class_tables(game, grid, gamma), 1e-9)
             assert_same_equilibria(equilibrium._two_player_columns(t, 1e-9), want, 2)
             own_tables = t.class_a, t.class_b
             for table in own_tables:  # folded rows make the expansion exactly invariant
-                for row in eighth_grid.orbit_maps[1:]:
+                for row in grid.orbit_maps[1:]:
                     assert table[np.ix_(row, row)].tobytes() == table.tobytes(), (name, gamma)
             for epsilon in (0.0, 1e-9):
-                own = full_two_player(eighth_grid, *own_tables, epsilon)
+                own = full_two_player(grid, *own_tables, epsilon)
                 for g, w in zip(equilibrium._two_player_columns(t, epsilon), own, strict=True):
-                    assert g.tobytes() == w.tobytes(), (name, gamma, epsilon)
+                    assert g.tobytes() == w.tobytes(), (name, len(grid), gamma, epsilon)
 
     def test_stag_hunt_on_the_7968_grid(self, full_class_tables, stag_hunt):
         grid = build_grid(SteppingParams(PI / 32, PI / 8, PI / 8))
@@ -771,12 +788,14 @@ class TestOrbitSolve:
         "names", [("prisoners_dilemma", "deadlock"), ("stag_hunt", "das_brother")], ids=["pd-deadlock", "stag-das"]
     )
     @pytest.mark.parametrize("gamma", [0.0, 0.35, 0.7])
-    def test_bayes_on_the_1824_grid(self, full_class_tables, eighth_grid, names, gamma):
+    def test_bayes_on_the_1824_grid(self, full_class_tables, eighth_grid, lone_class_grid, names, gamma):
+        # the 1824 grid, and a G = {e} grid whose classes mostly have one member
         games = [CATALOGUE.get(name) for name in names]
-        t1, t2 = (payoff_tensor(game, eighth_grid, EntanglementParam(gamma)) for game in games)
-        (x, xb), (y, yb) = (full_class_tables(game, eighth_grid, gamma) for game in games)
         priors = (0.0, 0.3, 1.0)
-        per_prior = equilibrium._bayes_equilibria(t1, t2, [PriorProbability(p) for p in priors], 1e-9)
-        assert any(len(got[0]) for got in per_prior)
-        for p, got in zip(priors, per_prior, strict=True):
-            assert_same_equilibria(got, full_bayes(eighth_grid, x, xb, y, yb, p, 1e-9), 3)
+        for grid in (eighth_grid, lone_class_grid):
+            t1, t2 = (payoff_tensor(game, grid, EntanglementParam(gamma)) for game in games)
+            (x, xb), (y, yb) = (full_class_tables(game, grid, gamma) for game in games)
+            per_prior = equilibrium._bayes_equilibria(t1, t2, [PriorProbability(p) for p in priors], 1e-9)
+            assert any(len(got[0]) for got in per_prior)
+            for p, got in zip(priors, per_prior, strict=True):
+                assert_same_equilibria(got, full_bayes(grid, x, xb, y, yb, p, 1e-9), 3)

@@ -168,6 +168,21 @@ class TestCriticalGamma:
     def test_selector_matching_nothing(self, pd_table, gamma_points):
         assert critical_gamma(pd_table, gamma_points, np.zeros(len(pd_table), dtype=bool)) is None
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            lambda n: np.ones(3, dtype=bool),
+            lambda n: np.ones(n + 1, dtype=bool),
+            lambda n: np.array([5]),
+            lambda n: np.arange(n),
+            lambda n: np.zeros((1, n), dtype=bool),
+        ],
+        ids=["short-mask", "long-mask", "index-array", "full-index-array", "2-d-mask"],
+    )
+    def test_rows_that_are_not_a_mask_of_the_table_are_refused(self, pd_table, gamma_points, rows):
+        with pytest.raises(ValueError, match=f"rows must be a boolean mask of {len(pd_table)} entries"):
+            critical_gamma(pd_table, gamma_points, rows(len(pd_table)))
+
     def test_mask_selects_the_branch_and_its_payoffs(self, prisoners_dilemma, deadlock, coarse_grid):
         # the p = 1 rows bracket like the dilemma alone and the p = 0 rows
         # like the deadlock; a Bayesian bracket carries all three payoffs
