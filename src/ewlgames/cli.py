@@ -313,15 +313,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     plot = args.plot
     if plot:
-        theta_a, theta_b, payoff_a = (columns[name].tolist() for name in ("theta_a", "theta_b", "payoff_a"))
+        theta_a, theta_b, payoff_a = (columns[name] for name in ("theta_a", "theta_b", "payoff_a"))
         fig = Figure("equilibrium strategy angles", "theta_A (rad)", "theta_B (rad)")
-        fig.add_scatter("", zip(theta_a, theta_b))
+        fig.add_scatter("", np.column_stack((theta_a, theta_b)))
         fig.render(f"{plot}_theta_scatter.svg")
         fig = Figure(f"A payoffs at gamma={gamma_slice:.4g}", "payoff A", "count")
         fig.add_bars((c, n, args.bin_width) for c, n in hist)
         fig.render(f"{plot}_payoff_hist.svg")
         fig = Figure("A payoff vs theta_A", "theta_A (rad)", "payoff A")
-        fig.add_scatter("", zip(theta_a, payoff_a))
+        fig.add_scatter("", np.column_stack((theta_a, payoff_a)))
         fig.render(f"{plot}_theta_payoff.svg")
         print(f"wrote plots to {plot}_*.svg")
     return EXIT_OK

@@ -7,9 +7,11 @@ record array with full-precision floats, byte for byte what
 byte-identical. Every file is written to a temporary file beside its target
 and renamed onto it, so a failed write leaves the target as it was.
 
-Every CLI CSV is written by `write_columns_csv`, which formats each
-column's distinct values once; `write_rows_csv` is the per-field form for
-arbitrary rows. The record writers take a `RecordTable`; a `SweepRecord`
+Every CLI CSV is written by `write_columns_csv`. A column with at most
+half as many distinct values as rows has each distinct value formatted
+once; any other int or float column is printed in place by `%d` or
+`%.12g`, which print what `fmt` does. `write_rows_csv` is the per-field
+form for arbitrary rows. The record writers take a `RecordTable`; a `SweepRecord`
 sequence is first turned into a table by `record_columns`. The reader
 returns a table too.
 """
@@ -94,16 +96,29 @@ def _record_table(records: RecordTable | Sequence[SweepRecord], bayes: bool) -> 
     return records
 
 
-def _column_text(col: np.ndarray, text: Callable[[float | int], str]) -> tuple[np.ndarray, np.ndarray]:
-    """(strings, inverse): `strings[inverse]` is `text` of every value of `col`.
+# `%` conversions that print a value as `fmt` does (checked for ±0, ±inf,
+# nan, 5e-324 and 1e15), by dtype kind.
+_FMT_CONVERSIONS = {"f": "%.12g", "i": "%d", "u": "%d"}
 
-    `text` is called once per distinct value. Floats are keyed on their bit
-    pattern, so -0.0 and 0.0, or two floats that print alike at 12 digits,
-    each get their own text.
+
+def _column_field(
+    col: np.ndarray, text: Callable[[float | int], str], conversion: str | None = None
+) -> tuple[str, np.ndarray, np.ndarray | None]:
+    """(conversion, values, index): how `_write_rows` prints the column `col`.
+
+    Row k's field is `conversion % values[index[k]]`, or `conversion %
+    values[k]` when `index` is None. By default `text` is called once per
+    distinct value and the field is `"%s"` of that text. Floats are keyed on
+    their bit pattern, so -0.0 and 0.0, or two floats that print alike at 12
+    digits, each get their own text. When a `conversion` is given and `col`
+    has more than half as many distinct values as rows, little text would be
+    shared, so `col` is printed in place by `conversion` instead.
     """
     keys = col.view(np.int64) if col.dtype == np.float64 else col
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return np.array([text(v) for v in col[first].tolist()], dtype=object), inverse
+    if conversion is not None and 2 * len(first) > len(col):
+        return conversion, col, None
+    return "%s", np.array([text(v) for v in col[first].tolist()], dtype=object), inverse
 
 
 # Rows formatted and written per step, so a large table is never held as text.
@@ -112,26 +127,31 @@ _WRITE_BLOCK = 4096
 
 def _write_rows(
     fh: TextIO,
-    columns: Sequence[np.ndarray],
+    rows: int,
+    fields: Sequence[tuple[str, np.ndarray, np.ndarray | None]],
     template: str,
-    text: Callable[[float | int], str],
     sep: str,
 ) -> None:
-    """`template % row` for every row of the equal-length `columns`, `sep`-joined.
+    """`template % row` for each of `rows` rows, `sep`-joined.
 
-    The fields of a row are `text` of its values, in column order.
+    A row holds one value per `_column_field` field, in field order; the
+    fields' conversions are already in `template`. Each block of rows is
+    formatted by one `%`.
     """
-    texts = [_column_text(col, text) for col in columns]
-    for start in range(0, len(columns[0]), _WRITE_BLOCK):
-        block = slice(start, start + _WRITE_BLOCK)
-        rows = zip(*(strings[inverse[block]].tolist() for strings, inverse in texts))
-        fh.write((sep if start else "") + sep.join(map(template.__mod__, rows)))
+    for start in range(0, rows, _WRITE_BLOCK):
+        block = slice(start, min(start + _WRITE_BLOCK, rows))
+        table = np.empty((block.stop - start, len(fields)), dtype=object)
+        for j, (_, values, index) in enumerate(fields):
+            table[:, j] = values[block] if index is None else values[index[block]]
+        fh.write((sep if start else "") + sep.join([template] * len(table)) % tuple(table.ravel().tolist()))
 
 
 def write_columns(fh: TextIO, names: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """A header line, then one line of `fmt` fields per row of the equal-length `columns`."""
     fh.write(",".join(names) + "\n")
-    _write_rows(fh, columns, ",".join(["%s"] * len(names)) + "\n", fmt, "")
+    fields = [_column_field(col, fmt, _FMT_CONVERSIONS.get(col.dtype.kind)) for col in columns]
+    template = ",".join(conversion for conversion, _, _ in fields) + "\n"
+    _write_rows(fh, len(columns[0]), fields, template, "")
 
 
 def write_columns_csv(path: str | Path, names: Sequence[str], columns: Sequence[np.ndarray]) -> None:
@@ -167,7 +187,8 @@ def write_records_json(
         fh.write(f'{head[:-2]},\n  "records": [')
         if len(table):
             fh.write("\n")
-            _write_rows(fh, [table.columns[name] for name in names], template, json.dumps, ",\n")
+            fields = [_column_field(table.columns[name], json.dumps) for name in names]
+            _write_rows(fh, len(table), fields, template, ",\n")
             fh.write("\n  ")
         fh.write("]\n}\n")
 

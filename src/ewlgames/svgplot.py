@@ -1,5 +1,8 @@
 """Minimal static SVG rendering: scatter series and bar histograms on a
 labelled linear axis frame. Batch output only.
+
+A scatter series is held as an (n, 2) float64 array of (x, y) points and
+drawn as one circle per distinct 0.1-px position, in first-seen order.
 """
 from __future__ import annotations
 
@@ -7,6 +10,8 @@ import html
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .output import atomic_writer
 
@@ -32,6 +37,36 @@ def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return ticks
 
 
+def _tenths_texts(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """(texts, ids): `texts[ids[k]] == f"{values[k]:.1f}"`, each distinct text once.
+
+    The values are pixel coordinates inside the frame, so finite and
+    positive: no -0.0, which `np.unique` would merge with 0.0 though the two
+    print differently, and the distinct values sort in float order. `.1f` is
+    monotone, so within a run of values that share `rint(10 * v)` only the
+    run's two ends are formatted; the whole run is formatted only when the
+    ends differ (a run that straddles a rounding tie).
+    """
+    distinct, inverse = np.unique(values, return_inverse=True)
+    tenths = np.rint(distinct * 10)
+    starts = np.flatnonzero(np.r_[True, tenths[1:] != tenths[:-1]]).tolist()
+    texts: list[str] = []
+    ids = np.empty(len(distinct), dtype=np.intp)
+
+    def text_id(text: str) -> int:
+        if not texts or texts[-1] != text:
+            texts.append(text)
+        return len(texts) - 1
+
+    for start, end in zip(starts, starts[1:] + [len(distinct)]):
+        low, high = f"{distinct[start]:.1f}", f"{distinct[end - 1]:.1f}"
+        if low == high:
+            ids[start:end] = text_id(low)
+        else:
+            ids[start:end] = [text_id(f"{v:.1f}") for v in distinct[start:end].tolist()]
+    return texts, ids[inverse]
+
+
 @dataclass
 class Figure:
     """Collects series, then renders one SVG file."""
@@ -39,12 +74,19 @@ class Figure:
     title: str
     xlabel: str
     ylabel: str
-    scatters: list[tuple[str, list[tuple[float, float]], str]] = field(default_factory=list)
+    # (label, (n, 2) float64 array of (x, y) points, color)
+    scatters: list[tuple[str, np.ndarray, str]] = field(default_factory=list)
     bars: list[tuple[float, float, float]] = field(default_factory=list)  # (x, height, width)
 
     def add_scatter(self, label: str, points) -> None:
+        """Add a series of (x, y) points: a sequence or iterable of pairs, or an (n, 2) array."""
+        pts = np.array(points if isinstance(points, np.ndarray) else list(points), dtype=np.float64)
+        if pts.size == 0:
+            pts = pts.reshape(0, 2)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(f"scatter points must be (x, y) pairs, got an array of shape {pts.shape}")
         color = PALETTE[len(self.scatters) % len(PALETTE)]
-        self.scatters.append((label, list(points), color))
+        self.scatters.append((label, pts, color))
 
     def add_bars(self, bars) -> None:
         self.bars.extend(bars)
@@ -52,8 +94,10 @@ class Figure:
     def _bounds(self) -> tuple[float, float, float, float]:
         xs, ys = [], []
         for _, pts, _ in self.scatters:
-            xs.extend(p[0] for p in pts)
-            ys.extend(p[1] for p in pts)
+            if len(pts):
+                (xlo, ylo), (xhi, yhi) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+                xs.extend((xlo, xhi))
+                ys.extend((ylo, yhi))
         for x, h, w in self.bars:
             xs.extend((x - w / 2, x + w / 2))
             ys.extend((0.0, h))
@@ -79,10 +123,11 @@ class Figure:
         pw = WIDTH - MARGIN_L - MARGIN_R
         ph = HEIGHT - MARGIN_T - MARGIN_B
 
-        def sx(x: float) -> float:
+        # scalars for the frame and bars, float64 arrays for a scatter series
+        def sx(x):
             return MARGIN_L + (x - x0) / (x1 - x0) * pw
 
-        def sy(y: float) -> float:
+        def sy(y):
             return MARGIN_T + ph - (y - y0) / (y1 - y0) * ph
 
         parts = [
@@ -134,14 +179,18 @@ class Figure:
                 f'height="{abs(base - top):.1f}" fill="#1f5fa8" fill-opacity="0.75" stroke="#123c6b"/>'
             )
         for _, pts, color in self.scatters:
+            if not len(pts):
+                continue
+            cx, cx_ids = _tenths_texts(sx(pts[:, 0]))
+            cy, cy_ids = _tenths_texts(sy(pts[:, 1]))
             # one circle per drawn position, in first-seen order, so float noise in
-            # repeated points cannot change what the plot holds; exact repeats
-            # are dropped before they are formatted
-            circles = dict.fromkeys(
-                f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="2.4" fill="{color}"/>'
-                for x, y in dict.fromkeys(map(tuple, pts))
+            # repeated points cannot change what the plot holds
+            _, first = np.unique(cx_ids * len(cy) + cy_ids, return_index=True)
+            first.sort()
+            parts.extend(
+                f'<circle cx="{cx[i]}" cy="{cy[j]}" r="2.4" fill="{color}"/>'
+                for i, j in zip(cx_ids[first].tolist(), cy_ids[first].tolist())
             )
-            parts.extend(circles)
 
         # legend for labelled series
         labelled = [(lab, col) for lab, _, col in self.scatters if lab]

@@ -10,6 +10,8 @@ from ewlgames import RecordTable, __version__, bayes_sweep, gamma_sweep
 from ewlgames.output import (
     BAYES_COLUMNS,
     TWO_PLAYER_COLUMNS,
+    _WRITE_BLOCK,
+    _column_field,
     fmt,
     read_two_player_csv,
     record_columns,
@@ -121,6 +123,36 @@ class TestRowWriter:
         write_rows_csv(path, ["a", "b", "c"], iter(rows))
         expected = "a,b,c\n" + "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
         assert path.read_bytes() == expected.encode()
+
+
+
+class TestColumnWriter:
+    # 8 distinct float bit patterns and 8 distinct int64 values
+    FLOATS = [-0.0, 0.0, 0.1 + 0.2, 1e16, float("nan"), float("inf"), float("-inf"), 5e-324]
+    INTS = [10**13, -(10**13), 0, 1, -1, 2**62, 7, 42]
+
+    @pytest.mark.parametrize("rows", [15, 16, 17, 2 * _WRITE_BLOCK + 1])
+    def test_bytes_equal_per_field_fmt(self, tmp_path, rows):
+        # at 16 rows the 8-value columns sit on the half-distinct boundary and keep
+        # per-distinct texts; at 15 they are printed in place, at 17 not
+        rng = np.random.default_rng(rows)
+        distinct = rng.uniform(-1e3, 1e3, rows)
+        distinct[: len(self.FLOATS)] = self.FLOATS
+        columns = [
+            np.resize(np.array([0.5, -0.0]), rows),
+            distinct,
+            np.resize(np.array(self.FLOATS), rows),
+            np.resize(np.array(self.INTS, dtype=np.int64), rows),
+            np.arange(rows, dtype=np.int64) + 10**13,
+        ]
+        names = ["low", "distinct", "floats", "ints", "index"]
+        in_place = 2 * len(self.FLOATS) > rows
+        conversions = [_column_field(col, fmt, "%x")[0] for col in columns]
+        assert conversions == ["%s", "%x", "%x" if in_place else "%s", "%x" if in_place else "%s", "%x"]
+        path, oracle = tmp_path / "columns.csv", tmp_path / "rows.csv"
+        write_columns_csv(path, names, columns)
+        write_rows_csv(oracle, names, zip(*(col.tolist() for col in columns)))
+        assert path.read_bytes() == oracle.read_bytes()
 
 
 def _read_case(tmp_path, body: str):

@@ -1,12 +1,17 @@
+import html
+import math
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ewlgames.svgplot import Figure
+from ewlgames.svgplot import (
+    HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PALETTE, WIDTH, Figure, _nice_ticks,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -109,3 +114,156 @@ def test_overflowing_axis_range_raises_before_writing(tmp_path, axis):
     with pytest.raises(ValueError, match=f"the {axis} axis range .* overflows"):
         fig.render(tmp_path / "huge.svg")
     assert list(tmp_path.iterdir()) == []
+
+
+def reference_svg(title, xlabel, ylabel, series):
+    """The SVG text of scatter `series` [(label, [(x, y), ...]), ...], point by point.
+
+    Bounds by Python `min`/`max` over the points, one f-string per point,
+    then `dict.fromkeys` for the distinct circles.
+    """
+    xs = [p[0] for _, pts in series for p in pts] or [0.0, 1.0]
+    ys = [p[1] for _, pts in series for p in pts] or [0.0, 1.0]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    if x1 == x0:
+        x0, x1 = x0 - 0.5, x1 + 0.5
+    if y1 == y0:
+        y0, y1 = y0 - 0.5, y1 + 0.5
+    padx, pady = 0.04 * (x1 - x0), 0.06 * (y1 - y0)
+    x0, x1, y0, y1 = x0 - padx, x1 + padx, y0 - pady, y1 + pady
+    pw, ph = WIDTH - MARGIN_L - MARGIN_R, HEIGHT - MARGIN_T - MARGIN_B
+
+    def sx(x):
+        return MARGIN_L + (x - x0) / (x1 - x0) * pw
+
+    def sy(y):
+        return MARGIN_T + ph - (y - y0) / (y1 - y0) * ph
+
+    def text(x, y, size, body, extra=""):
+        return (
+            f'<text x="{x}" y="{y}"{extra} font-family="sans-serif" '
+            f'font-size="{size}">{html.escape(body, quote=False)}</text>'
+        )
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        text(f"{WIDTH / 2:.1f}", 22, 15, title, ' text-anchor="middle"'),
+        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{pw}" height="{ph}" '
+        'fill="none" stroke="#444" stroke-width="1"/>',
+    ]
+    bottom = MARGIN_T + ph
+    for t in _nice_ticks(x0, x1):
+        px = f"{sx(t):.1f}"
+        parts.append(f'<line x1="{px}" y1="{bottom}" x2="{px}" y2="{bottom + 5}" stroke="#444"/>')
+        parts.append(text(px, bottom + 18, 11, f"{t:.4g}", ' text-anchor="middle"'))
+    for t in _nice_ticks(y0, y1):
+        py = f"{sy(t):.1f}"
+        parts.append(f'<line x1="{MARGIN_L - 5}" y1="{py}" x2="{MARGIN_L}" y2="{py}" stroke="#444"/>')
+        parts.append(text(MARGIN_L - 8, f"{sy(t) + 4:.1f}", 11, f"{t:.4g}", ' text-anchor="end"'))
+    parts.append(text(f"{MARGIN_L + pw / 2:.1f}", HEIGHT - 10, 13, xlabel, ' text-anchor="middle"'))
+    mid = f"{MARGIN_T + ph / 2:.1f}"
+    parts.append(
+        f'<text x="16" y="{mid}" text-anchor="middle" font-family="sans-serif" font-size="13" '
+        f'transform="rotate(-90 16 {mid})">{html.escape(ylabel, quote=False)}</text>'
+    )
+    colors = [PALETTE[k % len(PALETTE)] for k in range(len(series))]
+    for (_, pts), color in zip(series, colors):
+        circles = (f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="2.4" fill="{color}"/>' for x, y in pts)
+        parts.extend(dict.fromkeys(circles))
+    labelled = [(label, color) for (label, _), color in zip(series, colors) if label]
+    for k, (label, color) in enumerate(labelled):
+        ly = MARGIN_T + 14 + 16 * k
+        parts.append(f'<rect x="{MARGIN_L + pw - 130}" y="{ly - 9}" width="10" height="10" fill="{color}"/>')
+        parts.append(text(MARGIN_L + pw - 115, ly, 11, label))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def _tie_points(axis):
+    """Coordinates in [0, 1] whose `axis` pixel is k + 0.05, or next to it on either side.
+
+    The unit square's corners fix the bounds, so every point between them
+    keeps its pixel; each pixel is found by stepping ulps of v around the
+    linear solves for the pixel floats next to the tie.
+    """
+    fig = Figure("t", "x", "y")
+    fig.add_scatter("", [(0, 0), (1, 1)])
+    x0, x1, y0, y1 = fig._bounds()
+    pw, ph = WIDTH - MARGIN_L - MARGIN_R, HEIGHT - MARGIN_T - MARGIN_B
+    if axis == "x":
+
+        def pixel(v):
+            return MARGIN_L + (v - x0) / (x1 - x0) * pw
+
+        def solve(p):
+            return x0 + (p - MARGIN_L) / pw * (x1 - x0)
+
+    else:
+
+        def pixel(v):
+            return MARGIN_T + ph - (v - y0) / (y1 - y0) * ph
+
+        def solve(p):
+            return y0 + (MARGIN_T + ph - p) / ph * (y1 - y0)
+
+    values, exact = [], 0
+    first, last = sorted((pixel(0.0), pixel(1.0)))
+    for k in range(math.ceil(first), math.floor(last), 23):
+        tie = k + 0.05
+        reached = {}
+        for j in range(-4, 5):
+            v = solve(tie + j * math.ulp(tie))
+            for _ in range(4):
+                v = math.nextafter(v, -math.inf)
+            for _ in range(9):
+                reached.setdefault(pixel(v), v)
+                v = math.nextafter(v, math.inf)
+        # the pixel floats nearest the tie on either side, and the tie's own float
+        # when some v reaches it (one ulp of v can step over several pixel floats)
+        below = max(p for p in reached if p < tie)
+        above = min(p for p in reached if p > tie)
+        values += [reached[p] for p in (below, tie, above) if p in reached]
+        exact += tie in reached
+    assert exact >= 5
+    return values
+
+
+SERIES_CASES = [
+    "pixel ties", "tie grid", "zeros and offsets", "int tuples", "single point", "random 20k", "empty between"
+]
+# the forms `add_scatter` takes a series in
+POINT_FORMS = {"list": list, "zip": lambda pts: zip(*zip(*pts)), "array": np.array}
+
+
+def _series_cases():
+    rng = np.random.default_rng(7)
+    ties_x, ties_y = _tie_points("x"), _tie_points("y")
+    corners = [(0, 0), (1, 1)]
+    return {
+        "pixel ties": [("x", corners + [(x, 0.5) for x in ties_x]), ("y", [(0.5, y) for y in ties_y])],
+        "tie grid": [("", corners + [(x, y) for x in ties_x[::5] for y in ties_y[::3]])],
+        "zeros and offsets": [
+            ("s", [(0.0, -0.0), (-0.0, 1.0), (1e-13, 1.0 + 1e-13), (0.5, 0.25), (0.0, 0.0)])
+        ],
+        "int tuples": [("ints", [(0, 3), (2, -1), (1, 1), (2, -1)])],
+        "single point": [("one", [(0.3, 0.7)])],
+        "random 20k": [("", list(map(tuple, rng.normal(size=(20_000, 2)).tolist())))],
+        "empty between": [
+            ("a", [(0.0, 1.0), (2.0, 3.0)]), ("empty", []), ("c", [(1.0, 2.0), (0.0, 1.0)])
+        ],
+    }
+
+
+@pytest.mark.parametrize("case", SERIES_CASES)
+def test_scatter_bytes_equal_the_per_point_reference(tmp_path, case):
+    series = _series_cases()[case]
+    expected = reference_svg("cases", "x", "y", series)
+    for name, form in POINT_FORMS.items():
+        fig = Figure("cases", "x", "y")
+        for label, pts in series:
+            fig.add_scatter(label, form(pts))
+        path = tmp_path / "figure.svg"
+        fig.render(path)
+        assert path.read_text() == expected, name
