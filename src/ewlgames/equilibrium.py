@@ -2,7 +2,7 @@
 
 The payoff kernel scores a strategy pair as f_a @ K @ f_b.T: the grid's
 10 gamma-free rotation features per class (`StrategyGrid.features`,
-computed once per grid) around each player's 10x10 form K, which each
+computed by `build_grid`) around each player's 10x10 form K, which each
 gamma builds from `circuit.payoff_forms`. A tensor row is player A's
 strategy index, a column player B's. Best responses are argmax-with-ties
 sets (tolerance epsilon), and both reductions find equilibria by one

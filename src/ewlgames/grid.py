@@ -15,9 +15,9 @@ another grid matrix is -1: U(theta, phi+pi, alpha+pi) = -U. Payoffs depend
 on |psi|^2 only, so U and -U score identically, and the pair forms a
 class of at most two members. The payoff kernel and the Nash reductions
 score each class once, through its lower-index representative, whose
-gamma-free rotation features the grid computes on first read and keeps;
-every stored matrix is the strategy's own `strategy_matrix`, so a
-partner's is the representative's negation within DEDUP_TOL. A
+gamma-free rotation features the grid computes as it is built and keeps;
+they are those of the representative's own `strategy_matrix`, and a
+partner's matrix is the representative's negation within DEDUP_TOL. A
 strategy whose negation is not on the grid (pi is not a multiple of the
 phi or alpha step), or whose first negation already has a partner, is a
 class of its own. The grid lists each class's members once, and the
@@ -79,12 +79,12 @@ class StrategyGrid:
 
     `angles` is a read-only (N, 3) float array: row i is strategy i's
     (theta, phi, alpha), and `params[i]` the same triple as a
-    `StrategyParams`, built on first read. `matrices` is a read-only
-    (N, 2, 2) complex array, and `matrices[i]` is
-    `strategy_matrix(params[i])` bit for bit. `classes[i]` is strategy i's
-    +-U class. `members` is a read-only (classes, 2) integer array: each
-    class's representative, its lowest index and increasing in c, then its
-    partner, or -1 where it has none. A partner's matrix is its
+    `StrategyParams`, built on first read. `features` is a read-only
+    (classes, 10) float array: row c is the `rotation_features` of class
+    c's representative's `strategy_matrix`, bit for bit. `classes[i]` is
+    strategy i's +-U class. `members` is a read-only (classes, 2) integer
+    array: each class's representative, its lowest index and increasing in
+    c, then its partner, or -1 where it has none. A partner's matrix is its
     representative's negation within DEDUP_TOL. Each class is scored once,
     through its representative's row of `features`, and a partner carries
     exactly the representative's payoffs.
@@ -100,7 +100,7 @@ class StrategyGrid:
     """
 
     angles: np.ndarray = field(repr=False)
-    matrices: np.ndarray = field(repr=False)
+    features: np.ndarray = field(repr=False)
     source_steps: SteppingParams
     classes: np.ndarray = field(repr=False)
     orbit_maps: np.ndarray = field(repr=False)
@@ -114,14 +114,6 @@ class StrategyGrid:
     def params(self) -> tuple[StrategyParams, ...]:
         """One `StrategyParams` per row of `angles`, built on first read."""
         return tuple(StrategyParams(*row) for row in self.angles.tolist())
-
-    @cached_property
-    def features(self) -> np.ndarray:
-        """The representatives' `rotation_features`, a read-only (classes, 10)
-        float array, computed on first read and kept for the grid's life."""
-        features = rotation_features(self.matrices[self.members[:, 0]])
-        features.setflags(write=False)
-        return features
 
 
 def _multiples(step: float, bound: float) -> list[float]:
@@ -218,14 +210,15 @@ def build_grid(steps: SteppingParams) -> StrategyGrid:
             rep[j] = i
 
     is_rep = rep == np.arange(len(t))
-    matrices = np.empty((len(t), 2, 2), dtype=np.complex128)
-    matrices[:, [0, 1], [0, 1]] = diagonal[t, k]
-    matrices[:, [0, 1], [1, 0]] = off_diagonal[t, a]
     class_index = (np.cumsum(is_rep, dtype=np.intp) - 1)[rep]
     reps = np.nonzero(is_rep)[0]
+    tr, kr, ar = t[reps], k[reps], a[reps]
+    matrices = np.empty((len(reps), 2, 2), dtype=np.complex128)
+    matrices[:, [0, 1], [0, 1]] = diagonal[tr, kr]
+    matrices[:, [0, 1], [1, 0]] = off_diagonal[tr, ar]
+    features = rotation_features(matrices)
 
     # L, R and LR of each representative, each found as +U' or else as -U'.
-    tr, kr, ar = t[reps], k[reps], a[reps]
     turn, turn_neg = turn_phi[tr, kr], turn_phi_neg[tr, kr]
     to_left, to_right = left_alpha[tr, ar], right_alpha[tr, ar]
     images = [
@@ -247,11 +240,11 @@ def build_grid(steps: SteppingParams) -> StrategyGrid:
     members = np.stack([reps, np.full(len(reps), -1, dtype=np.intp)], axis=1)
     members[class_index[~is_rep], 1] = np.flatnonzero(~is_rep)
     angles = np.stack([np.array(thetas)[t], np.array(phis)[k], np.array(alphas)[a]], axis=1)
-    for arr in (angles, matrices, class_index, orbit_maps, orbit_images, members):
+    for arr in (angles, features, class_index, orbit_maps, orbit_images, members):
         arr.setflags(write=False)
     return StrategyGrid(
         angles=angles,
-        matrices=matrices,
+        features=features,
         source_steps=steps,
         classes=class_index,
         orbit_maps=orbit_maps,

@@ -113,7 +113,13 @@ class Figure:
         return x0 - padx, x1 + padx, y0 - pady, y1 + pady
 
     def render(self, path: str | Path) -> None:
-        """Write the SVG; ValueError, before any file is made, if an axis range overflows."""
+        """Write the SVG; ValueError, before any file is made, on a non-finite point or bar or axis range."""
+        bars = np.array(self.bars, dtype=np.float64).reshape(-1, 3)
+        for what, rows in [(f"series {label!r} point", pts) for label, pts, _ in self.scatters] + [("bar", bars)]:
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+            if len(bad):
+                k = int(bad[0])
+                raise ValueError(f"cannot plot {self.title!r}: {what} {k} {tuple(rows[k].tolist())} is not finite")
         x0, x1, y0, y1 = self._bounds()
         for axis, lo, hi in (("x", x0, x1), ("y", y0, y1)):
             if not math.isfinite(hi - lo):

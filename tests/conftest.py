@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
 
 from ewlgames import GameDefinition, SteppingParams, build_grid
-from ewlgames.circuit import EntanglementParam, payoff_forms, rotation_features
+from ewlgames.circuit import EntanglementParam, payoff_forms, rotation_features, strategy_matrix
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +54,23 @@ def full_class_tables():
         return [features @ k @ features.T for k in payoff_forms(EntanglementParam(gamma), game)]
 
     return tables
+
+
+@pytest.fixture(scope="session")
+def strategy_matrices():
+    """matrices(grid): the read-only (N, 2, 2) stack of `strategy_matrix(p)`
+    over `grid.params`, built once per grid. The grid itself keeps only its
+    classes' features."""
+    cache = {}  # id(grid) -> (grid, stack); holding the grid keeps its id unique
+
+    def matrices(grid) -> np.ndarray:
+        if id(grid) not in cache:
+            stack = np.array([strategy_matrix(p) for p in grid.params])
+            stack.setflags(write=False)
+            cache[id(grid)] = (grid, stack)
+        return cache[id(grid)][1]
+
+    return matrices
 
 
 @pytest.fixture(scope="session")

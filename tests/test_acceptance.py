@@ -15,6 +15,7 @@ from ewlgames import (
     default_gamma_grid,
     default_p_grid,
     gamma_sweep,
+    load_default_catalogue,
 )
 from ewlgames.circuit import EntanglementParam, entangler, strategy_matrix
 from ewlgames.equilibrium import nash_two_player, payoff_tensor
@@ -286,4 +287,55 @@ def test_criterion_10_zero_entanglement_factorization(kernel_probs):
     _passed(
         "criterion 10 (zero-entanglement factorization)",
         f"500 x 500 random pairs from the payoff kernel, worst product-distribution gap {worst:.2e}",
+    )
+
+
+def _pareto_dominates(u, v) -> bool:
+    """Payoff pair u is at least v in both payoffs and above it in one."""
+    return all(x >= y for x, y in zip(u, v)) and any(x > y for x, y in zip(u, v))
+
+
+def test_criterion_11_quantum_advantage():
+    # The paper: where a Pareto-optimal outcome is not a Nash equilibrium,
+    # the quantized game can beat the classical one. Per catalogue game,
+    # from its 2x2 payoffs alone: some grid equilibrium Pareto-dominates the
+    # best classical pure equilibrium exactly when no Pareto optimum is one.
+    budget = 30.0
+    tol = 1e-9
+    grid = build_grid(SteppingParams(PI / 8, PI / 8, PI / 8))
+    gammas = default_gamma_grid(65)
+    catalogue = load_default_catalogue()
+    t0 = time.perf_counter()
+    outcomes = {}
+    for name in catalogue.names:
+        game = catalogue.get(name)
+        # cell (i, j): A plays bit i and B bit j, outcome 2i + j
+        cells = {(i, j): (game.payoff_a[2 * i + j], game.payoff_b[2 * i + j]) for i in (0, 1) for j in (0, 1)}
+        equilibria = [
+            (i, j) for i, j in cells if cells[i, j][0] >= cells[1 - i, j][0] and cells[i, j][1] >= cells[i, 1 - j][1]
+        ]
+        if not equilibria:  # matching pennies; criterion 5 covers it
+            continue
+        optima = [c for c in cells if not any(_pareto_dominates(cells[d], cells[c]) for d in cells)]
+        best = [e for e in equilibria if not any(_pareto_dominates(cells[f], cells[e]) for f in equilibria)]
+        assert len(best) == 1, (name, best)
+        classical = cells[best[0]]
+        table = gamma_sweep(game, grid, gammas)
+        pa, pb = table.columns["payoff_a"], table.columns["payoff_b"]
+        dominating = (pa >= classical[0] - tol) & (pb >= classical[1] - tol)
+        dominating &= (pa > classical[0] + tol) | (pb > classical[1] + tol)
+        advantage = bool(dominating.any())
+        assert advantage == (not set(optima) & set(equilibria)), name
+        outcomes[name] = (classical, int(dominating.sum()), len(np.unique(table.columns["gamma"][dominating])))
+    elapsed = time.perf_counter() - t0
+    # both sides of the claim occur in the catalogue
+    assert {count > 0 for _, count, _ in outcomes.values()} == {True, False}
+    assert elapsed < budget
+    _passed(
+        "criterion 11 (quantum advantage)",
+        "; ".join(
+            f"{name} {classical}: {count} dominating records at {at} gammas"
+            for name, (classical, count, at) in outcomes.items()
+        )
+        + f", in {elapsed:.2f}s",
     )

@@ -80,19 +80,20 @@ class TestPayoffTensor:
         t = payoff_tensor(matching_pennies, coarse_grid, EntanglementParam(0.9))
         np.testing.assert_allclose(t.payoff_a + t.payoff_b, 0.0, atol=1e-10)
 
-    def test_global_phase_classes_share_rows(self, coarse_grid, prisoners_dilemma):
+    def test_global_phase_classes_share_rows(self, coarse_grid, strategy_matrices, prisoners_dilemma):
         # entries 0/2 are +-identity and 4/6 are +-[[0,1],[-1,0]]
-        np.testing.assert_allclose(coarse_grid.matrices[2], -coarse_grid.matrices[0], atol=1e-12)
-        np.testing.assert_allclose(coarse_grid.matrices[6], -coarse_grid.matrices[4], atol=1e-12)
+        mats = strategy_matrices(coarse_grid)
+        np.testing.assert_allclose(mats[2], -mats[0], atol=1e-12)
+        np.testing.assert_allclose(mats[6], -mats[4], atol=1e-12)
         t = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(0.8))
         for a, b in [(0, 2), (4, 6)]:
             np.testing.assert_allclose(t.payoff_a[a], t.payoff_a[b], atol=1e-12)
             np.testing.assert_allclose(t.payoff_a[:, a], t.payoff_a[:, b], atol=1e-12)
 
-    def test_rectangular_kernel_matches_naive(self, kernel_payoffs, coarse_grid, prisoners_dilemma):
+    def test_rectangular_kernel_matches_naive(self, kernel_payoffs, coarse_grid, strategy_matrices, prisoners_dilemma):
         rng = np.random.default_rng(35)
-        mats_a = coarse_grid.matrices[:3]
-        mats_b = coarse_grid.matrices[3:]
+        mats_a = strategy_matrices(coarse_grid)[:3]
+        mats_b = strategy_matrices(coarse_grid)[3:]
         for game in (prisoners_dilemma, random_game(rng)):
             for gamma in (EntanglementParam(0.0), EntanglementParam(0.7), EntanglementParam(PI / 2)):
                 pa, pb = kernel_payoffs(mats_a, mats_b, gamma, game)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from ewlgames import (
     GameDefinition,
     SteppingParams,
+    StrategyGrid,
     StrategyParams,
     bayes_sweep,
     build_grid,
@@ -51,7 +53,7 @@ class TestCounts:
 
 
 class TestContents:
-    def test_identity_is_entry_zero(self):
+    def test_identity_is_entry_zero(self, strategy_matrices):
         for steps in [
             SteppingParams(PI, PI / 2, PI / 2),
             SteppingParams(PI / 4, PI / 4, PI / 4),
@@ -59,7 +61,7 @@ class TestContents:
         ]:
             grid = build_grid(steps)
             assert grid.params[0] == StrategyParams(0.0, 0.0, 0.0)
-            np.testing.assert_allclose(grid.matrices[0], np.eye(2), atol=1e-15)
+            np.testing.assert_allclose(strategy_matrices(grid)[0], np.eye(2), atol=1e-15)
 
     @pytest.mark.parametrize(
         "steps",
@@ -90,15 +92,25 @@ class TestContents:
         assert grid.params is grid.params
         assert "params" in vars(grid)
 
+    def test_fields_are_the_angles_features_and_class_arrays(self):
+        # no per-strategy matrices: the kernel reads only the class features
+        names = [f.name for f in dataclasses.fields(StrategyGrid)]
+        assert names == ["angles", "features", "source_steps", "classes", "orbit_maps", "orbit_images", "members"]
+        grid = build_grid(SteppingParams(PI / 8, PI / 8, PI / 8))
+        arrays = [getattr(grid, name) for name in names if name != "source_steps"]
+        assert all(isinstance(arr, np.ndarray) and not arr.flags.writeable for arr in arrays)
+
     def test_reprs_leave_out_the_per_strategy_arrays(self, prisoners_dilemma):
         grid = build_grid(SteppingParams(PI / 32, PI / 8, PI / 8))
         assert len(grid) == 7968
         assert len(repr(grid)) < 1000
         assert len(repr(payoff_tensor(prisoners_dilemma, grid, EntanglementParam(0.5)))) < 1000
 
-    def test_matrices_match_their_params(self, coarse_grid):
-        for p, m in zip(coarse_grid.params, coarse_grid.matrices):
-            np.testing.assert_allclose(m, strategy_matrix(p), atol=1e-12)
+    def test_coarse_matrices_are_the_signed_paulis(self, coarse_grid, strategy_matrices):
+        # I, -i sz, -I, i sz, i sy, i sx, -i sy, -i sx in grid order
+        eye, sx, sy, sz = np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])
+        expected = [eye, -1j * sz, -eye, 1j * sz, 1j * sy, 1j * sx, -1j * sy, -1j * sx]
+        np.testing.assert_allclose(strategy_matrices(coarse_grid), expected, atol=1e-12)
 
     @pytest.mark.parametrize(
         "steps",
@@ -115,11 +127,8 @@ class TestContents:
         # every downstream byte relies on the grid and strategy_matrix
         # sharing one entry formula, and the kernel reads the features
         grid = build_grid(steps)
-        for i in grid.members[:, 0]:
-            assert grid.matrices[i].tobytes() == strategy_matrix(grid.params[i]).tobytes()
         features = grid.features
         assert not features.flags.writeable
-        assert grid.features is features
         assert features.shape == (len(grid.members), 10)
         own = np.array([strategy_matrix(grid.params[i]) for i in grid.members[:, 0]])
         assert features.tobytes() == rotation_features(own).tobytes()
@@ -133,27 +142,28 @@ class TestContents:
         thetas = {p.theta for p in grid.params}
         assert PI in thetas
 
-    def test_dedup_exhaustive_on_coarse(self, coarse_grid):
-        mats = coarse_grid.matrices
+    def test_dedup_exhaustive_on_coarse(self, coarse_grid, strategy_matrices):
+        mats = strategy_matrices(coarse_grid)
         n = len(mats)
         for i in range(n):
             for j in range(i + 1, n):
                 assert np.abs(mats[i] - mats[j]).max() > 1e-9
 
-    def test_dedup_sampled_on_1824(self):
+    def test_dedup_sampled_on_1824(self, strategy_matrices):
         grid = build_grid(SteppingParams(PI / 8, PI / 8, PI / 8))
         rng = np.random.default_rng(21)
         idx = rng.choice(len(grid), size=400, replace=False)
-        sub = grid.matrices[idx]
+        sub = strategy_matrices(grid)[idx]
         dist = np.abs(sub[:, None] - sub[None, :]).max(axis=(2, 3))
         dist[np.arange(len(idx)), np.arange(len(idx))] = 1.0
         assert dist.min() > 1e-9
 
-    def test_deterministic_rebuild(self):
+    def test_deterministic_rebuild(self, strategy_matrices):
         steps = SteppingParams(PI / 4, PI / 2, PI / 2)
         g1, g2 = build_grid(steps), build_grid(steps)
         assert g1.params == g2.params
-        np.testing.assert_array_equal(g1.matrices, g2.matrices)
+        np.testing.assert_array_equal(strategy_matrices(g1), strategy_matrices(g2))
+        assert g1.features.tobytes() == g2.features.tobytes()
 
     @pytest.mark.parametrize(
         "steps",
@@ -166,7 +176,7 @@ class TestContents:
             SteppingParams((PI - 2e-9) / 2, 1.0, 2.0),
         ],
     )
-    def test_matches_brute_force_dedup(self, steps):
+    def test_matches_brute_force_dedup(self, steps, strategy_matrices):
         # independent O(n^2) reference: enumerate every in-bounds multiple
         # and keep the first matrix no earlier one equals entrywise
         def multiples(step, bound):
@@ -185,21 +195,20 @@ class TestContents:
                         reference.append(m)
         grid = build_grid(steps)
         assert len(grid) == len(reference)
-        for got, expected in zip(grid.matrices, reference):
+        for got, expected in zip(strategy_matrices(grid), reference):
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 class TestPhaseClasses:
-    def test_eighth_grid_has_912_classes_of_negations(self):
+    def test_eighth_grid_has_912_classes_of_negations(self, strategy_matrices):
         grid = build_grid(SteppingParams(PI / 8, PI / 8, PI / 8))
         assert len(grid.members) == 912
         np.testing.assert_array_equal(grid.members[:, 0], np.unique(grid.classes, return_index=True)[1])
         reps = grid.members[:, 0][grid.classes]
         partners = np.nonzero(reps != np.arange(len(grid)))[0]
         assert len(partners) == 912
-        own = np.array([strategy_matrix(p) for p in grid.params])
-        assert grid.matrices.tobytes() == own.tobytes()  # bitwise, partners and representatives
-        assert np.abs(grid.matrices[partners] + grid.matrices[reps[partners]]).max() <= 1e-9
+        own = strategy_matrices(grid)
+        assert np.abs(own[partners] + own[reps[partners]]).max() <= 1e-9
 
     @pytest.mark.parametrize(
         "steps",
@@ -236,17 +245,14 @@ class TestPhaseClasses:
             SteppingParams(PI / 32, PI / 8, PI / 8),
         ],
     )
-    def test_classes_have_at_most_two_members(self, steps):
+    def test_classes_have_at_most_two_members(self, steps, strategy_matrices):
         grid = build_grid(steps)
         assert np.bincount(grid.classes).max() <= 2
         reps = grid.members[:, 0][grid.classes]
         partners = np.nonzero(reps != np.arange(len(grid)))[0]
         assert len(partners) > 0
-        own = np.array([strategy_matrix(p) for p in grid.params])
-        assert grid.matrices.tobytes() == own.tobytes()  # bitwise, partners and representatives
-        assert np.abs(grid.matrices[partners] + grid.matrices[reps[partners]]).max() <= 1e-9
-        for j in partners:
-            assert np.abs(grid.matrices[j] - strategy_matrix(grid.params[j])).max() <= 1e-9
+        own = strategy_matrices(grid)
+        assert np.abs(own[partners] + own[reps[partners]]).max() <= 1e-9
         # Each strategy's own features are its class's up to rounding, except
         # where theta steps miss pi: there partners are negations only within
         # DEDUP_TOL.
@@ -291,7 +297,7 @@ class TestOrbitMaps:
     """The grid's action of G = {e, L, R, LR}: L is U -> i sigma_z U, R is U -> U i sigma_z."""
 
     @pytest.mark.parametrize("steps, orbits, lr_fixed", CLOSED_GRIDS)
-    def test_klein_four_action_on_classes(self, steps, orbits, lr_fixed):
+    def test_klein_four_action_on_classes(self, steps, orbits, lr_fixed, strategy_matrices):
         grid = build_grid(steps)
         maps = grid.orbit_maps
         classes = np.arange(len(grid.members))
@@ -304,9 +310,10 @@ class TestOrbitMaps:
         assert [int((row == classes).sum()) for row in maps[1:]] == [0, 0, lr_fixed]
         # Each map sends a representative's matrix to one of its image class's members, up to sign.
         z = np.diag([1j, -1j])
-        reps = grid.matrices[grid.members[:, 0]]
+        mats = strategy_matrices(grid)
+        reps = mats[grid.members[:, 0]]
         for row, image in zip(maps[1:], (z @ reps, reps @ z, z @ reps @ z)):
-            got = grid.matrices[grid.members[:, 0][row]]
+            got = mats[grid.members[:, 0][row]]
             distance = np.minimum(np.abs(got - image).max(axis=(1, 2)), np.abs(got + image).max(axis=(1, 2)))
             assert distance.max() <= 1e-12
 

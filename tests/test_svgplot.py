@@ -116,6 +116,35 @@ def test_overflowing_axis_range_raises_before_writing(tmp_path, axis):
     assert list(tmp_path.iterdir()) == []
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "points, where",
+    [
+        ([(0, NAN), (1, 1), (2, 3)], r"series 'b' point 0 \(0\.0, nan\)"),
+        ([(0, 0), (1, 1), (2, NAN)], r"series 'b' point 2 \(2\.0, nan\)"),
+        ([(0, 0), (INF, 1)], r"series 'b' point 1 \(inf, 1\.0\)"),
+        ([(0, -INF), (1, 1)], r"series 'b' point 0 \(0\.0, -inf\)"),
+    ],
+)
+def test_non_finite_point_is_named_before_writing(tmp_path, points, where):
+    fig = Figure("bad", "x", "y")
+    fig.add_scatter("a", [(0, 0), (1, 1)])
+    fig.add_scatter("b", points)
+    with pytest.raises(ValueError, match=f"cannot plot 'bad': {where} is not finite"):
+        fig.render(tmp_path / "bad.svg")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_bar_is_named_before_writing(tmp_path):
+    fig = Figure("bad", "x", "count")
+    fig.add_bars([(0.5, 3, 1), (1.5, NAN, 1)])
+    with pytest.raises(ValueError, match=r"cannot plot 'bad': bar 1 \(1\.5, nan, 1\.0\) is not finite"):
+        fig.render(tmp_path / "bad.svg")
+    assert list(tmp_path.iterdir()) == []
+
+
 def reference_svg(title, xlabel, ylabel, series):
     """The SVG text of scatter `series` [(label, [(x, y), ...]), ...], point by point.
 

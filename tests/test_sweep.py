@@ -348,8 +348,8 @@ class TestBufferReuse:
 
 class TestFeaturePass:
     def test_one_feature_pass_per_grid(self, monkeypatch, prisoners_dilemma, deadlock):
-        # Every gamma of both sweeps reads the grid's features; they are
-        # computed once, on the first read.
+        # Every gamma of both sweeps reads the grid's features; build_grid
+        # computes them once, for the 912 class representatives.
         steps = SteppingParams(PI / 8, PI / 8, PI / 8)
 
         def tables(grid):
