@@ -73,7 +73,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_angle(text: str) -> float:
-    """Finite radians from a decimal literal or a 'pi', '2pi', 'pi/8', '3pi/4' form."""
+    """Finite radians from a decimal literal or a 'pi', '2pi', 'pi/8', '3pi/4' form; never -0.0."""
     s = str(text).strip().lower().replace(" ", "")
     m = _ANGLE_RE.match(s)
     if m:
@@ -87,7 +87,7 @@ def parse_angle(text: str) -> float:
             raise ConfigError(f"cannot parse angle {text!r} (use radians or pi fractions like pi/8)") from None
     if not math.isfinite(value):
         raise ConfigError(f"angle {text!r} is not finite")
-    return value
+    return value + 0.0  # '-0' is 0.0, not -0.0
 
 
 def parse_steps(text: str) -> SteppingParams:

@@ -29,11 +29,19 @@ G = {e}, S is every class and the arithmetic is the full class tables'.
 Bayesian equilibria are found without a loop over A's strategies; see
 `nash_bayesian` for the algorithm, its order and its memory.
 
-A sweep's tables live in one set of buffers, one (|S|, classes) table
-per player per game, allocated when the sweep starts: `_payoff_tensors`
-writes every gamma's tables into them, and its tensors are read-only
-views valid until the next gamma. A lone `payoff_tensor` call gets one
-fresh pair of tables of its own.
+The kernel writes tables in blocks of orbit rows (`_fill_rows`). A
+two-player sweep (`_two_player_sweep`, behind `gamma_sweep`) allocates
+one pair of buffers of about _ROW_BLOCK bytes each when it starts,
+writes every gamma's tables into them one block at a time and reduces
+each block as soon as it is written, so it never holds a whole table.
+`_payoff_tensors` (behind `bayes_sweep` and `payoff_tensor`) writes
+whole tables, one block of every orbit row: a Bayesian sweep allocates
+one (|S|, classes) table per player per game when it starts and writes
+every gamma's tables into them, and its tensors are read-only views
+valid until the next gamma. A lone `payoff_tensor` call gets one fresh
+pair of tables of its own. Both paths give the same bits: the
+10-column product of the orbit rows' features with K is taken over all
+rows at once, and every block of the second product has 2 rows or more.
 
 The reductions produce columns: one member index array per player, then
 one payoff array per player. Sweeps consume those columns directly;
@@ -102,6 +110,71 @@ class PayoffTensor:
         return self.class_b[np.ix_(self.grid.classes, self.grid.classes)]
 
 
+# Bytes of one table block in a two-player sweep. The 1824 grid's
+# 232 x 912 orbit-row tables are one block; the 7968 grid's rows come in
+# blocks of 65.
+_ROW_BLOCK = 2 << 20
+
+
+def _row_blocks(rows: int, classes: int) -> list[tuple[int, int]]:
+    """(start, stop) bounds of consecutive blocks of orbit rows, _ROW_BLOCK bytes of a table each.
+
+    Every block has at least 2 rows, and a 1-row tail joins the block
+    before it, which may then exceed _ROW_BLOCK by one row: numpy takes a
+    1-row product as a matrix-vector product, whose bits differ from the
+    same row of the matrix product. Blocks of 2 rows or more give the
+    whole product's bits.
+    """
+    size = max(2, _ROW_BLOCK // (8 * classes))
+    starts = list(range(0, rows, size))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        del starts[-1]
+    return list(zip(starts, [*starts[1:], rows]))
+
+
+def _folds(grid: StrategyGrid) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(fixed, folded) per map g that fixes some orbit rows: the rows, and the columns that fold them.
+
+    A row whose class g fixes is folded onto one value per column pair
+    {b, g.b}, row[b] = row[min(b, g.b)], so that every expanded entry is
+    well defined bit for bit. Only LR can fix a class: i*sigma_z U = +-U
+    has no solution.
+    """
+    orbit_rows = grid.orbit_images[0]
+    folds = [
+        (np.flatnonzero(action[orbit_rows] == orbit_rows), np.minimum(action, np.arange(len(action))))
+        for action in grid.orbit_maps[1:]
+    ]
+    return [(fixed, folded) for fixed, folded in folds if len(fixed)]
+
+
+def _fill_rows(
+    grid: StrategyGrid,
+    folds: Sequence[tuple[np.ndarray, np.ndarray]],
+    forms: Sequence[np.ndarray],
+    buffers: Sequence[np.ndarray],
+    blocks: Sequence[tuple[int, int]],
+) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """Write each block of orbit rows of the tables f_S @ K @ f.T, one per form K, in turn.
+
+    Yields (start, tables) once rows [start, stop) are written and folded
+    (`_folds(grid)`): table k is the first stop - start rows of
+    `buffers[k]`, valid until the generator resumes. The 10-column
+    products f_S @ K are taken over all orbit rows at once, since
+    splitting them changes their bits.
+    """
+    features = grid.features
+    products = [features[grid.orbit_images[0]] @ k for k in forms]
+    for start, stop in blocks:
+        tables = [buffer[: stop - start] for buffer in buffers]
+        for table, product in zip(tables, products):
+            np.matmul(product[start:stop], features.T, out=table)
+            for fixed, folded in folds:
+                rows = fixed[(fixed >= start) & (fixed < stop)] - start
+                table[rows] = table[rows][:, folded]
+        yield start, tables
+
+
 def _payoff_tensors(
     games: Sequence[GameDefinition],
     grid: StrategyGrid,
@@ -110,35 +183,25 @@ def _payoff_tensors(
     """One tensor per game at each gamma in turn, all written into one set of buffers.
 
     The first step allocates one (|S|, classes) table per player per game;
-    every gamma's products are written into those tables, so a sweep does
-    not fault in fresh pages at each point. A yielded tensor's `rows_a`
-    and `rows_b` are read-only views of the buffers: they are valid only
-    until the generator resumes, which overwrites them with the next
-    gamma's tables. Copy what must outlive that step.
-
-    A row whose class a map fixes is folded onto one value per column pair
-    {b, g.b}, so that every expanded entry is well defined bit for bit.
-    Only LR can fix a class: i*sigma_z U = +-U has no solution.
+    every gamma's tables are written into them by `_fill_rows`, as one
+    block of all orbit rows, so a sweep does not fault in fresh pages at
+    each point. A yielded tensor's `rows_a` and `rows_b` are read-only
+    views of the buffers: they are valid only until the generator
+    resumes, which overwrites them with the next gamma's tables. Copy
+    what must outlive that step.
     """
     if len(grid) == 0:
         raise ValueError("empty strategy grid")
-    features = grid.features
-    orbit_rows = grid.orbit_images[0]
-    row_features = features[orbit_rows]
-    folds = [
-        (np.flatnonzero(action[orbit_rows] == orbit_rows), np.minimum(action, np.arange(len(action))))
-        for action in grid.orbit_maps[1:]
-    ]
-    buffers = [np.empty((len(orbit_rows), len(features))) for _ in range(2 * len(games))]
+    rows = len(grid.orbit_images[0])
+    folds = _folds(grid)
+    buffers = [np.empty((rows, len(grid.features))) for _ in range(2 * len(games))]
     views = [table.view() for table in buffers]
     for view in views:
         view.setflags(write=False)
     for gamma in gammas:
         forms = [k for game in games for k in payoff_forms(gamma, game)]
-        for table, k in zip(buffers, forms):
-            np.matmul(row_features @ k, features.T, out=table)
-            for fixed, folded in folds:
-                table[fixed] = table[fixed][:, folded]
+        for _ in _fill_rows(grid, folds, forms, buffers, [(0, rows)]):
+            pass  # the one block is the whole tables
         yield tuple(
             PayoffTensor(game=game, gamma=gamma, grid=grid, rows_a=rows_a, rows_b=rows_b)
             for game, rows_a, rows_b in zip(games, views[0::2], views[1::2])
@@ -217,16 +280,63 @@ def _equilibria(columns: Sequence[np.ndarray]) -> list[NashEquilibrium]:
     ]
 
 
-def _two_player_columns(tensor: PayoffTensor, epsilon: float) -> tuple[np.ndarray, ...]:
-    """`nash_two_player` as columns (a_index, b_index, payoff_a, payoff_b)."""
-    _require_epsilon(epsilon)
-    pa, pb = tensor.rows_a, tensor.rows_b
-    ri, cb = _best_responses(pb, epsilon)
-    colmax = pa.max(axis=0)[tensor.grid.orbit_maps].max(axis=0)
-    keep = pa[ri, cb] >= (colmax - epsilon)[cb]
-    ri, cb = ri[keep], cb[keep]
+def _two_player_reduction(
+    grid: StrategyGrid, blocks: Iterable[tuple[int, Sequence[np.ndarray]]], epsilon: float
+) -> tuple[np.ndarray, ...]:
+    """The two-player rule as columns (a_index, b_index, payoff_a, payoff_b).
+
+    `blocks` yields (start, (rows_a, rows_b)) for consecutive blocks of
+    orbit rows that together cover them all; each block is reduced as it
+    arrives. A's column maxima over the rows are a running maximum, and
+    B's best-response cells, complete within a row, are kept with both
+    payoffs. After the last block a cell (i, b) stays when A's payoff is
+    within epsilon of A's column-b maximum over every class: the maximum
+    over g of the rows' maxima at g.b.
+    """
+    rowmax = np.full(len(grid.features), -np.inf)
+    cells = []
+    for start, (pa, pb) in blocks:
+        np.maximum(rowmax, pa.max(axis=0), out=rowmax)
+        ri, cb = _best_responses(pb, epsilon)
+        cells.append((ri + start, cb, pa[ri, cb], pb[ri, cb]))
+    ri, cb, a, b = (parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in zip(*cells))
+    del cells
+    colmax = rowmax[grid.orbit_maps].max(axis=0)
+    keep = np.flatnonzero(a >= (colmax - epsilon)[cb])
+    ri, cb, a, b = ri[keep], cb[keep], a[keep], b[keep]
     del keep
-    return _expand(tensor.grid, ri, (cb,), (pa[ri, cb], pb[ri, cb]))
+    return _expand(grid, ri, (cb,), (a, b))
+
+
+def _two_player_columns(tensor: PayoffTensor, epsilon: float) -> tuple[np.ndarray, ...]:
+    """`nash_two_player` as columns: the reduction of the tensor's tables as one block."""
+    _require_epsilon(epsilon)
+    return _two_player_reduction(tensor.grid, [(0, (tensor.rows_a, tensor.rows_b))], epsilon)
+
+
+def _two_player_sweep(
+    game: GameDefinition,
+    grid: StrategyGrid,
+    gammas: Iterable[EntanglementParam],
+    epsilon: float,
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """`_two_player_columns` at each gamma in turn, bit for bit, without whole tables.
+
+    The first step allocates one pair of buffers, each as tall as the
+    tallest of the `_row_blocks`; each gamma's tables are written into
+    them one block of orbit rows at a time, and each block is reduced as
+    soon as it is written.
+    """
+    _require_epsilon(epsilon)
+    if len(grid) == 0:
+        raise ValueError("empty strategy grid")
+    blocks = _row_blocks(len(grid.orbit_images[0]), len(grid.features))
+    height = max(stop - start for start, stop in blocks)
+    folds = _folds(grid)
+    buffers = [np.empty((height, len(grid.features))) for _ in range(2)]
+    for gamma in gammas:
+        filled = _fill_rows(grid, folds, payoff_forms(gamma, game), buffers, blocks)
+        yield _two_player_reduction(grid, filled, epsilon)
 
 
 def nash_two_player(tensor: PayoffTensor, epsilon: float = DEFAULT_EPSILON) -> list[NashEquilibrium]:

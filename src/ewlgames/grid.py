@@ -54,6 +54,11 @@ DEDUP_TOL = 1e-9
 # and clamped back onto it.
 _STEP_SLACK = 1e-9
 
+# build_grid refuses steps with more (theta, phi, alpha) candidates than
+# this, before it allocates anything: 2**24 is 112 times the 149769
+# candidates of the 114944-strategy (pi/8, pi/64, pi/64) grid.
+MAX_CANDIDATES = 1 << 24
+
 
 @dataclass(frozen=True)
 class SteppingParams:
@@ -116,13 +121,13 @@ class StrategyGrid:
         return tuple(StrategyParams(*row) for row in self.angles.tolist())
 
 
-def _multiples(step: float, bound: float) -> list[float]:
-    count = int(math.floor(bound / step + _STEP_SLACK)) + 1
-    values = []
-    for j in range(count):
-        v = j * step
-        values.append(bound if v > bound else v)
-    return values
+def _axis_count(step: float, bound: float) -> int:
+    """How many multiples of `step` lie in [0, bound], or MAX_CANDIDATES + 1 if that is more."""
+    return math.floor(min(bound / step + _STEP_SLACK, MAX_CANDIDATES)) + 1
+
+
+def _multiples(step: float, bound: float, count: int) -> list[float]:
+    return [min(j * step, bound) for j in range(count)]
 
 
 def _axis_matches(pairs: np.ndarray, targets: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -162,7 +167,8 @@ def build_grid(steps: SteppingParams) -> StrategyGrid:
     pair each strategy with its negation.
 
     Candidates are generated in lexicographic (theta, phi, alpha) order,
-    including the interval endpoints when they are exact multiples.
+    including the interval endpoints when they are exact multiples; steps
+    with more than MAX_CANDIDATES of them raise ValueError.
     Duplicates and negations only ever share a theta value (distinct theta
     multiples separate by ~step/2 in the off-diagonal magnitude, far above
     DEDUP_TOL). At one theta, U's diagonal depends on phi only and its
@@ -177,9 +183,11 @@ def build_grid(steps: SteppingParams) -> StrategyGrid:
     off-diagonal pair by (i, -i) and R by (-i, i); LR negates the diagonal
     pair only.
     """
-    thetas, phis, alphas = (
-        _multiples(step, bound) for step, bound in zip(steps.astuple(), ANGLE_BOUNDS.values(), strict=True)
-    )
+    axes = list(zip(steps.astuple(), ANGLE_BOUNDS.values(), strict=True))
+    counts = [_axis_count(step, bound) for step, bound in axes]
+    if math.prod(counts) > MAX_CANDIDATES:
+        raise ValueError(f"steps {steps.astuple()} give more than {MAX_CANDIDATES} candidate strategies")
+    thetas, phis, alphas = (_multiples(step, bound, count) for (step, bound), count in zip(axes, counts))
 
     c = np.array([[math.cos(t / 2.0)] for t in thetas])
     s = np.array([[math.sin(t / 2.0)] for t in thetas])

@@ -26,7 +26,7 @@ from .equilibrium import (
     _bayes_equilibria,
     _payoff_tensors,
     _require_epsilon,
-    _two_player_columns,
+    _two_player_sweep,
 )
 from .grid import StrategyGrid
 
@@ -245,6 +245,11 @@ def _table(
     )
 
 
+def _unsigned_zeros(points: Sequence[float]) -> list[float]:
+    """The points with -0.0 replaced by 0.0, which is what x + 0.0 gives."""
+    return [x + 0.0 for x in points]
+
+
 def gamma_sweep(
     game: GameDefinition,
     grid: StrategyGrid,
@@ -253,14 +258,16 @@ def gamma_sweep(
 ) -> RecordTable:
     """Two-player equilibria at each entanglement value, as one table.
 
-    Every gamma's tables are written into one pair of buffers; the
-    reduction copies what it keeps, so no column is a view of them.
+    Each gamma's tables are computed and reduced in blocks of orbit rows
+    that reuse one pair of buffers; the reduction copies what it keeps,
+    so no column is a view of them. A gamma of -0.0 is recorded as 0.0.
     """
     _require_epsilon(epsilon)  # also when there are no gammas to reduce
+    gamma_points = _unsigned_zeros(gamma_points)
     gammas = (EntanglementParam(g) for g in gamma_points)
     # closing the generator frees the buffers before the record columns are built
-    with closing(_payoff_tensors((game,), grid, gammas)) as tensors:
-        points = [(g, None, _two_player_columns(t, epsilon)) for g, (t,) in zip(gamma_points, tensors)]
+    with closing(_two_player_sweep(game, grid, gammas, epsilon)) as columns:
+        points = [(g, None, cols) for g, cols in zip(gamma_points, columns)]
     return _table(grid, points, bayes=False)
 
 
@@ -277,9 +284,10 @@ def bayes_sweep(
     Both component tensors of every gamma are written into one set of
     buffers, and one candidate set (B's best-response masks, the candidate
     triples and A's distinct column pairs) serves every prior value of
-    that gamma.
+    that gamma. A gamma or prior of -0.0 is recorded as 0.0.
     """
     _require_epsilon(epsilon)  # also when there are no gammas to reduce
+    gamma_points, p_points = _unsigned_zeros(gamma_points), _unsigned_zeros(p_points)
     priors = [PriorProbability(p) for p in p_points]
     gammas = (EntanglementParam(g) for g in gamma_points)
     with closing(_payoff_tensors((game1, game2), grid, gammas)) as tensors:

@@ -55,6 +55,10 @@ class TestAngleParsing:
         with pytest.raises(ConfigError, match="not finite"):
             parse_angle(text)
 
+    @pytest.mark.parametrize("text", ["-0", "-0.0", "0"])
+    def test_zero_is_unsigned(self, text):
+        assert math.copysign(1.0, parse_angle(text)) == 1.0
+
     def test_steps(self):
         steps = parse_steps("pi, pi/2, pi/2")
         assert steps.astuple() == pytest.approx((PI, PI / 2, PI / 2))
@@ -101,6 +105,16 @@ class TestSolve:
         assert payload["metadata"]["command"] == "solve"
         assert payload["metadata"]["grid_size"] == 8
         assert len(payload["records"]) == 16
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_zero_gamma_writes_what_zero_writes(self, tmp_path, fmt):
+        paths = [tmp_path / f"{name}.{fmt}" for name in ("minus", "plus")]
+        for gamma, out in zip(("-0", "0"), paths):
+            argv = ("solve", "--game", "stag_hunt", "--gamma", gamma, "--format", fmt, "--out", str(out))
+            assert run(*argv) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        data = paths[0].read_bytes()
+        assert b"-0," not in data and b"-0.0" not in data  # the CSV and JSON forms of -0.0
 
     def test_unwritable_out_exits_2(self, capsys):
         assert run("solve", "--game", "prisoners_dilemma", "--gamma", "0", "--out", "/nonexistent/dir/x.csv") == 2
@@ -420,6 +434,15 @@ class TestStrategies:
 
     def test_bad_steps_exit_1(self):
         assert run("strategies", "--steps", "0,pi,pi") == 1
+
+    @pytest.mark.parametrize("command", [("strategies",), ("solve", "--game", "stag_hunt")])
+    @pytest.mark.parametrize("steps", ["1e-300,1,1", "1e-4,1e-4,1e-4", "5e-324,pi,pi"])
+    def test_steps_over_the_candidate_limit_exit_1(self, tmp_path, capsys, command, steps):
+        out = tmp_path / "out.csv"
+        assert run(*command, "--steps", steps, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "16777216 candidate strategies" in err
+        assert not out.exists()
 
 
 class TestFlagPlumbing:

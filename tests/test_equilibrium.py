@@ -800,3 +800,67 @@ class TestOrbitSolve:
             assert any(len(got[0]) for got in per_prior)
             for p, got in zip(priors, per_prior, strict=True):
                 assert_same_equilibria(got, full_bayes(grid, x, xb, y, yb, p, 1e-9), 3)
+
+
+def tail_row_block(rows):
+    """The smallest block of at least 4 rows that leaves a 1-row tail."""
+    return next(size for size in range(4, rows) if rows % size == 1)
+
+
+class TestStreamedReduction:
+    """A two-player sweep computes and reduces its tables in blocks of orbit
+    rows; every block size gives `_two_player_columns` of the whole tables,
+    bit for bit."""
+
+    def test_row_blocks(self, monkeypatch):
+        # the shipped size keeps the 1824 grid's 232 x 912 rows one block
+        assert equilibrium._row_blocks(232, 912) == [(0, 232)]
+        assert equilibrium._row_blocks(1, 912) == [(0, 1)]
+        monkeypatch.setattr(equilibrium, "_ROW_BLOCK", 1)  # under one row: 2-row blocks
+        assert equilibrium._row_blocks(6, 10) == [(0, 2), (2, 4), (4, 6)]
+        assert equilibrium._row_blocks(7, 10) == [(0, 2), (2, 4), (4, 7)]
+        monkeypatch.setattr(equilibrium, "_ROW_BLOCK", 3 * 8 * 10)
+        assert equilibrium._row_blocks(8, 10) == [(0, 3), (3, 6), (6, 8)]
+        assert equilibrium._row_blocks(7, 10) == [(0, 3), (3, 7)]
+        assert equilibrium._row_blocks(2, 10) == [(0, 2)]
+
+    @pytest.mark.parametrize("rows_per_block", [2, 3, "tail"])
+    @pytest.mark.parametrize("grid", ["eighth_grid", "lone_class_grid"])
+    @pytest.mark.parametrize("name", CATALOGUE.names)
+    def test_blocks_give_the_whole_tables_columns(self, request, monkeypatch, grid, name, rows_per_block):
+        grid = request.getfixturevalue(grid)
+        game = CATALOGUE.get(name)
+        rows, classes = len(grid.orbit_images[0]), len(grid.features)
+        size = tail_row_block(rows) if rows_per_block == "tail" else rows_per_block
+        monkeypatch.setattr(equilibrium, "_ROW_BLOCK", size * 8 * classes)
+        blocks = equilibrium._row_blocks(rows, classes)
+        assert len(blocks) > 1 and blocks[0] == (0, size)
+        assert all(stop - start >= 2 for start, stop in blocks)
+        gammas = [g for g, _ in MEMBER_GAMMAS]
+        tensors = [payoff_tensor(game, grid, EntanglementParam(g)) for g in gammas]
+        records = 0
+        for epsilon in (0.0, 1e-9, 0.5):
+            table = gamma_sweep(game, grid, gammas, epsilon)
+            whole = [equilibrium._two_player_columns(t, epsilon) for t in tensors]
+            records += len(table)
+            names = ("a_index", "b_index", "payoff_a", "payoff_b")
+            for column, parts in zip(names, zip(*whole), strict=True):
+                got, want = table.columns[column], np.concatenate(parts)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (column, epsilon)
+            sizes = [len(cols[0]) for cols in whole]
+            assert table.columns["gamma"].tobytes() == np.repeat(gammas, sizes).tobytes()
+        assert records > 0
+
+    def test_a_7968_sweep_holds_no_whole_table(self, stag_hunt):
+        grid = build_grid(SteppingParams(PI / 32, PI / 8, PI / 8))
+        rows, classes = len(grid.orbit_images[0]), len(grid.features)
+        assert 2 * rows * classes * 8 > 60e6  # the two whole tables
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table = gamma_sweep(stag_hunt, grid, [PI / 8])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 576
+        assert peak < 12e6, peak

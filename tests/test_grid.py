@@ -16,7 +16,7 @@ from ewlgames import (
 )
 from ewlgames.circuit import EntanglementParam, rotation_features, strategy_matrix
 from ewlgames.equilibrium import payoff_tensor
-from ewlgames.grid import DEDUP_TOL
+from ewlgames.grid import DEDUP_TOL, MAX_CANDIDATES
 
 from oracles import phase_partners
 
@@ -28,6 +28,14 @@ class TestSteppingValidation:
     def test_nonpositive_rejected(self, bad):
         with pytest.raises(ValueError):
             SteppingParams(bad, PI / 2, PI / 2)
+
+    def test_candidates_over_the_limit_rejected(self):
+        # 2049 x 2049 x 5 = 20.99M candidates, and 1 x 1 x 16777217 along one axis
+        with pytest.raises(ValueError, match="more than 16777216 candidate strategies"):
+            build_grid(SteppingParams(PI / 2048, 2 * PI / 2048, PI / 2))
+        with pytest.raises(ValueError, match="more than 16777216 candidate strategies"):
+            build_grid(SteppingParams(PI, 2 * PI / 2**24, 2 * PI))
+        assert MAX_CANDIDATES == 2**24
 
     def test_oversized_steps_rejected(self):
         with pytest.raises(ValueError):

@@ -346,6 +346,25 @@ class TestBufferReuse:
         self.assert_concatenation(table, parts)
 
 
+class TestNegativeZero:
+    """A -0.0 gamma or prior is recorded as 0.0, as the CLI's '-0' is."""
+
+    def test_gamma_sweep(self, stag_hunt, coarse_grid):
+        minus, plus = (gamma_sweep(stag_hunt, coarse_grid, [g, 0.35]) for g in (-0.0, 0.0))
+        assert len(minus) > 0
+        for name, column in minus.columns.items():
+            assert column.tobytes() == plus.columns[name].tobytes(), name
+
+    def test_bayes_sweep(self, prisoners_dilemma, deadlock, coarse_grid):
+        minus, plus = (
+            bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, [zero, 0.35], [zero, 0.5])
+            for zero in (-0.0, 0.0)
+        )
+        assert len(minus) > 0
+        for name, column in minus.columns.items():
+            assert column.tobytes() == plus.columns[name].tobytes(), name
+
+
 class TestFeaturePass:
     def test_one_feature_pass_per_grid(self, monkeypatch, prisoners_dilemma, deadlock):
         # Every gamma of both sweeps reads the grid's features; build_grid
