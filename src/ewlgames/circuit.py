@@ -39,7 +39,7 @@ PAYOFF_LIMIT = 1e300
 
 def _require_range(name: str, value: float, low: float, high: float) -> None:
     if not (math.isfinite(value) and low <= value <= high):
-        raise ValueError(f"{name} must be in [{low:g}, {high:g}], got {value!r}")
+        raise ValueError(f"{name} must be in [{low!r}, {high!r}], got {value!r}")
 
 
 @dataclass(frozen=True)

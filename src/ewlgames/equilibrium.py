@@ -29,19 +29,17 @@ G = {e}, S is every class and the arithmetic is the full class tables'.
 Bayesian equilibria are found without a loop over A's strategies; see
 `nash_bayesian` for the algorithm, its order and its memory.
 
-The kernel writes tables in blocks of orbit rows (`_fill_rows`). A
-two-player sweep (`_two_player_sweep`, behind `gamma_sweep`) allocates
-one pair of buffers of about _ROW_BLOCK bytes each when it starts,
-writes every gamma's tables into them one block at a time and reduces
-each block as soon as it is written, so it never holds a whole table.
-`_payoff_tensors` (behind `bayes_sweep` and `payoff_tensor`) writes
-whole tables, one block of every orbit row: a Bayesian sweep allocates
-one (|S|, classes) table per player per game when it starts and writes
-every gamma's tables into them, and its tensors are read-only views
-valid until the next gamma. A lone `payoff_tensor` call gets one fresh
-pair of tables of its own. Both paths give the same bits: the
-10-column product of the orbit rows' features with K is taken over all
-rows at once, and every block of the second product has 2 rows or more.
+The kernel writes tables in blocks of orbit rows (`_fill_rows`), and
+`_tables` drives it for every caller: it allocates one buffer per player
+per game, as tall as the tallest block, and writes each gamma's pass
+into them. `gamma_sweep` passes `_row_blocks` of about _ROW_BLOCK bytes
+and reduces each block as soon as it is written, so it never holds a
+whole table; `bayes_sweep` passes one block of every orbit row and
+reduces the whole tables (`_bayes_reduction`); a lone `payoff_tensor`
+call is one step of one block, with buffers of its own. Every path gives
+the same bits: the 10-column product of the orbit rows' features with K
+is taken over all rows at once, and every block of the second product
+has 2 rows or more.
 
 The reductions produce columns: one member index array per player, then
 one payoff array per player. Sweeps consume those columns directly;
@@ -125,7 +123,7 @@ def _row_blocks(rows: int, classes: int) -> list[tuple[int, int]]:
     same row of the matrix product. Blocks of 2 rows or more give the
     whole product's bits.
     """
-    size = max(2, _ROW_BLOCK // (8 * classes))
+    size = max(2, _ROW_BLOCK // max(8 * classes, 1))  # an empty grid has no classes
     starts = list(range(0, rows, size))
     if len(starts) > 1 and rows - starts[-1] == 1:
         del starts[-1]
@@ -175,37 +173,28 @@ def _fill_rows(
         yield start, tables
 
 
-def _payoff_tensors(
+def _tables(
     games: Sequence[GameDefinition],
     grid: StrategyGrid,
     gammas: Iterable[EntanglementParam],
-) -> Iterator[tuple[PayoffTensor, ...]]:
-    """One tensor per game at each gamma in turn, all written into one set of buffers.
+    blocks: Sequence[tuple[int, int]],
+) -> Iterator[Iterator[tuple[int, list[np.ndarray]]]]:
+    """Each gamma's `_fill_rows` pass over `blocks` in turn, all written into one set of buffers.
 
-    The first step allocates one (|S|, classes) table per player per game;
-    every gamma's tables are written into them by `_fill_rows`, as one
-    block of all orbit rows, so a sweep does not fault in fresh pages at
-    each point. A yielded tensor's `rows_a` and `rows_b` are read-only
-    views of the buffers: they are valid only until the generator
-    resumes, which overwrites them with the next gamma's tables. Copy
-    what must outlive that step.
+    The first step allocates one buffer per player per game, as tall as
+    the tallest block, so a sweep does not fault in fresh pages at each
+    point. A pass yields (start, [rows_a, rows_b] per game) per block:
+    views of the buffers, valid only until the pass resumes, and the next
+    gamma's pass overwrites them all. Copy what must outlive that.
     """
     if len(grid) == 0:
         raise ValueError("empty strategy grid")
-    rows = len(grid.orbit_images[0])
     folds = _folds(grid)
-    buffers = [np.empty((rows, len(grid.features))) for _ in range(2 * len(games))]
-    views = [table.view() for table in buffers]
-    for view in views:
-        view.setflags(write=False)
+    height = max(stop - start for start, stop in blocks)
+    buffers = [np.empty((height, len(grid.features))) for _ in range(2 * len(games))]
     for gamma in gammas:
         forms = [k for game in games for k in payoff_forms(gamma, game)]
-        for _ in _fill_rows(grid, folds, forms, buffers, [(0, rows)]):
-            pass  # the one block is the whole tables
-        yield tuple(
-            PayoffTensor(game=game, gamma=gamma, grid=grid, rows_a=rows_a, rows_b=rows_b)
-            for game, rows_a, rows_b in zip(games, views[0::2], views[1::2])
-        )
+        yield _fill_rows(grid, folds, forms, buffers, blocks)
 
 
 def payoff_tensor(
@@ -215,11 +204,14 @@ def payoff_tensor(
 ) -> PayoffTensor:
     """Tabulate both players' payoffs of each orbit row against every class.
 
-    Sweeps write every gamma's tables into one set of buffers; this call
-    is one step of the same generator, with a fresh pair of tables
-    allocated for it alone, so no other call ever writes them.
+    One step of the sweeps' `_tables`, as one block of every orbit row,
+    with buffers allocated for this call alone: no other call ever writes
+    the tensor's tables, and they are read-only.
     """
-    return next(_payoff_tensors((game,), grid, (gamma,)))[0]
+    ((_, (rows_a, rows_b)),) = next(_tables((game,), grid, (gamma,), [(0, len(grid.orbit_images[0]))]))
+    rows_a.setflags(write=False)
+    rows_b.setflags(write=False)
+    return PayoffTensor(game=game, gamma=gamma, grid=grid, rows_a=rows_a, rows_b=rows_b)
 
 
 @dataclass(frozen=True)
@@ -314,31 +306,6 @@ def _two_player_columns(tensor: PayoffTensor, epsilon: float) -> tuple[np.ndarra
     return _two_player_reduction(tensor.grid, [(0, (tensor.rows_a, tensor.rows_b))], epsilon)
 
 
-def _two_player_sweep(
-    game: GameDefinition,
-    grid: StrategyGrid,
-    gammas: Iterable[EntanglementParam],
-    epsilon: float,
-) -> Iterator[tuple[np.ndarray, ...]]:
-    """`_two_player_columns` at each gamma in turn, bit for bit, without whole tables.
-
-    The first step allocates one pair of buffers, each as tall as the
-    tallest of the `_row_blocks`; each gamma's tables are written into
-    them one block of orbit rows at a time, and each block is reduced as
-    soon as it is written.
-    """
-    _require_epsilon(epsilon)
-    if len(grid) == 0:
-        raise ValueError("empty strategy grid")
-    blocks = _row_blocks(len(grid.orbit_images[0]), len(grid.features))
-    height = max(stop - start for start, stop in blocks)
-    folds = _folds(grid)
-    buffers = [np.empty((height, len(grid.features))) for _ in range(2)]
-    for gamma in gammas:
-        filled = _fill_rows(grid, folds, payoff_forms(gamma, game), buffers, blocks)
-        yield _two_player_reduction(grid, filled, epsilon)
-
-
 def nash_two_player(tensor: PayoffTensor, epsilon: float = DEFAULT_EPSILON) -> list[NashEquilibrium]:
     """All (i, j) lying in both players' best-response sets, in index order.
 
@@ -379,30 +346,31 @@ def _require_compatible(t1: PayoffTensor, t2: PayoffTensor) -> None:
 _COLUMN_BLOCK = 256
 
 
-def _bayes_equilibria(
-    t1: PayoffTensor,
-    t2: PayoffTensor,
+def _bayes_reduction(
+    grid: StrategyGrid,
+    tables: Sequence[np.ndarray],
     priors: Sequence[PriorProbability],
     epsilon: float,
 ) -> list[tuple[np.ndarray, ...]]:
     """`nash_bayesian` for each prior in turn, sharing the p-independent work.
 
-    Returns one column tuple (a_index, b1_index, b2_index, payoff_a,
-    payoff_b1, payoff_b2) per prior. B1's and B2's best-response cells, the
-    candidate triples, their distinct (b1, b2) column pairs and the
-    gathered payoff columns are built once for all priors; only each
-    prior's accepted triples are expanded to member triples.
+    `tables` are the whole orbit-row tables of game1 for A and B1, then
+    of game2 for A and B2. Returns one column tuple (a_index, b1_index,
+    b2_index, payoff_a, payoff_b1, payoff_b2) per prior. B1's and B2's
+    best-response cells, the candidate triples, their distinct (b1, b2)
+    column pairs and the gathered payoff columns are built once for all
+    priors; only each prior's accepted triples are expanded to member
+    triples.
     """
-    _require_epsilon(epsilon)
-    _require_compatible(t1, t2)
-    grid, maps = t1.grid, t1.grid.orbit_maps
+    x, xb, y, yb = tables
+    maps = grid.orbit_maps
     n = maps.shape[1]  # classes, not strategies
-    rows1, cols1 = _best_responses(t1.rows_b, epsilon)
-    rows2, cols2 = _best_responses(t2.rows_b, epsilon)
+    rows1, cols1 = _best_responses(xb, epsilon)
+    rows2, cols2 = _best_responses(yb, epsilon)
     # Candidate triples in (i, b1, b2) order, i an orbit row: each of B1's
     # cells (i, b1) is repeated once per b2 in B2's set for that i, and the
     # k-th repeat takes the k-th such b2. Both cell lists are row-major.
-    count2 = np.bincount(rows2, minlength=len(t1.rows_b))
+    count2 = np.bincount(rows2, minlength=len(xb))
     reps = count2[rows1]
     i = np.repeat(rows1, reps)
     b1 = np.repeat(cols1, reps)
@@ -419,20 +387,32 @@ def _bayes_equilibria(
     rowmax = np.empty((len(priors), len(images)))
     for start in range(0, len(images), _COLUMN_BLOCK):
         block = slice(start, start + _COLUMN_BLOCK)
-        xb, yb = t1.rows_a[:, u1[block]], t2.rows_a[:, u2[block]]
+        x_block, y_block = x[:, u1[block]], y[:, u2[block]]
         for k, prior in enumerate(priors):
-            rowmax[k, block] = (prior.p * xb + (1.0 - prior.p) * yb).max(axis=0)
+            rowmax[k, block] = (prior.p * x_block + (1.0 - prior.p) * y_block).max(axis=0)
     colmax = rowmax[:, image.reshape(len(maps), len(pairs))].max(axis=1)
 
-    x, y = t1.rows_a[i, b1], t2.rows_a[i, b2]
+    x_cells, y_cells = x[i, b1], y[i, b2]
     out = []
     for k, prior in enumerate(priors):
-        mixed = prior.p * x + (1.0 - prior.p) * y
+        mixed = prior.p * x_cells + (1.0 - prior.p) * y_cells
         ok = np.nonzero(mixed >= (colmax[k] - epsilon)[column])[0]
         hit_i, hit_b1, hit_b2 = i[ok], b1[ok], b2[ok]
-        payoffs = (mixed[ok], t1.rows_b[hit_i, hit_b1], t2.rows_b[hit_i, hit_b2])
+        payoffs = (mixed[ok], xb[hit_i, hit_b1], yb[hit_i, hit_b2])
         out.append(_expand(grid, hit_i, (hit_b1, hit_b2), payoffs))
     return out
+
+
+def _bayes_equilibria(
+    t1: PayoffTensor,
+    t2: PayoffTensor,
+    priors: Sequence[PriorProbability],
+    epsilon: float,
+) -> list[tuple[np.ndarray, ...]]:
+    """`nash_bayesian` as columns, for each prior in turn: the reduction of the tensors' tables."""
+    _require_epsilon(epsilon)
+    _require_compatible(t1, t2)
+    return _bayes_reduction(t1.grid, (t1.rows_a, t1.rows_b, t2.rows_a, t2.rows_b), priors, epsilon)
 
 
 def nash_bayesian(

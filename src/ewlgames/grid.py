@@ -72,7 +72,7 @@ class SteppingParams:
         for name, bound in ANGLE_BOUNDS.items():
             step = getattr(self, f"d_{name}")
             if not (math.isfinite(step) and 0.0 < step <= bound):
-                raise ValueError(f"d_{name} must be in (0, {bound:g}], got {step!r}")
+                raise ValueError(f"d_{name} must be in (0, {bound!r}], got {step!r}")
 
     def astuple(self) -> tuple[float, float, float]:
         return (self.d_theta, self.d_phi, self.d_alpha)

@@ -202,7 +202,7 @@ def _checked_column(name: str, col: np.ndarray) -> np.ndarray:
         col[(col < 0.0) & (col > -1e-9)] = 0.0
         col[(col > high) & (col - high < 1e-9)] = high
         bad = ~((col >= 0.0) & (col <= high))
-        rule = f"in [0, {high:g}]"
+        rule = f"in [0, {high!r}]"
     elif name.startswith("payoff"):
         bad = ~np.isfinite(col)
         rule = "finite"

@@ -20,12 +20,29 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 20, 36, 48
 PALETTE = ["#1f5fa8", "#c23b22", "#2e8540", "#8a5fa8", "#b8860b", "#3aa6a6"]
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+def _tick_step(lo: float, hi: float, n: int = 5) -> float:
+    """The least of 1, 2, 2.5, 5 and 10 times the power of ten below (hi - lo) / n that covers it.
+
+    0.0 when the range is flat, not finite, or so narrow (under about
+    5e-323) that the power of ten underflows.
+    """
     raw = (hi - lo) / n
+    if not 0.0 < raw < math.inf:
+        return 0.0
     mag = 10.0 ** math.floor(math.log10(raw))
-    step = min(s for s in (mag, 2 * mag, 2.5 * mag, 5 * mag, 10 * mag) if s >= raw)
+    return min((s for s in (mag, 2 * mag, 2.5 * mag, 5 * mag, 10 * mag) if s >= raw), default=0.0)
+
+
+def _padded(lo: float, hi: float, pad: float) -> tuple[float, float]:
+    """[lo, hi] extended by `pad` of its span at each end, after widening
+    it by 0.5 at each end if the padded range has no `_tick_step`."""
+    if not _tick_step(lo - pad * (hi - lo), hi + pad * (hi - lo)):
+        lo, hi = lo - 0.5, hi + 0.5
+    return lo - pad * (hi - lo), hi + pad * (hi - lo)
+
+
+def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+    step = _tick_step(lo, hi, n)
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
@@ -103,14 +120,7 @@ class Figure:
             ys.extend((0.0, h))
         if not xs:
             xs, ys = [0.0, 1.0], [0.0, 1.0]
-        x0, x1 = min(xs), max(xs)
-        y0, y1 = min(ys), max(ys)
-        if x1 == x0:
-            x0, x1 = x0 - 0.5, x1 + 0.5
-        if y1 == y0:
-            y0, y1 = y0 - 0.5, y1 + 0.5
-        padx, pady = 0.04 * (x1 - x0), 0.06 * (y1 - y0)
-        return x0 - padx, x1 + padx, y0 - pady, y1 + pady
+        return (*_padded(min(xs), max(xs), 0.04), *_padded(min(ys), max(ys), 0.06))
 
     def render(self, path: str | Path) -> None:
         """Write the SVG; ValueError, before any file is made, on a non-finite point or bar or axis range."""
@@ -126,6 +136,8 @@ class Figure:
                 raise ValueError(
                     f"cannot plot {self.title!r}: the {axis} axis range [{lo:.4g}, {hi:.4g}] overflows"
                 )
+            if not _tick_step(lo, hi):  # a flat range that widening by 0.5 leaves flat
+                raise ValueError(f"cannot plot {self.title!r}: the {axis} axis range [{lo!r}, {hi!r}] is flat")
         pw = WIDTH - MARGIN_L - MARGIN_R
         ph = HEIGHT - MARGIN_T - MARGIN_B
 

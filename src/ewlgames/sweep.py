@@ -23,10 +23,11 @@ from .equilibrium import (
     DEFAULT_EPSILON,
     NashEquilibrium,
     PriorProbability,
-    _bayes_equilibria,
-    _payoff_tensors,
+    _bayes_reduction,
     _require_epsilon,
-    _two_player_sweep,
+    _row_blocks,
+    _tables,
+    _two_player_reduction,
 )
 from .grid import StrategyGrid
 
@@ -258,16 +259,18 @@ def gamma_sweep(
 ) -> RecordTable:
     """Two-player equilibria at each entanglement value, as one table.
 
-    Each gamma's tables are computed and reduced in blocks of orbit rows
-    that reuse one pair of buffers; the reduction copies what it keeps,
-    so no column is a view of them. A gamma of -0.0 is recorded as 0.0.
+    `_tables` writes each gamma's tables into one pair of buffers, one
+    block of orbit rows (`_row_blocks`) at a time, and each block is
+    reduced as it is written; the reduction copies what it keeps, so no
+    column is a view of them. A gamma of -0.0 is recorded as 0.0.
     """
     _require_epsilon(epsilon)  # also when there are no gammas to reduce
     gamma_points = _unsigned_zeros(gamma_points)
     gammas = (EntanglementParam(g) for g in gamma_points)
+    blocks = _row_blocks(len(grid.orbit_images[0]), len(grid.features))
     # closing the generator frees the buffers before the record columns are built
-    with closing(_two_player_sweep(game, grid, gammas, epsilon)) as columns:
-        points = [(g, None, cols) for g, cols in zip(gamma_points, columns)]
+    with closing(_tables((game,), grid, gammas, blocks)) as passes:
+        points = [(g, None, _two_player_reduction(grid, rows, epsilon)) for g, rows in zip(gamma_points, passes)]
     return _table(grid, points, bayes=False)
 
 
@@ -281,20 +284,22 @@ def bayes_sweep(
 ) -> RecordTable:
     """Bayesian (A, B1, B2) equilibria over the full (gamma, p) product grid, as one table.
 
-    Both component tensors of every gamma are written into one set of
-    buffers, and one candidate set (B's best-response masks, the candidate
-    triples and A's distinct column pairs) serves every prior value of
-    that gamma. A gamma or prior of -0.0 is recorded as 0.0.
+    `_tables` writes both games' whole tables of every gamma into one set
+    of buffers, and one candidate set (B's best-response masks, the
+    candidate triples and A's distinct column pairs) serves every prior
+    value of that gamma. A gamma or prior of -0.0 is recorded as 0.0.
     """
     _require_epsilon(epsilon)  # also when there are no gammas to reduce
     gamma_points, p_points = _unsigned_zeros(gamma_points), _unsigned_zeros(p_points)
     priors = [PriorProbability(p) for p in p_points]
     gammas = (EntanglementParam(g) for g in gamma_points)
-    with closing(_payoff_tensors((game1, game2), grid, gammas)) as tensors:
+    blocks = [(0, len(grid.orbit_images[0]))]
+    with closing(_tables((game1, game2), grid, gammas, blocks)) as passes:
         points = [
             (g, p, cols)
-            for g, (t1, t2) in zip(gamma_points, tensors)
-            for p, cols in zip(p_points, _bayes_equilibria(t1, t2, priors, epsilon))
+            for g, filled in zip(gamma_points, passes)
+            for _, tables in filled  # the one block
+            for p, cols in zip(p_points, _bayes_reduction(grid, tables, priors, epsilon))
         ]
     return _table(grid, points, bayes=True)
 

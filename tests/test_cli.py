@@ -92,6 +92,13 @@ class TestSolve:
     def test_out_of_range_gamma_exits_1(self, tmp_path):
         assert run("solve", "--game", "prisoners_dilemma", "--gamma", "2pi", "--out", str(tmp_path / "x.csv")) == 1
 
+    def test_range_error_prints_the_bound_in_full(self, tmp_path, capsys):
+        # the rejected value is just above pi/2; a rounded bound would look above it
+        code = run("solve", "--game", "stag_hunt", "--gamma", "1.5707963268", "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "gamma must be in [0.0, 1.5707963267948966], got 1.5707963268" in err
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "eq.json"
         assert (
@@ -642,6 +649,19 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "x axis range" in err and "Traceback" not in err
         assert not (tmp_path / "bw_payoff_hist.svg").exists()
+
+    def test_payoff_span_too_narrow_to_tick_plots(self, tmp_path, capsys):
+        records = tmp_path / "sub.csv"
+        records.write_text(
+            ",".join(TWO_PLAYER_COLUMNS) + "\n"
+            "0,0,4,5,3.14159265359,0,0,3.14159265359,0,1.57079632679,0,1\n"
+            "0,1,5,4,3.14159265359,0,1.57079632679,3.14159265359,0,0,5e-324,1\n"
+        )
+        prefix = str(tmp_path / "an")
+        code = run("analyze", "--records", str(records), "--gamma-slice", "0", "--out", prefix, "--plot", prefix)
+        assert code == 0, capsys.readouterr().err
+        for part in ("theta_scatter", "payoff_hist", "theta_payoff"):
+            assert (tmp_path / f"an_{part}.svg").exists()
 
     def test_inline_sweep(self, tmp_path):
         prefix = str(tmp_path / "inline")

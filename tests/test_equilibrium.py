@@ -597,26 +597,40 @@ MEMBER_CASES = [
 
 
 class TestPayoffBuffers:
-    """`_payoff_tensors` writes every gamma into one set of read-only-viewed
-    buffers; a lone `payoff_tensor` call owns its tables."""
+    """`_tables` writes every gamma's pass into one set of buffers, one per
+    player per game; a lone `payoff_tensor` call owns its tables, read-only."""
 
     GAMMAS = [EntanglementParam(0.0), EntanglementParam(PI / 8)]
 
-    def test_sweep_steps_share_their_buffers(self, eighth_grid, stag_hunt):
-        steps = equilibrium._payoff_tensors((stag_hunt,), eighth_grid, self.GAMMAS)
-        (first,), (second,) = next(steps), next(steps)
-        assert np.shares_memory(first.rows_a, second.rows_a)
-        assert np.shares_memory(first.rows_b, second.rows_b)
-        assert not np.shares_memory(second.rows_a, second.rows_b)
-        # the buffers hold the latest step's tables
-        lone = payoff_tensor(stag_hunt, eighth_grid, self.GAMMAS[1])
-        assert np.array_equal(second.rows_a, lone.rows_a) and np.array_equal(second.rows_b, lone.rows_b)
+    def test_sweep_steps_share_their_buffers(self, monkeypatch, eighth_grid, stag_hunt, deadlock):
+        rows, classes = len(eighth_grid.orbit_images[0]), len(eighth_grid.features)
+        monkeypatch.setattr(equilibrium, "_ROW_BLOCK", 100 * 8 * classes)
+        row_blocks = equilibrium._row_blocks(rows, classes)
+        assert row_blocks == [(0, 100), (100, 200), (200, rows)]
+        lone = {game: payoff_tensor(game, eighth_grid, self.GAMMAS[1]) for game in (stag_hunt, deadlock)}
+        # a two-player sweep's row blocks, and a two-game whole-table pass
+        for games, blocks in (((stag_hunt,), row_blocks), ((stag_hunt, deadlock), [(0, rows)])):
+            passes = [
+                [(start, tables, [t.copy() for t in tables]) for start, tables in filled]
+                for filled in equilibrium._tables(games, eighth_grid, self.GAMMAS, blocks)
+            ]
+            assert [len(p) for p in passes] == [len(blocks)] * 2
+            buffers = passes[0][0][1]
+            assert len(buffers) == 2 * len(games)
+            for x, y in itertools.combinations(buffers, 2):
+                assert not np.shares_memory(x, y)
+            for _, tables, _ in itertools.chain.from_iterable(passes):
+                assert all(np.shares_memory(t, b) for t, b in zip(tables, buffers, strict=True))
+            # the latest gamma's tables, written block by block and left in the buffers
+            want = [table for game in games for table in (lone[game].rows_a, lone[game].rows_b)]
+            written = [np.concatenate(parts) for parts in zip(*(copies for _, _, copies in passes[-1]))]
+            assert all(np.array_equal(w, t) for w, t in zip(want, written, strict=True))
+            start, tables, _ = passes[-1][-1]
+            assert all(np.array_equal(w[start:], t) for w, t in zip(want, tables, strict=True))
 
     def test_tables_are_read_only(self, eighth_grid, stag_hunt, deadlock):
-        steps = equilibrium._payoff_tensors((stag_hunt, deadlock), eighth_grid, self.GAMMAS)
-        tensors = [*itertools.chain.from_iterable(steps), payoff_tensor(stag_hunt, eighth_grid, self.GAMMAS[0])]
-        assert len(tensors) == 5
-        for t in tensors:
+        for game, gamma in itertools.product((stag_hunt, deadlock), self.GAMMAS):
+            t = payoff_tensor(game, eighth_grid, gamma)
             for rows in (t.rows_a, t.rows_b):
                 assert not rows.flags.writeable
                 with pytest.raises(ValueError):

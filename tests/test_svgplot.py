@@ -104,6 +104,35 @@ def test_axis_range_of_one_ulp_renders(tmp_path):
     assert "1e+06" in texts
 
 
+@pytest.mark.parametrize("span", [5e-324, 1e-323, 2.5e-323, 5e-323])
+def test_axis_range_too_narrow_to_tick_is_drawn_as_a_flat_one(tmp_path, span):
+    # a fifth of the padded span, or its power of ten, underflows: the range
+    # is widened by 0.5 at each end, which leaves nothing of the span
+    narrow, flat = tmp_path / "narrow.svg", tmp_path / "flat.svg"
+    for path, top in ((narrow, span), (flat, 0.0)):
+        fig = Figure("tiny", "x", "y")
+        fig.add_scatter("", [(0, 0.0), (1, top)])
+        fig.render(path)
+    assert narrow.read_bytes() == flat.read_bytes()
+
+
+def test_axis_range_of_1e_322_keeps_its_span(tmp_path):
+    fig = Figure("tiny", "x", "y")
+    fig.add_scatter("", [(0, 0.0), (1, 1e-322)])
+    _, _, y0, y1 = fig._bounds()
+    assert 0.0 < y1 - y0 < 2e-322
+    root = render(fig, tmp_path)
+    assert "1.976e-323" in [t.text for t in root.findall(f"{SVG_NS}text")]
+
+
+def test_flat_range_that_widening_leaves_flat_raises_before_writing(tmp_path):
+    fig = Figure("level", "x", "y")
+    fig.add_scatter("", [(0, 1e17), (1, 1e17)])
+    with pytest.raises(ValueError, match=r"cannot plot 'level': the y axis range \[1e\+17, 1e\+17\] is flat"):
+        fig.render(tmp_path / "level.svg")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_overflowing_axis_range_raises_before_writing(tmp_path, axis):
     fig = Figure("huge", "x", "y")

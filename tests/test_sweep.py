@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -310,6 +311,17 @@ class TestBayesSweep:
         brecs = bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, pts, pp).records
         keys = [(r.gamma, r.p, r.equilibrium.strategy_indices) for r in brecs]
         assert keys == sorted(keys)
+
+    def test_wide_tie_sets_on_the_pi4_grid(self, stag_hunt):
+        # DA's brother's B tie sets are wide: up to 1024 records at one point
+        # of a 208-strategy grid. No benchmark workload reaches such ties.
+        das_brother = load_default_catalogue().get("das_brother")
+        grid = build_grid(SteppingParams(PI / 4, PI / 4, PI / 4))
+        table = bayes_sweep(stag_hunt, das_brother, grid, default_gamma_grid(3), default_p_grid(3))
+        assert len(grid) == 208 and len(table) == 7232
+        points = zip(table.columns["gamma"].tolist(), table.columns["p"].tolist())
+        counts = [n for _, n in sorted(collections.Counter(points).items())]
+        assert counts == [512, 1024, 1024, 512, 832, 832, 832, 832, 832]
 
 
 class TestBufferReuse:
