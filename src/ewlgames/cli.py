@@ -33,6 +33,7 @@ from .equilibrium import DEFAULT_EPSILON
 from .grid import SteppingParams, StrategyGrid, build_grid
 from .output import (
     STRATEGY_COLUMNS,
+    atomic_writer,
     read_two_player_csv,
     write_columns,
     write_columns_csv,
@@ -299,6 +300,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         gamma_slice = nearest
 
     hist = payoff_bins(columns["gamma"], columns["payoff_a"], gamma_slice, args.bin_width)
+    # every figure is drawn, and so checked, before any file is written
+    svgs = {}
+    if args.plot:
+        theta_a, theta_b, payoff_a = (columns[name] for name in ("theta_a", "theta_b", "payoff_a"))
+        fig = Figure("equilibrium strategy angles", "theta_A (rad)", "theta_B (rad)")
+        fig.add_scatter("", np.column_stack((theta_a, theta_b)))
+        svgs[f"{args.plot}_theta_scatter.svg"] = fig.svg()
+        fig = Figure(f"A payoffs at gamma={gamma_slice:.4g}", "payoff A", "count")
+        fig.add_bars((c, n, args.bin_width) for c, n in hist)
+        svgs[f"{args.plot}_payoff_hist.svg"] = fig.svg()
+        fig = Figure("A payoff vs theta_A", "theta_A (rad)", "payoff A")
+        fig.add_scatter("", np.column_stack((theta_a, payoff_a)))
+        svgs[f"{args.plot}_theta_payoff.svg"] = fig.svg()
+
     bins = np.array(hist, dtype=[("bin_center", np.float64), ("count", np.int64)])
     tables = {
         "theta_scatter": {name: columns[name] for name in ("theta_a", "theta_b")},
@@ -311,19 +326,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for name, p in paths.items():
         print(f"wrote {name} to {p}")
 
-    plot = args.plot
-    if plot:
-        theta_a, theta_b, payoff_a = (columns[name] for name in ("theta_a", "theta_b", "payoff_a"))
-        fig = Figure("equilibrium strategy angles", "theta_A (rad)", "theta_B (rad)")
-        fig.add_scatter("", np.column_stack((theta_a, theta_b)))
-        fig.render(f"{plot}_theta_scatter.svg")
-        fig = Figure(f"A payoffs at gamma={gamma_slice:.4g}", "payoff A", "count")
-        fig.add_bars((c, n, args.bin_width) for c, n in hist)
-        fig.render(f"{plot}_payoff_hist.svg")
-        fig = Figure("A payoff vs theta_A", "theta_A (rad)", "payoff A")
-        fig.add_scatter("", np.column_stack((theta_a, payoff_a)))
-        fig.render(f"{plot}_theta_payoff.svg")
-        print(f"wrote plots to {plot}_*.svg")
+    for path, text in svgs.items():
+        with atomic_writer(path) as fh:
+            fh.write(text)
+    if args.plot:
+        print(f"wrote plots to {args.plot}_*.svg")
     return EXIT_OK
 
 

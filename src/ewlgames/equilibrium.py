@@ -1,15 +1,15 @@
-"""Payoff tensors over a strategy grid and pure-strategy Nash enumeration.
+"""Payoff tables over a strategy grid and pure-strategy Nash enumeration.
 
 The payoff kernel scores a strategy pair as f_a @ K @ f_b.T: the grid's
 10 gamma-free rotation features per class (`StrategyGrid.features`,
 computed by `build_grid`) around each player's 10x10 form K, which each
-gamma builds from `circuit.payoff_forms`. A tensor row is player A's
+gamma builds from `circuit.payoff_forms`. A table row is player A's
 strategy index, a column player B's. Best responses are argmax-with-ties
 sets (tolerance epsilon), and both reductions find equilibria by one
 rule: list B's best-response cells, then keep those where A's payoff is
 within epsilon of its column's maximum (for the Bayesian A, of the
 p-mixed (b1, b2) column). The three-player Bayesian composition mixes
-two tensors that share a grid and entanglement: player A scores
+two games' tables on one grid at one entanglement: player A scores
 p * game1 + (1-p) * game2 while each B-type scores its own game at full
 weight.
 
@@ -27,7 +27,7 @@ partner's record carries its representative's payoffs. Equilibrium sets
 are therefore closed under every g as well as under +-U. On a grid with
 G = {e}, S is every class and the arithmetic is the full class tables'.
 Bayesian equilibria are found without a loop over A's strategies; see
-`nash_bayesian` for the algorithm, its order and its memory.
+`_bayes_reduction` for the algorithm, its order and its memory.
 
 The kernel writes tables in blocks of orbit rows (`_fill_rows`), and
 `_tables` drives it for every caller: it allocates one buffer per player
@@ -35,16 +35,20 @@ per game, as tall as the tallest block, and writes each gamma's pass
 into them. `gamma_sweep` passes `_row_blocks` of about _ROW_BLOCK bytes
 and reduces each block as soon as it is written, so it never holds a
 whole table; `bayes_sweep` passes one block of every orbit row and
-reduces the whole tables (`_bayes_reduction`); a lone `payoff_tensor`
-call is one step of one block, with buffers of its own. Every path gives
-the same bits: the 10-column product of the orbit rows' features with K
+reduces the whole tables (`_bayes_reduction`). Every path gives the
+same bits: the 10-column product of the orbit rows' features with K
 is taken over all rows at once, and every block of the second product
 has 2 rows or more.
 
 The reductions produce columns: one member index array per player, then
-one payoff array per player. Sweeps consume those columns directly;
-`nash_two_player` and `nash_bayesian` are adapters that build
-`NashEquilibrium` objects from them.
+one payoff array per player, and the sweeps consume them directly.
+
+`PayoffTensor`, `payoff_tensor`, `NashEquilibrium`, `nash_two_player` and
+`nash_bayesian` are adapters that only the benchmark's traced mirror
+(`perfbench/traced.py`) calls; they stay until ROADMAP item 1 moves that
+mirror onto the sweeps. A `payoff_tensor` is one step of `_tables` with
+buffers of its own, read-only, and the two `nash_*` adapters run the
+sweeps' reductions on a tensor's whole tables.
 """
 from __future__ import annotations
 
@@ -67,11 +71,10 @@ class PayoffTensor:
     """Both players' payoffs for one game at one entanglement.
 
     `rows_a[i, b]` and `rows_b[i, b]` score the class pair (S[i], b), for
-    the orbit rows S = `grid.orbit_images[0]`. Every class is g.S[i] =
+    the orbit rows S = `grid.orbit_images[0]`. `payoff_b` expands B's rows
+    to the full |V| x |V| table on each access: every class is g.S[i] =
     `grid.orbit_images[g, i]` for one map g, and scores as
-    `class_x[g.S[i], b] = rows_x[i, g.b]`.
-    `class_a` and `class_b` expand the rows to the full class tables, and
-    `payoff_a` and `payoff_b` to the full |V| x |V| tables, on each access.
+    `class_b[g.S[i], b] = rows_b[i, g.b]`.
     """
 
     game: GameDefinition
@@ -80,32 +83,14 @@ class PayoffTensor:
     rows_a: np.ndarray = field(repr=False)
     rows_b: np.ndarray = field(repr=False)
 
-    def __len__(self) -> int:
-        return len(self.grid)
-
-    def _class_table(self, rows: np.ndarray) -> np.ndarray:
+    @property
+    def payoff_b(self) -> np.ndarray:
         n = len(self.grid.members)
         table = np.empty((n, n))
         for action, images in zip(self.grid.orbit_maps, self.grid.orbit_images):
             i = np.flatnonzero(images >= 0)
-            table[images[i]] = rows[i][:, action]
-        return table
-
-    @property
-    def class_a(self) -> np.ndarray:
-        return self._class_table(self.rows_a)
-
-    @property
-    def class_b(self) -> np.ndarray:
-        return self._class_table(self.rows_b)
-
-    @property
-    def payoff_a(self) -> np.ndarray:
-        return self.class_a[np.ix_(self.grid.classes, self.grid.classes)]
-
-    @property
-    def payoff_b(self) -> np.ndarray:
-        return self.class_b[np.ix_(self.grid.classes, self.grid.classes)]
+            table[images[i]] = self.rows_b[i][:, action]
+        return table[np.ix_(self.grid.classes, self.grid.classes)]
 
 
 # Bytes of one table block in a two-player sweep. The 1824 grid's
@@ -300,22 +285,11 @@ def _two_player_reduction(
     return _expand(grid, ri, (cb,), (a, b))
 
 
-def _two_player_columns(tensor: PayoffTensor, epsilon: float) -> tuple[np.ndarray, ...]:
-    """`nash_two_player` as columns: the reduction of the tensor's tables as one block."""
-    _require_epsilon(epsilon)
-    return _two_player_reduction(tensor.grid, [(0, (tensor.rows_a, tensor.rows_b))], epsilon)
-
-
 def nash_two_player(tensor: PayoffTensor, epsilon: float = DEFAULT_EPSILON) -> list[NashEquilibrium]:
-    """All (i, j) lying in both players' best-response sets, in index order.
-
-    Only B's best-response cells (a, b) of the orbit rows are tested: one
-    is kept when A's payoff there is within epsilon of A's column-b
-    maximum over every class. `_expand` takes each kept cell to the member
-    pairs of its class images (g.a, g.b), up to 4 per image, which carry
-    the cell's payoffs.
-    """
-    return _equilibria(_two_player_columns(tensor, epsilon))
+    """All (i, j) lying in both players' best-response sets, in index order:
+    `_two_player_reduction` of the tensor's tables as one block."""
+    _require_epsilon(epsilon)
+    return _equilibria(_two_player_reduction(tensor.grid, [(0, (tensor.rows_a, tensor.rows_b))], epsilon))
 
 
 @dataclass(frozen=True)
@@ -352,15 +326,31 @@ def _bayes_reduction(
     priors: Sequence[PriorProbability],
     epsilon: float,
 ) -> list[tuple[np.ndarray, ...]]:
-    """`nash_bayesian` for each prior in turn, sharing the p-independent work.
+    """All (a, b1, b2) triples where each player is a best response, for each prior in turn.
 
     `tables` are the whole orbit-row tables of game1 for A and B1, then
     of game2 for A and B2. Returns one column tuple (a_index, b1_index,
-    b2_index, payoff_a, payoff_b1, payoff_b2) per prior. B1's and B2's
-    best-response cells, the candidate triples, their distinct (b1, b2)
-    column pairs and the gathered payoff columns are built once for all
-    priors; only each prior's accepted triples are expanded to member
-    triples.
+    b2_index, payoff_a, payoff_b1, payoff_b2) per prior, in lexicographic
+    index order.
+
+    B1 maximizes game1's B-payoff vs a and B2 game2's, independent of p;
+    A maximizes the p-mixture p * game1 + (1-p) * game2. All of this runs
+    on the orbit rows of the +-U class tables, with a standing for an
+    orbit row and b1 and b2 for classes. Only triples whose b1 and b2 are
+    both best responses to a are candidates: they are enumerated with
+    array arithmetic in (a, b1, b2) order. A's condition,
+    p*X[a, b1] + (1-p)*Y[a, b2] >= colmax(b1, b2) - epsilon, needs the
+    column maximum over all classes only once per distinct (b1, b2) pair:
+    the maximum over g of the rows' maximum at (g.b1, g.b2). Those row
+    maxima are taken once per distinct image pair, in blocks of
+    _COLUMN_BLOCK pairs, so their scratch is O(|S| * _COLUMN_BLOCK);
+    the candidate arrays take O(number of candidate triples). `_expand`
+    takes each accepted triple to the member triples of its class images
+    (g.a, g.b1, g.b2), up to 8 per image, sorted once into lexicographic
+    index order. B1's and B2's best-response cells, the candidate
+    triples, their distinct (b1, b2) column pairs and the gathered payoff
+    columns are built once for all priors; only each prior's accepted
+    triples are expanded to member triples.
     """
     x, xb, y, yb = tables
     maps = grid.orbit_maps
@@ -403,18 +393,6 @@ def _bayes_reduction(
     return out
 
 
-def _bayes_equilibria(
-    t1: PayoffTensor,
-    t2: PayoffTensor,
-    priors: Sequence[PriorProbability],
-    epsilon: float,
-) -> list[tuple[np.ndarray, ...]]:
-    """`nash_bayesian` as columns, for each prior in turn: the reduction of the tensors' tables."""
-    _require_epsilon(epsilon)
-    _require_compatible(t1, t2)
-    return _bayes_reduction(t1.grid, (t1.rows_a, t1.rows_b, t2.rows_a, t2.rows_b), priors, epsilon)
-
-
 def nash_bayesian(
     t1: PayoffTensor,
     t2: PayoffTensor,
@@ -422,23 +400,8 @@ def nash_bayesian(
     epsilon: float = DEFAULT_EPSILON,
 ) -> list[NashEquilibrium]:
     """All (a, b1, b2) triples where each player is a best response, in
-    lexicographic index order.
-
-    B1 maximizes game1's B-payoff vs a and B2 game2's, independent of p;
-    A maximizes the p-mixture p * game1 + (1-p) * game2. All of this runs
-    on the orbit rows of the +-U class tables, with a standing for an
-    orbit row and b1 and b2 for classes. Only triples whose b1 and b2 are
-    both best responses to a are candidates: they are enumerated with
-    array arithmetic in (a, b1, b2) order. A's condition,
-    p*X[a, b1] + (1-p)*Y[a, b2] >= colmax(b1, b2) - epsilon, needs the
-    column maximum over all classes only once per distinct (b1, b2) pair:
-    the maximum over g of the rows' maximum at (g.b1, g.b2). Those row
-    maxima are taken once per distinct image pair, in blocks of
-    _COLUMN_BLOCK pairs, so their scratch is O(|S| * _COLUMN_BLOCK);
-    the candidate arrays take O(number of candidate triples). `_expand`
-    takes each accepted triple to the member triples of its class images
-    (g.a, g.b1, g.b2), up to 8 per image, sorted once into lexicographic
-    index order. `bayes_sweep` shares all of the p-independent work
-    across the priors of one gamma.
-    """
-    return _equilibria(_bayes_equilibria(t1, t2, [p], epsilon)[0])
+    lexicographic index order: `_bayes_reduction` of the tensors' tables at one prior."""
+    _require_epsilon(epsilon)
+    _require_compatible(t1, t2)
+    tables = (t1.rows_a, t1.rows_b, t2.rows_a, t2.rows_b)
+    return _equilibria(_bayes_reduction(t1.grid, tables, [p], epsilon)[0])

@@ -86,7 +86,7 @@ def _tenths_texts(values: np.ndarray) -> tuple[list[str], np.ndarray]:
 
 @dataclass
 class Figure:
-    """Collects series, then renders one SVG file."""
+    """Collects series, then draws them as one SVG text or file."""
 
     title: str
     xlabel: str
@@ -122,8 +122,8 @@ class Figure:
             xs, ys = [0.0, 1.0], [0.0, 1.0]
         return (*_padded(min(xs), max(xs), 0.04), *_padded(min(ys), max(ys), 0.06))
 
-    def render(self, path: str | Path) -> None:
-        """Write the SVG; ValueError, before any file is made, on a non-finite point or bar or axis range."""
+    def svg(self) -> str:
+        """The SVG text; ValueError on a non-finite point or bar or axis range."""
         bars = np.array(self.bars, dtype=np.float64).reshape(-1, 3)
         for what, rows in [(f"series {label!r} point", pts) for label, pts, _ in self.scatters] + [("bar", bars)]:
             bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
@@ -220,5 +220,10 @@ class Figure:
                 f'font-size="11">{html.escape(lab, quote=False)}</text>'
             )
         parts.append("</svg>")
+        return "\n".join(parts) + "\n"
+
+    def render(self, path: str | Path) -> None:
+        """Write `svg()` to `path`; when it raises, no file is made."""
+        text = self.svg()
         with atomic_writer(path) as fh:
-            fh.write("\n".join(parts) + "\n")
+            fh.write(text)

@@ -6,7 +6,9 @@ Records are columns: `gamma_sweep` and `bayes_sweep` return a
 `RecordTable`, one array per field of the README schemas, in sorted
 (gamma, p, index-tuple) order, and a sweep point with no equilibria simply
 contributes no rows. `RecordTable.records` builds `SweepRecord` objects
-from a table on demand.
+from a table on demand; it, `record_columns`, `scatter_theta` and
+`payoff_histogram` are adapters that only the benchmark's traced mirror
+(`perfbench/traced.py`) calls.
 """
 from __future__ import annotations
 

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
 
-from ewlgames import GameDefinition, SteppingParams, build_grid
+from ewlgames import GameDefinition, SteppingParams, build_grid, equilibrium
 from ewlgames.circuit import EntanglementParam, payoff_forms, rotation_features, strategy_matrix
 
 
@@ -52,6 +52,37 @@ def full_class_tables():
     def tables(game, grid, gamma: float) -> list[np.ndarray]:
         features = grid.features
         return [features @ k @ features.T for k in payoff_forms(EntanglementParam(gamma), game)]
+
+    return tables
+
+
+@pytest.fixture(scope="session")
+def solver_tables():
+    """tables(games, grid, gamma, expand=None): the tables the sweeps reduce.
+
+    They are the whole orbit-row tables that one pass of `equilibrium._tables`
+    writes at `gamma`, in one block, into buffers of this call's own: rows_a,
+    then rows_b, per game. expand="classes" gives each as the full class table,
+    every class against every class, and expand="members" as the full
+    member table, indexed by `grid.classes`. The package never builds these:
+    row g.S[i] of a class table is orbit row i read at the columns g.b, for
+    every map g with `grid.orbit_images[g, i]` >= 0, so each entry has the
+    bits the reductions read.
+    """
+
+    def expanded(grid, rows: np.ndarray, expand: str) -> np.ndarray:
+        n = len(grid.members)
+        table = np.empty((n, n))
+        for action, images in zip(grid.orbit_maps, grid.orbit_images):
+            i = np.flatnonzero(images >= 0)
+            table[images[i]] = rows[i][:, action]
+        return table if expand == "classes" else table[np.ix_(grid.classes, grid.classes)]
+
+    def tables(games, grid, gamma: float, expand: str | None = None) -> list[np.ndarray]:
+        assert expand in (None, "classes", "members")
+        blocks = [(0, len(grid.orbit_images[0]))]
+        ((_, rows),) = next(equilibrium._tables(games, grid, [EntanglementParam(gamma)], blocks))
+        return rows if expand is None else [expanded(grid, table, expand) for table in rows]
 
     return tables
 

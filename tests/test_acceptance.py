@@ -18,7 +18,6 @@ from ewlgames import (
     load_default_catalogue,
 )
 from ewlgames.circuit import EntanglementParam, entangler, strategy_matrix
-from ewlgames.equilibrium import nash_two_player, payoff_tensor
 from ewlgames.grid import SteppingParams, build_grid
 
 from oracles import brute_force_nash, circuit_payoffs, passes_deviation, u_matrix
@@ -79,28 +78,28 @@ def test_criterion_03_bell_state():
     _passed("criterion 3 (Bell state)", f"probs {probs.round(15).tolist()}")
 
 
-def test_criterion_04_pd_phase_structure(prisoners_dilemma, coarse_grid):
+def test_criterion_04_pd_phase_structure(prisoners_dilemma, coarse_grid, solver_tables):
     budget = 2.0
     gamma_points = default_gamma_grid()
     t0 = time.perf_counter()
     table = gamma_sweep(prisoners_dilemma, coarse_grid, gamma_points)
-    records = table.records
+    records = list(zip(*(table.columns[name].tolist() for name in ("gamma", "payoff_a", "payoff_b"))))
 
     # (a) classical payoffs at zero entanglement
-    at_zero = [r for r in records if r.gamma == 0.0]
+    at_zero = [payoffs for gamma, *payoffs in records if gamma == 0.0]
     assert at_zero
-    for r in at_zero:
-        assert r.equilibrium.payoffs == pytest.approx((1.0, 1.0), abs=1e-9)
+    for payoffs in at_zero:
+        assert payoffs == pytest.approx((1.0, 1.0), abs=1e-9)
 
     # (b) max equilibrium payoff nondecreasing while equilibria exist
     best = {}
-    for r in records:
-        best[r.gamma] = max(best.get(r.gamma, -math.inf), r.equilibrium.payoffs[0])
+    for gamma, payoff_a, _ in records:
+        best[gamma] = max(best.get(gamma, -math.inf), payoff_a)
     ordered = sorted(best)
     assert all(best[a] <= best[b] + 1e-12 for a, b in zip(ordered, ordered[1:]))
 
     # (c) no equilibria at maximal entanglement
-    assert not any(r.gamma == gamma_points[-1] for r in records)
+    assert not any(gamma == gamma_points[-1] for gamma, _, _ in records)
 
     # (d) a bracket strictly inside (0, pi/2), frozen to the derived grid pair
     bracket = critical_gamma(table, gamma_points)
@@ -112,8 +111,8 @@ def test_criterion_04_pd_phase_structure(prisoners_dilemma, coarse_grid):
     # deviation-oracle bisection of the disappearance point (golden value:
     # asin(1/sqrt(3)) = 0.615479708670387, derived once and frozen)
     def branch_exists(gamma: float) -> bool:
-        t = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(gamma))
-        return bool(brute_force_nash(t.payoff_a.tolist(), t.payoff_b.tolist(), 1e-9))
+        pa, pb = solver_tables([prisoners_dilemma], coarse_grid, gamma, "members")
+        return bool(brute_force_nash(pa.tolist(), pb.tolist(), 1e-9))
 
     lo, hi = bracket.last_gamma_with, bracket.first_gamma_without
     assert branch_exists(lo) and not branch_exists(hi)
@@ -139,7 +138,7 @@ def test_criterion_05_matching_pennies_empty(matching_pennies, coarse_grid):
     t0 = time.perf_counter()
     table = gamma_sweep(matching_pennies, coarse_grid, default_gamma_grid())
     elapsed = time.perf_counter() - t0
-    assert len(table) == 0 and table.records == []
+    assert len(table) == 0
     assert elapsed < budget
     _passed("criterion 5 (matching pennies)", f"0 equilibria at 65 gammas in {elapsed:.2f}s")
 
@@ -152,38 +151,27 @@ def test_criterion_06_bayesian_boundaries(prisoners_dilemma, deadlock, coarse_gr
     t0 = time.perf_counter()
     checked = 0
     for game2 in (prisoners_dilemma, deadlock):
-        brecs = bayes_sweep(
-            prisoners_dilemma, game2, coarse_grid, gamma_points, p_points, epsilon
-        ).records
+        bayes = bayes_sweep(prisoners_dilemma, game2, coarse_grid, gamma_points, p_points, epsilon).columns
 
-        def projection(p_value, b_slot, payoff_slot):
+        def projection(p_value, b_role):
+            names = ("gamma", "p", "a_index", f"{b_role}_index", "payoff_a", f"payoff_{b_role}")
             return {
-                (
-                    r.gamma,
-                    r.equilibrium.strategy_indices[0],
-                    r.equilibrium.strategy_indices[b_slot],
-                    round(r.equilibrium.payoffs[0], 12),
-                    round(r.equilibrium.payoffs[payoff_slot], 12),
-                )
-                for r in brecs
-                if r.p == p_value
+                (gamma, a, b, round(payoff_a, 12), round(payoff_b, 12))
+                for gamma, p, a, b, payoff_a, payoff_b in zip(*(bayes[name].tolist() for name in names))
+                if p == p_value
             }
 
         def two_player(game):
+            columns = gamma_sweep(game, coarse_grid, gamma_points, epsilon).columns
+            names = ("gamma", "a_index", "b_index", "payoff_a", "payoff_b")
             return {
-                (
-                    r.gamma,
-                    *r.equilibrium.strategy_indices,
-                    round(r.equilibrium.payoffs[0], 12),
-                    round(r.equilibrium.payoffs[1], 12),
-                )
-                for r in gamma_sweep(prisoners_dilemma if game is None else game,
-                                     coarse_grid, gamma_points, epsilon).records
+                (gamma, a, b, round(payoff_a, 12), round(payoff_b, 12))
+                for gamma, a, b, payoff_a, payoff_b in zip(*(columns[name].tolist() for name in names))
             }
 
-        assert projection(1.0, 1, 1) == two_player(prisoners_dilemma)
-        assert projection(0.0, 2, 2) == two_player(game2)
-        checked += len(brecs)
+        assert projection(1.0, "b1") == two_player(prisoners_dilemma)
+        assert projection(0.0, "b2") == two_player(game2)
+        checked += len(bayes["gamma"])
     elapsed = time.perf_counter() - t0
     assert elapsed < budget
     _passed(
@@ -192,7 +180,7 @@ def test_criterion_06_bayesian_boundaries(prisoners_dilemma, deadlock, coarse_gr
     )
 
 
-def test_criterion_07_oracle_equivalence(kernel_payoffs, prisoners_dilemma, coarse_grid):
+def test_criterion_07_oracle_equivalence(kernel_payoffs, solver_tables, prisoners_dilemma, coarse_grid):
     rng = np.random.default_rng(2026)
     worst = 0.0
     for _ in range(200):
@@ -211,10 +199,9 @@ def test_criterion_07_oracle_equivalence(kernel_payoffs, prisoners_dilemma, coar
 
     agreements = 0
     for gamma in (0.0, 0.3, 0.55, 0.9, PI / 2):
-        tensor = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(gamma))
-        returned = {eq.strategy_indices for eq in nash_two_player(tensor, 1e-9)}
-        pa_list = tensor.payoff_a.tolist()
-        pb_list = tensor.payoff_b.tolist()
+        columns = gamma_sweep(prisoners_dilemma, coarse_grid, [gamma], 1e-9).columns
+        returned = set(zip(columns["a_index"].tolist(), columns["b_index"].tolist()))
+        pa_list, pb_list = (t.tolist() for t in solver_tables([prisoners_dilemma], coarse_grid, gamma, "members"))
         for i in range(len(coarse_grid)):
             for j in range(len(coarse_grid)):
                 assert passes_deviation(pa_list, pb_list, i, j, 1e-9) == ((i, j) in returned)
@@ -234,16 +221,14 @@ def test_criterion_08_fine_grid_bounds(stag_hunt, coarse_grid):
     worst = -math.inf
     points = 0
     for gamma in default_gamma_grid():
-        param = EntanglementParam(gamma)
-        coarse_eqs = nash_two_player(payoff_tensor(stag_hunt, coarse_grid, param))
-        desk_eqs = nash_two_player(payoff_tensor(stag_hunt, desk, param))
-        assert coarse_eqs, f"coarse branch lost at gamma={gamma}"
-        lo = min(eq.payoffs[0] for eq in coarse_eqs)
-        hi = max(eq.payoffs[0] for eq in coarse_eqs)
-        for eq in desk_eqs:
-            overshoot = max(lo - eq.payoffs[0], eq.payoffs[0] - hi)
+        coarse_payoffs = gamma_sweep(stag_hunt, coarse_grid, [gamma]).columns["payoff_a"].tolist()
+        desk_payoffs = gamma_sweep(stag_hunt, desk, [gamma]).columns["payoff_a"].tolist()
+        assert coarse_payoffs, f"coarse branch lost at gamma={gamma}"
+        lo, hi = min(coarse_payoffs), max(coarse_payoffs)
+        for payoff in desk_payoffs:
+            overshoot = max(lo - payoff, payoff - hi)
             worst = max(worst, overshoot)
-            assert lo - 1e-6 <= eq.payoffs[0] <= hi + 1e-6
+            assert lo - 1e-6 <= payoff <= hi + 1e-6
             points += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < budget
@@ -259,10 +244,7 @@ def test_criterion_09_performance(prisoners_dilemma):
     grid = build_grid(SteppingParams(PI / 8, PI / 8, PI / 8))
     assert len(grid) == 1824
     t0 = time.perf_counter()
-    total = 0
-    for gamma in default_gamma_grid():
-        tensor = payoff_tensor(prisoners_dilemma, grid, EntanglementParam(gamma))
-        total += len(nash_two_player(tensor))
+    total = len(gamma_sweep(prisoners_dilemma, grid, default_gamma_grid()))
     elapsed = time.perf_counter() - t0
     assert elapsed < budget
     _passed(

@@ -3,19 +3,10 @@ import math
 
 import pytest
 
-from ewlgames import (
-    DEFAULT_EPSILON,
-    bayes_sweep,
-    build_grid,
-    default_gamma_grid,
-    default_p_grid,
-    gamma_sweep,
-    load_default_catalogue,
-)
+from ewlgames import DEFAULT_EPSILON
 from ewlgames import cli
 from ewlgames.cli import ConfigError, build_parser, main, parse_angle, parse_steps
 from ewlgames.output import BAYES_COLUMNS, TWO_PLAYER_COLUMNS
-from ewlgames.svgplot import Figure
 from ewlgames.sweep import DEFAULT_BIN_WIDTH, DEFAULT_GAMMA_POINTS, DEFAULT_P_POINTS
 
 PI = math.pi
@@ -379,41 +370,6 @@ class TestBayesSweep:
         assert "--game2" in capsys.readouterr().err
 
 
-class TestPlotsFromColumns:
-    """The CLI draws from table columns; the SVGs equal figures built from records."""
-
-    STEPS = "pi/4,pi/4,pi/4"
-
-    def test_sweep_plot(self, tmp_path):
-        svg = tmp_path / "sweep.svg"
-        run("sweep", "--game", "stag_hunt", "--steps", self.STEPS, "--gamma-grid", "9",
-            "--out", str(tmp_path / "sweep.csv"), "--plot", str(svg))
-        game = load_default_catalogue().get("stag_hunt")
-        records = gamma_sweep(game, build_grid(parse_steps(self.STEPS)), default_gamma_grid(9)).records
-        fig = Figure("stag_hunt: equilibrium payoffs vs entanglement", "entanglement gamma (rad)", "payoff")
-        fig.add_scatter("player A", sorted({(r.gamma, r.equilibrium.payoffs[0]) for r in records}))
-        fig.add_scatter("player B", sorted({(r.gamma, r.equilibrium.payoffs[1]) for r in records}))
-        fig.render(tmp_path / "expected.svg")
-        assert svg.read_bytes() == (tmp_path / "expected.svg").read_bytes()
-
-    def test_bayes_plot(self, tmp_path):
-        svg = tmp_path / "bayes.svg"
-        run("bayes-sweep", "--game", "prisoners_dilemma", "--game2", "deadlock", "--steps", self.STEPS,
-            "--gamma-grid", "5", "--p-grid", "5", "--out", str(tmp_path / "bayes.csv"), "--plot", str(svg))
-        catalogue = load_default_catalogue()
-        p_points = default_p_grid(5)
-        records = bayes_sweep(
-            catalogue.get("prisoners_dilemma"), catalogue.get("deadlock"),
-            build_grid(parse_steps(self.STEPS)), default_gamma_grid(5), p_points,
-        ).records
-        fig = Figure("prisoners_dilemma vs deadlock: A payoff", "entanglement gamma (rad)", "payoff A")
-        for p in (0.0, 0.5, 1.0):
-            points = {(r.gamma, r.equilibrium.payoffs[0]) for r in records if r.p == p}
-            fig.add_scatter(f"p={p:.3g}", sorted(points))
-        fig.render(tmp_path / "expected.svg")
-        assert svg.read_bytes() == (tmp_path / "expected.svg").read_bytes()
-
-
 class TestStrategies:
     def test_coarse_grid_rows(self, capsys):
         assert run("strategies", "--steps", "pi,pi/2,pi/2") == 0
@@ -649,6 +605,22 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "x axis range" in err and "Traceback" not in err
         assert not (tmp_path / "bw_payoff_hist.svg").exists()
+
+    def test_plot_that_cannot_be_drawn_exits_1_writing_nothing(self, tmp_path, capsys):
+        # a flat payoff range at 1e17 stays flat when widened by 0.5; the
+        # histogram, the second figure, cannot be drawn
+        records = tmp_path / "flat.csv"
+        records.write_text(
+            ",".join(TWO_PLAYER_COLUMNS) + "\n"
+            "0,0,4,5,3.14159265359,0,0,3.14159265359,0,1.57079632679,1e17,1\n"
+            "0,1,5,4,3.14159265359,0,1.57079632679,3.14159265359,0,0,1e17,1\n"
+        )
+        prefix = str(tmp_path / "an")
+        code = run("analyze", "--records", str(records), "--gamma-slice", "0", "--out", prefix, "--plot", prefix)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "the x axis range [1e+17, 1e+17] is flat" in captured.err and captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["flat.csv"]
 
     def test_payoff_span_too_narrow_to_tick_plots(self, tmp_path, capsys):
         records = tmp_path / "sub.csv"

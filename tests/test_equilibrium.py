@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -17,7 +16,7 @@ from ewlgames import (
 )
 from ewlgames import equilibrium
 from ewlgames.circuit import PAYOFF_LIMIT, EntanglementParam, strategy_matrix
-from ewlgames.equilibrium import PriorProbability, nash_bayesian, nash_two_player, payoff_tensor
+from ewlgames.equilibrium import PriorProbability
 from ewlgames.grid import SteppingParams, build_grid
 
 from oracles import (
@@ -46,24 +45,35 @@ def integer_game(rng, name) -> GameDefinition:
     )
 
 
+def equilibria(table) -> list[tuple[tuple, tuple]]:
+    """(index tuple, payoff tuple) of each record of a sweep table, in record order."""
+    roles = ("a", "b1", "b2") if table.bayes else ("a", "b")
+    indices = zip(*(table.columns[f"{role}_index"].tolist() for role in roles))
+    payoffs = zip(*(table.columns[f"payoff_{role}"].tolist() for role in roles))
+    return list(zip(indices, payoffs))
+
+
+def at_prior(table, p) -> list[tuple[tuple, tuple]]:
+    """`equilibria` of the records of a one-gamma Bayesian table at prior p."""
+    return [eq for eq, prior in zip(equilibria(table), table.columns["p"].tolist()) if prior == p]
+
+
 class TestPayoffTensor:
-    def test_identity_pair_scores_outcome_00(self, coarse_grid):
+    def test_identity_pair_scores_outcome_00(self, coarse_grid, solver_tables):
         rng = np.random.default_rng(30)
         game = random_game(rng)
-        t = payoff_tensor(game, coarse_grid, EntanglementParam(0.77))
-        assert (t.payoff_a[0, 0], t.payoff_b[0, 0]) == pytest.approx(
-            (game.payoff_a[0], game.payoff_b[0]), abs=1e-10
-        )
+        pa, pb = solver_tables([game], coarse_grid, 0.77, "members")
+        assert (pa[0, 0], pb[0, 0]) == pytest.approx((game.payoff_a[0], game.payoff_b[0]), abs=1e-10)
 
-    def test_classical_cells_at_zero_entanglement(self, coarse_grid, prisoners_dilemma):
-        t = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(0.0))
+    def test_classical_cells_at_zero_entanglement(self, coarse_grid, prisoners_dilemma, solver_tables):
+        pa, pb = solver_tables([prisoners_dilemma], coarse_grid, 0.0, "members")
         defect = coarse_grid.params.index(StrategyParams(PI, 0, PI / 2))
-        assert (t.payoff_a[0, 0], t.payoff_b[0, 0]) == pytest.approx((3, 3), abs=1e-10)
-        assert (t.payoff_a[defect, 0], t.payoff_b[defect, 0]) == pytest.approx((5, 0), abs=1e-10)
+        assert (pa[0, 0], pb[0, 0]) == pytest.approx((3, 3), abs=1e-10)
+        assert (pa[defect, 0], pb[defect, 0]) == pytest.approx((5, 0), abs=1e-10)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.45, PI / 2])
-    def test_entries_match_naive_path(self, coarse_grid, prisoners_dilemma, gamma):
-        t = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(gamma))
+    def test_entries_match_naive_path(self, coarse_grid, prisoners_dilemma, solver_tables, gamma):
+        pa, pb = solver_tables([prisoners_dilemma], coarse_grid, gamma, "members")
         rng = np.random.default_rng(31)
         for _ in range(20):
             i, j = rng.integers(0, len(coarse_grid), size=2)
@@ -74,21 +84,21 @@ class TestPayoffTensor:
                 prisoners_dilemma.payoff_a,
                 prisoners_dilemma.payoff_b,
             )
-            assert (t.payoff_a[i, j], t.payoff_b[i, j]) == pytest.approx(naive, abs=1e-10)
+            assert (pa[i, j], pb[i, j]) == pytest.approx(naive, abs=1e-10)
 
-    def test_zero_sum_conservation(self, coarse_grid, matching_pennies):
-        t = payoff_tensor(matching_pennies, coarse_grid, EntanglementParam(0.9))
-        np.testing.assert_allclose(t.payoff_a + t.payoff_b, 0.0, atol=1e-10)
+    def test_zero_sum_conservation(self, coarse_grid, matching_pennies, solver_tables):
+        pa, pb = solver_tables([matching_pennies], coarse_grid, 0.9, "members")
+        np.testing.assert_allclose(pa + pb, 0.0, atol=1e-10)
 
-    def test_global_phase_classes_share_rows(self, coarse_grid, strategy_matrices, prisoners_dilemma):
+    def test_global_phase_classes_share_rows(self, coarse_grid, strategy_matrices, prisoners_dilemma, solver_tables):
         # entries 0/2 are +-identity and 4/6 are +-[[0,1],[-1,0]]
         mats = strategy_matrices(coarse_grid)
         np.testing.assert_allclose(mats[2], -mats[0], atol=1e-12)
         np.testing.assert_allclose(mats[6], -mats[4], atol=1e-12)
-        t = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(0.8))
+        pa, _ = solver_tables([prisoners_dilemma], coarse_grid, 0.8, "members")
         for a, b in [(0, 2), (4, 6)]:
-            np.testing.assert_allclose(t.payoff_a[a], t.payoff_a[b], atol=1e-12)
-            np.testing.assert_allclose(t.payoff_a[:, a], t.payoff_a[:, b], atol=1e-12)
+            np.testing.assert_allclose(pa[a], pa[b], atol=1e-12)
+            np.testing.assert_allclose(pa[:, a], pa[:, b], atol=1e-12)
 
     def test_rectangular_kernel_matches_naive(self, kernel_payoffs, coarse_grid, strategy_matrices, prisoners_dilemma):
         rng = np.random.default_rng(35)
@@ -146,10 +156,9 @@ class TestBestResponses:
     """
 
     @staticmethod
-    def a_best_sets(t, epsilon=1e-9):
-        sets = {j: [] for j in range(len(t))}
-        for eq in nash_two_player(t, epsilon):
-            i, j = eq.strategy_indices
+    def a_best_sets(game, grid, gamma, epsilon=1e-9):
+        sets = {j: [] for j in range(len(grid))}
+        for (i, j), _ in equilibria(gamma_sweep(game, grid, [gamma], epsilon)):
             sets[j].append(i)
         return sets
 
@@ -157,44 +166,38 @@ class TestBestResponses:
     def with_indifferent_b(game):
         return GameDefinition(game.name, game.payoff_a, (1.0, 1.0, 1.0, 1.0))
 
-    def test_pd_defection_dominates_classically(self, coarse_grid, prisoners_dilemma):
-        t = payoff_tensor(
-            self.with_indifferent_b(prisoners_dilemma), coarse_grid, EntanglementParam(0.0)
-        )
+    def test_pd_defection_dominates_classically(self, coarse_grid, prisoners_dilemma, solver_tables):
+        game = self.with_indifferent_b(prisoners_dilemma)
+        pa, _ = solver_tables([game], coarse_grid, 0.0, "members")
         defect = coarse_grid.params.index(StrategyParams(PI, 0, PI / 2))
-        vs_identity = self.a_best_sets(t)[0]
+        vs_identity = self.a_best_sets(game, coarse_grid, 0.0)[0]
         assert defect in vs_identity
         assert 0 not in vs_identity
-        assert t.payoff_a[vs_identity, 0] == pytest.approx([5.0] * len(vs_identity), abs=1e-12)
+        assert pa[vs_identity, 0] == pytest.approx([5.0] * len(vs_identity), abs=1e-12)
 
     def test_constant_game_full_tie(self, coarse_grid):
         const = GameDefinition("const", (2, 2, 2, 2), (2, 2, 2, 2))
-        t = payoff_tensor(const, coarse_grid, EntanglementParam(0.5))
-        eqs = nash_two_player(t)
-        assert [eq.strategy_indices for eq in eqs] == [(i, j) for i in range(8) for j in range(8)]
+        eqs = equilibria(gamma_sweep(const, coarse_grid, [0.5]))
+        assert [ij for ij, _ in eqs] == [(i, j) for i in range(8) for j in range(8)]
 
-    def test_pennies_best_response_matches_brute_force(self, coarse_grid, matching_pennies):
-        t = payoff_tensor(
-            self.with_indifferent_b(matching_pennies), coarse_grid, EntanglementParam(0.0)
-        )
-        vs_identity = self.a_best_sets(t)[0]
-        col = t.payoff_a[:, 0]
+    def test_pennies_best_response_matches_brute_force(self, coarse_grid, matching_pennies, solver_tables):
+        game = self.with_indifferent_b(matching_pennies)
+        pa, _ = solver_tables([game], coarse_grid, 0.0, "members")
+        vs_identity = self.a_best_sets(game, coarse_grid, 0.0)[0]
+        col = pa[:, 0]
         expected = [int(k) for k in np.nonzero(col >= col.max() - 1e-9)[0]]
         assert vs_identity == expected
         # classically, matching the identity (confess class) wins for A
         assert set(vs_identity) == {0, 1, 2, 3}
 
-    def test_set_invariants_on_random_games(self, coarse_grid):
+    def test_set_invariants_on_random_games(self, coarse_grid, solver_tables):
         eps = 1e-9
         rng = np.random.default_rng(34)
         for _ in range(10):
-            t = payoff_tensor(
-                self.with_indifferent_b(random_game(rng)),
-                coarse_grid,
-                EntanglementParam(rng.uniform(0, PI / 2)),
-            )
-            for j, best in self.a_best_sets(t, eps).items():
-                col = t.payoff_a[:, j]
+            game, gamma = self.with_indifferent_b(random_game(rng)), rng.uniform(0, PI / 2)
+            pa, _ = solver_tables([game], coarse_grid, gamma, "members")
+            for j, best in self.a_best_sets(game, coarse_grid, gamma, eps).items():
+                col = pa[:, j]
                 assert best and int(np.argmax(col)) in best
                 for k in range(len(col)):
                     assert (col[k] >= col.max() - eps) == (k in best)
@@ -215,54 +218,49 @@ class TestBestResponses:
 
 class TestNashTwoPlayer:
     def test_pd_classical_equilibria(self, coarse_grid, prisoners_dilemma):
-        t = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(0.0))
-        eqs = nash_two_player(t)
+        eqs = equilibria(gamma_sweep(prisoners_dilemma, coarse_grid, [0.0]))
         assert len(eqs) == 16
-        for eq in eqs:
-            assert eq.payoffs == pytest.approx((1.0, 1.0), abs=1e-9)
+        for _, payoffs in eqs:
+            assert payoffs == pytest.approx((1.0, 1.0), abs=1e-9)
 
     def test_pd_maximal_entanglement_empty(self, coarse_grid, prisoners_dilemma):
-        t = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(PI / 2))
-        assert nash_two_player(t) == []
+        assert len(gamma_sweep(prisoners_dilemma, coarse_grid, [PI / 2])) == 0
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.61, 1.0, PI / 2])
     def test_pennies_always_empty(self, coarse_grid, matching_pennies, gamma):
-        t = payoff_tensor(matching_pennies, coarse_grid, EntanglementParam(gamma))
-        assert nash_two_player(t) == []
+        assert len(gamma_sweep(matching_pennies, coarse_grid, [gamma])) == 0
 
     def test_quantum_pd_payoff_grows(self, coarse_grid, prisoners_dilemma):
         gamma = 0.5
-        t = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(gamma))
-        eqs = nash_two_player(t)
+        eqs = equilibria(gamma_sweep(prisoners_dilemma, coarse_grid, [gamma]))
         expected = 1 + 2 * math.sin(gamma) ** 2
         assert len(eqs) == 8
-        for eq in eqs:
-            assert eq.payoffs == pytest.approx((expected, expected), abs=1e-10)
+        for _, payoffs in eqs:
+            assert payoffs == pytest.approx((expected, expected), abs=1e-10)
 
-    def test_matches_deviation_oracle_on_random_games(self, coarse_grid):
+    def test_matches_deviation_oracle_on_random_games(self, coarse_grid, solver_tables):
         rng = np.random.default_rng(32)
         for _ in range(20):
             game = random_game(rng)
-            gamma = EntanglementParam(rng.uniform(0, PI / 2))
-            t = payoff_tensor(game, coarse_grid, gamma)
-            got = [eq.strategy_indices for eq in nash_two_player(t)]
-            expected = brute_force_nash(t.payoff_a.tolist(), t.payoff_b.tolist(), 1e-9)
+            gamma = rng.uniform(0, PI / 2)
+            pa, pb = solver_tables([game], coarse_grid, gamma, "members")
+            got = [ij for ij, _ in equilibria(gamma_sweep(game, coarse_grid, [gamma]))]
+            expected = brute_force_nash(pa.tolist(), pb.tolist(), 1e-9)
             assert got == expected
 
-    def test_every_equilibrium_survives_deviation_check(self, coarse_grid, prisoners_dilemma):
-        t = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(0.4))
-        pa, pb = t.payoff_a.tolist(), t.payoff_b.tolist()
-        for eq in nash_two_player(t):
-            i, j = eq.strategy_indices
+    def test_every_equilibrium_survives_deviation_check(self, coarse_grid, prisoners_dilemma, solver_tables):
+        pa, pb = (t.tolist() for t in solver_tables([prisoners_dilemma], coarse_grid, 0.4, "members"))
+        eqs = equilibria(gamma_sweep(prisoners_dilemma, coarse_grid, [0.4]))
+        assert eqs
+        for (i, j), _ in eqs:
             assert passes_deviation(pa, pb, i, j, 1e-9)
 
     @pytest.mark.parametrize("name", ["prisoners_dilemma", "deadlock", "stag_hunt"])
-    def test_symmetric_game_mirror(self, request, coarse_grid, eighth_grid, name):
+    def test_symmetric_game_mirror(self, request, coarse_grid, eighth_grid, solver_tables, name):
         game = request.getfixturevalue(name)
         # payoff_b is payoff_a with outcomes 01 and 10 swapped
         assert game.payoff_b == (game.payoff_a[0], game.payoff_a[2], game.payoff_a[1], game.payoff_a[3])
-        t = payoff_tensor(game, coarse_grid, EntanglementParam(0.7))
-        pairs = {eq.strategy_indices for eq in nash_two_player(t)}
+        pairs = {ij for ij, _ in equilibria(gamma_sweep(game, coarse_grid, [0.7]))}
         assert pairs == {(j, i) for i, j in pairs}
 
         # Swapping the players maps the game onto itself: every equilibrium
@@ -278,69 +276,41 @@ class TestNashTwoPlayer:
                 assert (b, a) in rows, (name, gamma, a, b)
                 mirror_a, mirror_b = rows[b, a]
                 assert abs(pay_a - mirror_b) <= 1e-12 and abs(pay_b - mirror_a) <= 1e-12
-            t = payoff_tensor(game, eighth_grid, EntanglementParam(gamma))
-            assert np.abs(t.class_b - t.class_a.T).max() <= 1e-12, (name, gamma)
+            class_a, class_b = solver_tables([game], eighth_grid, gamma, "classes")
+            assert np.abs(class_b - class_a.T).max() <= 1e-12, (name, gamma)
+
+
+BAYES_GAMMA = 0.35
 
 
 @pytest.fixture(scope="module")
-def tensors(coarse_grid, prisoners_dilemma, deadlock):
-    gamma = EntanglementParam(0.35)
-    return (
-        payoff_tensor(prisoners_dilemma, coarse_grid, gamma),
-        payoff_tensor(deadlock, coarse_grid, gamma),
-    )
+def pd_deadlock(coarse_grid, prisoners_dilemma, deadlock, solver_tables):
+    """The dilemma and the deadlock on the coarse grid at BAYES_GAMMA, with
+    their member tables (x, xb, y, yb): A's and B1's, then A's and B2's."""
+    tables = solver_tables([prisoners_dilemma, deadlock], coarse_grid, BAYES_GAMMA, "members")
+    return prisoners_dilemma, deadlock, tables
 
 
 class TestBayesian:
-    def test_payoff_at_boundary_priors(self, tensors):
-        t1, t2 = tensors
-        for p, table, slot in ((1.0, t1, 1), (0.0, t2, 2)):
-            eqs = nash_bayesian(t1, t2, PriorProbability(p))
+    def test_payoff_at_boundary_priors(self, coarse_grid, pd_deadlock):
+        g1, g2, (x, _, y, _) = pd_deadlock
+        for p, table, slot in ((1.0, x, 1), (0.0, y, 2)):
+            eqs = equilibria(bayes_sweep(g1, g2, coarse_grid, [BAYES_GAMMA], [p]))
             assert eqs
-            for eq in eqs:
-                a, b = eq.strategy_indices[0], eq.strategy_indices[slot]
-                assert eq.payoffs[0] == pytest.approx(table.payoff_a[a, b], abs=1e-12)
+            for indices, payoffs in eqs:
+                a, b = indices[0], indices[slot]
+                assert payoffs[0] == pytest.approx(table[a, b], abs=1e-12)
 
-    def test_payoff_degenerate_mixture(self, tensors):
-        t1, _ = tensors
+    def test_payoff_degenerate_mixture(self, coarse_grid, pd_deadlock):
+        g1, _, (x, xb, _, _) = pd_deadlock
         for p in (0.0, 0.25, 0.8, 1.0):
-            eqs = nash_bayesian(t1, t1, PriorProbability(p))
+            eqs = equilibria(bayes_sweep(g1, g1, coarse_grid, [BAYES_GAMMA], [p]))
             assert eqs
-            for eq in eqs:
-                a, b1, b2 = eq.strategy_indices
-                expected = p * t1.payoff_a[a, b1] + (1 - p) * t1.payoff_a[a, b2]
-                assert eq.payoffs == pytest.approx(
-                    (expected, t1.payoff_b[a, b1], t1.payoff_b[a, b2]), abs=1e-12
-                )
+            for (a, b1, b2), payoffs in eqs:
+                expected = p * x[a, b1] + (1 - p) * x[a, b2]
+                assert payoffs == pytest.approx((expected, xb[a, b1], xb[a, b2]), abs=1e-12)
                 if b1 == b2:
-                    assert eq.payoffs[0] == pytest.approx(t1.payoff_a[a, b1], abs=1e-12)
-
-    def test_mismatched_gamma_rejected(self, coarse_grid, prisoners_dilemma):
-        t1 = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(0.1))
-        t2 = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(0.2))
-        with pytest.raises(ValueError):
-            nash_bayesian(t1, t2, PriorProbability(0.5))
-
-    def test_mismatched_grid_rejected(self, coarse_grid, prisoners_dilemma):
-        gamma, prior = EntanglementParam(0.1), PriorProbability(0.5)
-        other = build_grid(SteppingParams(PI / 2, PI / 2, PI / 2))
-        t1 = payoff_tensor(prisoners_dilemma, coarse_grid, gamma)
-        t2 = payoff_tensor(prisoners_dilemma, other, gamma)
-        with pytest.raises(ValueError):
-            nash_bayesian(t1, t2, prior)
-        # a grid built separately from equal steps is the same strategy set
-        twin = build_grid(coarse_grid.source_steps)
-        assert twin is not coarse_grid
-        same = nash_bayesian(t1, payoff_tensor(prisoners_dilemma, twin, gamma), prior)
-        assert same == nash_bayesian(t1, t1, prior)
-        # same length, different steps: caught by the steps, and by the angles alone
-        a, b = build_grid(SteppingParams(PI, PI / 2, 1.8)), build_grid(SteppingParams(PI, PI / 2, 2.0))
-        assert len(a) == len(b) and not np.array_equal(a.angles, b.angles)
-        for grid in (b, dataclasses.replace(b, source_steps=a.source_steps)):
-            with pytest.raises(ValueError, match="different strategy grids"):
-                nash_bayesian(
-                    payoff_tensor(prisoners_dilemma, a, gamma), payoff_tensor(prisoners_dilemma, grid, gamma), prior
-                )
+                    assert payoffs[0] == pytest.approx(x[a, b1], abs=1e-12)
 
     def test_prior_validation(self):
         with pytest.raises(ValueError):
@@ -349,53 +319,46 @@ class TestBayesian:
             PriorProbability(-0.01)
 
     def test_classical_pd_pair_mixture(self, coarse_grid, prisoners_dilemma):
-        t = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(0.0))
-        eqs = nash_bayesian(t, t, PriorProbability(0.5))
+        eqs = equilibria(bayes_sweep(prisoners_dilemma, prisoners_dilemma, coarse_grid, [0.0], [0.5]))
         assert len(eqs) == 64  # every defect-class triple
-        for eq in eqs:
-            assert eq.payoffs == pytest.approx((1.0, 1.0, 1.0), abs=1e-9)
+        for _, payoffs in eqs:
+            assert payoffs == pytest.approx((1.0, 1.0, 1.0), abs=1e-9)
 
-    def test_p_one_projects_to_two_player(self, tensors):
-        t1, t2 = tensors
-        triples = nash_bayesian(t1, t2, PriorProbability(1.0))
-        pairs = {eq.strategy_indices[:2] for eq in triples}
-        expected = {eq.strategy_indices for eq in nash_two_player(t1)}
+    def test_p_one_projects_to_two_player(self, coarse_grid, pd_deadlock):
+        g1, g2, (_, _, _, yb) = pd_deadlock
+        triples = [abc for abc, _ in equilibria(bayes_sweep(g1, g2, coarse_grid, [BAYES_GAMMA], [1.0]))]
+        pairs = {abc[:2] for abc in triples}
+        expected = {ij for ij, _ in equilibria(gamma_sweep(g1, coarse_grid, [BAYES_GAMMA]))}
         assert pairs == expected
         # b2 ranges over B2's best responses to a
-        b2_best = t2.payoff_b >= t2.payoff_b.max(axis=1, keepdims=True) - 1e-9
-        for eq in triples:
-            a, _, b2 = eq.strategy_indices
+        b2_best = yb >= yb.max(axis=1, keepdims=True) - 1e-9
+        for a, _, b2 in triples:
             assert b2_best[a, b2]
 
-    def test_identical_games_diagonal_matches_two_player(self, tensors):
-        t1, _ = tensors
+    def test_identical_games_diagonal_matches_two_player(self, coarse_grid, pd_deadlock):
+        g1 = pd_deadlock[0]
+        two_player = {ij for ij, _ in equilibria(gamma_sweep(g1, coarse_grid, [BAYES_GAMMA]))}
         for p in (0.3, 0.5, 0.9):
-            triples = nash_bayesian(t1, t1, PriorProbability(p))
-            diagonal = {
-                (a, b1) for a, b1, b2 in (eq.strategy_indices for eq in triples) if b1 == b2
-            }
-            assert diagonal == {eq.strategy_indices for eq in nash_two_player(t1)}
+            triples = equilibria(bayes_sweep(g1, g1, coarse_grid, [BAYES_GAMMA], [p]))
+            diagonal = {(a, b1) for (a, b1, b2), _ in triples if b1 == b2}
+            assert diagonal == two_player
 
-    def test_matches_brute_force_on_random_games(self, coarse_grid):
+    def test_matches_brute_force_on_random_games(self, coarse_grid, solver_tables):
         rng = np.random.default_rng(33)
         for _ in range(8):
             g1, g2 = random_game(rng, "g1"), random_game(rng, "g2")
-            gamma = EntanglementParam(rng.uniform(0, PI / 2))
+            gamma = rng.uniform(0, PI / 2)
             p = float(rng.uniform(0, 1))
-            t1 = payoff_tensor(g1, coarse_grid, gamma)
-            t2 = payoff_tensor(g2, coarse_grid, gamma)
-            got = [eq.strategy_indices for eq in nash_bayesian(t1, t2, PriorProbability(p))]
-            expected = brute_force_bayes(
-                t1.payoff_a.tolist(), t1.payoff_b.tolist(),
-                t2.payoff_a.tolist(), t2.payoff_b.tolist(), p, 1e-9,
-            )
+            tables = solver_tables([g1, g2], coarse_grid, gamma, "members")
+            got = [abc for abc, _ in equilibria(bayes_sweep(g1, g2, coarse_grid, [gamma], [p]))]
+            expected = brute_force_bayes(*(t.tolist() for t in tables), p, 1e-9)
             assert sorted(got) == expected
 
     @pytest.mark.parametrize("epsilon", [0.0, 1e-9])
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("pair", ["pd-deadlock", "random-integer"])
     def test_order_and_ties_at_zero_entanglement(
-        self, coarse_grid, prisoners_dilemma, deadlock, pair, p, epsilon
+        self, coarse_grid, prisoners_dilemma, deadlock, solver_tables, pair, p, epsilon
     ):
         # At gamma = 0 B's best-response sets are wide (every row has at
         # least a phase twin), so the emitted order is not trivially sorted.
@@ -404,65 +367,57 @@ class TestBayesian:
         else:
             rng = np.random.default_rng(36)
             g1, g2 = integer_game(rng, "i1"), integer_game(rng, "i2")
-        gamma = EntanglementParam(0.0)
-        t1, t2 = payoff_tensor(g1, coarse_grid, gamma), payoff_tensor(g2, coarse_grid, gamma)
-        for t in (t1, t2):
-            best = t.payoff_b >= t.payoff_b.max(axis=1, keepdims=True) - epsilon
+        x, xb, y, yb = solver_tables([g1, g2], coarse_grid, 0.0, "members")
+        for b_table in (xb, yb):
+            best = b_table >= b_table.max(axis=1, keepdims=True) - epsilon
             assert best.sum(axis=1).min() >= 2
-        eqs = nash_bayesian(t1, t2, PriorProbability(p), epsilon)
-        expected = brute_force_bayes(
-            t1.payoff_a.tolist(), t1.payoff_b.tolist(),
-            t2.payoff_a.tolist(), t2.payoff_b.tolist(), p, epsilon,
-        )
+        eqs = equilibria(bayes_sweep(g1, g2, coarse_grid, [0.0], [p], epsilon))
+        expected = brute_force_bayes(x.tolist(), xb.tolist(), y.tolist(), yb.tolist(), p, epsilon)
         assert expected
-        assert [eq.strategy_indices for eq in eqs] == expected
-        for eq in eqs:
-            a, b1, b2 = eq.strategy_indices
-            assert eq.payoffs == (
-                p * t1.payoff_a[a, b1] + (1 - p) * t2.payoff_a[a, b2],
-                t1.payoff_b[a, b1],
-                t2.payoff_b[a, b2],
-            )
+        assert [abc for abc, _ in eqs] == expected
+        for (a, b1, b2), payoffs in eqs:
+            assert payoffs == (p * x[a, b1] + (1 - p) * y[a, b2], xb[a, b1], yb[a, b2])
 
     @pytest.mark.parametrize("column_block", [1, 3])
-    def test_column_blocking_does_not_change_result(self, monkeypatch, tensors, column_block):
-        t1, t2 = tensors
-        priors = [PriorProbability(p) for p in (0.0, 0.3, 1.0)]
-        whole = [nash_bayesian(t1, t2, prior) for prior in priors]
-        zero = [payoff_tensor(t.game, t.grid, EntanglementParam(0.0)) for t in (t1, t2)]
-        whole_zero = nash_bayesian(*zero, priors[1])
-        assert all(whole) and whole_zero
-        monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", column_block)
-        assert [nash_bayesian(t1, t2, prior) for prior in priors] == whole
-        assert nash_bayesian(*zero, priors[1]) == whole_zero
+    def test_column_blocking_does_not_change_result(self, monkeypatch, coarse_grid, pd_deadlock, column_block):
+        g1, g2, _ = pd_deadlock
+        priors = [0.0, 0.3, 1.0]
 
-    def test_b1_is_always_a_best_response(self, tensors):
-        t1, t2 = tensors
-        b1_best = t1.payoff_b >= t1.payoff_b.max(axis=1, keepdims=True) - 1e-9
+        def sweeps():
+            return (
+                bayes_sweep(g1, g2, coarse_grid, [BAYES_GAMMA], priors),
+                bayes_sweep(g1, g2, coarse_grid, [0.0], priors[1:2]),
+            )
+
+        whole = sweeps()
+        assert all(len(at_prior(whole[0], p)) for p in priors) and len(whole[1])
+        monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", column_block)
+        for got, want in zip(sweeps(), whole, strict=True):
+            assert equilibria(got) == equilibria(want)
+
+    def test_b1_is_always_a_best_response(self, coarse_grid, pd_deadlock):
+        g1, g2, (_, xb, _, _) = pd_deadlock
+        b1_best = xb >= xb.max(axis=1, keepdims=True) - 1e-9
         for p in (0.2, 0.6):
-            for eq in nash_bayesian(t1, t2, PriorProbability(p)):
-                a, b1, _ = eq.strategy_indices
+            for (a, b1, _), _ in equilibria(bayes_sweep(g1, g2, coarse_grid, [BAYES_GAMMA], [p])):
                 assert b1_best[a, b1]
 
 
 @pytest.mark.parametrize("epsilon", [-1.0, -1e-12, math.nan, math.inf])
-def test_bad_epsilon_rejected(tensors, epsilon):
-    t1, t2 = tensors
-    with pytest.raises(ValueError, match="epsilon"):
-        nash_two_player(t1, epsilon)
-    with pytest.raises(ValueError, match="epsilon"):
-        nash_bayesian(t1, t2, PriorProbability(0.5), epsilon)
+def test_bad_epsilon_rejected(coarse_grid, pd_deadlock, epsilon):
+    g1, g2, _ = pd_deadlock
     # with no gammas the reductions never run, and the sweeps still refuse
-    with pytest.raises(ValueError, match="epsilon"):
-        gamma_sweep(t1.game, t1.grid, [], epsilon)
-    with pytest.raises(ValueError, match="epsilon"):
-        bayes_sweep(t1.game, t2.game, t1.grid, [], [0.5], epsilon)
+    for gammas in ([BAYES_GAMMA], []):
+        with pytest.raises(ValueError, match="epsilon"):
+            gamma_sweep(g1, coarse_grid, gammas, epsilon)
+        with pytest.raises(ValueError, match="epsilon"):
+            bayes_sweep(g1, g2, coarse_grid, gammas, [0.5], epsilon)
 
 
-def test_zero_epsilon_accepted(tensors):
-    t1, t2 = tensors
-    nash_two_player(t1, 0.0)
-    nash_bayesian(t1, t2, PriorProbability(0.5), 0.0)
+def test_zero_epsilon_accepted(coarse_grid, pd_deadlock):
+    g1, g2, _ = pd_deadlock
+    gamma_sweep(g1, coarse_grid, [BAYES_GAMMA], 0.0)
+    bayes_sweep(g1, g2, coarse_grid, [BAYES_GAMMA], [0.5], 0.0)
 
 
 def partner_swaps(indices, partners):
@@ -489,8 +444,7 @@ class TestPhaseClasses:
         self, request, quarter_grid, quarter_partners, game, gamma
     ):
         assert len(quarter_partners) == len(quarter_grid)
-        t = payoff_tensor(request.getfixturevalue(game), quarter_grid, EntanglementParam(gamma))
-        eqs = {eq.strategy_indices: eq.payoffs for eq in nash_two_player(t, 0.0)}
+        eqs = dict(equilibria(gamma_sweep(request.getfixturevalue(game), quarter_grid, [gamma], 0.0)))
         for indices, payoffs in eqs.items():
             for swapped in partner_swaps(indices, quarter_partners):
                 assert eqs[swapped] == payoffs
@@ -499,10 +453,10 @@ class TestPhaseClasses:
     def test_bayesian_set_is_closed_under_partner_swap(
         self, quarter_grid, quarter_partners, prisoners_dilemma, deadlock, gamma
     ):
-        t1 = payoff_tensor(prisoners_dilemma, quarter_grid, EntanglementParam(gamma))
-        t2 = payoff_tensor(deadlock, quarter_grid, EntanglementParam(gamma))
-        for p in (0.0, 0.3, 1.0):
-            eqs = {eq.strategy_indices: eq.payoffs for eq in nash_bayesian(t1, t2, PriorProbability(p), 0.0)}
+        priors = (0.0, 0.3, 1.0)
+        table = bayes_sweep(prisoners_dilemma, deadlock, quarter_grid, [gamma], priors, 0.0)
+        for p in priors:
+            eqs = dict(at_prior(table, p))
             for indices, payoffs in eqs.items():
                 for swapped in partner_swaps(indices, quarter_partners):
                     assert eqs[swapped] == payoffs
@@ -516,50 +470,21 @@ class TestPhaseClasses:
         ],
     )
     def test_singleton_classes_match_brute_force(
-        self, prisoners_dilemma, deadlock, stag_hunt, steps, epsilon
+        self, prisoners_dilemma, deadlock, stag_hunt, solver_tables, steps, epsilon
     ):
         grid = build_grid(steps)
         assert len(phase_partners(p.astuple() for p in grid.params)) < len(grid)
         for g1, g2 in ((prisoners_dilemma, deadlock), (stag_hunt, prisoners_dilemma)):
             for gamma in (0.0, 0.3):
-                t1 = payoff_tensor(g1, grid, EntanglementParam(gamma))
-                t2 = payoff_tensor(g2, grid, EntanglementParam(gamma))
-                a1, b1, a2, b2 = (t.tolist() for t in (t1.payoff_a, t1.payoff_b, t2.payoff_a, t2.payoff_b))
-                pairs = nash_two_player(t1, epsilon)
-                assert pairs and [eq.strategy_indices for eq in pairs] == brute_force_nash(a1, b1, epsilon)
-                assert len({eq.strategy_indices for eq in pairs}) == len(pairs)
-                assert all(eq.payoffs == (a1[i][j], b1[i][j]) for eq in pairs for i, j in [eq.strategy_indices])
-                triples = nash_bayesian(t1, t2, PriorProbability(0.3), epsilon)
+                a1, b1, a2, b2 = (t.tolist() for t in solver_tables([g1, g2], grid, gamma, "members"))
+                pairs = equilibria(gamma_sweep(g1, grid, [gamma], epsilon))
+                assert pairs and [ij for ij, _ in pairs] == brute_force_nash(a1, b1, epsilon)
+                assert len({ij for ij, _ in pairs}) == len(pairs)
+                assert all(payoffs == (a1[i][j], b1[i][j]) for (i, j), payoffs in pairs)
+                triples = equilibria(bayes_sweep(g1, g2, grid, [gamma], [0.3], epsilon))
                 assert triples
-                assert [eq.strategy_indices for eq in triples] == brute_force_bayes(a1, b1, a2, b2, 0.3, epsilon)
-                assert len({eq.strategy_indices for eq in triples}) == len(triples)
-
-
-class TestColumnAdapters:
-    """nash_two_player and nash_bayesian are the reductions' columns as objects."""
-
-    @staticmethod
-    def as_rows(columns):
-        players = len(columns) // 2
-        return [(row[:players], row[players:]) for row in zip(*(c.tolist() for c in columns))]
-
-    @pytest.mark.parametrize("gamma", [0.0, 0.35, PI / 2])
-    def test_two_player(self, coarse_grid, stag_hunt, gamma):
-        tensor = payoff_tensor(stag_hunt, coarse_grid, EntanglementParam(gamma))
-        columns = equilibrium._two_player_columns(tensor, 1e-9)
-        assert len(columns) == 4 and len(columns[0]) > 0
-        eqs = nash_two_player(tensor, 1e-9)
-        assert [(eq.strategy_indices, eq.payoffs) for eq in eqs] == self.as_rows(columns)
-        assert all(type(i) is int for eq in eqs for i in eq.strategy_indices)
-        assert all(type(x) is float for eq in eqs for x in eq.payoffs)
-
-    def test_bayesian(self, tensors):
-        priors = [PriorProbability(p) for p in (0.0, 0.4, 1.0)]
-        per_prior = equilibrium._bayes_equilibria(*tensors, priors, 1e-9)
-        for prior, columns in zip(priors, per_prior, strict=True):
-            assert len(columns) == 6 and len(columns[0]) > 0
-            eqs = nash_bayesian(*tensors, prior)
-            assert [(eq.strategy_indices, eq.payoffs) for eq in eqs] == self.as_rows(columns)
+                assert [abc for abc, _ in triples] == brute_force_bayes(a1, b1, a2, b2, 0.3, epsilon)
+                assert len({abc for abc, _ in triples}) == len(triples)
 
 
 CATALOGUE = load_default_catalogue()
@@ -598,16 +523,17 @@ MEMBER_CASES = [
 
 class TestPayoffBuffers:
     """`_tables` writes every gamma's pass into one set of buffers, one per
-    player per game; a lone `payoff_tensor` call owns its tables, read-only."""
+    player per game."""
 
     GAMMAS = [EntanglementParam(0.0), EntanglementParam(PI / 8)]
 
-    def test_sweep_steps_share_their_buffers(self, monkeypatch, eighth_grid, stag_hunt, deadlock):
+    def test_sweep_steps_share_their_buffers(self, monkeypatch, eighth_grid, stag_hunt, deadlock, solver_tables):
         rows, classes = len(eighth_grid.orbit_images[0]), len(eighth_grid.features)
         monkeypatch.setattr(equilibrium, "_ROW_BLOCK", 100 * 8 * classes)
         row_blocks = equilibrium._row_blocks(rows, classes)
         assert row_blocks == [(0, 100), (100, 200), (200, rows)]
-        lone = {game: payoff_tensor(game, eighth_grid, self.GAMMAS[1]) for game in (stag_hunt, deadlock)}
+        # each game's tables of the latest gamma, from a whole-table pass of their own
+        lone = {game: solver_tables([game], eighth_grid, PI / 8) for game in (stag_hunt, deadlock)}
         # a two-player sweep's row blocks, and a two-game whole-table pass
         for games, blocks in (((stag_hunt,), row_blocks), ((stag_hunt, deadlock), [(0, rows)])):
             passes = [
@@ -622,38 +548,24 @@ class TestPayoffBuffers:
             for _, tables, _ in itertools.chain.from_iterable(passes):
                 assert all(np.shares_memory(t, b) for t, b in zip(tables, buffers, strict=True))
             # the latest gamma's tables, written block by block and left in the buffers
-            want = [table for game in games for table in (lone[game].rows_a, lone[game].rows_b)]
+            want = [table for game in games for table in lone[game]]
             written = [np.concatenate(parts) for parts in zip(*(copies for _, _, copies in passes[-1]))]
             assert all(np.array_equal(w, t) for w, t in zip(want, written, strict=True))
             start, tables, _ = passes[-1][-1]
             assert all(np.array_equal(w[start:], t) for w, t in zip(want, tables, strict=True))
 
-    def test_tables_are_read_only(self, eighth_grid, stag_hunt, deadlock):
-        for game, gamma in itertools.product((stag_hunt, deadlock), self.GAMMAS):
-            t = payoff_tensor(game, eighth_grid, gamma)
-            for rows in (t.rows_a, t.rows_b):
-                assert not rows.flags.writeable
-                with pytest.raises(ValueError):
-                    rows[0, 0] = 0.0
-
-    def test_lone_calls_own_their_tables(self, eighth_grid, stag_hunt):
-        first, second = (payoff_tensor(stag_hunt, eighth_grid, self.GAMMAS[0]) for _ in range(2))
-        for x, y in itertools.product((first.rows_a, first.rows_b), (second.rows_a, second.rows_b)):
-            assert not np.shares_memory(x, y)
-        assert np.array_equal(first.rows_a, second.rows_a) and np.array_equal(first.rows_b, second.rows_b)
-
 
 class TestTwoPlayerOnEighthGrid:
     @pytest.mark.parametrize("grid, name, gamma", MEMBER_CASES)
-    def test_matches_member_level_definition(self, request, grid, name, gamma):
-        t = payoff_tensor(CATALOGUE.get(name), request.getfixturevalue(grid), EntanglementParam(gamma))
-        a, b = t.payoff_a, t.payoff_b
+    def test_matches_member_level_definition(self, request, solver_tables, grid, name, gamma):
+        game, grid = CATALOGUE.get(name), request.getfixturevalue(grid)
+        a, b = solver_tables([game], grid, gamma, "members")
         a_max, b_max = a.max(0), b.max(1, keepdims=True)
         for epsilon in (0.0, 1e-9, 0.5):
             i, j = np.nonzero((a >= a_max - epsilon) & (b >= b_max - epsilon))
-            columns = equilibrium._two_player_columns(t, epsilon)
-            assert len(columns) == 4
-            for got, want in zip(columns, (i, j, a[i, j], b[i, j]), strict=True):
+            columns = gamma_sweep(game, grid, [gamma], epsilon).columns
+            names = ("a_index", "b_index", "payoff_a", "payoff_b")
+            for got, want in zip((columns[name] for name in names), (i, j, a[i, j], b[i, j]), strict=True):
                 assert np.array_equal(got, want), (name, gamma, epsilon)
 
     # At gamma = 0 the B tie sets of das_brother and matching_pennies are
@@ -667,15 +579,17 @@ class TestTwoPlayerOnEighthGrid:
             pytest.param("matching_pennies", 0.0, 8.4, id="matching_pennies-gamma0"),
         ],
     )
-    def test_scratch_stays_under_two_class_tables_of_bytes(self, eighth_grid, name, gamma, classes_squared):
+    def test_scratch_stays_under_two_class_tables_of_bytes(
+        self, eighth_grid, solver_tables, name, gamma, classes_squared
+    ):
         # one boolean orbit-row table for B's tie test, and no full-size mask for A
-        t = payoff_tensor(CATALOGUE.get(name), eighth_grid, EntanglementParam(gamma))
-        rows, n = t.rows_a.shape
+        tables = solver_tables([CATALOGUE.get(name)], eighth_grid, gamma)
+        rows, n = tables[0].shape
         assert rows == 232 and n == 912
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            columns = equilibrium._two_player_columns(t, 1e-9)
+            columns = equilibrium._two_player_reduction(eighth_grid, [(0, tables)], 1e-9)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -697,14 +611,16 @@ class TestBayesOnEighthGrid:
             pytest.param(("stag_hunt", "das_brother"), 0.7, 5.01, id="stag-das-0.7"),
         ],
     )
-    def test_scratch_over_21_priors_stays_under_its_recorded_peak(self, eighth_grid, names, gamma, classes_squared):
-        t1, t2 = (payoff_tensor(CATALOGUE.get(name), eighth_grid, EntanglementParam(gamma)) for name in names)
+    def test_scratch_over_21_priors_stays_under_its_recorded_peak(
+        self, eighth_grid, solver_tables, names, gamma, classes_squared
+    ):
+        tables = solver_tables([CATALOGUE.get(name) for name in names], eighth_grid, gamma)
         priors = [PriorProbability(p) for p in default_p_grid(21)]
-        n = t1.rows_a.shape[1]
+        n = tables[0].shape[1]
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            per_prior = equilibrium._bayes_equilibria(t1, t2, priors, 1e-9)
+            per_prior = equilibrium._bayes_reduction(eighth_grid, tables, priors, 1e-9)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -757,6 +673,11 @@ def full_bayes(grid, x, xb, y, yb, p, epsilon):
     return member_tuples(grid, (a, b1, b2), (mixed[ok], xb[a, b1], yb[a, b2]))
 
 
+def whole_reduction(grid, tables, epsilon):
+    """The two-player reduction of whole orbit-row tables, as one block."""
+    return equilibrium._two_player_reduction(grid, [(0, tables)], epsilon)
+
+
 def assert_same_equilibria(got, want, players):
     assert len(got) == len(want) == 2 * players
     for g, w in zip(got[:players], want[:players]):
@@ -776,26 +697,27 @@ class TestOrbitSolve:
     """
 
     @pytest.mark.parametrize("name", CATALOGUE.names)
-    def test_two_player_on_the_1824_grid(self, full_class_tables, eighth_grid, lone_class_grid, name):
+    def test_two_player_on_the_1824_grid(self, full_class_tables, solver_tables, eighth_grid, lone_class_grid, name):
         # the 1824 grid, and a G = {e} grid whose classes mostly have one member
         game = CATALOGUE.get(name)
         for grid, gamma in itertools.product((eighth_grid, lone_class_grid), default_gamma_grid(17)):
-            t = payoff_tensor(game, grid, EntanglementParam(gamma))
+            tables = solver_tables([game], grid, gamma)
             want = full_two_player(grid, *full_class_tables(game, grid, gamma), 1e-9)
-            assert_same_equilibria(equilibrium._two_player_columns(t, 1e-9), want, 2)
-            own_tables = t.class_a, t.class_b
+            assert_same_equilibria(whole_reduction(grid, tables, 1e-9), want, 2)
+            own_tables = solver_tables([game], grid, gamma, "classes")
             for table in own_tables:  # folded rows make the expansion exactly invariant
                 for row in grid.orbit_maps[1:]:
                     assert table[np.ix_(row, row)].tobytes() == table.tobytes(), (name, gamma)
             for epsilon in (0.0, 1e-9):
                 own = full_two_player(grid, *own_tables, epsilon)
-                for g, w in zip(equilibrium._two_player_columns(t, epsilon), own, strict=True):
+                for g, w in zip(whole_reduction(grid, tables, epsilon), own, strict=True):
                     assert g.tobytes() == w.tobytes(), (name, len(grid), gamma, epsilon)
 
     def test_stag_hunt_on_the_7968_grid(self, full_class_tables, stag_hunt):
+        # the sweep's path: 16 row blocks, reduced as they are written
         grid = build_grid(SteppingParams(PI / 32, PI / 8, PI / 8))
-        t = payoff_tensor(stag_hunt, grid, EntanglementParam(PI / 8))
-        got = equilibrium._two_player_columns(t, 1e-9)
+        columns = gamma_sweep(stag_hunt, grid, [PI / 8]).columns
+        got = [columns[name] for name in ("a_index", "b_index", "payoff_a", "payoff_b")]
         assert len(got[0]) > 0
         assert_same_equilibria(got, full_two_player(grid, *full_class_tables(stag_hunt, grid, PI / 8), 1e-9), 2)
 
@@ -803,14 +725,16 @@ class TestOrbitSolve:
         "names", [("prisoners_dilemma", "deadlock"), ("stag_hunt", "das_brother")], ids=["pd-deadlock", "stag-das"]
     )
     @pytest.mark.parametrize("gamma", [0.0, 0.35, 0.7])
-    def test_bayes_on_the_1824_grid(self, full_class_tables, eighth_grid, lone_class_grid, names, gamma):
+    def test_bayes_on_the_1824_grid(
+        self, full_class_tables, solver_tables, eighth_grid, lone_class_grid, names, gamma
+    ):
         # the 1824 grid, and a G = {e} grid whose classes mostly have one member
         games = [CATALOGUE.get(name) for name in names]
         priors = (0.0, 0.3, 1.0)
         for grid in (eighth_grid, lone_class_grid):
-            t1, t2 = (payoff_tensor(game, grid, EntanglementParam(gamma)) for game in games)
+            tables = solver_tables(games, grid, gamma)
             (x, xb), (y, yb) = (full_class_tables(game, grid, gamma) for game in games)
-            per_prior = equilibrium._bayes_equilibria(t1, t2, [PriorProbability(p) for p in priors], 1e-9)
+            per_prior = equilibrium._bayes_reduction(grid, tables, [PriorProbability(p) for p in priors], 1e-9)
             assert any(len(got[0]) for got in per_prior)
             for p, got in zip(priors, per_prior, strict=True):
                 assert_same_equilibria(got, full_bayes(grid, x, xb, y, yb, p, 1e-9), 3)
@@ -823,8 +747,8 @@ def tail_row_block(rows):
 
 class TestStreamedReduction:
     """A two-player sweep computes and reduces its tables in blocks of orbit
-    rows; every block size gives `_two_player_columns` of the whole tables,
-    bit for bit."""
+    rows; every block size gives the reduction of the whole tables, bit for
+    bit."""
 
     def test_row_blocks(self, monkeypatch):
         # the shipped size keeps the 1824 grid's 232 x 912 rows one block
@@ -841,7 +765,7 @@ class TestStreamedReduction:
     @pytest.mark.parametrize("rows_per_block", [2, 3, "tail"])
     @pytest.mark.parametrize("grid", ["eighth_grid", "lone_class_grid"])
     @pytest.mark.parametrize("name", CATALOGUE.names)
-    def test_blocks_give_the_whole_tables_columns(self, request, monkeypatch, grid, name, rows_per_block):
+    def test_blocks_give_the_whole_tables_columns(self, request, monkeypatch, solver_tables, grid, name, rows_per_block):
         grid = request.getfixturevalue(grid)
         game = CATALOGUE.get(name)
         rows, classes = len(grid.orbit_images[0]), len(grid.features)
@@ -851,11 +775,11 @@ class TestStreamedReduction:
         assert len(blocks) > 1 and blocks[0] == (0, size)
         assert all(stop - start >= 2 for start, stop in blocks)
         gammas = [g for g, _ in MEMBER_GAMMAS]
-        tensors = [payoff_tensor(game, grid, EntanglementParam(g)) for g in gammas]
+        tables = [solver_tables([game], grid, g) for g in gammas]
         records = 0
         for epsilon in (0.0, 1e-9, 0.5):
             table = gamma_sweep(game, grid, gammas, epsilon)
-            whole = [equilibrium._two_player_columns(t, epsilon) for t in tensors]
+            whole = [whole_reduction(grid, t, epsilon) for t in tables]
             records += len(table)
             names = ("a_index", "b_index", "payoff_a", "payoff_b")
             for column, parts in zip(names, zip(*whole), strict=True):

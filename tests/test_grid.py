@@ -14,8 +14,7 @@ from ewlgames import (
     gamma_sweep,
     load_default_catalogue,
 )
-from ewlgames.circuit import EntanglementParam, rotation_features, strategy_matrix
-from ewlgames.equilibrium import payoff_tensor
+from ewlgames.circuit import rotation_features, strategy_matrix
 from ewlgames.grid import DEDUP_TOL, MAX_CANDIDATES
 
 from oracles import phase_partners
@@ -108,11 +107,10 @@ class TestContents:
         arrays = [getattr(grid, name) for name in names if name != "source_steps"]
         assert all(isinstance(arr, np.ndarray) and not arr.flags.writeable for arr in arrays)
 
-    def test_reprs_leave_out_the_per_strategy_arrays(self, prisoners_dilemma):
+    def test_reprs_leave_out_the_per_strategy_arrays(self):
         grid = build_grid(SteppingParams(PI / 32, PI / 8, PI / 8))
         assert len(grid) == 7968
         assert len(repr(grid)) < 1000
-        assert len(repr(payoff_tensor(prisoners_dilemma, grid, EntanglementParam(0.5)))) < 1000
 
     def test_coarse_matrices_are_the_signed_paulis(self, coarse_grid, strategy_matrices):
         # I, -i sz, -I, i sz, i sy, i sx, -i sy, -i sx in grid order

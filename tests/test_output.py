@@ -12,13 +12,12 @@ from ewlgames.output import (
     TWO_PLAYER_COLUMNS,
     _WRITE_BLOCK,
     _column_field,
+    atomic_writer,
     fmt,
     read_two_player_csv,
-    record_columns,
     write_columns_csv,
     write_records_csv,
     write_records_json,
-    write_rows_csv,
 )
 from ewlgames.svgplot import Figure
 
@@ -29,7 +28,7 @@ PI = math.pi
 
 @pytest.fixture(scope="module")
 def small_sweep(prisoners_dilemma, coarse_grid):
-    return gamma_sweep(prisoners_dilemma, coarse_grid, [0.0, PI / 8, PI / 2]).records
+    return gamma_sweep(prisoners_dilemma, coarse_grid, [0.0, PI / 8, PI / 2])
 
 
 class TestFormatting:
@@ -87,43 +86,20 @@ class TestCsv:
         path = tmp_path / "records.csv"
         write_records_csv(path, small_sweep, bayes=False)
         loaded = read_two_player_csv(path)
-        assert len(loaded.records) == len(small_sweep)
+        assert len(loaded) == len(small_sweep)
         assert loaded.gamma_values == pytest.approx(
-            sorted({r.gamma for r in small_sweep}), abs=1e-9
+            sorted(set(small_sweep.columns["gamma"].tolist())), abs=1e-9
         )
-        for got, orig in zip(loaded.records, small_sweep):
-            assert got.equilibrium.strategy_indices == orig.equilibrium.strategy_indices
-            assert got.equilibrium.payoffs == pytest.approx(orig.equilibrium.payoffs, abs=1e-9)
-            assert got.strategy_params[0].theta == pytest.approx(
-                orig.strategy_params[0].theta, abs=1e-9
-            )
+        for name in ("a_index", "b_index"):
+            assert loaded.columns[name].tolist() == small_sweep.columns[name].tolist()
+        for name in ("payoff_a", "payoff_b", "theta_a"):
+            np.testing.assert_allclose(loaded.columns[name], small_sweep.columns[name], rtol=0, atol=1e-9)
 
     def test_read_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "foreign.csv"
         path.write_text("x,y\n1,2\n")
         with pytest.raises(ValueError):
             read_two_player_csv(path)
-
-
-class TestRowWriter:
-    def test_bytes_equal_per_field_fmt(self, tmp_path):
-        rows = [
-            [0, 2.5, 3],
-            (np.int64(7), np.float64(-0.0), np.float32(0.1)),
-            [-0.0, 1e-300, -1e-300],
-            [1e16, float("nan"), 1e12],
-            [float("inf"), float("-inf"), 0.1 + 0.2],
-            [True, 10**13, -(2**70)],
-            [np.int32(-3), np.float64(1 / 3), 12345678901234.5],
-            [1, 2],
-            [],
-            [2.5, 0, 1.0],
-        ]
-        path = tmp_path / "rows.csv"
-        write_rows_csv(path, ["a", "b", "c"], iter(rows))
-        expected = "a,b,c\n" + "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
-        assert path.read_bytes() == expected.encode()
-
 
 
 class TestColumnWriter:
@@ -149,10 +125,10 @@ class TestColumnWriter:
         in_place = 2 * len(self.FLOATS) > rows
         conversions = [_column_field(col, fmt, "%x")[0] for col in columns]
         assert conversions == ["%s", "%x", "%x" if in_place else "%s", "%x" if in_place else "%s", "%x"]
-        path, oracle = tmp_path / "columns.csv", tmp_path / "rows.csv"
+        path = tmp_path / "columns.csv"
         write_columns_csv(path, names, columns)
-        write_rows_csv(oracle, names, zip(*(col.tolist() for col in columns)))
-        assert path.read_bytes() == oracle.read_bytes()
+        fields = "".join(",".join(fmt(v) for v in row) + "\n" for row in zip(*(col.tolist() for col in columns)))
+        assert path.read_bytes() == (",".join(names) + "\n" + fields).encode()
 
 
 def _read_case(tmp_path, body: str):
@@ -185,20 +161,9 @@ class TestReader:
         assert loaded.columns["alpha_a"][0] == 0.0 and loaded.columns["gamma"][3] == math.pi / 2
         assert loaded.gamma_values == [0.0, rows[2][0], math.pi / 2]
 
-    def test_records_view_matches_the_oracle(self, tmp_path):
-        path = _read_case(tmp_path, self.BODY)
-        rows = read_records_rows(path.read_text())
-        records = read_two_player_csv(path).records
-        for row, r in zip(rows, records, strict=True):
-            assert r.gamma == row[0] and r.p is None
-            assert r.equilibrium.strategy_indices == tuple(row[2:4])
-            assert r.equilibrium.payoffs == tuple(row[10:12])
-            assert [p.astuple() for p in r.strategy_params] == [tuple(row[4:7]), tuple(row[7:10])]
-            assert all(type(v) is int for v in r.equilibrium.strategy_indices)
-
     def test_header_only_and_blank_lines_give_no_records(self, tmp_path):
         loaded = read_two_player_csv(_read_case(tmp_path, "\n\n"))
-        assert len(loaded) == 0 and loaded.records == [] and loaded.gamma_values == []
+        assert len(loaded) == 0 and loaded.gamma_values == []
 
     GOOD = "0.5,0,4,5,3.14159265359,0,0,3.14159265359,0,1.57079632679,1.25,1.25"
 
@@ -238,15 +203,6 @@ class TestReader:
             read_records_rows(path.read_text())
         with pytest.raises(ValueError, match=re.escape(f"{path}: not a two-player records CSV")):
             read_two_player_csv(path)
-
-    def test_record_columns_match_the_written_file(self, tmp_path, small_sweep):
-        path = tmp_path / "records.csv"
-        write_records_csv(path, small_sweep, bayes=False)
-        read, built = read_two_player_csv(path).columns, record_columns(small_sweep)
-        for name in TWO_PLAYER_COLUMNS:
-            assert built[name].dtype == read[name].dtype
-            np.testing.assert_allclose(built[name], read[name], rtol=0, atol=1e-9)
-        assert built["gamma"].tolist() == [r.gamma for r in small_sweep]
 
 
 # Values that the per-distinct-value writers must keep apart: -0.0 next to
@@ -316,25 +272,6 @@ class TestRecordWriters:
         with pytest.raises(ValueError, match="Bayesian table"):
             write_records_json(tmp_path / "r.json", mixed_table(True, 3), bayes=False, metadata={})
 
-    @pytest.mark.parametrize("fmt_name", ["csv", "json"])
-    @pytest.mark.parametrize("bayes", [False, True], ids=["two-player", "bayes"])
-    def test_records_and_table_write_the_same_bytes(
-        self, tmp_path, prisoners_dilemma, deadlock, coarse_grid, bayes, fmt_name
-    ):
-        gammas = [0.0, PI / 8, PI / 2]
-        if bayes:
-            table = bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, gammas, [0.0, 0.5, 1.0])
-        else:
-            table = gamma_sweep(prisoners_dilemma, coarse_grid, gammas)
-        paths = [tmp_path / f"table.{fmt_name}", tmp_path / f"records.{fmt_name}"]
-        for path, source in zip(paths, [table, table.records]):
-            if fmt_name == "csv":
-                write_records_csv(path, source, bayes=bayes)
-            else:
-                write_records_json(path, source, bayes=bayes, metadata={"command": "test"})
-        assert len(table) > 0
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-
 
 class TestJson:
     def test_round_trip_byte_identical(self, tmp_path, small_sweep):
@@ -364,13 +301,10 @@ class TestAtomicWrites:
     def test_exception_mid_write_keeps_target_and_leaves_no_temp(self, tmp_path):
         target = tmp_path / "rows.csv"
         target.write_text("old\n")
-
-        def rows():
-            yield [1, 2.5]
-            raise RuntimeError("row generator failed")
-
         with pytest.raises(RuntimeError, match="row generator failed"):
-            write_rows_csv(target, ["a", "b"], rows())
+            with atomic_writer(target) as fh:
+                fh.write("a,b\n1,2.5\n")
+                raise RuntimeError("row generator failed")
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 

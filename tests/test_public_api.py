@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import re
 import shlex
@@ -88,12 +89,49 @@ def test_all_is_the_documented_library_path():
 
 
 def test_traced_benchmark_names_resolve():
-    # The benchmark's traced mirror reads these as ewlgames.<name>; it is
-    # read as text so that nothing from perfbench is imported here.
-    traced = (ROOT / "perfbench" / "traced.py").read_text(encoding="utf-8")
-    names = set(re.findall(r"\bew\.(\w+)", traced))
-    assert names
-    assert [name for name in sorted(names) if not hasattr(ewlgames, name)] == []
+    # The benchmark's traced mirror reads names as ewlgames.<name> and
+    # imports others from ewlgames.<module>; it is parsed, not imported, so
+    # that nothing from perfbench is imported here.
+    tree = ast.parse((ROOT / "perfbench" / "traced.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "ew":
+            names.add(("ewlgames", node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ewlgames."):
+            names.update((node.module, alias.name) for alias in node.names)
+    assert {name for module, name in names if module != "ewlgames"} >= {
+        "parse_angle", "parse_steps", "read_two_player_csv", "write_records_csv",
+        "write_records_json", "write_rows_csv", "Figure",
+    }
+    missing = [
+        f"{module}.{name}" for module, name in sorted(names) if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
+
+
+# What only perfbench/traced.py still calls. Outside tests/test_traced_surface.py
+# the tests reach the solver through the sweeps or `equilibrium._tables` and
+# the reductions, so that deleting these names deletes one test module.
+ADAPTER_NAMES = {
+    "payoff_tensor", "PayoffTensor", "nash_two_player", "nash_bayesian", "NashEquilibrium",
+    "SweepRecord", "record_columns", "scatter_theta", "payoff_histogram", "write_rows_csv", "records",
+}
+
+
+def test_only_the_traced_surface_tests_reach_the_adapters():
+    found = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        if path.name == "test_traced_surface.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ewlgames":
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            found.extend(f"{path.name}:{node.lineno}: {name}" for name in sorted(names & ADAPTER_NAMES))
+    assert found == []
 
 
 def test_oracles_import_no_package_module():

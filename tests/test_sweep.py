@@ -8,7 +8,6 @@ import ewlgames.grid
 from ewlgames import (
     GameDefinition,
     RecordTable,
-    StrategyParams,
     bayes_sweep,
     critical_gamma,
     default_gamma_grid,
@@ -18,10 +17,9 @@ from ewlgames import (
 )
 from ewlgames.circuit import EntanglementParam
 from ewlgames.cli import main
-from ewlgames.equilibrium import NashEquilibrium, PriorProbability, nash_bayesian, payoff_tensor
 from ewlgames.grid import SteppingParams, build_grid
-from ewlgames.output import read_two_player_csv, record_columns, write_records_csv, write_records_json
-from ewlgames.sweep import BAYES_COLUMNS, TWO_PLAYER_COLUMNS, SweepRecord, payoff_histogram, scatter_theta
+from ewlgames.output import read_two_player_csv, write_records_csv, write_records_json
+from ewlgames.sweep import BAYES_COLUMNS, TWO_PLAYER_COLUMNS, payoff_bins
 
 from oracles import brute_force_bayes
 from oracles import payoff_histogram as reference_histogram
@@ -46,9 +44,16 @@ def pd_table(prisoners_dilemma, coarse_grid, gamma_points):
     return gamma_sweep(prisoners_dilemma, coarse_grid, gamma_points)
 
 
-@pytest.fixture(scope="module")
-def pd_records(pd_table):
-    return pd_table.records
+def rows(table, *names) -> list[tuple]:
+    """The named columns' values, one tuple per record."""
+    return list(zip(*(table.columns[name].tolist() for name in names)))
+
+
+def keyed(table) -> list[tuple]:
+    """(gamma[, p], index tuple) of each record, in record order."""
+    roles = ("a", "b1", "b2") if table.bayes else ("a", "b")
+    points = rows(table, "gamma", "p") if table.bayes else rows(table, "gamma")
+    return [(*point, indices) for point, indices in zip(points, rows(table, *(f"{r}_index" for r in roles)))]
 
 
 class TestDefaultGrids:
@@ -86,34 +91,32 @@ class TestDefaultGrids:
 
 
 class TestGammaSweep:
-    def test_pd_structure(self, pd_records, gamma_points):
-        at_zero = [r for r in pd_records if r.gamma == 0.0]
+    def test_pd_structure(self, pd_table, gamma_points):
+        at_zero = [pays for gamma, *pays in rows(pd_table, "gamma", "payoff_a", "payoff_b") if gamma == 0.0]
         assert len(at_zero) == 16
-        for r in at_zero:
-            assert r.equilibrium.payoffs == pytest.approx((1.0, 1.0), abs=1e-9)
+        for payoffs in at_zero:
+            assert payoffs == pytest.approx((1.0, 1.0), abs=1e-9)
         # 8 equilibria per point while the branch lives, none afterwards
-        assert len(pd_records) == 16 + 25 * 8
-        assert max(r.gamma for r in pd_records) == pytest.approx(25 * PI / 128, abs=0)
+        assert len(pd_table) == 16 + 25 * 8
+        assert pd_table.columns["gamma"].max() == pytest.approx(25 * PI / 128, abs=0)
 
-    def test_pd_payoffs_match_closed_form(self, pd_records):
-        for r in pd_records:
-            expected = 1 + 2 * math.sin(r.gamma) ** 2 * math.sin(
-                r.strategy_params[0].alpha + r.strategy_params[1].alpha
-            ) ** 2
-            assert r.equilibrium.payoffs[0] == pytest.approx(expected, abs=1e-9)
+    def test_pd_payoffs_match_closed_form(self, pd_table):
+        for gamma, alpha_a, alpha_b, payoff_a in rows(pd_table, "gamma", "alpha_a", "alpha_b", "payoff_a"):
+            expected = 1 + 2 * math.sin(gamma) ** 2 * math.sin(alpha_a + alpha_b) ** 2
+            assert payoff_a == pytest.approx(expected, abs=1e-9)
 
-    def test_pd_monotone_branch(self, pd_records):
+    def test_pd_monotone_branch(self, pd_table):
         best = {}
-        for r in pd_records:
-            best[r.gamma] = max(best.get(r.gamma, -1e9), r.equilibrium.payoffs[0])
+        for gamma, payoff_a in rows(pd_table, "gamma", "payoff_a"):
+            best[gamma] = max(best.get(gamma, -1e9), payoff_a)
         gammas = sorted(best)
         assert all(best[a] <= best[b] + 1e-12 for a, b in zip(gammas, gammas[1:]))
 
     def test_stag_hunt_branches(self, stag_hunt, coarse_grid, gamma_points):
-        records = gamma_sweep(stag_hunt, coarse_grid, gamma_points).records
+        table = gamma_sweep(stag_hunt, coarse_grid, gamma_points)
         by_gamma: dict[float, set[float]] = {}
-        for r in records:
-            by_gamma.setdefault(r.gamma, set()).add(round(r.equilibrium.payoffs[0], 9))
+        for gamma, payoff_a in rows(table, "gamma", "payoff_a"):
+            by_gamma.setdefault(gamma, set()).add(round(payoff_a, 9))
         # the Pareto branch is constant through maximal entanglement
         assert set(by_gamma) == set(gamma_points)
         for g, payoffs in by_gamma.items():
@@ -128,12 +131,14 @@ class TestGammaSweep:
 
     def test_deterministic(self, prisoners_dilemma, coarse_grid):
         pts = default_gamma_grid(9)
-        r1 = gamma_sweep(prisoners_dilemma, coarse_grid, pts).records
-        r2 = gamma_sweep(prisoners_dilemma, coarse_grid, pts).records
-        assert r1 == r2
+        t1 = gamma_sweep(prisoners_dilemma, coarse_grid, pts)
+        t2 = gamma_sweep(prisoners_dilemma, coarse_grid, pts)
+        assert len(t1) > 0 and list(t1.columns) == list(t2.columns)
+        for name, column in t1.columns.items():
+            assert column.tobytes() == t2.columns[name].tobytes(), name
 
-    def test_sorted_by_gamma_then_indices(self, pd_records):
-        keys = [(r.gamma, r.equilibrium.strategy_indices) for r in pd_records]
+    def test_sorted_by_gamma_then_indices(self, pd_table):
+        keys = keyed(pd_table)
         assert keys == sorted(keys)
 
 
@@ -151,8 +156,8 @@ class TestCriticalGamma:
 
     def test_deadlock_bracket(self, deadlock, coarse_grid, gamma_points):
         table = gamma_sweep(deadlock, coarse_grid, gamma_points)
-        for r in table.records:
-            assert r.equilibrium.payoffs == pytest.approx((2.0, 2.0), abs=1e-9)
+        for payoffs in rows(table, "payoff_a", "payoff_b"):
+            assert payoffs == pytest.approx((2.0, 2.0), abs=1e-9)
         bracket = critical_gamma(table, gamma_points)
         assert bracket.last_gamma_with == pytest.approx(38 * PI / 128, abs=0)
         assert bracket.first_gamma_without == pytest.approx(39 * PI / 128, abs=0)
@@ -213,7 +218,10 @@ class TestCriticalGamma:
         assert got.branch_payoff_at_last == pytest.approx(expected.branch_payoff_at_last, abs=1e-9)
 
     def test_gamma_off_the_sweep_points_is_named(self, pd_table):
-        off_grid = RecordTable(record_columns([_record(0.3001, 1.0)]))
+        off_grid = RecordTable({
+            name: np.array([0.3001 if name == "gamma" else 0], dtype=np.int64 if name.endswith("index") else np.float64)
+            for name in TWO_PLAYER_COLUMNS
+        })
         with pytest.raises(ValueError, match=r"record gamma 0\.3001 "):
             critical_gamma(off_grid, [0.0, 0.3001 - 2e-9, 0.3001 + 2e-9, PI / 2])
         with pytest.raises(ValueError, match=r"record gamma 0\.0 "):
@@ -224,93 +232,100 @@ class TestBayesSweep:
     def test_boundary_projections(self, prisoners_dilemma, deadlock, coarse_grid):
         pts = default_gamma_grid(9)
         pp = default_p_grid(5)
-        brecs = bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, pts, pp).records
+        bayes = bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, pts, pp)
 
         def two_player_set(game):
+            table = gamma_sweep(game, coarse_grid, pts)
+            return {(g, a, b, round(pay, 12)) for g, a, b, pay in rows(table, "gamma", "a_index", "b_index", "payoff_a")}
+
+        def projection(p_value, b_role):
             return {
-                (r.gamma, *r.equilibrium.strategy_indices, round(r.equilibrium.payoffs[0], 12))
-                for r in gamma_sweep(game, coarse_grid, pts).records
+                (g, a, b, round(pay, 12))
+                for g, p, a, b, pay in rows(bayes, "gamma", "p", "a_index", f"{b_role}_index", "payoff_a")
+                if p == p_value
             }
 
-        proj_p1 = {
-            (r.gamma, r.equilibrium.strategy_indices[0], r.equilibrium.strategy_indices[1],
-             round(r.equilibrium.payoffs[0], 12))
-            for r in brecs if r.p == 1.0
-        }
-        proj_p0 = {
-            (r.gamma, r.equilibrium.strategy_indices[0], r.equilibrium.strategy_indices[2],
-             round(r.equilibrium.payoffs[0], 12))
-            for r in brecs if r.p == 0.0
-        }
-        assert proj_p1 == two_player_set(prisoners_dilemma)
-        assert proj_p0 == two_player_set(deadlock)
+        assert projection(1.0, "b1") == two_player_set(prisoners_dilemma)
+        assert projection(0.0, "b2") == two_player_set(deadlock)
 
     def test_zero_entanglement_matches_classical_mixture(
-        self, prisoners_dilemma, deadlock, coarse_grid
+        self, prisoners_dilemma, deadlock, coarse_grid, solver_tables
     ):
-        t1 = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(0.0))
-        t2 = payoff_tensor(deadlock, coarse_grid, EntanglementParam(0.0))
+        tables = [t.tolist() for t in solver_tables([prisoners_dilemma, deadlock], coarse_grid, 0.0, "members")]
         for p in (0.0, 0.25, 0.5, 1.0):
-            brecs = bayes_sweep(
-                prisoners_dilemma, deadlock, coarse_grid, [0.0], [p]
-            ).records
-            got = sorted(r.equilibrium.strategy_indices for r in brecs)
-            expected = brute_force_bayes(
-                t1.payoff_a.tolist(), t1.payoff_b.tolist(),
-                t2.payoff_a.tolist(), t2.payoff_b.tolist(), p, 1e-9,
-            )
+            table = bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, [0.0], [p])
+            got = sorted(rows(table, "a_index", "b1_index", "b2_index"))
+            expected = brute_force_bayes(*tables, p, 1e-9)
             assert got == expected
 
     def test_same_game_twice_is_p_independent(self, prisoners_dilemma, coarse_grid):
         pts = default_gamma_grid(5)
-        brecs = bayes_sweep(prisoners_dilemma, prisoners_dilemma, coarse_grid, pts, [0.25, 0.75]).records
+        bayes = bayes_sweep(prisoners_dilemma, prisoners_dilemma, coarse_grid, pts, [0.25, 0.75])
         by_p = {}
-        for r in brecs:
-            by_p.setdefault(r.p, []).append((r.gamma, r.equilibrium.strategy_indices))
+        for gamma, p, indices in keyed(bayes):
+            by_p.setdefault(p, []).append((gamma, indices))
         assert by_p[0.25] == by_p[0.75]
-        two = {
-            (r.gamma, *r.equilibrium.strategy_indices)
-            for r in gamma_sweep(prisoners_dilemma, coarse_grid, pts).records
-        }
-        diag = {
-            (r.gamma, r.equilibrium.strategy_indices[0], r.equilibrium.strategy_indices[1])
-            for r in brecs
-            if r.p == 0.25
-            and r.equilibrium.strategy_indices[1] == r.equilibrium.strategy_indices[2]
-        }
+        two = {(gamma, *indices) for gamma, indices in keyed(gamma_sweep(prisoners_dilemma, coarse_grid, pts))}
+        diag = {(gamma, a, b1) for gamma, p, (a, b1, b2) in keyed(bayes) if p == 0.25 and b1 == b2}
         assert diag == two
 
-    def test_matches_nash_bayesian_per_point(self, prisoners_dilemma, deadlock, coarse_grid):
+    def test_shared_candidates_match_one_sweep_per_point(self, prisoners_dilemma, deadlock, coarse_grid):
         # bayes_sweep shares one candidate set per gamma across the priors;
-        # it must give exactly what one nash_bayesian call per (gamma, p) gives
+        # it must give exactly what one sweep per (gamma, p) gives
         gammas, priors = [0.0, 0.35, PI / 2], [0.0, 0.4, 1.0]
-        brecs = bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, gammas, priors).records
-        expected = []
-        for g in gammas:
-            t1 = payoff_tensor(prisoners_dilemma, coarse_grid, EntanglementParam(g))
-            t2 = payoff_tensor(deadlock, coarse_grid, EntanglementParam(g))
-            for p in priors:
-                expected.extend(
-                    (g, p, eq.strategy_indices, eq.payoffs)
-                    for eq in nash_bayesian(t1, t2, PriorProbability(p))
-                )
-        got = [
-            (r.gamma, r.p, r.equilibrium.strategy_indices, r.equilibrium.payoffs) for r in brecs
-        ]
+        table = bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, gammas, priors)
+        parts = [bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, [g], [p]) for g in gammas for p in priors]
         # every point but the empty gamma = pi/2 contributes
-        assert {(g, p) for g, p, _, _ in got} == {(g, p) for g in gammas[:2] for p in priors}
-        assert got == expected
-        for r in brecs:
-            assert r.strategy_params == tuple(
-                coarse_grid.params[k] for k in r.equilibrium.strategy_indices
-            )
+        points = set(rows(table, "gamma", "p"))
+        assert points == {(g, p) for g in gammas[:2] for p in priors}
+        for name, column in table.columns.items():
+            assert column.tobytes() == np.concatenate([part.columns[name] for part in parts]).tobytes(), name
+        for role in ("a", "b1", "b2"):
+            for k, angle in enumerate(("theta", "phi", "alpha")):
+                expected = [coarse_grid.params[i].astuple()[k] for i in table.columns[f"{role}_index"].tolist()]
+                assert table.columns[f"{angle}_{role}"].tolist() == expected
 
     def test_record_ordering(self, prisoners_dilemma, deadlock, coarse_grid):
         pts = default_gamma_grid(5)
         pp = default_p_grid(3)
-        brecs = bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, pts, pp).records
-        keys = [(r.gamma, r.p, r.equilibrium.strategy_indices) for r in brecs]
+        keys = keyed(bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, pts, pp))
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ("prisoners_dilemma", "stag_hunt"),
+            ("prisoners_dilemma", "deadlock"),
+            ("stag_hunt", "das_brother"),
+            ("matching_pennies", "prisoners_dilemma"),
+        ],
+        ids=["pd-stag", "pd-deadlock", "stag-das", "pennies-pd"],
+    )
+    @pytest.mark.parametrize("steps", [(PI, PI / 2, PI / 2), (PI / 4, PI / 4, PI / 4)], ids=["8", "208"])
+    def test_swapping_the_games_and_the_priors_swaps_b1_and_b2(self, names, steps):
+        # bayes_sweep(g2, g1, 1 - p) is bayes_sweep(g1, g2, p) with B1 and B2
+        # exchanged, index for index. 1 - (1 - p) != p for 6 of the 21 priors,
+        # so A's payoffs agree only to rounding.
+        catalogue = load_default_catalogue()
+        game1, game2 = (catalogue.get(name) for name in names)
+        grid = build_grid(SteppingParams(*steps))
+        gammas, priors = default_gamma_grid(9), default_p_grid(21)
+        table = bayes_sweep(game1, game2, grid, gammas, priors)
+        swapped = bayes_sweep(game2, game1, grid, gammas, [1 - p for p in priors])
+        prior_of = {1 - p: p for p in priors}
+
+        def ordered(t, p, b1, b2):
+            keys = [t.columns["gamma"], p, t.columns["a_index"], t.columns[f"{b1}_index"], t.columns[f"{b2}_index"]]
+            order = np.lexsort(keys[::-1])
+            payoffs = [t.columns[f"payoff_{role}"][order] for role in ("a", b1, b2)]
+            return np.stack([key[order] for key in keys]), np.stack(payoffs)
+
+        want_keys, want_payoffs = ordered(table, table.columns["p"], "b1", "b2")
+        swapped_p = np.array([prior_of[p] for p in swapped.columns["p"].tolist()])
+        got_keys, got_payoffs = ordered(swapped, swapped_p, "b2", "b1")
+        assert len(table) == len(swapped) > 0
+        assert np.array_equal(got_keys, want_keys)
+        assert np.abs(got_payoffs - want_payoffs).max() <= 1e-12
 
     def test_wide_tie_sets_on_the_pi4_grid(self, stag_hunt):
         # DA's brother's B tie sets are wide: up to 1024 records at one point
@@ -459,16 +474,6 @@ class TestRecordTables:
                 assert column.flags.writeable, name
                 assert not np.shares_memory(column, grid.angles), name
 
-    @pytest.mark.parametrize("bayes", [False, True], ids=["two-player", "bayes"])
-    def test_record_columns_equal_the_table_bit_for_bit(self, bayes_case, bayes):
-        game1, game2, grid, gammas, priors = bayes_case
-        table = bayes_sweep(*bayes_case) if bayes else gamma_sweep(game1, grid, gammas)
-        columns = record_columns(table.records, bayes=bayes)
-        assert list(columns) == list(table.columns) == (BAYES_COLUMNS if bayes else TWO_PLAYER_COLUMNS)
-        for name, col in table.columns.items():
-            assert col.dtype == columns[name].dtype == (np.int64 if name.endswith("index") else np.float64)
-            assert col.tobytes() == columns[name].tobytes(), name
-
     def test_eq_index_restarts_at_every_point(self, bayes_case):
         table = bayes_sweep(*bayes_case)
         expected, counts = [], {}
@@ -477,7 +482,6 @@ class TestRecordTables:
             counts[(gamma, p)] = expected[-1] + 1
         assert len(counts) == 6  # gamma = pi/2 has no equilibria
         assert table.columns["eq_index"].tolist() == expected
-        assert record_columns(table.records, bayes=True)["eq_index"].tolist() == expected
 
     def test_angles_are_the_grid_params(self, bayes_case):
         table = bayes_sweep(*bayes_case)
@@ -488,94 +492,61 @@ class TestRecordTables:
                 expected = [grid.params[i].astuple()[k] for i in index]
                 assert table.columns[f"{angle}_{role}"].tolist() == expected
 
-    def test_records_keep_the_angle_bits(self):
-        # -0.0 and 0.0 angles in one column: the records share StrategyParams
-        # per distinct triple, told apart by bits
-        signed = np.array([0.0, -0.0, PI, 0.0, -0.0])
-        columns = {
-            "gamma": np.array([0.1, 0.1, 0.2, 0.2, 0.2]),
-            "eq_index": np.array([0, 1, 0, 1, 2]),
-            "a_index": np.array([0, 1, 2, 0, 1]),
-            "b_index": np.array([3, 3, 3, 3, 4]),
-            **{f"{angle}_{role}": signed[::-1].copy() if role == "b" else signed.copy()
-               for role in ("a", "b") for angle in ("theta", "phi", "alpha")},
-            "payoff_a": np.array([1.0, -0.0, 0.0, 2.5, 2.5]),
-            "payoff_b": np.array([0.0, 0.0, 1.0, 1.0, 1.0]),
-        }
-        table = RecordTable({name: columns[name] for name in TWO_PLAYER_COLUMNS})
-        records = table.records
-        assert records[0].strategy_params[0] is records[3].strategy_params[0]
-        assert records[0].strategy_params[0] is not records[1].strategy_params[0]
-        rebuilt = record_columns(records)
-        for name, col in table.columns.items():
-            assert rebuilt[name].tobytes() == col.astype(rebuilt[name].dtype).tobytes(), name
-
     def test_empty_sweeps_keep_the_schema_and_dtypes(self, matching_pennies, prisoners_dilemma, coarse_grid):
         for table, names in (
             (gamma_sweep(matching_pennies, coarse_grid, [0.0, 0.5]), TWO_PLAYER_COLUMNS),
             (gamma_sweep(matching_pennies, coarse_grid, []), TWO_PLAYER_COLUMNS),
             (bayes_sweep(prisoners_dilemma, matching_pennies, coarse_grid, [], [0.5]), BAYES_COLUMNS),
         ):
-            assert len(table) == 0 and table.records == [] and list(table.columns) == names
+            assert len(table) == 0 and list(table.columns) == names
             for name, col in table.columns.items():
                 assert col.dtype == (np.int64 if name.endswith("index") else np.float64)
 
 
-class TestScatterTheta:
-    def test_pd_classical_all_defect(self, pd_records):
-        points = scatter_theta([r for r in pd_records if r.gamma == 0.0])
+class TestThetaColumns:
+    def test_pd_classical_all_defect(self, pd_table):
+        points = [(a, b) for gamma, a, b in rows(pd_table, "gamma", "theta_a", "theta_b") if gamma == 0.0]
         assert points == [(PI, PI)] * 16
 
     def test_symmetric_game_scatter_mirrors(self, stag_hunt, coarse_grid):
-        records = gamma_sweep(stag_hunt, coarse_grid, default_gamma_grid(9)).records
-        points = set(scatter_theta(records))
+        table = gamma_sweep(stag_hunt, coarse_grid, default_gamma_grid(9))
+        points = set(rows(table, "theta_a", "theta_b"))
         assert points == {(b, a) for a, b in points}
 
-    def test_empty(self):
-        assert scatter_theta([]) == []
 
-
-def _record(gamma: float, payoff_a: float) -> SweepRecord:
-    eq = NashEquilibrium(strategy_indices=(0, 0), payoffs=(payoff_a, payoff_a))
-    p = StrategyParams(0, 0, 0)
-    return SweepRecord(gamma=gamma, p=None, equilibrium=eq, strategy_params=(p, p))
-
-
-class TestPayoffHistogram:
+class TestPayoffBins:
     def test_single_record(self):
-        hist = payoff_histogram([_record(0.5, 3.0)], 0.5, 0.1)
+        hist = payoff_bins([0.5], [3.0], 0.5, 0.1)
         assert len(hist) == 1
         assert hist[0][0] == pytest.approx(3.05, abs=1e-12)
         assert hist[0][1] == 1
 
     def test_equal_payoffs_share_a_bin(self):
-        records = [_record(0.5, 2.0), _record(0.5, 2.0)]
-        assert payoff_histogram(records, 0.5, 0.5) == [(2.25, 2)]
+        assert payoff_bins([0.5, 0.5], [2.0, 2.0], 0.5, 0.5) == [(2.25, 2)]
 
     def test_other_gammas_excluded(self):
-        records = [_record(0.5, 2.0), _record(0.6, 9.0)]
-        assert payoff_histogram(records, 0.5, 0.5) == [(2.25, 1)]
+        assert payoff_bins([0.5, 0.6], [2.0, 9.0], 0.5, 0.5) == [(2.25, 1)]
 
     @pytest.mark.parametrize("bin_width", [1e-300, 0.05, 0.1, 0.3])
     def test_bins_equal_integer_bin_arithmetic(self, bin_width):
         # float bin indices give the centers that Python-int indices give,
         # also where k = payoff / 1e-300 is far past the int64 range
         payoffs = [0.0, -0.0, 1.0, 2.5, 2.5, 3.0, 3.999, 4.0, -1.5, 1e-300, 5e-301, 0.15, 0.45]
-        records = [_record(0.5, x) for x in payoffs] + [_record(0.6, 7.0)]
-        hist = payoff_histogram(records, 0.5, bin_width)
-        expected = reference_histogram([(r.gamma, r.equilibrium.payoffs[0]) for r in records], 0.5, bin_width)
+        points = [(0.5, x) for x in payoffs] + [(0.6, 7.0)]
+        hist = payoff_bins(*zip(*points), 0.5, bin_width)
+        expected = reference_histogram(points, 0.5, bin_width)
         assert hist == expected
         assert [(type(c), type(n)) for c, n in hist] == [(float, int)] * len(expected)
 
     @pytest.mark.parametrize("payoff,bin_width", [(5.0, 1e-310), (math.inf, 0.05), (math.nan, 0.05)])
     def test_unbinnable_payoff_raises(self, payoff, bin_width):
         with pytest.raises(ValueError, match="cannot bin payoff"):
-            payoff_histogram([_record(0.5, 1.0), _record(0.5, payoff)], 0.5, bin_width)
+            payoff_bins([0.5, 0.5], [1.0, payoff], 0.5, bin_width)
 
     def test_bad_bin_width(self):
         for bin_width in (0.0, -0.1, math.inf, math.nan):
             with pytest.raises(ValueError):
-                payoff_histogram([], 0.5, bin_width)
+                payoff_bins([], [], 0.5, bin_width)
 
     def test_desk_scale_favored_dilemma_regression(self):
         # Asymmetric single-equilibrium game on the pi/4 grid, sliced at the
@@ -584,8 +555,8 @@ class TestPayoffHistogram:
         game = GameDefinition("favored", (5, 2, 4, 1), (4, 3, 0, 1))
         grid = build_grid(SteppingParams(PI / 4, PI / 4, PI / 4))
         g = 29 * PI / 128
-        records = gamma_sweep(game, grid, [g]).records
-        hist = payoff_histogram(records, g, 0.05)
+        columns = gamma_sweep(game, grid, [g]).columns
+        hist = payoff_bins(columns["gamma"], columns["payoff_a"], g, 0.05)
         assert [(round(c, 9), n) for c, n in hist] == [
             (4.175, 32),
             (4.725, 32),
