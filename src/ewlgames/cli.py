@@ -12,8 +12,9 @@ file, which wins over the built-in defaults.
 
 Exit codes: 0 success (an empty equilibrium set is a result, not an
 error), 1 usage/config error (an unknown key, a bad value, a non-finite
-angle or bin width, a malformed or out-of-range --records file), 2 I/O
-error.
+angle or bin width, a malformed or out-of-range --records file, --out and
+--plot naming the same file, a plot that cannot be drawn: every command
+draws its figures before it writes any file, so none is left), 2 I/O error.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import argparse
 import configparser
 import functools
 import math
+import os
 import re
 import sys
 
@@ -33,12 +35,12 @@ from .equilibrium import DEFAULT_EPSILON
 from .grid import SteppingParams, StrategyGrid, build_grid
 from .output import (
     STRATEGY_COLUMNS,
-    atomic_writer,
     read_two_player_csv,
     write_columns,
     write_columns_csv,
     write_records_csv,
     write_records_json,
+    write_text,
 )
 from .sweep import (
     _GAMMA_MATCH,
@@ -192,19 +194,34 @@ def _load_games(args: argparse.Namespace, names: list[str]) -> list[GameDefiniti
     return [catalogue.get(n) for n in names]
 
 
-def _emit_records(args: argparse.Namespace, grid: StrategyGrid, table: RecordTable, **metadata) -> None:
-    """Write `table` as --format says; JSON metadata is the run's plus the command's own keys."""
+def _figure(title: str, xlabel: str, ylabel: str, series=(), bars=()) -> str:
+    """`Figure.svg()` of (label, points) scatter series and (x, height, width) bars; ValueError if not drawable."""
+    fig = Figure(title, xlabel, ylabel, bars=list(bars))
+    for label, points in series:
+        fig.add_scatter(label, points)
+    return fig.svg()
+
+
+def _write_figures(figures: dict[str, str] | None, note: str) -> None:
+    """Write each path's `_figure` text, then print `note`; no figures, no note."""
+    if figures:
+        for path, text in figures.items():
+            write_text(path, text)
+        print(note)
+
+
+def _emit_records(args: argparse.Namespace, grid: StrategyGrid, table: RecordTable, svg=None, **metadata) -> None:
+    """Write `table` as --format says (JSON metadata: the run's plus `metadata`), then `svg` to --plot."""
     if args.format == "csv":
         write_records_csv(args.out, table, bayes=table.bayes)
     else:
         metadata.update(
-            command=args.command,
-            steps=list(grid.source_steps.astuple()),
-            epsilon=args.epsilon,
-            grid_size=len(grid),
+            command=args.command, steps=list(grid.source_steps.astuple()), epsilon=args.epsilon, grid_size=len(grid)
         )
         write_records_json(args.out, table, bayes=table.bayes, metadata=metadata)
     print(f"wrote {len(table)} record(s) to {args.out}")
+    if svg:
+        _write_figures({args.plot: svg}, f"wrote plot to {args.plot}")
 
 
 def _branch_points(table: RecordTable, payoff: str, rows=slice(None)) -> list[tuple[float, float]]:
@@ -217,58 +234,43 @@ def _branch_points(table: RecordTable, payoff: str, rows=slice(None)) -> list[tu
     return sorted(set(zip(gamma, value)))
 
 
-def _plot_two_player(table: RecordTable, title: str, path: str) -> None:
-    fig = Figure(title=title, xlabel="entanglement gamma (rad)", ylabel="payoff")
-    fig.add_scatter("player A", _branch_points(table, "payoff_a"))
-    fig.add_scatter("player B", _branch_points(table, "payoff_b"))
-    fig.render(path)
-
-
-def _plot_bayes(table: RecordTable, p_points: list[float], title: str, path: str) -> None:
-    fig = Figure(title=title, xlabel="entanglement gamma (rad)", ylabel="payoff A")
-    slices = sorted({p_points[0], p_points[len(p_points) // 2], p_points[-1]})
-    for p in slices:
-        fig.add_scatter(f"p={p:.3g}", _branch_points(table, "payoff_a", table.columns["p"] == p))
-    fig.render(path)
-
-
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> None:
     (game,) = _load_games(args, [args.game])
     grid = build_grid(args.steps)
     table = gamma_sweep(game, grid, [args.gamma], args.epsilon)
     _emit_records(args, grid, table, game=game.name, gamma=args.gamma)
-    return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> None:
     (game,) = _load_games(args, [args.game])
     grid = build_grid(args.steps)
     gamma_points = default_gamma_grid(args.gamma_grid)
     table = gamma_sweep(game, grid, gamma_points, args.epsilon)
-    _emit_records(args, grid, table, game=game.name, gamma_points=len(gamma_points))
-    if args.plot:
-        _plot_two_player(table, f"{game.name}: equilibrium payoffs vs entanglement", args.plot)
-        print(f"wrote plot to {args.plot}")
-    return EXIT_OK
+    svg = args.plot and _figure(
+        f"{game.name}: equilibrium payoffs vs entanglement", "entanglement gamma (rad)", "payoff",
+        [(f"player {r}", _branch_points(table, f"payoff_{r.lower()}")) for r in "AB"],
+    )
+    _emit_records(args, grid, table, svg, game=game.name, gamma_points=len(gamma_points))
 
 
-def cmd_bayes_sweep(args: argparse.Namespace) -> int:
+def cmd_bayes_sweep(args: argparse.Namespace) -> None:
     game1, game2 = _load_games(args, [args.game, args.game2])
     grid = build_grid(args.steps)
     gamma_points = default_gamma_grid(args.gamma_grid)
     p_points = default_p_grid(args.p_grid)
     table = bayes_sweep(game1, game2, grid, gamma_points, p_points, args.epsilon)
+    slices = sorted({p_points[0], p_points[len(p_points) // 2], p_points[-1]})
+    svg = args.plot and _figure(
+        f"{game1.name} vs {game2.name}: A payoff", "entanglement gamma (rad)", "payoff A",
+        [(f"p={p:.3g}", _branch_points(table, "payoff_a", table.columns["p"] == p)) for p in slices],
+    )
     _emit_records(
-        args, grid, table, game=game1.name, game2=game2.name,
+        args, grid, table, svg, game=game1.name, game2=game2.name,
         gamma_points=len(gamma_points), p_points=len(p_points),
     )
-    if args.plot:
-        _plot_bayes(table, p_points, f"{game1.name} vs {game2.name}: A payoff", args.plot)
-        print(f"wrote plot to {args.plot}")
-    return EXIT_OK
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> None:
     if args.records:
         loaded = read_two_player_csv(args.records)
         if not len(loaded):
@@ -300,19 +302,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         gamma_slice = nearest
 
     hist = payoff_bins(columns["gamma"], columns["payoff_a"], gamma_slice, args.bin_width)
-    # every figure is drawn, and so checked, before any file is written
-    svgs = {}
-    if args.plot:
-        theta_a, theta_b, payoff_a = (columns[name] for name in ("theta_a", "theta_b", "payoff_a"))
-        fig = Figure("equilibrium strategy angles", "theta_A (rad)", "theta_B (rad)")
-        fig.add_scatter("", np.column_stack((theta_a, theta_b)))
-        svgs[f"{args.plot}_theta_scatter.svg"] = fig.svg()
-        fig = Figure(f"A payoffs at gamma={gamma_slice:.4g}", "payoff A", "count")
-        fig.add_bars((c, n, args.bin_width) for c, n in hist)
-        svgs[f"{args.plot}_payoff_hist.svg"] = fig.svg()
-        fig = Figure("A payoff vs theta_A", "theta_A (rad)", "payoff A")
-        fig.add_scatter("", np.column_stack((theta_a, payoff_a)))
-        svgs[f"{args.plot}_theta_payoff.svg"] = fig.svg()
+    theta_a, theta_b, payoff_a = (columns[name] for name in ("theta_a", "theta_b", "payoff_a"))
+    figures = args.plot and {
+        f"{args.plot}_theta_scatter.svg": _figure(
+            "equilibrium strategy angles", "theta_A (rad)", "theta_B (rad)", [("", np.column_stack((theta_a, theta_b)))]
+        ),
+        f"{args.plot}_payoff_hist.svg": _figure(
+            f"A payoffs at gamma={gamma_slice:.4g}", "payoff A", "count", bars=[(c, n, args.bin_width) for c, n in hist]
+        ),
+        f"{args.plot}_theta_payoff.svg": _figure(
+            "A payoff vs theta_A", "theta_A (rad)", "payoff A", [("", np.column_stack((theta_a, payoff_a)))]
+        ),
+    }
 
     bins = np.array(hist, dtype=[("bin_center", np.float64), ("count", np.int64)])
     tables = {
@@ -320,21 +321,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "payoff_hist": {name: bins[name] for name in bins.dtype.names},
         "theta_payoff": {name: columns[name] for name in ("theta_a", "payoff_a")},
     }
-    paths = {name: f"{args.out}_{name}.csv" for name in tables}
     for name, table in tables.items():
-        write_columns_csv(paths[name], list(table), list(table.values()))
-    for name, p in paths.items():
-        print(f"wrote {name} to {p}")
-
-    for path, text in svgs.items():
-        with atomic_writer(path) as fh:
-            fh.write(text)
-    if args.plot:
-        print(f"wrote plots to {args.plot}_*.svg")
-    return EXIT_OK
+        write_columns_csv(f"{args.out}_{name}.csv", list(table), list(table.values()))
+        print(f"wrote {name} to {args.out}_{name}.csv")
+    _write_figures(figures, f"wrote plots to {args.plot}_*.svg")
 
 
-def cmd_strategies(args: argparse.Namespace) -> int:
+def cmd_strategies(args: argparse.Namespace) -> None:
     grid = build_grid(args.steps)
     columns = [np.arange(len(grid)), *grid.angles.T]
     if args.out:
@@ -342,7 +335,6 @@ def cmd_strategies(args: argparse.Namespace) -> int:
         print(f"wrote {len(grid)} strategies to {args.out}")
     else:
         write_columns(sys.stdout, STRATEGY_COLUMNS, columns)
-    return EXIT_OK
 
 
 _RECORD_OPTIONS = ("game", "catalogue", "steps", "epsilon", "out")
@@ -415,7 +407,11 @@ def main(argv: list[str] | None = None) -> int:
         for name in COMMANDS[args.command][3]:
             if getattr(args, name) is None and not (name == "game" and getattr(args, "records", None)):
                 raise ConfigError(f"missing required option --{name.replace('_', '-')}")
-        return args.func(args)
+        if args.command in ("sweep", "bayes-sweep") and args.plot:  # analyze's --out and --plot are prefixes
+            if os.path.realpath(args.plot) == os.path.realpath(args.out):
+                raise ConfigError(f"--out and --plot name the same file {args.out!r}")
+        args.func(args)
+        return EXIT_OK
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ConfigError, CatalogueError, ValueError) as exc:

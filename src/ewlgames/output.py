@@ -80,6 +80,12 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """`text` to `path`, through `atomic_writer`."""
+    with atomic_writer(path) as fh:
+        fh.write(text)
+
+
 def write_rows_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
     """A header line, then each row's fields formatted by `fmt`, comma-joined."""
     with atomic_writer(path) as fh:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .output import atomic_writer
+from .output import write_text
 
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 20, 36, 48
@@ -224,6 +224,4 @@ class Figure:
 
     def render(self, path: str | Path) -> None:
         """Write `svg()` to `path`; when it raises, no file is made."""
-        text = self.svg()
-        with atomic_writer(path) as fh:
-            fh.write(text)
+        write_text(path, self.svg())

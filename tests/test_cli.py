@@ -169,22 +169,31 @@ class TestUsageErrors:
         assert "--game" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv,missing",
+        "argv,error",
         [
-            (["solve", "--game", "prisoners_dilemma"], "--out"),
-            (["sweep", "--game", "prisoners_dilemma"], "--out"),
-            (["bayes-sweep", "--game", "prisoners_dilemma", "--game2", "deadlock"], "--out"),
-            (["analyze", "--game", "prisoners_dilemma", "--gamma-slice", "0"], "--out"),
-            (["analyze", "--game", "prisoners_dilemma", "--out", "an"], "--gamma-slice"),
+            (["solve", "--game", "prisoners_dilemma"], "missing required option --out"),
+            (["sweep", "--game", "prisoners_dilemma"], "missing required option --out"),
+            (["bayes-sweep", "--game", "prisoners_dilemma", "--game2", "deadlock"], "missing required option --out"),
+            (["analyze", "--game", "prisoners_dilemma", "--gamma-slice", "0"], "missing required option --out"),
+            (["analyze", "--game", "prisoners_dilemma", "--out", "an"], "missing required option --gamma-slice"),
+            # the SVG would replace the records; an unknown game shows the catalogue is not read either
+            (
+                ["sweep", "--game", "nosuch", "--out", "same", "--plot", "./same"],
+                "--out and --plot name the same file 'same'",
+            ),
+            (
+                ["bayes-sweep", "--game", "nosuch", "--game2", "deadlock", "--out", "b.csv", "--plot", "b.csv"],
+                "--out and --plot name the same file 'b.csv'",
+            ),
         ],
-        ids=["solve", "sweep", "bayes-sweep", "analyze", "analyze-gamma-slice"],
+        ids=["solve", "sweep", "bayes-sweep", "analyze", "analyze-gamma-slice", "sweep-same-file", "bayes-same-file"],
     )
-    def test_missing_option_exits_before_the_grid_is_built(self, tmp_path, monkeypatch, capsys, argv, missing):
+    def test_usage_error_exits_before_the_grid_is_built(self, tmp_path, monkeypatch, capsys, argv, error):
         built = []
         monkeypatch.setattr(cli, "build_grid", built.append)
         monkeypatch.chdir(tmp_path)
         assert run(*argv) == 1
-        assert capsys.readouterr().err == f"error: missing required option {missing}\n"
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert built == [] and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -606,21 +615,50 @@ class TestAnalyze:
         assert err.startswith("error: ") and "x axis range" in err and "Traceback" not in err
         assert not (tmp_path / "bw_payoff_hist.svg").exists()
 
-    def test_plot_that_cannot_be_drawn_exits_1_writing_nothing(self, tmp_path, capsys):
-        # a flat payoff range at 1e17 stays flat when widened by 0.5; the
-        # histogram, the second figure, cannot be drawn
-        records = tmp_path / "flat.csv"
-        records.write_text(
-            ",".join(TWO_PLAYER_COLUMNS) + "\n"
+    @pytest.mark.parametrize(
+        "source,argv,axis",
+        [
+            (
+                "flat.csv",
+                ["analyze", "--records", "flat.csv", "--gamma-slice", "0", "--out", "an", "--plot", "an"],
+                "x",
+            ),
+            (
+                "flat.ini",
+                [
+                    "sweep", "--catalogue", "flat.ini", "--game", "flat17", "--gamma-grid", "3",
+                    "--out", "f.csv", "--plot", "f.svg",
+                ],
+                "y",
+            ),
+            (
+                "flat.ini",
+                [
+                    "bayes-sweep", "--catalogue", "flat.ini", "--game", "flat17", "--game2", "flat17",
+                    "--gamma-grid", "3", "--p-grid", "3", "--format", "json", "--out", "b.json", "--plot", "b.svg",
+                ],
+                "y",
+            ),
+        ],
+        ids=["analyze", "sweep", "bayes-sweep"],
+    )
+    def test_plot_that_cannot_be_drawn_exits_1_writing_nothing(
+        self, tmp_path, monkeypatch, capsys, source, argv, axis
+    ):
+        # a flat payoff range at 1e17 stays flat when widened by 0.5: analyze's
+        # histogram, its second figure, and each sweep's one figure cannot be drawn
+        inputs = {
+            "flat.csv": ",".join(TWO_PLAYER_COLUMNS) + "\n"
             "0,0,4,5,3.14159265359,0,0,3.14159265359,0,1.57079632679,1e17,1\n"
-            "0,1,5,4,3.14159265359,0,1.57079632679,3.14159265359,0,0,1e17,1\n"
-        )
-        prefix = str(tmp_path / "an")
-        code = run("analyze", "--records", str(records), "--gamma-slice", "0", "--out", prefix, "--plot", prefix)
-        assert code == 1
+            "0,1,5,4,3.14159265359,0,1.57079632679,3.14159265359,0,0,1e17,1\n",
+            "flat.ini": "[flat17]\npayoff_a = 1e17,1e17,1e17,1e17\npayoff_b = 1e17,1e17,1e17,1e17\n",
+        }
+        (tmp_path / source).write_text(inputs[source])
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 1
         captured = capsys.readouterr()
-        assert "the x axis range [1e+17, 1e+17] is flat" in captured.err and captured.out == ""
-        assert [p.name for p in tmp_path.iterdir()] == ["flat.csv"]
+        assert f"the {axis} axis range [1e+17, 1e+17] is flat" in captured.err and captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == [source]
 
     def test_payoff_span_too_narrow_to_tick_plots(self, tmp_path, capsys):
         records = tmp_path / "sub.csv"
