@@ -12,9 +12,10 @@ file, which wins over the built-in defaults.
 
 Exit codes: 0 success (an empty equilibrium set is a result, not an
 error), 1 usage/config error (an unknown key, a bad value, a non-finite
-angle or bin width, a malformed or out-of-range --records file, --out and
---plot naming the same file, a plot that cannot be drawn: every command
-draws its figures before it writes any file, so none is left), 2 I/O error.
+angle, a bin width not finite and > 0, a malformed or out-of-range
+--records file, --out and --plot naming the same file, a plot that cannot
+be drawn: every command draws its figures before it writes any file, so
+none is left), 2 I/O error.
 """
 from __future__ import annotations
 
@@ -112,6 +113,17 @@ def _parse_epsilon(text: str) -> float:
         raise ConfigError(f"invalid float value: {text!r}") from None
     if not (math.isfinite(value) and value >= 0.0):
         raise ConfigError(f"epsilon must be finite and >= 0, got {text!r}")
+    return value + 0.0  # '-0' is 0.0, not -0.0
+
+
+def _parse_bin_width(text: str) -> float:
+    """A finite histogram bin width > 0, checked before analyze reads or writes a file."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"bin_width must be finite and > 0, got {text!r}")
     return value
 
 
@@ -137,7 +149,7 @@ OPTIONS = {
     "plot": (str, None, "SVG output path (analyze: prefix of the SVG files)"),
     "records": (str, None, "existing two-player sweep CSV (skips the inline sweep)"),
     "gamma_slice": (parse_angle, None, "gamma value for the payoff histogram"),
-    "bin_width": (float, DEFAULT_BIN_WIDTH, "histogram bin width"),
+    "bin_width": (_parse_bin_width, DEFAULT_BIN_WIDTH, "histogram bin width"),
 }
 
 
@@ -277,10 +289,9 @@ def cmd_analyze(args: argparse.Namespace) -> None:
             raise ConfigError(f"{args.records}: no records to analyze")
         columns = loaded.columns
         # The file only holds gammas with equilibria; the swept grid holds the rest.
-        gamma_values = loaded.gamma_values + [
-            g
-            for g in default_gamma_grid(args.gamma_grid)
-            if all(abs(g - r) > _GAMMA_MATCH for r in loaded.gamma_values)
+        recorded = loaded.gamma_values
+        gamma_values = recorded + [
+            g for g in default_gamma_grid(args.gamma_grid) if all(abs(g - r) > _GAMMA_MATCH for r in recorded)
         ]
     else:
         (game,) = _load_games(args, [args.game])

@@ -119,12 +119,19 @@ def _column_field(
     digits, each get their own text. When a `conversion` is given and `col`
     has more than half as many distinct values as rows, little text would be
     shared, so `col` is printed in place by `conversion` instead.
+
+    The distinct keys come from `np.unique(keys, return_inverse=True)`,
+    which sorts with quicksort; asking for `return_index` too would make it
+    a stable mergesort, about 4x slower. Each distinct key viewed back as
+    `col.dtype` is the value it was taken from, bit for bit. Counting the
+    distinct values with a bare `np.unique(keys)` is no cheaper: from numpy
+    2.3 it takes a hash path, far slower than a sort on 130k distinct floats.
     """
     keys = col.view(np.int64) if col.dtype == np.float64 else col
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    if conversion is not None and 2 * len(first) > len(col):
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    if conversion is not None and 2 * len(distinct) > len(col):
         return conversion, col, None
-    return "%s", np.array([text(v) for v in col[first].tolist()], dtype=object), inverse
+    return "%s", np.array([text(v) for v in distinct.view(col.dtype).tolist()], dtype=object), inverse
 
 
 # Rows formatted and written per step, so a large table is never held as text.

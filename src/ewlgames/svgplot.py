@@ -3,6 +3,11 @@ labelled linear axis frame. Batch output only.
 
 A scatter series is held as an (n, 2) float64 array of (x, y) points and
 drawn as one circle per distinct 0.1-px position, in first-seen order.
+Each point's position is a key (x text id, y text id); one `np.sort` of
+`key * n + point index` groups equal keys with their first point leading
+each group, and those first points, sorted, are the circles in order. A
+stable `np.unique(..., return_index=True)` would find the same points, but
+its mergesort is several times slower than this one int64 sort.
 """
 from __future__ import annotations
 
@@ -112,9 +117,9 @@ class Figure:
         xs, ys = [], []
         for _, pts, _ in self.scatters:
             if len(pts):
-                (xlo, ylo), (xhi, yhi) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
-                xs.extend((xlo, xhi))
-                ys.extend((ylo, yhi))
+                # one column at a time: a reduction over axis 0 of an (n, 2) array is ~10x slower
+                for values, col in ((xs, pts[:, 0]), (ys, pts[:, 1])):
+                    values.extend((col.min().item(), col.max().item()))
         for x, h, w in self.bars:
             xs.extend((x - w / 2, x + w / 2))
             ys.extend((0.0, h))
@@ -126,9 +131,8 @@ class Figure:
         """The SVG text; ValueError on a non-finite point or bar or axis range."""
         bars = np.array(self.bars, dtype=np.float64).reshape(-1, 3)
         for what, rows in [(f"series {label!r} point", pts) for label, pts, _ in self.scatters] + [("bar", bars)]:
-            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-            if len(bad):
-                k = int(bad[0])
+            if not np.isfinite(rows).all():
+                k = int(np.argmin(np.isfinite(rows).all(axis=1)))
                 raise ValueError(f"cannot plot {self.title!r}: {what} {k} {tuple(rows[k].tolist())} is not finite")
         x0, x1, y0, y1 = self._bounds()
         for axis, lo, hi in (("x", x0, x1), ("y", y0, y1)):
@@ -203,8 +207,11 @@ class Figure:
             cy, cy_ids = _tenths_texts(sy(pts[:, 1]))
             # one circle per drawn position, in first-seen order, so float noise in
             # repeated points cannot change what the plot holds
-            _, first = np.unique(cx_ids * len(cy) + cy_ids, return_index=True)
-            first.sort()
+            n = len(pts)
+            assert len(cx) * len(cy) * n <= np.iinfo(np.int64).max  # tenth-pixel texts in the frame: ~6e3 x 4e3
+            order = np.sort((cx_ids.astype(np.int64) * len(cy) + cy_ids) * n + np.arange(n))
+            key = order // n
+            first = np.sort(order[np.r_[True, key[1:] != key[:-1]]] % n)
             parts.extend(
                 f'<circle cx="{cx[i]}" cy="{cy[j]}" r="2.4" fill="{color}"/>'
                 for i, j in zip(cx_ids[first].tolist(), cy_ids[first].tolist())

@@ -114,6 +114,14 @@ class TestSolve:
         data = paths[0].read_bytes()
         assert b"-0," not in data and b"-0.0" not in data  # the CSV and JSON forms of -0.0
 
+    def test_negative_zero_epsilon_writes_what_zero_writes(self, tmp_path):
+        paths = [tmp_path / f"{name}.json" for name in ("minus", "plus")]
+        for epsilon, out in zip(("-0", "0"), paths):
+            argv = ("solve", "--game", "prisoners_dilemma", "--gamma", "0.3", "--epsilon", epsilon)
+            assert run(*argv, "--format", "json", "--out", str(out)) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert '"epsilon": 0.0' in paths[0].read_text()
+
     def test_unwritable_out_exits_2(self, capsys):
         assert run("solve", "--game", "prisoners_dilemma", "--gamma", "0", "--out", "/nonexistent/dir/x.csv") == 2
         err = capsys.readouterr().err
@@ -593,7 +601,7 @@ class TestAnalyze:
         assert f"error: {records}: record 1: {field} must be" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["edited.csv", "sweep.csv"]
 
-    @pytest.mark.parametrize("bin_width", ["inf", "nan", "0"])
+    @pytest.mark.parametrize("bin_width", ["inf", "nan", "0", "-1"])
     def test_bad_bin_width_writes_nothing(self, tmp_path, sweep_csv, capsys, bin_width):
         prefix = str(tmp_path / "an")
         code = run(
@@ -603,6 +611,29 @@ class TestAnalyze:
         assert code == 1
         assert "bin_width" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+    @pytest.mark.parametrize("bin_width", ["nan", "-1", "inf"])
+    def test_bad_bin_width_exits_before_reading_the_records(self, tmp_path, capsys, bin_width):
+        # the records file does not exist, so reading it would exit 2
+        code = run(
+            "analyze", "--records", str(tmp_path / "missing.csv"), "--gamma-slice", "0.7",
+            "--bin-width", bin_width, "--out", str(tmp_path / "an"),
+        )
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: bin_width must be finite and > 0, got {bin_width!r}\n"
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\nbin_width = {bin_width}\n")
+        code = run(
+            "analyze", "--config", str(cfg), "--records", str(tmp_path / "missing.csv"),
+            "--gamma-slice", "0.7", "--out", str(tmp_path / "an"),
+        )
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {cfg}: [run] bin_width: bin_width must be finite and > 0, got {bin_width!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
     def test_overflowing_plot_range_exits_1_without_the_svg(self, tmp_path, sweep_csv, capsys):
         prefix = str(tmp_path / "bw")

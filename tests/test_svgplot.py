@@ -289,7 +289,8 @@ def _tie_points(axis):
 
 
 SERIES_CASES = [
-    "pixel ties", "tie grid", "zeros and offsets", "int tuples", "single point", "random 20k", "empty between"
+    "pixel ties", "tie grid", "zeros and offsets", "int tuples", "single point", "random 20k", "empty between",
+    "analyze shaped",
 ]
 # the forms `add_scatter` takes a series in
 POINT_FORMS = {"list": list, "zip": lambda pts: zip(*zip(*pts)), "array": np.array}
@@ -310,6 +311,12 @@ def _series_cases():
         "random 20k": [("", list(map(tuple, rng.normal(size=(20_000, 2)).tolist())))],
         "empty between": [
             ("a", [(0.0, 1.0), (2.0, 3.0)]), ("empty", []), ("c", [(1.0, 2.0), (0.0, 1.0)])
+        ],
+        # theta on 9 multiples of pi/8 against payoffs on a 0.01 lattice: most
+        # points repeat a drawn position, and first sightings come unsorted
+        "analyze shaped": [
+            ("", list(zip((rng.integers(0, 9, 6000) * math.pi / 8).tolist(),
+                          (rng.integers(0, 400, 6000) / 100).tolist())))
         ],
     }
 
