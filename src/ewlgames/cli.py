@@ -11,17 +11,18 @@ that belongs to another subcommand is ignored. Explicit flags win over the
 file, which wins over the built-in defaults.
 
 Exit codes: 0 success (an empty equilibrium set is a result, not an
-error), 1 usage/config error (an unknown key, a bad value, a non-finite
-angle, a bin width not finite and > 0, a malformed or out-of-range
---records file, --out and --plot naming the same file, a plot that cannot
-be drawn: every command draws its figures before it writes any file, so
-none is left), 2 I/O error.
+error), 1 usage/config error (an unknown key; a bad option value, which
+exits before any game, grid or file is read: a non-finite angle, a gamma
+outside [0, pi/2], a gamma or p grid below 2 points or not an integer
+(`error: invalid int value: ...`), an epsilon or bin width out of range;
+a malformed or out-of-range --records file; --out and --plot naming the
+same file; a plot that cannot be drawn: every command draws its figures
+before it writes any file, so none is left), 2 I/O error.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
-import functools
 import math
 import os
 import re
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .catalogue import CatalogueError, load_catalogue, load_default_catalogue
-from .circuit import GameDefinition
+from .circuit import EntanglementParam, GameDefinition
 from .equilibrium import DEFAULT_EPSILON
 from .grid import SteppingParams, StrategyGrid, build_grid
 from .output import (
@@ -105,26 +106,26 @@ def parse_steps(text: str) -> SteppingParams:
         raise ConfigError(str(exc)) from None
 
 
-def _parse_epsilon(text: str) -> float:
-    """A finite tie tolerance >= 0, checked before any command reads or writes a file."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ConfigError(f"epsilon must be finite and >= 0, got {text!r}")
-    return value + 0.0  # '-0' is 0.0, not -0.0
+def _number(parse, valid, rule: str = ""):
+    """An option type: the finite number `parse` reads from the text, if `valid` accepts it.
 
+    It raises only ConfigError: `invalid <parse> value: '<text>'`, the message
+    of a ValueError from `valid`, or else `<rule>, got '<text>'`. '-0' reads as 0.
+    """
 
-def _parse_bin_width(text: str) -> float:
-    """A finite histogram bin width > 0, checked before analyze reads or writes a file."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise ConfigError(f"bin_width must be finite and > 0, got {text!r}")
-    return value
+    def convert(text: str):
+        try:
+            value = parse(text) + 0
+        except ValueError:
+            raise ConfigError(f"invalid {parse.__name__} value: {text!r}") from None
+        try:
+            if -math.inf < value < math.inf and valid(value):  # math.isfinite overflows on a huge int
+                return value
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{rule}, got {text!r}")
+
+    return convert
 
 
 def _output_format(text: str) -> str:
@@ -140,16 +141,22 @@ OPTIONS = {
     "game2": (str, None, "second game name (B2's payoffs)"),
     "catalogue": (str, None, "catalogue file (default: built-in)"),
     "steps": (parse_steps, "pi,pi/2,pi/2", "grid steps as T,P,A angles"),
-    "gamma": (parse_angle, "0", "entanglement angle (radians or pi fraction)"),
-    "gamma_grid": (int, DEFAULT_GAMMA_POINTS, "number of gamma points"),
-    "p_grid": (int, DEFAULT_P_POINTS, "number of prior points"),
-    "epsilon": (_parse_epsilon, DEFAULT_EPSILON, "payoff tie tolerance"),
+    "gamma": (_number(parse_angle, EntanglementParam), "0", "entanglement angle (radians or pi fraction)"),
+    "gamma_grid": (
+        _number(int, lambda n: n >= 2, "gamma_grid must be >= 2"), DEFAULT_GAMMA_POINTS, "number of gamma points"
+    ),
+    "p_grid": (_number(int, lambda n: n >= 2, "p_grid must be >= 2"), DEFAULT_P_POINTS, "number of prior points"),
+    "epsilon": (
+        _number(float, lambda x: x >= 0, "epsilon must be finite and >= 0"), DEFAULT_EPSILON, "payoff tie tolerance"
+    ),
     "out": (str, None, "output path (analyze: prefix of the CSV files)"),
     "format": (_output_format, "csv", "output format, csv or json"),
     "plot": (str, None, "SVG output path (analyze: prefix of the SVG files)"),
     "records": (str, None, "existing two-player sweep CSV (skips the inline sweep)"),
     "gamma_slice": (parse_angle, None, "gamma value for the payoff histogram"),
-    "bin_width": (_parse_bin_width, DEFAULT_BIN_WIDTH, "histogram bin width"),
+    "bin_width": (
+        _number(float, lambda x: x > 0, "bin_width must be finite and > 0"), DEFAULT_BIN_WIDTH, "histogram bin width"
+    ),
 }
 
 
@@ -165,11 +172,10 @@ class _FileValue(str):
 def _reporting_file(convert):
     """`convert`, but a bad `_FileValue` is reported by its file and key.
 
-    argparse converts a config value only when its flag is absent, and would
-    report a bad one as if the flag had been given.
+    argparse converts a config value only when its flag is absent, and every
+    option type's error names only the value.
     """
 
-    @functools.wraps(convert)  # keeps the type name argparse prints for a bad flag
     def converted(text):
         try:
             return convert(text)
@@ -177,10 +183,6 @@ def _reporting_file(convert):
             if not isinstance(text, _FileValue):
                 raise
             raise ConfigError(f"{text.where}: {exc}") from None
-        except (TypeError, ValueError):
-            if not isinstance(text, _FileValue):
-                raise
-            raise ConfigError(f"{text.where}: invalid {convert.__name__} value: {str(text)!r}") from None
 
     return converted
 

@@ -248,11 +248,6 @@ def _table(
     )
 
 
-def _unsigned_zeros(points: Sequence[float]) -> list[float]:
-    """The points with -0.0 replaced by 0.0, which is what x + 0.0 gives."""
-    return [x + 0.0 for x in points]
-
-
 def gamma_sweep(
     game: GameDefinition,
     grid: StrategyGrid,
@@ -267,12 +262,11 @@ def gamma_sweep(
     column is a view of them. A gamma of -0.0 is recorded as 0.0.
     """
     _require_epsilon(epsilon)  # also when there are no gammas to reduce
-    gamma_points = _unsigned_zeros(gamma_points)
-    gammas = (EntanglementParam(g) for g in gamma_points)
+    gammas = [EntanglementParam(g + 0.0) for g in gamma_points]  # every gamma is checked before any work
     blocks = _row_blocks(len(grid.orbit_images[0]), len(grid.features))
     # closing the generator frees the buffers before the record columns are built
     with closing(_tables((game,), grid, gammas, blocks)) as passes:
-        points = [(g, None, _two_player_reduction(grid, rows, epsilon)) for g, rows in zip(gamma_points, passes)]
+        points = [(g.gamma, None, _two_player_reduction(grid, rows, epsilon)) for g, rows in zip(gammas, passes)]
     return _table(grid, points, bayes=False)
 
 
@@ -292,16 +286,15 @@ def bayes_sweep(
     value of that gamma. A gamma or prior of -0.0 is recorded as 0.0.
     """
     _require_epsilon(epsilon)  # also when there are no gammas to reduce
-    gamma_points, p_points = _unsigned_zeros(gamma_points), _unsigned_zeros(p_points)
-    priors = [PriorProbability(p) for p in p_points]
-    gammas = (EntanglementParam(g) for g in gamma_points)
+    priors = [PriorProbability(p + 0.0) for p in p_points]
+    gammas = [EntanglementParam(g + 0.0) for g in gamma_points]
     blocks = [(0, len(grid.orbit_images[0]))]
     with closing(_tables((game1, game2), grid, gammas, blocks)) as passes:
         points = [
-            (g, p, cols)
-            for g, filled in zip(gamma_points, passes)
+            (g.gamma, prior.p, cols)
+            for g, filled in zip(gammas, passes)
             for _, tables in filled  # the one block
-            for p, cols in zip(p_points, _bayes_reduction(grid, tables, priors, epsilon))
+            for prior, cols in zip(priors, _bayes_reduction(grid, tables, priors, epsilon))
         ]
     return _table(grid, points, bayes=True)
 
@@ -366,6 +359,8 @@ def payoff_bins(
     """
     if not (math.isfinite(bin_width) and bin_width > 0):
         raise ValueError(f"bin_width must be finite and positive, got {bin_width!r}")
+    if not math.isfinite(gamma_slice):
+        raise ValueError(f"gamma_slice must be finite, got {gamma_slice!r}")
     gammas = np.asarray(gammas, dtype=np.float64)
     at_slice = np.asarray(payoffs, dtype=np.float64)[np.abs(gammas - gamma_slice) <= 1e-12]
     with np.errstate(over="ignore"):

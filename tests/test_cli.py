@@ -193,8 +193,27 @@ class TestUsageErrors:
                 ["bayes-sweep", "--game", "nosuch", "--game2", "deadlock", "--out", "b.csv", "--plot", "b.csv"],
                 "--out and --plot name the same file 'b.csv'",
             ),
+            # a bad option value is reported while parsing, before the catalogue or a records file is read
+            (
+                ["solve", "--game", "nosuch", "--gamma", "2", "--out", "x.csv"],
+                "gamma must be in [0.0, 1.5707963267948966], got 2.0",
+            ),
+            (["sweep", "--game", "nosuch", "--gamma-grid", "1", "--out", "x.csv"], "gamma_grid must be >= 2, got '1'"),
+            (
+                ["bayes-sweep", "--game", "nosuch", "--game2", "deadlock", "--p-grid", "1", "--out", "b.csv"],
+                "p_grid must be >= 2, got '1'",
+            ),
+            (["sweep", "--game", "nosuch", "--gamma-grid", "x", "--out", "x.csv"], "invalid int value: 'x'"),
+            (
+                ["analyze", "--game", "nosuch", "--records", "missing.csv", "--gamma-slice", "0.7", "--gamma-grid", "1",
+                 "--out", "an"],
+                "gamma_grid must be >= 2, got '1'",
+            ),
         ],
-        ids=["solve", "sweep", "bayes-sweep", "analyze", "analyze-gamma-slice", "sweep-same-file", "bayes-same-file"],
+        ids=[
+            "solve", "sweep", "bayes-sweep", "analyze", "analyze-gamma-slice", "sweep-same-file", "bayes-same-file",
+            "solve-gamma-range", "sweep-gamma-grid-1", "bayes-p-grid-1", "sweep-gamma-grid-x", "analyze-gamma-grid-1",
+        ],
     )
     def test_usage_error_exits_before_the_grid_is_built(self, tmp_path, monkeypatch, capsys, argv, error):
         built = []
@@ -322,6 +341,7 @@ class TestOptionTable:
             ("epsilon = x", "[run] epsilon: invalid float value: 'x'"),
             ("format = xml", "[run] format: --format must be csv or json, got 'xml'"),
             ("steps = pi,x,pi", "[run] steps: cannot parse angle 'x'"),
+            ("gamma_grid = 1", "[run] gamma_grid: gamma_grid must be >= 2, got '1'"),
         ],
     )
     def test_bad_config_value_names_file_and_key(self, tmp_path, capsys, line, message):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ewlgames.grid
+import ewlgames.sweep
 from ewlgames import (
     GameDefinition,
     RecordTable,
@@ -140,6 +141,31 @@ class TestGammaSweep:
     def test_sorted_by_gamma_then_indices(self, pd_table):
         keys = keyed(pd_table)
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("bayes", [False, True], ids=["gamma_sweep", "bayes_sweep"])
+    def test_bad_gamma_raises_before_any_reduction(
+        self, monkeypatch, prisoners_dilemma, deadlock, coarse_grid, bayes
+    ):
+        reduced = []
+
+        def spied(name):
+            real = getattr(ewlgames.sweep, name)
+
+            def reduction(*args):
+                reduced.append(name)
+                return real(*args)
+
+            return reduction
+
+        for name in ("_two_player_reduction", "_bayes_reduction"):
+            monkeypatch.setattr(ewlgames.sweep, name, spied(name))
+        gammas = [0.1, 0.2, 9.0]
+        with pytest.raises(ValueError, match="gamma must be in"):
+            if bayes:
+                bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, gammas, [0.0, 1.0])
+            else:
+                gamma_sweep(prisoners_dilemma, coarse_grid, gammas)
+        assert reduced == []
 
 
 class TestCriticalGamma:
@@ -547,6 +573,12 @@ class TestPayoffBins:
         for bin_width in (0.0, -0.1, math.inf, math.nan):
             with pytest.raises(ValueError):
                 payoff_bins([], [], 0.5, bin_width)
+
+    @pytest.mark.parametrize("gamma_slice", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slice_raises(self, gamma_slice):
+        # no row is within 1e-12 of it, which would read as an empty histogram
+        with pytest.raises(ValueError, match="gamma_slice must be finite"):
+            payoff_bins([0.5, 0.5], [1.0, 2.0], gamma_slice)
 
     def test_desk_scale_favored_dilemma_regression(self):
         # Asymmetric single-equilibrium game on the pi/4 grid, sliced at the
