@@ -13,8 +13,9 @@ file, which wins over the built-in defaults.
 Exit codes: 0 success (an empty equilibrium set is a result, not an
 error), 1 usage/config error (an unknown key; a bad option value, which
 exits before any game, grid or file is read: a non-finite angle, a gamma
-outside [0, pi/2], a gamma or p grid below 2 points or not an integer
-(`error: invalid int value: ...`), an epsilon or bin width out of range;
+or --gamma-slice outside [0, pi/2], a gamma or p grid below 2 points or
+not an integer (`error: invalid int value: ...`), an epsilon or bin width
+out of range;
 a malformed or out-of-range --records file; --out and --plot naming the
 same file; a plot that cannot be drawn: every command draws its figures
 before it writes any file, so none is left), 2 I/O error.
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .catalogue import CatalogueError, load_catalogue, load_default_catalogue
-from .circuit import EntanglementParam, GameDefinition
+from .circuit import GAMMA_MAX, EntanglementParam, GameDefinition
 from .equilibrium import DEFAULT_EPSILON
 from .grid import SteppingParams, StrategyGrid, build_grid
 from .output import (
@@ -128,6 +129,17 @@ def _number(parse, valid, rule: str = ""):
     return convert
 
 
+def _in_swept_range(gamma: float) -> bool:
+    """True for a gamma within 1e-12 of [0, pi/2], else ValueError.
+
+    Every sweep covers that range: the default gamma grid spans it, and the
+    records reader rejects gammas outside it.
+    """
+    if -1e-12 <= gamma <= GAMMA_MAX + 1e-12:
+        return True
+    raise ValueError(f"--gamma-slice {gamma:.12g} outside the swept range [0, {GAMMA_MAX:.12g}]")
+
+
 def _output_format(text: str) -> str:
     if text not in ("csv", "json"):
         raise ConfigError(f"--format must be csv or json, got {text!r}")
@@ -153,7 +165,7 @@ OPTIONS = {
     "format": (_output_format, "csv", "output format, csv or json"),
     "plot": (str, None, "SVG output path (analyze: prefix of the SVG files)"),
     "records": (str, None, "existing two-player sweep CSV (skips the inline sweep)"),
-    "gamma_slice": (parse_angle, None, "gamma value for the payoff histogram"),
+    "gamma_slice": (_number(parse_angle, _in_swept_range), None, "gamma value for the payoff histogram"),
     "bin_width": (
         _number(float, lambda x: x > 0, "bin_width must be finite and > 0"), DEFAULT_BIN_WIDTH, "histogram bin width"
     ),
@@ -303,13 +315,7 @@ def cmd_analyze(args: argparse.Namespace) -> None:
 
     gamma_slice = args.gamma_slice
     # every record's gamma is one of gamma_values
-    swept = sorted(set(gamma_values))
-    if gamma_slice < swept[0] - 1e-12 or gamma_slice > swept[-1] + 1e-12:
-        raise ConfigError(
-            f"--gamma-slice {gamma_slice:.12g} outside the swept range "
-            f"[{swept[0]:.12g}, {swept[-1]:.12g}]"
-        )
-    nearest = min(swept, key=lambda g: abs(g - gamma_slice))
+    nearest = min(sorted(set(gamma_values)), key=lambda g: abs(g - gamma_slice))
     if nearest != gamma_slice:
         print(f"note: histogram slice snapped to the nearest swept gamma {nearest:.12g}")
         gamma_slice = nearest

@@ -7,13 +7,23 @@ record array with full-precision floats, byte for byte what
 byte-identical. Every file is written to a temporary file beside its target
 and renamed onto it, so a failed write leaves the target as it was.
 
-Every CLI CSV is written by `write_columns_csv`. A column with at most
-half as many distinct values as rows has each distinct value formatted
-once; any other int or float column is printed in place by `%d` or
-`%.12g`, which print what `fmt` does. `write_rows_csv` is the per-field
-form for arbitrary rows. The record writers take a `RecordTable`; a `SweepRecord`
-sequence is first turned into a table by `record_columns`. The reader
-returns a table too.
+Every CLI CSV is written by `write_columns_csv`, and both record files
+go through one row writer, `_write_rows`. A column with at most half as
+many distinct values as rows has each distinct value formatted once
+(keyed on its bit pattern); any other int or float column is printed in
+place by `%d` or `%.12g`, which print what `fmt` does. JSON columns are
+always formatted per distinct value, by `repr`, or by `json.dumps` for a
+column holding NaN or ±inf. Then each run of adjacent per-distinct
+columns becomes one group field: while the group's distinct texts times
+the next column's are at most the row count, the pair codes are combined
+densely and each combination's text is built once. A Bayes record of
+the 1824-grid prisoner's dilemma/deadlock sweep thus fills five group
+fields in CSV and four in JSON, where it filled 18. Each part of a group
+text still depends only on its own value's bits, so every byte is what
+formatting each field alone would write. `write_rows_csv` is the
+per-field form for arbitrary rows. The record writers take a
+`RecordTable`; a `SweepRecord` sequence is first turned into a table by
+`record_columns`. The reader returns a table too.
 """
 from __future__ import annotations
 
@@ -138,19 +148,51 @@ def _column_field(
 _WRITE_BLOCK = 4096
 
 
+def _group_fields(
+    rows: int, fields: Sequence[tuple[str, np.ndarray, np.ndarray | None]], joins: Sequence[str]
+) -> tuple[list[tuple[str, np.ndarray, np.ndarray | None]], list[str]]:
+    """`fields` and `joins` with each run of adjacent per-distinct fields merged into one.
+
+    A field with an index joins the group before it when the group's text
+    count times the field's is at most `rows`. The pair key `code * m +
+    code'` is renumbered densely by `flatnonzero`/`cumsum` over that span,
+    so no sort is needed, and each used key's text is the group's text, the
+    join between them, then the field's text. A row's bytes do not change:
+    each part of a group text still depends only on its own field's value.
+    """
+    grouped, joined = [fields[0]], [joins[0], joins[1]]
+    for (conversion, values, index), join in zip(fields[1:], joins[2:]):
+        _, texts, codes = grouped[-1]
+        m = len(values)
+        if codes is None or index is None or len(texts) * m > rows:
+            grouped.append((conversion, values, index))
+            joined.append(join)
+            continue
+        keys = codes * m + index
+        used = np.zeros(len(texts) * m, dtype=bool)
+        used[keys] = True
+        pairs = np.flatnonzero(used)
+        grouped[-1] = ("%s", texts[pairs // m] + (joined[-1] + values[pairs % m]), (np.cumsum(used) - 1)[keys])
+        joined[-1] = join
+    return grouped, joined
+
+
 def _write_rows(
     fh: TextIO,
     rows: int,
     fields: Sequence[tuple[str, np.ndarray, np.ndarray | None]],
-    template: str,
+    layout: str,
     sep: str,
 ) -> None:
-    """`template % row` for each of `rows` rows, `sep`-joined.
+    """`rows` rows of `fields`, `sep`-joined.
 
-    A row holds one value per `_column_field` field, in field order; the
-    fields' conversions are already in `template`. Each block of rows is
-    formatted by one `%`.
+    A row is `layout` with its k-th `%s` replaced by field k's text of that
+    row. The fields come from `_column_field` and are first merged by
+    `_group_fields`. Each block of rows is formatted by one `%` of the row
+    template repeated.
     """
+    fields, joins = _group_fields(rows, fields, layout.split("%s"))
+    template = joins[0] + "".join(conversion + join for (conversion, _, _), join in zip(fields, joins[1:]))
     for start in range(0, rows, _WRITE_BLOCK):
         block = slice(start, min(start + _WRITE_BLOCK, rows))
         table = np.empty((block.stop - start, len(fields)), dtype=object)
@@ -159,12 +201,16 @@ def _write_rows(
         fh.write((sep if start else "") + sep.join([template] * len(table)) % tuple(table.ravel().tolist()))
 
 
+def _json_text(col: np.ndarray) -> Callable[[float | int], str]:
+    """`repr`, which prints an int or a finite float as `json.dumps` does, unless `col` holds NaN or ±inf."""
+    return json.dumps if col.dtype.kind == "f" and not np.isfinite(col).all() else repr
+
+
 def write_columns(fh: TextIO, names: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """A header line, then one line of `fmt` fields per row of the equal-length `columns`."""
     fh.write(",".join(names) + "\n")
     fields = [_column_field(col, fmt, _FMT_CONVERSIONS.get(col.dtype.kind)) for col in columns]
-    template = ",".join(conversion for conversion, _, _ in fields) + "\n"
-    _write_rows(fh, len(columns[0]), fields, template, "")
+    _write_rows(fh, len(columns[0]), fields, ",".join(["%s"] * len(fields)) + "\n", "")
 
 
 def write_columns_csv(path: str | Path, names: Sequence[str], columns: Sequence[np.ndarray]) -> None:
@@ -194,14 +240,14 @@ def write_records_json(
         {"metadata": {"tool": "ewlgames", "version": __version__, **metadata}}, indent=2, sort_keys=True
     )
     # a record as the indented encoder lays out a dict inside the list
-    template = "    {\n" + ",\n".join(f"      {json.dumps(name)}: %s" for name in names) + "\n    }"
+    layout = "    {\n" + ",\n".join(f"      {json.dumps(name)}: %s" for name in names) + "\n    }"
     with atomic_writer(path) as fh:
         # drop the head's closing "\n}" and add the records array after the metadata
         fh.write(f'{head[:-2]},\n  "records": [')
         if len(table):
             fh.write("\n")
-            fields = [_column_field(table.columns[name], json.dumps) for name in names]
-            _write_rows(fh, len(table), fields, template, ",\n")
+            fields = [_column_field(col, _json_text(col)) for col in map(table.columns.get, names)]
+            _write_rows(fh, len(table), fields, layout, ",\n")
             fh.write("\n  ")
         fh.write("]\n}\n")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -209,10 +210,21 @@ class TestUsageErrors:
                  "--out", "an"],
                 "gamma_grid must be >= 2, got '1'",
             ),
+            # every sweep covers [0, pi/2], so a slice outside it is refused before the
+            # records file (missing here, which would exit 2) or the inline sweep
+            (
+                ["analyze", "--game", "nosuch", "--records", "missing.csv", "--gamma-slice", "2", "--out", "an"],
+                "--gamma-slice 2 outside the swept range [0, 1.57079632679]",
+            ),
+            (
+                ["analyze", "--game", "nosuch", "--gamma-slice", "-0.5", "--out", "an"],
+                "--gamma-slice -0.5 outside the swept range [0, 1.57079632679]",
+            ),
         ],
         ids=[
             "solve", "sweep", "bayes-sweep", "analyze", "analyze-gamma-slice", "sweep-same-file", "bayes-same-file",
             "solve-gamma-range", "sweep-gamma-grid-1", "bayes-p-grid-1", "sweep-gamma-grid-x", "analyze-gamma-grid-1",
+            "analyze-records-gamma-slice-range", "analyze-inline-gamma-slice-range",
         ],
     )
     def test_usage_error_exits_before_the_grid_is_built(self, tmp_path, monkeypatch, capsys, argv, error):
@@ -407,6 +419,26 @@ class TestBayesSweep:
         assert "--game2" in capsys.readouterr().err
 
 
+class TestPinnedBytes:
+    # sha256 of each file, computed with the writer that formatted every field
+    # of every record on its own, before fields were grouped (commit 01cd046).
+    # The JSON digests cover the metadata too, version 0.1.0 included.
+    PINS = {
+        ("prisoners_dilemma", "deadlock", "pi/8", "csv"): "44cd8add2ef9ef0ec493ed50fac50def2f430e4a33ee3284440000c4df4f8c02",
+        ("prisoners_dilemma", "deadlock", "pi/8", "json"): "09468b2e5df16e897f723384342a4bf22664d5eb661e32a255ee7d66d96e6ad1",
+        ("stag_hunt", "das_brother", "pi/4", "csv"): "1fb2ddd390b9878d9964b34dbcd95f1a3a6436deabf8cb18993f99d64e4beb57",
+        ("stag_hunt", "das_brother", "pi/4", "json"): "3ba86ae26761d9b0aa71f4888545b4937abb2c7b3f0077153e317606b504eb3d",
+    }
+
+    @pytest.mark.parametrize("case", list(PINS), ids=lambda case: f"{case[0]}-{case[1]}-{case[3]}")
+    def test_bayes_sweep_file_digest(self, tmp_path, case):
+        game, game2, step, fmt = case
+        out = tmp_path / f"records.{fmt}"
+        argv = ["--game", game, "--game2", game2, "--steps", f"{step},{step},{step}", "--gamma-grid", "3"]
+        assert run("bayes-sweep", *argv, "--p-grid", "3", "--format", fmt, "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINS[case]
+
+
 class TestStrategies:
     def test_coarse_grid_rows(self, capsys):
         assert run("strategies", "--steps", "pi,pi/2,pi/2") == 0
@@ -586,6 +618,18 @@ class TestAnalyze:
         )
         assert code == 1
         assert "outside the swept range" in capsys.readouterr().err
+
+    def test_slice_at_pi_over_2_snaps_to_the_printed_gamma(self, tmp_path, capsys):
+        # 12-digit CSV prints pi/2 as 1.57079632679, just below pi/2; the slice
+        # pi/2 is in range and snaps onto that record gamma
+        records = tmp_path / "stag.csv"
+        assert run("sweep", "--game", "stag_hunt", "--gamma-grid", "3", "--out", str(records)) == 0
+        prefix = str(tmp_path / "an")
+        assert run("analyze", "--records", str(records), "--gamma-slice", "pi/2", "--out", prefix) == 0
+        assert "nearest swept gamma 1.57079632679" in capsys.readouterr().out
+        _, rows = read_rows(tmp_path / "an_payoff_hist.csv")
+        in_slice = sum(r[0] == "1.57079632679" for r in read_rows(records)[1])
+        assert in_slice > 0 and sum(int(r[1]) for r in rows) == in_slice
 
     def test_slice_past_the_last_record_gamma_matches_inline(self, tmp_path, sweep_csv, capsys):
         # the dilemma's records end at gamma 0.589 of the 17-point grid, but

@@ -12,6 +12,7 @@ from ewlgames.output import (
     TWO_PLAYER_COLUMNS,
     _WRITE_BLOCK,
     _column_field,
+    _group_fields,
     atomic_writer,
     fmt,
     read_two_player_csv,
@@ -271,6 +272,67 @@ class TestRecordWriters:
             write_records_csv(tmp_path / "r.csv", mixed_table(False, 3), bayes=True)
         with pytest.raises(ValueError, match="Bayesian table"):
             write_records_json(tmp_path / "r.json", mixed_table(True, 3), bayes=False, metadata={})
+
+
+class TestGroupedWriter:
+    # Tables shaped like a sweep's: each (gamma, p) point's records are adjacent,
+    # eq_index counts within the point, and every angle is a function of its
+    # player's index, so adjacent columns are jointly low-cardinality and the
+    # writer merges them into group fields. Group members hold bit patterns
+    # that must keep their own text: -0.0 and 0.0, 0.1+0.2 and 0.3, NaN, ±inf.
+    INDICES = [0, 7, 1823, 10**13, 3, 12, 99, 2**40]
+    ANGLES = [-0.0, 0.0, 0.1 + 0.2, 0.3, float("nan"), float("inf"), float("-inf"), 1 / 3]
+    POINTS = [(0.0, 0.3), (-0.0, 0.1 + 0.2), (0.1 + 0.2, -0.0), (0.3, 0.0)]
+
+    def table(self, bayes: bool, rows: int) -> RecordTable:
+        rng = np.random.default_rng(rows)
+        point = np.sort(rng.integers(0, len(self.POINTS), rows))
+        starts = np.searchsorted(point, point)
+        codes = {role: rng.integers(0, len(self.INDICES), rows) for role in ("a", "b1", "b2", "b")}
+        columns = {}
+        for name in BAYES_COLUMNS if bayes else TWO_PLAYER_COLUMNS:
+            if name in ("gamma", "p"):
+                columns[name] = np.array([self.POINTS[k][name == "p"] for k in point])
+            elif name == "eq_index":
+                columns[name] = np.arange(rows, dtype=np.int64) - starts
+            elif name.endswith("_index"):
+                columns[name] = np.array(self.INDICES, dtype=np.int64)[codes[name[: -len("_index")]]]
+            else:
+                stem, role = name.split("_")
+                code = codes[role]
+                if stem == "payoff":
+                    columns[name] = np.array(MIXED_FLOATS)[(code + 5 * point) % len(MIXED_FLOATS)]
+                else:
+                    shift = ("theta", "phi", "alpha").index(stem)
+                    columns[name] = np.array(self.ANGLES)[(3 * code + shift) % len(self.ANGLES)]
+        return RecordTable(columns)
+
+    # 8 distinct indices and angles: at 15 rows the CSV prints them in place, from 16
+    # on they keep per-distinct texts; an index pair spans 64 codes; 2 * _WRITE_BLOCK + 1
+    # rows take three blocks
+    @pytest.mark.parametrize("rows", [1, 15, 16, 17, 63, 64, 65, 2 * _WRITE_BLOCK + 1])
+    @pytest.mark.parametrize("bayes", [False, True], ids=["two-player", "bayes"])
+    def test_bytes_equal_the_per_field_oracle(self, tmp_path, bayes, rows):
+        names = BAYES_COLUMNS if bayes else TWO_PLAYER_COLUMNS
+        table = self.table(bayes, rows)
+        metadata = {"command": "test"}
+        csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
+        write_records_csv(csv_path, table, bayes=bayes)
+        write_records_json(json_path, table, bayes=bayes, metadata=metadata)
+        expected_meta = {"tool": "ewlgames", "version": __version__, **metadata}
+        rows = table_rows(table, names)
+        assert csv_path.read_bytes() == records_csv_text(names, rows).encode()
+        assert json_path.read_bytes() == records_json_text(names, rows, expected_meta).encode()
+
+    @pytest.mark.parametrize("rows", [64, 2 * _WRITE_BLOCK + 1])
+    def test_adjacent_low_cardinality_fields_merge(self, rows):
+        columns = [self.table(True, rows).columns[name] for name in BAYES_COLUMNS]
+        fields = [_column_field(col, repr) for col in columns]
+        grouped, joins = _group_fields(rows, fields, ",".join(["%s"] * len(fields)).split("%s"))
+        # gamma and p form one group whatever the rest does
+        assert len(grouped) < len(fields) and len(joins) == len(grouped) + 1
+        gamma_p = {f"{g!r},{p!r}" for g, p in self.POINTS}
+        assert set(grouped[0][1].tolist()) <= gamma_p and grouped[0][2].shape == (rows,)
 
 
 class TestJson:
