@@ -124,6 +124,9 @@ _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1
 _PAULI_FORM = np.einsum("pab,qcd->pqacbd", _PAULIS, _PAULIS).reshape(16, 16).conj()
 # The flat positions mu' * 4 + mu where R_U[mu', mu] can be nonzero: (0, 0) and the 3x3 block.
 _ROTATION = [0, 5, 6, 7, 9, 10, 11, 13, 14, 15]
+# Index grids that pick from 4x4 forms q and r the two factors of kron(q, r) at every
+# pair of those positions: kron(q, r)[s, t] = q[s // 4, t // 4] * r[s % 4, t % 4].
+_ROTATION_PAIRS = [np.ix_(part, part) for part in np.divmod(_ROTATION, 4)]
 
 
 def _pauli_form(ops) -> np.ndarray:
@@ -161,7 +164,9 @@ def payoff_forms(gamma: EntanglementParam, game: GameDefinition) -> tuple[np.nda
         payoff(i, j) = 1/4 sum q[mu', nu'] r[mu, nu] R_i[mu', mu] R_j[nu', nu] = f_i^T K f_j
 
     for the features f of strategies i and j and K = 1/4 kron(q, r) at the
-    features' positions. Tests hold f_i^T K f_j to the pure-Python circuit in
+    features' positions. Only those 10 x 10 products of kron(q, r) are
+    taken, each from the same two factors as in the full product, so K has
+    its bits. Tests hold f_i^T K f_j to the pure-Python circuit in
     `tests/oracles.py` at 1e-12.
     """
     j = entangler(gamma)
@@ -169,5 +174,5 @@ def payoff_forms(gamma: EntanglementParam, game: GameDefinition) -> tuple[np.nda
     forms = []
     for pay in (game.payoff_a, game.payoff_b):
         q = _pauli_form((j * np.asarray(pay, dtype=np.float64)) @ j.conj().T).reshape(4, 4)
-        forms.append(0.25 * np.kron(q, r)[np.ix_(_ROTATION, _ROTATION)])
+        forms.append(0.25 * (q[_ROTATION_PAIRS[0]] * r[_ROTATION_PAIRS[1]]))
     return forms[0], forms[1]

@@ -30,9 +30,12 @@ Bayesian equilibria are found without a loop over A's strategies; see
 `_bayes_reduction` for the algorithm, its order and its memory.
 
 The kernel writes tables in blocks of orbit rows (`_fill_rows`), and
-`_tables` drives it for every caller: it allocates one buffer per player
-per game, as tall as the tallest block, and writes each gamma's pass
-into them. `gamma_sweep` passes `_row_blocks` of about _ROW_BLOCK bytes
+`_tables` drives it for every caller: it builds once what no gamma
+changes (the orbit rows' features, the transposed features, each
+block's folds and one buffer per player per game, as tall as the
+tallest block) and writes each gamma's pass into the buffers.
+`gamma_sweep` passes `_row_blocks` of about _ROW_BLOCK bytes, small
+enough that both players' blocks stay in cache while they are reduced,
 and reduces each block as soon as it is written, so it never holds a
 whole table; `bayes_sweep` passes one block of every orbit row and
 reduces the whole tables (`_bayes_reduction`). Every path gives the
@@ -93,20 +96,27 @@ class PayoffTensor:
         return table[np.ix_(self.grid.classes, self.grid.classes)]
 
 
-# Bytes of one table block in a two-player sweep. The 1824 grid's
-# 232 x 912 orbit-row tables are one block; the 7968 grid's rows come in
-# blocks of 65.
-_ROW_BLOCK = 2 << 20
+# Bytes of one table block in a two-player sweep. A's and B's blocks
+# (1 MiB together) stay in a 2 MiB L2 cache while the reduction reads
+# them. On 2 vCPUs with 2 MiB of L2 each, gamma_sweep of the prisoner's
+# dilemma on the 1824 grid at 65 gammas took the same time to within
+# 0.2 % at 384, 512 and 640 KiB, 32 % longer at 2 MiB (one block, where
+# the two tables overflow L2) and 28 % longer at 128 KiB (14 blocks).
+# The 1824 grid's 232 x 912 orbit rows come in blocks of 71, the 7968
+# grid's 1000 x 3984 in blocks of 16.
+_ROW_BLOCK = 512 << 10
 
 
 def _row_blocks(rows: int, classes: int) -> list[tuple[int, int]]:
     """(start, stop) bounds of consecutive blocks of orbit rows, _ROW_BLOCK bytes of a table each.
 
-    Every block has at least 2 rows, and a 1-row tail joins the block
-    before it, which may then exceed _ROW_BLOCK by one row: numpy takes a
-    1-row product as a matrix-vector product, whose bits differ from the
-    same row of the matrix product. Blocks of 2 rows or more give the
-    whole product's bits.
+    At 512 KiB, a block of each player's table fits in a 2 MiB L2 cache
+    beside the other's, so the reduction reads both from cache. Every
+    block has at least 2 rows, and a 1-row tail joins the block before
+    it, which may then exceed _ROW_BLOCK by one row: numpy takes a 1-row
+    product as a matrix-vector product, whose bits differ from the same
+    row of the matrix product. Blocks of 2 rows or more give the whole
+    product's bits.
     """
     size = max(2, _ROW_BLOCK // max(8 * classes, 1))  # an empty grid has no classes
     starts = list(range(0, rows, size))
@@ -115,46 +125,54 @@ def _row_blocks(rows: int, classes: int) -> list[tuple[int, int]]:
     return list(zip(starts, [*starts[1:], rows]))
 
 
-def _folds(grid: StrategyGrid) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(fixed, folded) per map g that fixes some orbit rows: the rows, and the columns that fold them.
+def _block_plan(grid: StrategyGrid, blocks: Sequence[tuple[int, int]]) -> list[tuple[int, int, list]]:
+    """(start, stop, folds) per block, where folds holds (to, source) flat positions in the block's tables.
 
-    A row whose class g fixes is folded onto one value per column pair
+    There is one (to, source) pair per map g that fixes some of the
+    block's rows. Such a row is folded onto one value per column pair
     {b, g.b}, row[b] = row[min(b, g.b)], so that every expanded entry is
-    well defined bit for bit. Only LR can fix a class: i*sigma_z U = +-U
-    has no solution.
+    well defined bit for bit: `to` holds the entries (row, b) with
+    g.b < b and `source` the entries (row, g.b) they copy, with rows
+    counted from the block's start. Only LR can fix a class:
+    i*sigma_z U = +-U has no solution.
     """
     orbit_rows = grid.orbit_images[0]
-    folds = [
-        (np.flatnonzero(action[orbit_rows] == orbit_rows), np.minimum(action, np.arange(len(action))))
+    classes = np.arange(grid.orbit_maps.shape[1])
+    maps = [
+        (np.flatnonzero(action[orbit_rows] == orbit_rows), np.flatnonzero(action < classes), action)
         for action in grid.orbit_maps[1:]
     ]
-    return [(fixed, folded) for fixed, folded in folds if len(fixed)]
+    plan = []
+    for start, stop in blocks:
+        folds = []
+        for fixed, moved, action in maps:
+            offsets = (fixed[(fixed >= start) & (fixed < stop)] - start)[:, None] * len(classes)
+            if len(offsets):
+                folds.append(((offsets + moved).ravel(), (offsets + action[moved]).ravel()))
+        plan.append((start, stop, folds))
+    return plan
 
 
 def _fill_rows(
-    grid: StrategyGrid,
-    folds: Sequence[tuple[np.ndarray, np.ndarray]],
-    forms: Sequence[np.ndarray],
+    products: Sequence[np.ndarray],
+    columns: np.ndarray,
+    plan: Sequence[tuple[int, int, list]],
     buffers: Sequence[np.ndarray],
-    blocks: Sequence[tuple[int, int]],
 ) -> Iterator[tuple[int, list[np.ndarray]]]:
     """Write each block of orbit rows of the tables f_S @ K @ f.T, one per form K, in turn.
 
-    Yields (start, tables) once rows [start, stop) are written and folded
-    (`_folds(grid)`): table k is the first stop - start rows of
-    `buffers[k]`, valid until the generator resumes. The 10-column
-    products f_S @ K are taken over all orbit rows at once, since
-    splitting them changes their bits.
+    `products` holds f_S @ K per form, over every orbit row, `columns` is
+    f.T, and `plan` is the blocks' `_block_plan`. Yields (start, tables)
+    once rows [start, stop) are written and folded: table k is the first
+    stop - start rows of `buffers[k]`, valid until the generator resumes.
     """
-    features = grid.features
-    products = [features[grid.orbit_images[0]] @ k for k in forms]
-    for start, stop in blocks:
+    flats = [buffer.reshape(-1) for buffer in buffers]  # views: each buffer is one contiguous array
+    for start, stop, folds in plan:
         tables = [buffer[: stop - start] for buffer in buffers]
-        for table, product in zip(tables, products):
-            np.matmul(product[start:stop], features.T, out=table)
-            for fixed, folded in folds:
-                rows = fixed[(fixed >= start) & (fixed < stop)] - start
-                table[rows] = table[rows][:, folded]
+        for table, flat, product in zip(tables, flats, products):
+            np.matmul(product[start:stop], columns, out=table)
+            for to, source in folds:
+                flat[to] = flat[source]
         yield start, tables
 
 
@@ -166,20 +184,26 @@ def _tables(
 ) -> Iterator[Iterator[tuple[int, list[np.ndarray]]]]:
     """Each gamma's `_fill_rows` pass over `blocks` in turn, all written into one set of buffers.
 
-    The first step allocates one buffer per player per game, as tall as
-    the tallest block, so a sweep does not fault in fresh pages at each
-    point. A pass yields (start, [rows_a, rows_b] per game) per block:
-    views of the buffers, valid only until the pass resumes, and the next
-    gamma's pass overwrites them all. Copy what must outlive that.
+    The first step builds what no gamma changes: the orbit rows' features
+    f_S, the transposed features f.T, the blocks' `_block_plan`, and one
+    buffer per player per game, as tall as the tallest block, so a sweep
+    does not fault in fresh pages at each point. Each gamma then takes the
+    10-column products f_S @ K over all orbit rows at once, since
+    splitting them changes their bits. A pass yields (start, [rows_a,
+    rows_b] per game) per block: views of the buffers, valid only until
+    the pass resumes, and the next gamma's pass overwrites them all. Copy
+    what must outlive that.
     """
     if len(grid) == 0:
         raise ValueError("empty strategy grid")
-    folds = _folds(grid)
+    orbit_features = grid.features[grid.orbit_images[0]]
+    columns = grid.features.T
+    plan = _block_plan(grid, blocks)
     height = max(stop - start for start, stop in blocks)
     buffers = [np.empty((height, len(grid.features))) for _ in range(2 * len(games))]
     for gamma in gammas:
-        forms = [k for game in games for k in payoff_forms(gamma, game)]
-        yield _fill_rows(grid, folds, forms, buffers, blocks)
+        products = [orbit_features @ k for game in games for k in payoff_forms(gamma, game)]
+        yield _fill_rows(products, columns, plan, buffers)
 
 
 def payoff_tensor(

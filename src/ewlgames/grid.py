@@ -139,17 +139,52 @@ def _axis_matches(pairs: np.ndarray, targets: Sequence[np.ndarray]) -> tuple[np.
     like `pairs`, holding what each value's entries map to; its image
     array holds, at [t, k], the first kept value whose entries match
     target[t, k], or -1.
+
+    Matches are found by a sort, not by comparing every pair. Per theta,
+    the values and the targets' points are sorted by a projection of their
+    first entry. Two points' projections differ by at most their
+    distance, so points that match lie in one cluster: a run of sorted
+    projections with no gap over 2 * DEDUP_TOL. Each round takes the
+    lowest undecided value of every cluster and keeps it, because every
+    value kept before it has already dropped the values it matches. The
+    round then drops the later values it matches and makes it the image
+    of the targets it matches that have no image yet. A cluster takes one
+    round per value it keeps, so a cluster whose points all match takes
+    one, as at theta = pi, where the diagonal vanishes.
     """
-    keep = np.ones(pairs.shape[:2], dtype=bool)
-    images = [np.full(pairs.shape[:2], -1, dtype=np.intp) for _ in targets]
-    for k in range(pairs.shape[1]):  # keep[:, k] is final from here on
-        kept = keep[:, k, None]
-        same = np.abs(pairs[:, k + 1:] - pairs[:, k, None]).max(axis=2) <= DEDUP_TOL
-        keep[:, k + 1:] &= ~(same & kept)
-        for image, target in zip(images, targets):
-            hit = np.abs(target - pairs[:, k, None]).max(axis=2) <= DEDUP_TOL
-            image[hit & kept & (image < 0)] = k
-    return keep, images
+    thetas, values = pairs.shape[:2]
+    points = np.concatenate([pairs, *targets], axis=1)  # column c: value c % values of array c // values
+    # Tilted off the real axis, so that values placed symmetrically about it
+    # (a grid circle's conjugate pairs) do not share a projection.
+    projection = 0.6 * points[..., 0].real + 0.8 * points[..., 0].imag
+    order = np.argsort(projection, axis=1)
+    starts = np.ones(order.shape, dtype=bool)
+    starts[:, 1:] = np.diff(np.take_along_axis(projection, order, axis=1), axis=1) > 2 * DEDUP_TOL
+    cluster = np.cumsum(starts.ravel()) - 1
+    # Each cluster's values in index order, then its targets' points.
+    by = np.lexsort((order.ravel(), cluster))
+    cluster, t, c = cluster[by], by // order.shape[1], order.ravel()[by]
+    first = np.flatnonzero(starts.ravel())  # where each cluster starts, by cluster number
+    size = np.diff(first, append=len(c))
+    is_value = c < values
+    undecided = is_value.copy()
+    kept = np.zeros(len(c), dtype=bool)
+    image = np.full(len(c), -1, dtype=np.intp)
+    while undecided.any():
+        pending = np.flatnonzero(undecided)
+        owner = pending[np.flatnonzero(np.diff(cluster[pending], prepend=-1))]
+        kept[owner], undecided[owner] = True, False
+        # every member of each owner's cluster, beside its owner
+        reps = size[cluster[owner]]
+        member = np.repeat(first[cluster[owner]] - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
+        source = np.repeat(owner, reps)
+        hit = np.abs(points[t[member], c[member]] - points[t[source], c[source]]).max(axis=1) <= DEDUP_TOL
+        undecided[member[hit]] = False  # values decided before the owner included
+        hit &= ~is_value[member] & (image[member] < 0)
+        image[member[hit]] = c[source[hit]]
+    kept_at, image_at = np.empty(points.shape[:2], dtype=bool), np.empty(points.shape[:2], dtype=np.intp)
+    kept_at[t, c], image_at[t, c] = kept, image
+    return kept_at[:, :values], np.split(image_at[:, values:], len(targets), axis=1)
 
 
 def _first_images(index: np.ndarray, t: np.ndarray, choices) -> np.ndarray:

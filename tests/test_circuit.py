@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ewlgames import GameDefinition, StrategyParams
-from ewlgames.circuit import EntanglementParam, entangler, strategy_matrix
+from ewlgames import GameDefinition, StrategyParams, load_default_catalogue
+from ewlgames.circuit import _ROTATION, EntanglementParam, _pauli_form, entangler, payoff_forms, strategy_matrix
 from ewlgames.sweep import default_gamma_grid
 
 from oracles import circuit_probs, u_matrix
@@ -214,3 +214,28 @@ class TestClassicalEmbedding:
             for rows, cols in ((-mats, mats), (mats, -mats)):
                 negated = kernel_payoffs(rows, cols, gamma, game)
                 assert all(np.array_equal(n, b) for n, b in zip(negated, base))
+
+
+class TestPayoffForms:
+    """`payoff_forms` multiplies only the 10 x 10 feature positions of q and r;
+    the full Kronecker product, indexed at those positions, is the oracle."""
+
+    @staticmethod
+    def kron_forms(gamma, game):
+        j = entangler(gamma)
+        r = _pauli_form(np.outer(j[:, 0], j[:, 0].conj())).reshape(4, 4)
+        forms = []
+        for pay in (game.payoff_a, game.payoff_b):
+            q = _pauli_form((j * np.asarray(pay, dtype=np.float64)) @ j.conj().T).reshape(4, 4)
+            forms.append(0.25 * np.kron(q, r)[np.ix_(_ROTATION, _ROTATION)])
+        return forms
+
+    @pytest.mark.parametrize("name", load_default_catalogue().names)
+    def test_bits_equal_the_kronecker_product(self, name):
+        game = load_default_catalogue().get(name)
+        for gamma in [0.0, math.pi / 2, *default_gamma_grid(65)]:
+            gamma = EntanglementParam(gamma)
+            got, want = payoff_forms(gamma, game), self.kron_forms(gamma, game)
+            for k, w in zip(got, want, strict=True):
+                assert k.shape == (10, 10) and k.dtype == w.dtype
+                assert k.tobytes() == w.tobytes(), (name, gamma.gamma)

@@ -438,6 +438,37 @@ class TestPinnedBytes:
         assert run("bayes-sweep", *argv, "--p-grid", "3", "--format", fmt, "--out", str(out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINS[case]
 
+    # sha256 of two-player files and of a fine strategy list, computed before
+    # the kernel split the 1824 grid's tables into row blocks and before the
+    # axis match became a sort (commit 2f8713c).
+    TWO_PLAYER_PINS = {
+        ("sweep", "prisoners_dilemma", "pi/8,pi/8,pi/8", "--gamma-grid", "65", "csv"): (
+            "9306ebde9ce69674d74367082bfb0c1ac8b2c09eb3fb13e57b9597e89c2d7ac2"
+        ),
+        ("sweep", "prisoners_dilemma", "pi/8,pi/8,pi/8", "--gamma-grid", "65", "json"): (
+            "ccedae19436a967e2b08d741554c4dc0280bbe31f7b091174faf48d6c3e0b75f"
+        ),
+        ("solve", "stag_hunt", "pi/32,pi/8,pi/8", "--gamma", "pi/8", "csv"): (
+            "6dc54c4cb27ddfdf1cac5a38838c6c1232275f839ae49b0c17f5703af7f3de5f"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(TWO_PLAYER_PINS), ids=lambda case: f"{case[0]}-{case[1]}-{case[5]}")
+    def test_two_player_file_digest(self, tmp_path, case):
+        command, game, steps, option, value, fmt = case
+        out = tmp_path / f"records.{fmt}"
+        argv = ["--game", game, "--steps", steps, option, value, "--format", fmt, "--out", str(out)]
+        assert run(command, *argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.TWO_PLAYER_PINS[case]
+
+    def test_fine_strategy_list_digest(self, tmp_path):
+        # 6286 strategies along a phi axis of 6284 values, with theta = pi,
+        # where every phi matches, among the thetas
+        out = tmp_path / "strategies.csv"
+        assert run("strategies", "--steps", "pi,1e-3,pi", "--out", str(out)) == 0
+        digest = "68bbcb0b98a11736c6415f05804b9546b92cde530535c33e99bc981dfa0784d0"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestStrategies:
     def test_coarse_grid_rows(self, capsys):

@@ -745,14 +745,41 @@ def tail_row_block(rows):
     return next(size for size in range(4, rows) if rows % size == 1)
 
 
+def assert_blocks_give_the_whole_tables_columns(game, grid, solver_tables):
+    """gamma_sweep's columns, reduced block by block at the current _ROW_BLOCK,
+    against the reduction of whole tables as one block, byte for byte."""
+    gammas = [g for g, _ in MEMBER_GAMMAS]
+    tables = [solver_tables([game], grid, g) for g in gammas]
+    records = 0
+    for epsilon in (0.0, 1e-9, 0.5):
+        table = gamma_sweep(game, grid, gammas, epsilon)
+        whole = [whole_reduction(grid, t, epsilon) for t in tables]
+        records += len(table)
+        names = ("a_index", "b_index", "payoff_a", "payoff_b")
+        for column, parts in zip(names, zip(*whole), strict=True):
+            got, want = table.columns[column], np.concatenate(parts)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (column, epsilon)
+        sizes = [len(cols[0]) for cols in whole]
+        assert table.columns["gamma"].tobytes() == np.repeat(gammas, sizes).tobytes()
+    assert records > 0
+
+
 class TestStreamedReduction:
     """A two-player sweep computes and reduces its tables in blocks of orbit
     rows; every block size gives the reduction of the whole tables, bit for
     bit."""
 
     def test_row_blocks(self, monkeypatch):
-        # the shipped size keeps the 1824 grid's 232 x 912 rows one block
-        assert equilibrium._row_blocks(232, 912) == [(0, 232)]
+        # the shipped size splits the orbit rows of the 1824 grid (232 rows x 912
+        # classes) and of the 7968 grid (1000 x 3984), within the budget plus one row
+        for rows, classes in ((232, 912), (1000, 3984)):
+            blocks = equilibrium._row_blocks(rows, classes)
+            assert len(blocks) >= 2
+            assert [start for start, _ in blocks] == [0, *(stop for _, stop in blocks[:-1])]
+            assert blocks[-1][1] == rows
+            for start, stop in blocks:
+                assert stop - start >= 2
+                assert (stop - start - 1) * 8 * classes <= equilibrium._ROW_BLOCK
         assert equilibrium._row_blocks(1, 912) == [(0, 1)]
         monkeypatch.setattr(equilibrium, "_ROW_BLOCK", 1)  # under one row: 2-row blocks
         assert equilibrium._row_blocks(6, 10) == [(0, 2), (2, 4), (4, 6)]
@@ -767,27 +794,18 @@ class TestStreamedReduction:
     @pytest.mark.parametrize("name", CATALOGUE.names)
     def test_blocks_give_the_whole_tables_columns(self, request, monkeypatch, solver_tables, grid, name, rows_per_block):
         grid = request.getfixturevalue(grid)
-        game = CATALOGUE.get(name)
         rows, classes = len(grid.orbit_images[0]), len(grid.features)
         size = tail_row_block(rows) if rows_per_block == "tail" else rows_per_block
         monkeypatch.setattr(equilibrium, "_ROW_BLOCK", size * 8 * classes)
         blocks = equilibrium._row_blocks(rows, classes)
         assert len(blocks) > 1 and blocks[0] == (0, size)
         assert all(stop - start >= 2 for start, stop in blocks)
-        gammas = [g for g, _ in MEMBER_GAMMAS]
-        tables = [solver_tables([game], grid, g) for g in gammas]
-        records = 0
-        for epsilon in (0.0, 1e-9, 0.5):
-            table = gamma_sweep(game, grid, gammas, epsilon)
-            whole = [whole_reduction(grid, t, epsilon) for t in tables]
-            records += len(table)
-            names = ("a_index", "b_index", "payoff_a", "payoff_b")
-            for column, parts in zip(names, zip(*whole), strict=True):
-                got, want = table.columns[column], np.concatenate(parts)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (column, epsilon)
-            sizes = [len(cols[0]) for cols in whole]
-            assert table.columns["gamma"].tobytes() == np.repeat(gammas, sizes).tobytes()
-        assert records > 0
+        assert_blocks_give_the_whole_tables_columns(CATALOGUE.get(name), grid, solver_tables)
+
+    @pytest.mark.parametrize("name", CATALOGUE.names)
+    def test_shipped_blocks_give_the_whole_tables_columns(self, eighth_grid, solver_tables, name):
+        assert len(equilibrium._row_blocks(len(eighth_grid.orbit_images[0]), len(eighth_grid.features))) > 1
+        assert_blocks_give_the_whole_tables_columns(CATALOGUE.get(name), eighth_grid, solver_tables)
 
     def test_a_7968_sweep_holds_no_whole_table(self, stag_hunt):
         grid = build_grid(SteppingParams(PI / 32, PI / 8, PI / 8))

@@ -14,8 +14,8 @@ from ewlgames import (
     gamma_sweep,
     load_default_catalogue,
 )
-from ewlgames.circuit import rotation_features, strategy_matrix
-from ewlgames.grid import DEDUP_TOL, MAX_CANDIDATES
+from ewlgames.circuit import ANGLE_BOUNDS, _rotation_entries, rotation_features, strategy_matrix
+from ewlgames.grid import DEDUP_TOL, MAX_CANDIDATES, _axis_count, _axis_matches, _multiples
 
 from oracles import phase_partners
 
@@ -203,6 +203,81 @@ class TestContents:
         assert len(grid) == len(reference)
         for got, expected in zip(strategy_matrices(grid), reference):
             np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+def quadratic_axis_matches(pairs, targets):
+    """The greedy axis match as one scan per value over every later value, O(values^2) per theta."""
+    keep = np.ones(pairs.shape[:2], dtype=bool)
+    images = [np.full(pairs.shape[:2], -1, dtype=np.intp) for _ in targets]
+    for k in range(pairs.shape[1]):  # keep[:, k] is final from here on
+        kept = keep[:, k, None]
+        same = np.abs(pairs[:, k + 1:] - pairs[:, k, None]).max(axis=2) <= DEDUP_TOL
+        keep[:, k + 1:] &= ~(same & kept)
+        for image, target in zip(images, targets):
+            hit = np.abs(target - pairs[:, k, None]).max(axis=2) <= DEDUP_TOL
+            image[hit & kept & (image < 0)] = k
+    return keep, images
+
+
+def axis_problems(steps: SteppingParams):
+    """build_grid's two axis problems: the phi axis's diagonal pairs and the
+    alpha axis's off-diagonal pairs, each with its -1, L and R targets."""
+    axes = list(zip(steps.astuple(), ANGLE_BOUNDS.values()))
+    thetas, phis, alphas = (_multiples(step, bound, _axis_count(step, bound)) for step, bound in axes)
+    c = np.array([[math.cos(t / 2.0)] for t in thetas])
+    s = np.array([[math.sin(t / 2.0)] for t in thetas])
+    quarter = np.array([1j, -1j])
+    for entries in _rotation_entries(c, s, np.array(phis), np.array(alphas)):
+        pairs = np.stack(entries, axis=-1)
+        yield pairs, (-pairs, quarter * pairs, -quarter * pairs)
+
+
+def assert_same_matches(pairs, targets):
+    keep, images = _axis_matches(pairs, targets)
+    want_keep, want_images = quadratic_axis_matches(pairs, targets)
+    assert keep.dtype == bool and np.array_equal(keep, want_keep)
+    assert len(images) == len(want_images)
+    for got, want in zip(images, want_images):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestAxisMatches:
+    """`_axis_matches` finds matches by a sort and keeps the greedy rule of one
+    scan per value, keep masks and first kept images alike."""
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            SteppingParams(PI, PI / 2, PI / 2),
+            SteppingParams(PI / 8, PI / 8, PI / 8),
+            SteppingParams(PI / 32, PI / 8, PI / 8),
+            SteppingParams(1.0, 1.5, 2.0),
+            # fine phi, then fine alpha: at theta = pi the diagonal vanishes and
+            # every phi matches, at theta = 0 the off-diagonal and every alpha
+            SteppingParams(PI, 1e-2, PI),
+            SteppingParams(PI, PI, 1e-2),
+            SteppingParams(1e-2, 1.0, 1.0),
+            # the last theta is pi - 6e-9, where a phi matches its neighbours
+            # but not all of the circle: the matches do not chain
+            SteppingParams(PI / 6 - 1e-9, 2e-2, 2e-2),
+            SteppingParams((PI - 2e-9) / 2, 1.0, 2.0),
+        ],
+    )
+    def test_matches_the_quadratic_scan(self, steps):
+        for pairs, targets in axis_problems(steps):
+            assert_same_matches(pairs, targets)
+
+    def test_matches_the_quadratic_scan_on_clustered_points(self):
+        # points scattered at the scale of DEDUP_TOL around one centre per theta,
+        # so that matches chain without being transitive
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            thetas, values = rng.integers(1, 4), rng.integers(1, 40)
+            centre = rng.normal(size=(thetas, 1, 2)) + 1j * rng.normal(size=(thetas, 1, 2))
+            spread = DEDUP_TOL * rng.choice([0.3, 1.0, 3.0])
+            pairs = centre + spread * (rng.normal(size=(thetas, values, 2)) + 1j * rng.normal(size=(thetas, values, 2)))
+            targets = [pairs[:, rng.permutation(values)] + spread * rng.normal(size=(thetas, values, 2)) for _ in range(3)]
+            assert_same_matches(pairs, targets)
 
 
 class TestPhaseClasses:
