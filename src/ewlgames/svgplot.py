@@ -11,7 +11,6 @@ its mergesort is several times slower than this one int64 sort.
 """
 from __future__ import annotations
 
-import html
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +22,16 @@ from .output import write_text
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 20, 36, 48
 PALETTE = ["#1f5fa8", "#c23b22", "#2e8540", "#8a5fa8", "#b8860b", "#3aa6a6"]
+
+
+def _escape(text: str) -> str:
+    """`text` as SVG character data, exactly as `html.escape(text, quote=False)` writes it.
+
+    `&` goes first, so the entities of `<` and `>` are not escaped again.
+    Importing `html`, which imports `html.entities`, took 1.0 ms of every
+    CLI start (python -X importtime, CPython 3.11).
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _tick_step(lo: float, hi: float, n: int = 5) -> float:
@@ -157,7 +166,7 @@ class Figure:
             f'viewBox="0 0 {WIDTH} {HEIGHT}">',
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
             f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{html.escape(self.title, quote=False)}</text>',
+            f'font-family="sans-serif" font-size="15">{_escape(self.title)}</text>',
         ]
         # axes frame and ticks
         parts.append(
@@ -185,12 +194,12 @@ class Figure:
             )
         parts.append(
             f'<text x="{MARGIN_L + pw / 2:.1f}" y="{HEIGHT - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{html.escape(self.xlabel, quote=False)}</text>'
+            f'font-family="sans-serif" font-size="13">{_escape(self.xlabel)}</text>'
         )
         parts.append(
             f'<text x="16" y="{MARGIN_T + ph / 2:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 16 {MARGIN_T + ph / 2:.1f})">{html.escape(self.ylabel, quote=False)}</text>'
+            f'transform="rotate(-90 16 {MARGIN_T + ph / 2:.1f})">{_escape(self.ylabel)}</text>'
         )
 
         for x, h, w in self.bars:
@@ -224,7 +233,7 @@ class Figure:
             parts.append(f'<rect x="{MARGIN_L + pw - 130}" y="{ly - 9}" width="10" height="10" fill="{col}"/>')
             parts.append(
                 f'<text x="{MARGIN_L + pw - 115}" y="{ly}" font-family="sans-serif" '
-                f'font-size="11">{html.escape(lab, quote=False)}</text>'
+                f'font-size="11">{_escape(lab)}</text>'
             )
         parts.append("</svg>")
         return "\n".join(parts) + "\n"

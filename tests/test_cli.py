@@ -461,6 +461,28 @@ class TestPinnedBytes:
         assert run(command, *argv) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.TWO_PLAYER_PINS[case]
 
+    # sha256 of the gamma,eq_index,a_index,b_index columns, header included,
+    # of two-player sweeps whose B rows tie: in matching pennies every orbit
+    # row ties at every gamma, in DA's brother about 3 % of them do. Computed
+    # at commit 8567792, before B's best responses came from each row's
+    # argmax and runner-up. The payoff columns are left out: matching
+    # pennies' payoffs are rounding noise that moves with any kernel edit.
+    TIE_PINS = {
+        "matching_pennies": (65536, "f548886cb230b8c109abfafba20b4ce23ca7fd86ea219b340c8a4e21311a499a"),
+        "das_brother": (104544, "c07e34768c7a9e6fb27b735081e27111c8c1cb5a14d6a96f93b8a2aac1cbfa34"),
+    }
+
+    @pytest.mark.parametrize("game", list(TIE_PINS))
+    def test_tied_sweep_index_digest(self, tmp_path, game):
+        out = tmp_path / "records.csv"
+        argv = ["--game", game, "--steps", "pi/8,pi/8,pi/8", "--gamma-grid", "65", "--out", str(out)]
+        assert run("sweep", *argv) == 0
+        lines = out.read_text().splitlines()
+        records, digest = self.TIE_PINS[game]
+        assert len(lines) == 1 + records
+        indices = "".join(",".join(line.split(",")[:4]) + "\n" for line in lines)
+        assert hashlib.sha256(indices.encode()).hexdigest() == digest
+
     def test_fine_strategy_list_digest(self, tmp_path):
         # 6286 strategies along a phi axis of 6284 values, with theta = pi,
         # where every phi matches, among the thetas

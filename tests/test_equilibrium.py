@@ -202,18 +202,73 @@ class TestBestResponses:
                 for k in range(len(col)):
                     assert (col[k] >= col.max() - eps) == (k in best)
 
-    @pytest.mark.parametrize("shape", [(1, 1), (7, 7), (40, 40), (5, 13), (13, 5), (1, 9), (9, 1)])
+    @staticmethod
+    def assert_cells_are_the_row_mask(table, epsilon):
+        # the Bayesian candidate triples are built on this row-major order
+        expected = np.nonzero(table >= table.max(axis=1, keepdims=True) - epsilon)
+        before = table.copy()
+        for writeable in (True, False):
+            # a writable table is written and restored; a read-only one is never written
+            table.setflags(write=writeable)
+            got = equilibrium._best_responses(table, epsilon)
+            np.testing.assert_array_equal(table.view(np.int64), before.view(np.int64))  # bit for bit
+            for got_part, expected_part in zip(got, expected):
+                assert got_part.dtype == expected_part.dtype
+                np.testing.assert_array_equal(got_part, expected_part)
+
+    # the last three are the two-player blocks of the 1824 and 7968 grids and the 1824 grid's whole table
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (7, 7), (40, 40), (5, 13), (13, 5), (1, 9), (9, 1), (71, 912), (16, 3984), (232, 912)]
+    )
     @pytest.mark.parametrize("epsilon", [0.0, 1e-9, 0.5])
     def test_cells_are_the_2d_nonzero_of_the_row_mask(self, shape, epsilon):
-        # the Bayesian candidate triples are built on this row-major order
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         table = rng.integers(0, 4, size=shape).astype(float)  # many exact ties
         table[rng.random(shape) < 0.3] += 1e-10  # ties within 1e-9 but not exact
-        rows, cols = equilibrium._best_responses(table, epsilon)
-        expected_rows, expected_cols = np.nonzero(table >= table.max(axis=1, keepdims=True) - epsilon)
-        for got, expected in ((rows, expected_rows), (cols, expected_cols)):
-            assert got.dtype == expected.dtype
-            np.testing.assert_array_equal(got, expected)
+        self.assert_cells_are_the_row_mask(table, epsilon)
+
+    @staticmethod
+    def some_rows_tie(shape, epsilon):
+        # distinct values, then rows 0, 3, 4 and the last hold a second cell
+        # at top - epsilon, and row 2 one at an ulp below it
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        table = rng.permutation(shape[0] * shape[1]).reshape(shape) / 4.0
+        for row, below in ((0, False), (2, True), (3, False), (4, False), (shape[0] - 1, False)):
+            top = table[row].max()
+            tie = top - epsilon
+            table[row, (table[row].argmax() + 1 + row) % shape[1]] = np.nextafter(tie, -np.inf) if below else tie
+        return table
+
+    @pytest.mark.parametrize("shape", [(6, 5), (71, 912), (16, 3984), (232, 912)])
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-9, 0.5])
+    def test_cells_where_only_some_rows_tie(self, shape, epsilon):
+        self.assert_cells_are_the_row_mask(self.some_rows_tie(shape, epsilon), epsilon)
+
+    TIE_EDGES = {
+        # (rows, epsilon): a runner-up at top - epsilon exactly is kept, one an ulp below is not
+        "runner-up-at-top-minus-epsilon": ([[0.25, 1.0, 1.0 - 1e-9]], 1e-9),
+        "runner-up-an-ulp-below": ([[0.25, 1.0, np.nextafter(1.0 - 1e-9, 0.0)]], 1e-9),
+        "half-at-top-minus-epsilon": ([[3.0, 2.5, 2.0], [2.5 - 0.5, 2.5, 1.0]], 0.5),
+        "exact-ties-at-epsilon-0": ([[2.0, 1.0, 2.0, 2.0], [1.0, 1.0, 1.0, 1.0], [0.0, 3.0, 1.0, 3.0]], 0.0),
+        "neighbour-at-epsilon-0": ([[1.0, np.nextafter(1.0, 0.0), 0.5]], 0.0),
+        "signed-zero-maxima-epsilon-0": (
+            [[-1.0, -0.0, 0.0, -2.0], [0.0, -0.0, -1.0, -1.0], [-0.0, -3.0, -0.0, 0.0]], 0.0
+        ),
+        "signed-zero-maxima-epsilon-1e-9": ([[-1.0, -0.0, 0.0, -2.0], [0.0, -1.0, -0.0, -1.0]], 1e-9),
+        "one-column": ([[1.0], [-0.0], [0.0], [-5.0]], 0.0),
+        "one-column-epsilon-0.5": ([[1.0], [-0.0], [3.0]], 0.5),
+        "infinite-top": ([[np.inf, 1.0, np.inf], [np.inf, 1.0, 2.0], [-np.inf, -np.inf, -np.inf]], 1e-9),
+        "no-rows": (np.empty((0, 4)), 1e-9),
+    }
+
+    @pytest.mark.parametrize("case", list(TIE_EDGES))
+    def test_cells_at_the_tie_edges(self, case):
+        rows, epsilon = self.TIE_EDGES[case]
+        self.assert_cells_are_the_row_mask(np.array(rows, dtype=float), epsilon)
+
+    def test_cells_of_a_column_major_table(self):
+        table = np.asfortranarray(self.some_rows_tie((40, 30), 1e-9))
+        self.assert_cells_are_the_row_mask(table, 1e-9)
 
 
 class TestNashTwoPlayer:

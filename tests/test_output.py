@@ -131,6 +131,32 @@ class TestColumnWriter:
         fields = "".join(",".join(fmt(v) for v in row) + "\n" for row in zip(*(col.tolist() for col in columns)))
         assert path.read_bytes() == (",".join(names) + "\n" + fields).encode()
 
+    # integer columns: those with every value in [0, rows) take a table of used
+    # values instead of a sort, every other one the sort
+    RNG = np.random.default_rng(61)
+    UNIQUE_CASES = {
+        "random-below-rows": RNG.integers(0, 900, 1000),
+        "random-wide": RNG.integers(0, 2000, 1000),
+        "permutation": RNG.permutation(64),
+        "at-rows": np.append(np.arange(63), 64),
+        "empty": np.empty(0, dtype=np.int64),
+        "one-zero": np.zeros(1, dtype=np.int64),
+        "constant-below-rows": np.full(50, 7),
+        "constant-at-rows": np.full(7, 7),
+        "negative": RNG.integers(-5, 5, 100),
+        "int32": RNG.integers(0, 20, 100).astype(np.int32),
+        "uint8": RNG.integers(0, 20, 100).astype(np.uint8),
+    }
+
+    @pytest.mark.parametrize("case", list(UNIQUE_CASES))
+    def test_distinct_values_and_index_are_np_unique(self, case):
+        col = self.UNIQUE_CASES[case]
+        conversion, values, index = _column_field(col, repr)
+        distinct, inverse = np.unique(col, return_inverse=True)
+        assert conversion == "%s"
+        assert values.tolist() == [repr(v) for v in distinct.tolist()]
+        np.testing.assert_array_equal(index, inverse)
+
 
 def _read_case(tmp_path, body: str):
     path = tmp_path / "records.csv"

@@ -43,6 +43,21 @@ def test_markup_characters_are_escaped(tmp_path):
         assert text in texts
 
 
+@pytest.mark.parametrize("text", ["A&B <x>", "\"q\" 'a'", "<<>>&&", "a &lt; b &amp;", "&<>\"'"])
+def test_text_escapes_are_html_escape(text):
+    fig = Figure(text, text + " x", text + " y")
+    fig.add_scatter(text + " series", [(0, 0), (1, 1)])
+    svg = fig.svg()
+    for part in (text, text + " x", text + " y", text + " series"):
+        assert f">{html.escape(part, quote=False)}</text>" in svg
+
+
+def test_cli_start_does_not_import_html():
+    code = "import sys, ewlgames.cli; sys.exit('html' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], timeout=60, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0
+
+
 def test_repeated_points_render_once(tmp_path):
     fig = Figure("scatter", "x", "y")
     # the 1e-13 offsets land on the same pixel as the exact points
