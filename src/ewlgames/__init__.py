@@ -19,6 +19,7 @@ from .sweep import (
 
 # Outside __all__: the traced benchmark mirror (perfbench/traced.py) still
 # reads these as ewlgames.<name>, until ROADMAP item 1 moves it to the sweeps.
+# The nash_* adapters run the sweeps' one reduction on a tensor's whole tables.
 from .circuit import EntanglementParam
 from .equilibrium import PriorProbability, nash_bayesian, nash_two_player, payoff_tensor
 from .sweep import SweepRecord, payoff_histogram, scatter_theta

@@ -5,15 +5,17 @@ The payoff kernel scores a strategy pair as f_a @ K @ f_b.T: the grid's
 computed by `build_grid`) around each player's 10x10 form K, which each
 gamma builds from `circuit.payoff_forms`. A table row is player A's
 strategy index, a column player B's. Best responses are argmax-with-ties
-sets (tolerance epsilon), and both reductions find equilibria by one
-rule: list B's best-response cells, then keep those where A's payoff is
-within epsilon of its column's maximum (for the Bayesian A, of the
-p-mixed (b1, b2) column). The three-player Bayesian composition mixes
-two games' tables on one grid at one entanglement: player A scores
-p * game1 + (1-p) * game2 while each B-type scores its own game at full
-weight.
+sets (tolerance epsilon). One reduction (`_reduction`) finds equilibria
+by one rule for every caller: list each B type's best-response cells,
+take the candidate tuples (a, b1, ...) whose every b is a best response
+of its type to a, then keep those where A's payoff, weighted over the
+types, is within epsilon of the maximum of A's weighted column. A
+two-player game is the one-type case at weight 1.0; the three-player
+Bayesian composition has two B types at weights (p, 1 - p), so player A
+scores p * game1 + (1-p) * game2 while each B type scores its own game at
+full weight.
 
-Both reductions run on the orbit rows of the grid's +-U class tables.
+The reduction runs on the orbit rows of the grid's +-U class tables.
 The grid's maps G = {e, L, R, LR} (`StrategyGrid.orbit_maps`) leave each
 table invariant, pa[g.a, g.b] = pa[a, b], so the kernel computes one row
 per G-orbit of classes: the rows of S = `StrategyGrid.orbit_images[0]`,
@@ -26,41 +28,45 @@ index tuples, through the grid's `orbit_images` and `members` tables; a
 partner's record carries its representative's payoffs. Equilibrium sets
 are therefore closed under every g as well as under +-U. On a grid with
 G = {e}, S is every class and the arithmetic is the full class tables'.
-Bayesian equilibria are found without a loop over A's strategies; see
-`_bayes_reduction` for the algorithm, its order and its memory.
 
 The kernel writes tables in blocks of orbit rows (`_fill_rows`), and
 `_tables` drives it for every caller: it builds once what no gamma
 changes (the orbit rows' features, the transposed features, each
-block's folds and one buffer per player per game, as tall as the
-tallest block) and writes each gamma's pass into the buffers.
-`gamma_sweep` passes `_row_blocks` of about _ROW_BLOCK bytes, small
-enough that both players' blocks stay in cache while they are reduced,
-and reduces each block as soon as it is written, so it never holds a
-whole table; `bayes_sweep` passes one block of every orbit row and
-reduces the whole tables (`_bayes_reduction`). Every path gives the
-same bits: the 10-column product of the orbit rows' features with K
-is taken over all rows at once, and every block of the second product
-has 2 rows or more.
+block's folds and one buffer per game, as tall as the tallest block)
+and yields two passes per gamma into the buffers: B's pass writes each
+type's table, then A's pass each game's A table, so every table is
+computed once. The reduction keeps each type's best-response cells,
+with their B payoffs, from the first pass and builds the candidate
+tuples from them; the second pass gathers A's payoffs at each block's
+candidates and takes A's column maxima, by the step the games' type
+count selects: a running maximum over every column for one type, or
+maxima per prior and image pair (g.b1, g.b2) for two. `gamma_sweep`
+passes `_row_blocks` of about _ROW_BLOCK bytes, small enough that a
+block stays in cache while it is reduced, so it never holds a whole
+table. `bayes_sweep` passes one block of every orbit row, which its
+docstring explains. Every path gives the same bits: the 10-column
+product of the orbit rows' features with K is taken over all rows at
+once, and every block of the second product has 2 rows or more.
 
 B's best responses (`_best_responses`) come from each row's argmax and
 runner-up: the row's top cell is set to -inf while a second argmax pass
 finds the runner-up, then written back. When every row's runner-up is
 below top - epsilon, each row's argmax is its single best response; a
 table where some row ties takes the compare with top - epsilon on every
-row. The reductions write only into the sweep's own writable buffers,
-restore each one bit for bit before they return, and never write a
+row. The reduction writes only into the sweep's own writable buffers,
+restores each one bit for bit before it returns, and never writes a
 read-only table.
 
-The reductions produce columns: one member index array per player, then
+The reduction produces columns: one member index array per player, then
 one payoff array per player, and the sweeps consume them directly.
 
 `PayoffTensor`, `payoff_tensor`, `NashEquilibrium`, `nash_two_player` and
 `nash_bayesian` are adapters that only the benchmark's traced mirror
 (`perfbench/traced.py`) calls; they stay until ROADMAP item 1 moves that
 mirror onto the sweeps. A `payoff_tensor` is one step of `_tables` with
-buffers of its own, read-only, and the two `nash_*` adapters run the
-sweeps' reductions on a tensor's whole tables.
+a buffer of its own, read-only, and B's table copied out of it before
+A's pass; the two `nash_*` adapters run the reduction on tensors' whole
+tables.
 """
 from __future__ import annotations
 
@@ -105,12 +111,12 @@ class PayoffTensor:
         return table[np.ix_(self.grid.classes, self.grid.classes)]
 
 
-# Bytes of one table block in a two-player sweep. A's and B's blocks
-# (1 MiB together) stay in a 2 MiB L2 cache while the reduction reads
-# them. On 2 vCPUs with 2 MiB of L2 each, gamma_sweep of the prisoner's
-# dilemma on the 1824 grid at 65 gammas took the same time to within
-# 0.2 % at 384, 512 and 640 KiB, 32 % longer at 2 MiB (one block, where
-# the two tables overflow L2) and 28 % longer at 128 KiB (14 blocks).
+# Bytes of one table block in a two-player sweep, written by B's pass and
+# then A's into one buffer, which stays in a 2 MiB L2 cache while the
+# reduction reads it. On 2 vCPUs with 2 MiB of L2 each, gamma_sweep of the
+# prisoner's dilemma on the 1824 grid at 65 gammas took within 7 % of its
+# 512 KiB time from 384 KiB to 1 MiB, 13 % longer at 2 MiB (one block)
+# and 52 % longer at 128 KiB (14 blocks).
 # The 1824 grid's 232 x 912 orbit rows come in blocks of 71, the 7968
 # grid's 1000 x 3984 in blocks of 16.
 _ROW_BLOCK = 512 << 10
@@ -119,13 +125,12 @@ _ROW_BLOCK = 512 << 10
 def _row_blocks(rows: int, classes: int) -> list[tuple[int, int]]:
     """(start, stop) bounds of consecutive blocks of orbit rows, _ROW_BLOCK bytes of a table each.
 
-    At 512 KiB, a block of each player's table fits in a 2 MiB L2 cache
-    beside the other's, so the reduction reads both from cache. Every
-    block has at least 2 rows, and a 1-row tail joins the block before
-    it, which may then exceed _ROW_BLOCK by one row: numpy takes a 1-row
-    product as a matrix-vector product, whose bits differ from the same
-    row of the matrix product. Blocks of 2 rows or more give the whole
-    product's bits.
+    At 512 KiB a block fits in a 2 MiB L2 cache, so the reduction reads
+    it from cache. Every block has at least 2 rows, and a 1-row tail
+    joins the block before it, which may then exceed _ROW_BLOCK by one
+    row: numpy takes a 1-row product as a matrix-vector product, whose
+    bits differ from the same row of the matrix product. Blocks of 2 rows
+    or more give the whole product's bits.
     """
     size = max(2, _ROW_BLOCK // max(8 * classes, 1))  # an empty grid has no classes
     starts = list(range(0, rows, size))
@@ -190,18 +195,19 @@ def _tables(
     grid: StrategyGrid,
     gammas: Iterable[EntanglementParam],
     blocks: Sequence[tuple[int, int]],
-) -> Iterator[Iterator[tuple[int, list[np.ndarray]]]]:
-    """Each gamma's `_fill_rows` pass over `blocks` in turn, all written into one set of buffers.
+) -> Iterator[list[Iterator[tuple[int, list[np.ndarray]]]]]:
+    """Each gamma's two `_fill_rows` passes over `blocks`, B's then A's, all written into one buffer per game.
 
     The first step builds what no gamma changes: the orbit rows' features
     f_S, the transposed features f.T, the blocks' `_block_plan`, and one
-    buffer per player per game, as tall as the tallest block, so a sweep
-    does not fault in fresh pages at each point. Each gamma then takes the
+    buffer per game, as tall as the tallest block, so a sweep does not
+    fault in fresh pages at each point. Each gamma then takes the
     10-column products f_S @ K over all orbit rows at once, since
-    splitting them changes their bits. A pass yields (start, [rows_a,
-    rows_b] per game) per block: views of the buffers, valid only until
-    the pass resumes, and the next gamma's pass overwrites them all. Copy
-    what must outlive that.
+    splitting them changes their bits, and yields (B's pass, A's pass).
+    A pass yields (start, [rows per game]) per block: views of the
+    buffers, valid only until the pass resumes, and A's pass overwrites
+    what B's wrote, so B's pass must be finished first. Copy what must
+    outlive that.
     """
     if len(grid) == 0:
         raise ValueError("empty strategy grid")
@@ -209,10 +215,10 @@ def _tables(
     columns = grid.features.T
     plan = _block_plan(grid, blocks)
     height = max(stop - start for start, stop in blocks)
-    buffers = [np.empty((height, len(grid.features))) for _ in range(2 * len(games))]
+    buffers = [np.empty((height, len(grid.features))) for _ in games]
     for gamma in gammas:
-        products = [orbit_features @ k for game in games for k in payoff_forms(gamma, game)]
-        yield _fill_rows(products, columns, plan, buffers)
+        forms = [payoff_forms(gamma, game) for game in games]
+        yield [_fill_rows([orbit_features @ k[player] for k in forms], columns, plan, buffers) for player in (1, 0)]
 
 
 def payoff_tensor(
@@ -223,10 +229,13 @@ def payoff_tensor(
     """Tabulate both players' payoffs of each orbit row against every class.
 
     One step of the sweeps' `_tables`, as one block of every orbit row,
-    with buffers allocated for this call alone: no other call ever writes
-    the tensor's tables, and they are read-only.
+    with a buffer allocated for this call alone: B's table is copied out
+    of it before A's pass, no other call ever writes the tensor's tables,
+    and they are read-only.
     """
-    ((_, (rows_a, rows_b)),) = next(_tables((game,), grid, (gamma,), [(0, len(grid.orbit_images[0]))]))
+    b_pass, a_pass = next(_tables((game,), grid, (gamma,), [(0, len(grid.orbit_images[0]))]))
+    rows_b = next(b_pass)[1][0].copy()
+    rows_a = next(a_pass)[1][0]
     rows_a.setflags(write=False)
     rows_b.setflags(write=False)
     return PayoffTensor(game=game, gamma=gamma, grid=grid, rows_a=rows_a, rows_b=rows_b)
@@ -303,50 +312,6 @@ def _expand(
     return (*(col[order] for col in tuples), *(pay[source] for pay in payoffs))
 
 
-def _equilibria(columns: Sequence[np.ndarray]) -> list[NashEquilibrium]:
-    """NashEquilibrium objects from index columns followed by as many payoff columns."""
-    players = len(columns) // 2
-    return [
-        NashEquilibrium(strategy_indices=row[:players], payoffs=row[players:])
-        for row in zip(*(c.tolist() for c in columns))
-    ]
-
-
-def _two_player_reduction(
-    grid: StrategyGrid, blocks: Iterable[tuple[int, Sequence[np.ndarray]]], epsilon: float
-) -> tuple[np.ndarray, ...]:
-    """The two-player rule as columns (a_index, b_index, payoff_a, payoff_b).
-
-    `blocks` yields (start, (rows_a, rows_b)) for consecutive blocks of
-    orbit rows that together cover them all; each block is reduced as it
-    arrives. A's column maxima over the rows are a running maximum, and
-    B's best-response cells, complete within a row, are kept with both
-    payoffs. After the last block a cell (i, b) stays when A's payoff is
-    within epsilon of A's column-b maximum over every class: the maximum
-    over g of the rows' maxima at g.b.
-    """
-    rowmax = np.full(len(grid.features), -np.inf)
-    cells = []
-    for start, (pa, pb) in blocks:
-        np.maximum(rowmax, pa.max(axis=0), out=rowmax)
-        ri, cb = _best_responses(pb, epsilon)
-        cells.append((ri + start, cb, pa[ri, cb], pb[ri, cb]))
-    ri, cb, a, b = (parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in zip(*cells))
-    del cells
-    colmax = rowmax[grid.orbit_maps].max(axis=0)
-    keep = np.flatnonzero(a >= (colmax - epsilon)[cb])
-    ri, cb, a, b = ri[keep], cb[keep], a[keep], b[keep]
-    del keep
-    return _expand(grid, ri, (cb,), (a, b))
-
-
-def nash_two_player(tensor: PayoffTensor, epsilon: float = DEFAULT_EPSILON) -> list[NashEquilibrium]:
-    """All (i, j) lying in both players' best-response sets, in index order:
-    `_two_player_reduction` of the tensor's tables as one block."""
-    _require_epsilon(epsilon)
-    return _equilibria(_two_player_reduction(tensor.grid, [(0, (tensor.rows_a, tensor.rows_b))], epsilon))
-
-
 @dataclass(frozen=True)
 class PriorProbability:
     """Chance p of facing B1 (and 1-p of facing B2)."""
@@ -358,94 +323,128 @@ class PriorProbability:
             raise ValueError(f"p must be in [0, 1], got {self.p!r}")
 
 
-def _require_compatible(t1: PayoffTensor, t2: PayoffTensor) -> None:
-    if t1.grid is not t2.grid and (
-        t1.grid.source_steps != t2.grid.source_steps
-        or not np.array_equal(t1.grid.angles, t2.grid.angles)
-    ):
-        raise ValueError("tensors built on different strategy grids")
-    if t1.gamma != t2.gamma:
-        raise ValueError(
-            f"tensors built at different entanglement: {t1.gamma.gamma!r} vs {t2.gamma.gamma!r}"
-        )
-
-
-# Column pairs per step of A's column maxima. A step's scratch is a few
-# (|S|, _COLUMN_BLOCK) float arrays, 0.47 MB each on the 1824 grid.
+# Column pairs per step of A's column maxima for two B types. A step's
+# scratch is a few (|S|, _COLUMN_BLOCK) float arrays, 0.47 MB each on the
+# 1824 grid.
 _COLUMN_BLOCK = 256
 
 
-def _bayes_reduction(
+def _reduction(
     grid: StrategyGrid,
-    tables: Sequence[np.ndarray],
-    priors: Sequence[PriorProbability],
+    passes: Sequence[Iterable[tuple[int, Sequence[np.ndarray]]]],
+    weights: Sequence[tuple[float, ...]],
     epsilon: float,
 ) -> list[tuple[np.ndarray, ...]]:
-    """All (a, b1, b2) triples where each player is a best response, for each prior in turn.
+    """The equilibria of one gamma's tables, one column tuple per tuple of type weights.
 
-    `tables` are the whole orbit-row tables of game1 for A and B1, then
-    of game2 for A and B2. Returns one column tuple (a_index, b1_index,
-    b2_index, payoff_a, payoff_b1, payoff_b2) per prior, in lexicographic
-    index order.
+    `passes` is (B's pass, A's pass) as `_tables` yields them: each
+    yields (start, tables) for consecutive blocks of orbit rows that
+    together cover them all, one table per game. B type t plays game t's
+    B table, so the games, not the weights, give the type count. A
+    scores (a, b1, b2) as w[0] * A_1[a, b1] + w[1] * A_2[a, b2] at each
+    weight tuple w; a lone type's weight is 1.0, and A scores (a, b) on
+    its own table. Each column tuple is (a_index, one b_index per type,
+    payoff_a, one payoff_b per type), in lexicographic index order.
 
-    B1 maximizes game1's B-payoff vs a and B2 game2's, independent of p;
-    A maximizes the p-mixture p * game1 + (1-p) * game2. All of this runs
-    on the orbit rows of the +-U class tables, with a standing for an
-    orbit row and b1 and b2 for classes. Only triples whose b1 and b2 are
-    both best responses to a are candidates: they are enumerated with
-    array arithmetic in (a, b1, b2) order. A's condition,
-    p*X[a, b1] + (1-p)*Y[a, b2] >= colmax(b1, b2) - epsilon, needs the
-    column maximum over all classes only once per distinct (b1, b2) pair:
-    the maximum over g of the rows' maximum at (g.b1, g.b2). Those row
-    maxima are taken once per distinct image pair, in blocks of
-    _COLUMN_BLOCK pairs, so their scratch is O(|S| * _COLUMN_BLOCK);
-    the candidate arrays take O(number of candidate triples). `_expand`
-    takes each accepted triple to the member triples of its class images
-    (g.a, g.b1, g.b2), up to 8 per image, sorted once into lexicographic
-    index order. B1's and B2's best-response cells, the candidate
-    triples, their distinct (b1, b2) column pairs and the gathered payoff
-    columns are built once for all priors; only each prior's accepted
-    triples are expanded to member triples.
+    B's pass keeps each type's best-response cells with their B payoffs.
+    The candidate tuples, in (i, b1, ...) order for orbit rows i, repeat
+    each cell (i, b1) of the first type, with its payoff, once per cell
+    (i, b2) of the next type, the k-th repeat taking the k-th such b2
+    and its payoff; with one type they are its cells. A's pass gathers
+    A's payoffs at each block's candidates and takes the rows' column
+    maxima. A candidate stays when its weighted payoff is within epsilon
+    of the maximum of its weighted column over every class: the maximum
+    over g of the rows' maxima at (g.b1, ...). With one type that is a
+    running maximum over every column: gathering image columns instead
+    took PD on the 1824 grid at 65 gammas from 41 to 73 ms. With two it
+    is taken once per distinct image pair (g.b1, g.b2) and weight tuple,
+    in steps of _COLUMN_BLOCK pairs, so its scratch is
+    O(|S| * _COLUMN_BLOCK). All but each weight tuple's accepted cells
+    is built once for all of them. The candidates are freed before
+    `_expand` takes the accepted cells to member tuples, and each
+    tuple's accepted cells once they are expanded.
     """
-    x, xb, y, yb = tables
+    b_pass, a_pass = passes
     maps = grid.orbit_maps
     n = maps.shape[1]  # classes, not strategies
-    rows1, cols1 = _best_responses(xb, epsilon)
-    rows2, cols2 = _best_responses(yb, epsilon)
-    # Candidate triples in (i, b1, b2) order, i an orbit row: each of B1's
-    # cells (i, b1) is repeated once per b2 in B2's set for that i, and the
-    # k-th repeat takes the k-th such b2. Both cell lists are row-major.
-    count2 = np.bincount(rows2, minlength=len(xb))
-    reps = count2[rows1]
-    i = np.repeat(rows1, reps)
-    b1 = np.repeat(cols1, reps)
-    within = np.arange(len(i)) - np.repeat(np.cumsum(reps) - reps, reps)
-    b2 = cols2[np.repeat((np.cumsum(count2) - count2)[rows1], reps) + within]
-    del reps, within
+    found = ([_cells(table, start, epsilon) for table in tables] for start, tables in b_pass)
+    # per type: its cells' rows, columns and B payoffs, every block joined
+    cells = [[p[0] if len(p) == 1 else np.concatenate(p) for p in zip(*per_type)] for per_type in zip(*found)]
+    i, b, b_payoffs = cells[0][0], cells[0][1:2], cells[0][2:]
+    for rows_t, cols_t, pays_t in cells[1:]:
+        count = np.bincount(rows_t, minlength=len(grid.orbit_images[0]))
+        reps = count[i]
+        at = np.repeat((np.cumsum(count) - count)[i], reps)
+        at += np.arange(len(at)) - np.repeat(np.cumsum(reps) - reps, reps)
+        i, b = np.repeat(i, reps), [*(np.repeat(col, reps) for col in b), cols_t[at]]
+        b_payoffs = [*(np.repeat(pay, reps) for pay in b_payoffs), pays_t[at]]
+        del count, reps, at
+    del cells
 
-    # A's column maxima max_a' p*X[a', b1] + (1-p)*Y[a', b2] over every class
-    # a' are the maxima over g of the orbit rows' maxima at (g.b1, g.b2).
-    # Those are taken once per distinct image pair and prior.
-    pairs, column = np.unique(b1 * n + b2, return_inverse=True)
-    images, image = np.unique((maps[:, pairs // n] * n + maps[:, pairs % n]).ravel(), return_inverse=True)
-    u1, u2 = np.divmod(images, n)
-    rowmax = np.empty((len(priors), len(images)))
-    for start in range(0, len(images), _COLUMN_BLOCK):
-        block = slice(start, start + _COLUMN_BLOCK)
-        x_block, y_block = x[:, u1[block]], y[:, u2[block]]
-        for k, prior in enumerate(priors):
-            rowmax[k, block] = (prior.p * x_block + (1.0 - prior.p) * y_block).max(axis=0)
-    colmax = rowmax[:, image.reshape(len(maps), len(pairs))].max(axis=1)
+    if len(b) == 1:  # every column
+        rowmax = np.full(n, -np.inf)
+    else:
+        pairs, column = np.unique(b[0] * n + b[1], return_inverse=True)
+        images, image = np.unique((maps[:, pairs // n] * n + maps[:, pairs % n]).ravel(), return_inverse=True)
+        u1, u2 = np.divmod(images, n)
+        rowmax = np.full((len(weights), len(u1)), -np.inf)
+        del pairs, images
+    parts = []  # per block, per type: A's payoffs at the block's candidates
+    for start, tables in a_pass:
+        if len(b) == 1:
+            np.maximum(rowmax, tables[0].max(axis=0), out=rowmax)
+        else:
+            for first in range(0, len(u1), _COLUMN_BLOCK):
+                block = slice(first, first + _COLUMN_BLOCK)
+                x_block, y_block = tables[0][:, u1[block]], tables[1][:, u2[block]]
+                for top, (p, q) in zip(rowmax[:, block], weights):
+                    np.maximum(top, (p * x_block + q * y_block).max(axis=0), out=top)
+        lo, hi = i.searchsorted((start, start + len(tables[0])))
+        parts.append([table[i[lo:hi] - start, col[lo:hi]] for table, col in zip(tables, b)])
+    a_payoffs = [p[0] if len(p) == 1 else np.concatenate(p) for p in zip(*parts)]
+    del parts
+    if len(b) == 1:
+        column, colmax = b[0], [rowmax[maps].max(axis=0)] * len(weights)
+    else:
+        colmax = rowmax[:, image.reshape(len(maps), -1)].max(axis=1)
 
-    x_cells, y_cells = x[i, b1], y[i, b2]
-    out = []
-    for k, prior in enumerate(priors):
-        mixed = prior.p * x_cells + (1.0 - prior.p) * y_cells
-        ok = np.nonzero(mixed >= (colmax[k] - epsilon)[column])[0]
-        hit_i, hit_b1, hit_b2 = i[ok], b1[ok], b2[ok]
-        payoffs = (mixed[ok], xb[hit_i, hit_b1], yb[hit_i, hit_b2])
-        out.append(_expand(grid, hit_i, (hit_b1, hit_b2), payoffs))
-    return out
+    accepted = []
+    for w, top in zip(weights, colmax):
+        mixed = a_payoffs[0] if len(b) == 1 else w[0] * a_payoffs[0] + w[1] * a_payoffs[1]
+        ok = np.flatnonzero(mixed >= (top - epsilon)[column])
+        accepted.append((i[ok], [col[ok] for col in b], [mixed[ok], *(pay[ok] for pay in b_payoffs)]))
+        del mixed, ok
+    del i, b, b_payoffs, a_payoffs, column  # the candidates: only the accepted cells are expanded
+    return [_expand(grid, *accepted.pop(0)) for _ in weights]  # each freed once it is expanded
+
+
+def _cells(table: np.ndarray, start: int, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows, counted from `start`, columns and payoffs of a block's `_best_responses` cells."""
+    rows, cols = _best_responses(table, epsilon)
+    return rows + start, cols, table[rows, cols]
+
+
+def _nash(tensors: Sequence[PayoffTensor], weights: tuple[float, ...], epsilon: float) -> list[NashEquilibrium]:
+    """The reduction of the tensors' whole tables as one block, one B type per tensor, at one weight
+    tuple, as NashEquilibrium objects."""
+    _require_epsilon(epsilon)
+    grid, gamma = tensors[0].grid, tensors[0].gamma
+    for t in tensors[1:]:
+        if t.grid is not grid and (
+            t.grid.source_steps != grid.source_steps or not np.array_equal(t.grid.angles, grid.angles)
+        ):
+            raise ValueError("tensors built on different strategy grids")
+        if t.gamma != gamma:
+            raise ValueError(f"tensors built at different entanglement: {gamma.gamma!r} vs {t.gamma.gamma!r}")
+    passes = ([(0, [t.rows_b for t in tensors])], [(0, [t.rows_a for t in tensors])])
+    (columns,) = _reduction(grid, passes, [weights], epsilon)
+    players = len(columns) // 2
+    return [NashEquilibrium(row[:players], row[players:]) for row in zip(*(c.tolist() for c in columns))]
+
+
+def nash_two_player(tensor: PayoffTensor, epsilon: float = DEFAULT_EPSILON) -> list[NashEquilibrium]:
+    """All (i, j) lying in both players' best-response sets, in index order."""
+    return _nash([tensor], (1.0,), epsilon)
 
 
 def nash_bayesian(
@@ -455,8 +454,5 @@ def nash_bayesian(
     epsilon: float = DEFAULT_EPSILON,
 ) -> list[NashEquilibrium]:
     """All (a, b1, b2) triples where each player is a best response, in
-    lexicographic index order: `_bayes_reduction` of the tensors' tables at one prior."""
-    _require_epsilon(epsilon)
-    _require_compatible(t1, t2)
-    tables = (t1.rows_a, t1.rows_b, t2.rows_a, t2.rows_b)
-    return _equilibria(_bayes_reduction(t1.grid, tables, [p], epsilon)[0])
+    lexicographic index order, at one prior."""
+    return _nash([t1, t2], (p.p, 1.0 - p.p), epsilon)

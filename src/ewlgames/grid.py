@@ -13,7 +13,7 @@ purpose: they count as separate strategy choices.
 Every U has determinant 1, so the only global phase that maps it onto
 another grid matrix is -1: U(theta, phi+pi, alpha+pi) = -U. Payoffs depend
 on |psi|^2 only, so U and -U score identically, and the pair forms a
-class of at most two members. The payoff kernel and the Nash reductions
+class of at most two members. The payoff kernel and the Nash reduction
 score each class once, through its lower-index representative, whose
 gamma-free rotation features the grid computes as it is built and keeps;
 they are those of the representative's own `strategy_matrix`, and a
@@ -21,7 +21,7 @@ partner's matrix is the representative's negation within DEDUP_TOL. A
 strategy whose negation is not on the grid (pi is not a multiple of the
 phi or alpha step), or whose first negation already has a partner, is a
 class of its own. The grid lists each class's members once, and the
-reductions expand class equilibria through that list.
+reduction expands class equilibria through that list.
 
 The circuit has one more symmetry. The gate J(gamma) commutes with
 sigma_z (x) sigma_z, which fixes |00> and only flips the sign of other

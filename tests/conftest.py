@@ -60,14 +60,15 @@ def full_class_tables():
 def solver_tables():
     """tables(games, grid, gamma, expand=None): the tables the sweeps reduce.
 
-    They are the whole orbit-row tables that one pass of `equilibrium._tables`
-    writes at `gamma`, in one block, into buffers of this call's own: rows_a,
-    then rows_b, per game. expand="classes" gives each as the full class table,
-    every class against every class, and expand="members" as the full
-    member table, indexed by `grid.classes`. The package never builds these:
-    row g.S[i] of a class table is orbit row i read at the columns g.b, for
-    every map g with `grid.orbit_images[g, i]` >= 0, so each entry has the
-    bits the reductions read.
+    They are the whole orbit-row tables that one step of `equilibrium._tables`
+    writes at `gamma`, in one block, into buffers of this call's own: B's
+    pass, copied out before A's pass overwrites it, then A's. They come as
+    rows_a, then rows_b, per game. expand="classes" gives each as the full
+    class table, every class against every class, and expand="members" as
+    the full member table, indexed by `grid.classes`. The package never
+    builds these: row g.S[i] of a class table is orbit row i read at the
+    columns g.b, for every map g with `grid.orbit_images[g, i]` >= 0, so
+    each entry has the bits the reduction reads.
     """
 
     def expanded(grid, rows: np.ndarray, expand: str) -> np.ndarray:
@@ -81,7 +82,11 @@ def solver_tables():
     def tables(games, grid, gamma: float, expand: str | None = None) -> list[np.ndarray]:
         assert expand in (None, "classes", "members")
         blocks = [(0, len(grid.orbit_images[0]))]
-        ((_, rows),) = next(equilibrium._tables(games, grid, [EntanglementParam(gamma)], blocks))
+        b_pass, a_pass = next(equilibrium._tables(games, grid, [EntanglementParam(gamma)], blocks))
+        ((_, b_rows),) = b_pass
+        b_rows = [table.copy() for table in b_rows]
+        ((_, a_rows),) = a_pass
+        rows = [table for pair in zip(a_rows, b_rows) for table in pair]
         return rows if expand is None else [expanded(grid, table, expand) for table in rows]
 
     return tables

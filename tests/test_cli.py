@@ -438,6 +438,20 @@ class TestPinnedBytes:
         assert run("bayes-sweep", *argv, "--p-grid", "3", "--format", fmt, "--out", str(out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINS[case]
 
+    # sha256 of the canonical Bayes run's CSV, PD/deadlock on the 1824 grid at
+    # 65 gammas x 21 priors, computed at commit 91c45dd, while the two-player
+    # and Bayesian rules were still two reductions.
+    CANONICAL_BAYES = (122752, "026e0db83f0ddde6d4448a498325dfcd8049627ebc0f750647895ea11fe859cc")
+
+    def test_canonical_bayes_sweep_digest(self, tmp_path):
+        out = tmp_path / "records.csv"
+        argv = ["--game", "prisoners_dilemma", "--game2", "deadlock", "--steps", "pi/8,pi/8,pi/8"]
+        assert run("bayes-sweep", *argv, "--gamma-grid", "65", "--p-grid", "21", "--out", str(out)) == 0
+        data = out.read_bytes()
+        records, digest = self.CANONICAL_BAYES
+        assert data.count(b"\n") == 1 + records
+        assert hashlib.sha256(data).hexdigest() == digest
+
     # sha256 of two-player files and of a fine strategy list, computed before
     # the kernel split the 1824 grid's tables into row blocks and before the
     # axis match became a sort (commit 2f8713c).

@@ -18,6 +18,7 @@ from ewlgames import equilibrium
 from ewlgames.circuit import PAYOFF_LIMIT, EntanglementParam, strategy_matrix
 from ewlgames.equilibrium import PriorProbability
 from ewlgames.grid import SteppingParams, build_grid
+from ewlgames.sweep import _sweep
 
 from oracles import (
     brute_force_bayes,
@@ -379,16 +380,31 @@ class TestBayesian:
         for _, payoffs in eqs:
             assert payoffs == pytest.approx((1.0, 1.0, 1.0), abs=1e-9)
 
-    def test_p_one_projects_to_two_player(self, coarse_grid, pd_deadlock):
-        g1, g2, (_, _, _, yb) = pd_deadlock
-        triples = [abc for abc, _ in equilibria(bayes_sweep(g1, g2, coarse_grid, [BAYES_GAMMA], [1.0]))]
-        pairs = {abc[:2] for abc in triples}
-        expected = {ij for ij, _ in equilibria(gamma_sweep(g1, coarse_grid, [BAYES_GAMMA]))}
-        assert pairs == expected
-        # b2 ranges over B2's best responses to a
-        b2_best = yb >= yb.max(axis=1, keepdims=True) - 1e-9
-        for a, _, b2 in triples:
-            assert b2_best[a, b2]
+    @pytest.mark.parametrize(
+        "grid, gammas",
+        [("coarse_grid", [BAYES_GAMMA]), ("eighth_grid", [0.0, PI / 8, 0.7, PI / 2])],
+        ids=["coarse", "1824"],
+    )
+    def test_p_one_projects_to_two_player(self, request, solver_tables, pd_deadlock, grid, gammas):
+        # At p = 1, A plays game1 alone: the (a, b1) pairs are game1's
+        # two-player equilibria with equal payoffs, and b2 ranges over B2's
+        # best responses to a. At p = 0 the same holds for (a, b2) and game2.
+        g1, g2, _ = pd_deadlock
+        grid = request.getfixturevalue(grid)
+        found = {1.0: 0, 0.0: 0}
+        for gamma in gammas:
+            _, xb, _, yb = solver_tables([g1, g2], grid, gamma, "members")
+            bayes = bayes_sweep(g1, g2, grid, [gamma], [0.0, 1.0])
+            for p, game, slot, other_b in ((1.0, g1, 1, yb), (0.0, g2, 2, xb)):
+                triples = at_prior(bayes, p)
+                want = dict(equilibria(gamma_sweep(game, grid, [gamma])))
+                pairs = [(abc[0], abc[slot]) for abc, _ in triples]
+                found[p] += len(want)
+                assert set(pairs) == set(want), (gamma, p)
+                assert [want[ab] for ab in pairs] == [(pay[0], pay[slot]) for _, pay in triples], (gamma, p)
+                best = other_b >= other_b.max(axis=1, keepdims=True) - 1e-9
+                assert all(best[abc[0], abc[3 - slot]] for abc, _ in triples), (gamma, p)
+        assert all(found.values()), found
 
     def test_identical_games_diagonal_matches_two_player(self, coarse_grid, pd_deadlock):
         g1 = pd_deadlock[0]
@@ -461,7 +477,7 @@ class TestBayesian:
 @pytest.mark.parametrize("epsilon", [-1.0, -1e-12, math.nan, math.inf])
 def test_bad_epsilon_rejected(coarse_grid, pd_deadlock, epsilon):
     g1, g2, _ = pd_deadlock
-    # with no gammas the reductions never run, and the sweeps still refuse
+    # with no gammas the reduction never runs, and the sweeps still refuse
     for gammas in ([BAYES_GAMMA], []):
         with pytest.raises(ValueError, match="epsilon"):
             gamma_sweep(g1, coarse_grid, gammas, epsilon)
@@ -577,8 +593,8 @@ MEMBER_CASES = [
 
 
 class TestPayoffBuffers:
-    """`_tables` writes every gamma's pass into one set of buffers, one per
-    player per game."""
+    """`_tables` writes every gamma's two passes, B's then A's, into one set
+    of buffers, one per game."""
 
     GAMMAS = [EntanglementParam(0.0), EntanglementParam(PI / 8)]
 
@@ -591,22 +607,25 @@ class TestPayoffBuffers:
         lone = {game: solver_tables([game], eighth_grid, PI / 8) for game in (stag_hunt, deadlock)}
         # a two-player sweep's row blocks, and a two-game whole-table pass
         for games, blocks in (((stag_hunt,), row_blocks), ((stag_hunt, deadlock), [(0, rows)])):
-            passes = [
-                [(start, tables, [t.copy() for t in tables]) for start, tables in filled]
-                for filled in equilibrium._tables(games, eighth_grid, self.GAMMAS, blocks)
+            steps = [
+                [[(start, tables, [t.copy() for t in tables]) for start, tables in filled] for filled in passes]
+                for passes in equilibrium._tables(games, eighth_grid, self.GAMMAS, blocks)
             ]
-            assert [len(p) for p in passes] == [len(blocks)] * 2
-            buffers = passes[0][0][1]
-            assert len(buffers) == 2 * len(games)
+            assert [[len(p) for p in step] for step in steps] == [[len(blocks)] * 2] * 2
+            buffers = steps[0][0][0][1]
+            assert len(buffers) == len(games)
             for x, y in itertools.combinations(buffers, 2):
                 assert not np.shares_memory(x, y)
-            for _, tables, _ in itertools.chain.from_iterable(passes):
+            for _, tables, _ in itertools.chain.from_iterable(itertools.chain.from_iterable(steps)):
                 assert all(np.shares_memory(t, b) for t, b in zip(tables, buffers, strict=True))
-            # the latest gamma's tables, written block by block and left in the buffers
-            want = [table for game in games for table in lone[game]]
-            written = [np.concatenate(parts) for parts in zip(*(copies for _, _, copies in passes[-1]))]
-            assert all(np.array_equal(w, t) for w, t in zip(want, written, strict=True))
-            start, tables, _ = passes[-1][-1]
+            # the latest gamma's tables, B's pass then A's, written block by block;
+            # A's are left in the buffers
+            for player, filled in zip((1, 0), steps[-1], strict=True):
+                want = [lone[game][player] for game in games]
+                written = [np.concatenate(parts) for parts in zip(*(copies for _, _, copies in filled))]
+                assert all(np.array_equal(w, t) for w, t in zip(want, written, strict=True))
+            start, tables, _ = steps[-1][-1][-1]
+            want = [lone[game][0] for game in games]
             assert all(np.array_equal(w[start:], t) for w, t in zip(want, tables, strict=True))
 
 
@@ -641,10 +660,11 @@ class TestTwoPlayerOnEighthGrid:
         tables = solver_tables([CATALOGUE.get(name)], eighth_grid, gamma)
         rows, n = tables[0].shape
         assert rows == 232 and n == 912
+        passes = whole_passes(tables)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            columns = equilibrium._two_player_reduction(eighth_grid, [(0, tables)], 1e-9)
+            (columns,) = equilibrium._reduction(eighth_grid, passes, [(1.0,)], 1e-9)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -670,12 +690,13 @@ class TestBayesOnEighthGrid:
         self, eighth_grid, solver_tables, names, gamma, classes_squared
     ):
         tables = solver_tables([CATALOGUE.get(name) for name in names], eighth_grid, gamma)
-        priors = [PriorProbability(p) for p in default_p_grid(21)]
+        passes = whole_passes(tables)
+        weights = [(p, 1.0 - p) for p in default_p_grid(21)]
         n = tables[0].shape[1]
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            per_prior = equilibrium._bayes_reduction(eighth_grid, tables, priors, 1e-9)
+            per_prior = equilibrium._reduction(eighth_grid, passes, weights, 1e-9)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -728,9 +749,16 @@ def full_bayes(grid, x, xb, y, yb, p, epsilon):
     return member_tuples(grid, (a, b1, b2), (mixed[ok], xb[a, b1], yb[a, b2]))
 
 
+def whole_passes(tables):
+    """(B's pass, A's pass) over whole orbit-row tables given as rows_a, then
+    rows_b, per game: one block each."""
+    return [(0, tables[1::2])], [(0, tables[0::2])]
+
+
 def whole_reduction(grid, tables, epsilon):
     """The two-player reduction of whole orbit-row tables, as one block."""
-    return equilibrium._two_player_reduction(grid, [(0, tables)], epsilon)
+    (columns,) = equilibrium._reduction(grid, whole_passes(tables), [(1.0,)], epsilon)
+    return columns
 
 
 def assert_same_equilibria(got, want, players):
@@ -789,7 +817,7 @@ class TestOrbitSolve:
         for grid in (eighth_grid, lone_class_grid):
             tables = solver_tables(games, grid, gamma)
             (x, xb), (y, yb) = (full_class_tables(game, grid, gamma) for game in games)
-            per_prior = equilibrium._bayes_reduction(grid, tables, [PriorProbability(p) for p in priors], 1e-9)
+            per_prior = equilibrium._reduction(grid, whole_passes(tables), [(p, 1.0 - p) for p in priors], 1e-9)
             assert any(len(got[0]) for got in per_prior)
             for p, got in zip(priors, per_prior, strict=True):
                 assert_same_equilibria(got, full_bayes(grid, x, xb, y, yb, p, 1e-9), 3)
@@ -861,6 +889,24 @@ class TestStreamedReduction:
     def test_shipped_blocks_give_the_whole_tables_columns(self, eighth_grid, solver_tables, name):
         assert len(equilibrium._row_blocks(len(eighth_grid.orbit_images[0]), len(eighth_grid.features))) > 1
         assert_blocks_give_the_whole_tables_columns(CATALOGUE.get(name), eighth_grid, solver_tables)
+
+    @pytest.mark.parametrize("grid", ["eighth_grid", "lone_class_grid"])
+    @pytest.mark.parametrize("names", [("prisoners_dilemma", "deadlock"), ("stag_hunt", "das_brother")])
+    def test_bayes_blocks_give_the_whole_tables_columns(self, request, monkeypatch, grid, names):
+        # bayes_sweep reduces one block of every orbit row; row blocks take
+        # A's maxima per image pair as a running maximum, to the same bytes
+        grid = request.getfixturevalue(grid)
+        games = [CATALOGUE.get(name) for name in names]
+        gammas, priors = [g for g, _ in MEMBER_GAMMAS], [0.0, 0.3, 1.0]
+        whole = bayes_sweep(*games, grid, gammas, priors)
+        assert len(whole) > 0
+        rows, classes = len(grid.orbit_images[0]), len(grid.features)
+        monkeypatch.setattr(equilibrium, "_ROW_BLOCK", 3 * 8 * classes)
+        blocks = equilibrium._row_blocks(rows, classes)
+        assert len(blocks) > 1
+        streamed = _sweep(games, grid, gammas, blocks, [(p, 1.0 - p) for p in priors], 1e-9)
+        for name, column in whole.columns.items():
+            assert column.tobytes() == streamed.columns[name].tobytes(), name
 
     def test_a_7968_sweep_holds_no_whole_table(self, stag_hunt):
         grid = build_grid(SteppingParams(PI / 32, PI / 8, PI / 8))

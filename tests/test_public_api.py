@@ -111,7 +111,7 @@ def test_traced_benchmark_names_resolve():
 
 # What only perfbench/traced.py still calls. Outside tests/test_traced_surface.py
 # the tests reach the solver through the sweeps or `equilibrium._tables` and
-# the reductions, so that deleting these names deletes one test module.
+# the reduction, so that deleting these names deletes one test module.
 ADAPTER_NAMES = {
     "payoff_tensor", "PayoffTensor", "nash_two_player", "nash_bayesian", "NashEquilibrium",
     "SweepRecord", "record_columns", "scatter_theta", "payoff_histogram", "write_rows_csv", "records",

@@ -157,8 +157,7 @@ class TestGammaSweep:
 
             return reduction
 
-        for name in ("_two_player_reduction", "_bayes_reduction"):
-            monkeypatch.setattr(ewlgames.sweep, name, spied(name))
+        monkeypatch.setattr(ewlgames.sweep, "_reduction", spied("_reduction"))
         gammas = [0.1, 0.2, 9.0]
         with pytest.raises(ValueError, match="gamma must be in"):
             if bayes:
@@ -523,6 +522,8 @@ class TestRecordTables:
             (gamma_sweep(matching_pennies, coarse_grid, [0.0, 0.5]), TWO_PLAYER_COLUMNS),
             (gamma_sweep(matching_pennies, coarse_grid, []), TWO_PLAYER_COLUMNS),
             (bayes_sweep(prisoners_dilemma, matching_pennies, coarse_grid, [], [0.5]), BAYES_COLUMNS),
+            # tables but no priors: the games, not the weights, give the B types
+            (bayes_sweep(prisoners_dilemma, matching_pennies, coarse_grid, [0.3], []), BAYES_COLUMNS),
         ):
             assert len(table) == 0 and list(table.columns) == names
             for name, col in table.columns.items():

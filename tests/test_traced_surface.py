@@ -2,7 +2,7 @@
 still calls, pinned to the sweep path the CLI runs.
 
 Every other test module reaches the solver through the sweeps, or through
-`equilibrium._tables` and the reductions; tests/test_public_api.py checks
+`equilibrium._tables` and the reduction; tests/test_public_api.py checks
 that none of them imports or reads an adapter. This module goes when the
 mirror runs the sweeps and the adapters are deleted (ROADMAP items 1 and 2).
 """
