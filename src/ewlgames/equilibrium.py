@@ -40,13 +40,16 @@ with their B payoffs, from the first pass and builds the candidate
 tuples from them; the second pass gathers A's payoffs at each block's
 candidates and takes A's column maxima, by the step the games' type
 count selects: a running maximum over every column for one type, or
-maxima per prior and image pair (g.b1, g.b2) for two. `gamma_sweep`
-passes `_row_blocks` of about _ROW_BLOCK bytes, small enough that a
-block stays in cache while it is reduced, so it never holds a whole
-table. `bayes_sweep` passes one block of every orbit row, which its
-docstring explains. Every path gives the same bits: the 10-column
-product of the orbit rows' features with K is taken over all rows at
-once, and every block of the second product has 2 rows or more.
+running maxima per prior and image pair (g.b1, g.b2) for two. The
+two-type step mixes a block's image columns a chunk at a time in four
+scratch arrays of _ROW_BLOCK bytes together, allocated once per
+reduction. Both sweeps pass `_row_blocks` of about _ROW_BLOCK bytes,
+small enough that a block stays in cache while it is reduced, so no
+sweep holds a whole table. Every path gives the same bits: the
+10-column product of the orbit rows' features with K is taken over all
+rows at once, every block of the second product has 2 rows or more,
+each mixture entry is the same float expression, and a maximum is exact
+in any order.
 
 B's best responses (`_best_responses`) come from each row's argmax and
 runner-up: the row's top cell is set to -inf while a second argmax pass
@@ -111,9 +114,10 @@ class PayoffTensor:
         return table[np.ix_(self.grid.classes, self.grid.classes)]
 
 
-# Bytes of one table block in a two-player sweep, written by B's pass and
-# then A's into one buffer, which stays in a 2 MiB L2 cache while the
-# reduction reads it. On 2 vCPUs with 2 MiB of L2 each, gamma_sweep of the
+# Bytes of one table block in a sweep, written by B's pass and then A's
+# into one buffer per game, which stays in a 2 MiB L2 cache while the
+# reduction reads it; also the bytes of the two-type A step's four scratch
+# arrays together. On 2 vCPUs with 2 MiB of L2 each, gamma_sweep of the
 # prisoner's dilemma on the 1824 grid at 65 gammas took within 7 % of its
 # 512 KiB time from 384 KiB to 1 MiB, 13 % longer at 2 MiB (one block)
 # and 52 % longer at 128 KiB (14 blocks).
@@ -323,12 +327,6 @@ class PriorProbability:
             raise ValueError(f"p must be in [0, 1], got {self.p!r}")
 
 
-# Column pairs per step of A's column maxima for two B types. A step's
-# scratch is a few (|S|, _COLUMN_BLOCK) float arrays, 0.47 MB each on the
-# 1824 grid.
-_COLUMN_BLOCK = 256
-
-
 def _reduction(
     grid: StrategyGrid,
     passes: Sequence[Iterable[tuple[int, Sequence[np.ndarray]]]],
@@ -357,17 +355,24 @@ def _reduction(
     over g of the rows' maxima at (g.b1, ...). With one type that is a
     running maximum over every column: gathering image columns instead
     took PD on the 1824 grid at 65 gammas from 41 to 73 ms. With two it
-    is taken once per distinct image pair (g.b1, g.b2) and weight tuple,
-    in steps of _COLUMN_BLOCK pairs, so its scratch is
-    O(|S| * _COLUMN_BLOCK). All but each weight tuple's accepted cells
-    is built once for all of them. The candidates are freed before
-    `_expand` takes the accepted cells to member tuples, and each
-    tuple's accepted cells once they are expanded.
+    is a running maximum per distinct image pair (g.b1, g.b2) and weight
+    tuple (`_mixed_maxima`), over `width` image columns at a time: four
+    scratch arrays of the tallest block's rows by `width` floats hold
+    X's and Y's gathered columns, p * X and q * Y, and take _ROW_BLOCK
+    bytes together, so the step makes no fresh table-sized temporaries.
+    The scratch is allocated once per reduction and freed with every
+    view of it before `_expand`. All but each weight tuple's accepted
+    cells is built once for all of them. The candidates are freed
+    before `_expand` takes the accepted cells to member tuples, and
+    each tuple's accepted cells once they are expanded.
     """
     b_pass, a_pass = passes
     maps = grid.orbit_maps
     n = maps.shape[1]  # classes, not strategies
-    found = ([_cells(table, start, epsilon) for table in tables] for start, tables in b_pass)
+    height, found = 0, []  # the tallest block's rows; per block, per type: its cells
+    for start, tables in b_pass:
+        height = max(height, len(tables[0]))
+        found.append([_cells(table, start, epsilon) for table in tables])
     # per type: its cells' rows, columns and B payoffs, every block joined
     cells = [[p[0] if len(p) == 1 else np.concatenate(p) for p in zip(*per_type)] for per_type in zip(*found)]
     i, b, b_payoffs = cells[0][0], cells[0][1:2], cells[0][2:]
@@ -379,7 +384,7 @@ def _reduction(
         i, b = np.repeat(i, reps), [*(np.repeat(col, reps) for col in b), cols_t[at]]
         b_payoffs = [*(np.repeat(pay, reps) for pay in b_payoffs), pays_t[at]]
         del count, reps, at
-    del cells
+    del found, cells
 
     if len(b) == 1:  # every column
         rowmax = np.full(n, -np.inf)
@@ -388,17 +393,15 @@ def _reduction(
         images, image = np.unique((maps[:, pairs // n] * n + maps[:, pairs % n]).ravel(), return_inverse=True)
         u1, u2 = np.divmod(images, n)
         rowmax = np.full((len(weights), len(u1)), -np.inf)
+        width = max(1, min(len(u1), _ROW_BLOCK // (32 * height)))  # 4 arrays of 8-byte floats
+        scratch = np.empty((4, height * width))
         del pairs, images
     parts = []  # per block, per type: A's payoffs at the block's candidates
     for start, tables in a_pass:
         if len(b) == 1:
             np.maximum(rowmax, tables[0].max(axis=0), out=rowmax)
         else:
-            for first in range(0, len(u1), _COLUMN_BLOCK):
-                block = slice(first, first + _COLUMN_BLOCK)
-                x_block, y_block = tables[0][:, u1[block]], tables[1][:, u2[block]]
-                for top, (p, q) in zip(rowmax[:, block], weights):
-                    np.maximum(top, (p * x_block + q * y_block).max(axis=0), out=top)
+            _mixed_maxima(tables, u1, u2, weights, rowmax, scratch, width)
         lo, hi = i.searchsorted((start, start + len(tables[0])))
         parts.append([table[i[lo:hi] - start, col[lo:hi]] for table, col in zip(tables, b)])
     a_payoffs = [p[0] if len(p) == 1 else np.concatenate(p) for p in zip(*parts)]
@@ -406,6 +409,7 @@ def _reduction(
     if len(b) == 1:
         column, colmax = b[0], [rowmax[maps].max(axis=0)] * len(weights)
     else:
+        del scratch
         colmax = rowmax[:, image.reshape(len(maps), -1)].max(axis=1)
 
     accepted = []
@@ -416,6 +420,38 @@ def _reduction(
         del mixed, ok
     del i, b, b_payoffs, a_payoffs, column  # the candidates: only the accepted cells are expanded
     return [_expand(grid, *accepted.pop(0)) for _ in weights]  # each freed once it is expanded
+
+
+def _mixed_maxima(
+    tables: Sequence[np.ndarray],
+    u1: np.ndarray,
+    u2: np.ndarray,
+    weights: Sequence[tuple[float, ...]],
+    rowmax: np.ndarray,
+    scratch: np.ndarray,
+    width: int,
+) -> None:
+    """Raise rowmax[k, j] to the block's maximum of p * X[:, u1[j]] + q * Y[:, u2[j]] at (p, q) = weights[k].
+
+    X and Y are the block's two A tables. The image columns come `width`
+    at a time: X's and Y's are gathered into the first two rows of
+    `scratch`, which hold a block's rows times `width` floats each, and
+    every weight tuple mixes them into the other two, p * X, then q * Y,
+    then their sum, the same float operations as the expression. Every
+    view of `scratch` dies with this call.
+    """
+    rows = len(tables[0])
+    for first in range(0, len(u1), width):
+        chunk = slice(first, first + width)
+        x, y, mixed, other = (s[: rows * len(u1[chunk])].reshape(rows, -1) for s in scratch)
+        # mode "raise" would gather into a fresh copy of `out`; the indices are valid, so "clip" changes nothing
+        np.take(tables[0], u1[chunk], axis=1, out=x, mode="clip")
+        np.take(tables[1], u2[chunk], axis=1, out=y, mode="clip")
+        for top, (p, q) in zip(rowmax[:, chunk], weights):
+            np.multiply(p, x, out=mixed)
+            np.multiply(q, y, out=other)
+            mixed += other
+            np.maximum(top, mixed.max(axis=0), out=top)
 
 
 def _cells(table: np.ndarray, start: int, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -215,17 +215,20 @@ def _sweep(
     games: Sequence[GameDefinition],
     grid: StrategyGrid,
     gamma_points: Sequence[float],
-    blocks: Sequence[tuple[int, int]],
     weights: Sequence[tuple[float, ...]],
     epsilon: float,
 ) -> RecordTable:
     """The table of `_reduction` at each gamma and weight tuple, one B type per game.
 
-    A Bayesian record's p is its first type's weight. The reduction copies
-    what it keeps from the `_tables` buffers; each angle column is gathered
-    from a column of `grid.angles` by index.
+    Every table comes one block of orbit rows (`_row_blocks`) at a time,
+    B's then A's, and each block is reduced as it is written, so the
+    sweep never holds a whole table. A Bayesian record's p is its first
+    type's weight. The reduction copies what it keeps from the `_tables`
+    buffers; each angle column is gathered from a column of
+    `grid.angles` by index.
     """
     gammas = [EntanglementParam(g + 0.0) for g in gamma_points]  # every gamma is checked before any work
+    blocks = _row_blocks(len(grid.orbit_images[0]), len(grid.features))
     # closing the generator frees the buffers before the record columns are built
     with closing(_tables(games, grid, gammas, blocks)) as steps:
         points = [
@@ -265,14 +268,11 @@ def gamma_sweep(
 ) -> RecordTable:
     """Two-player equilibria at each entanglement value, as one table.
 
-    The game is the one B type, at weight 1.0. Its tables come one block
-    of orbit rows (`_row_blocks`) at a time, B's then A's, and each block
-    is reduced as it is written, so the sweep never holds a whole table.
-    A gamma of -0.0 is recorded as 0.0.
+    The game is the one B type, at weight 1.0, and `_sweep` streams its
+    tables in row blocks. A gamma of -0.0 is recorded as 0.0.
     """
     _require_epsilon(epsilon)  # also when there are no gammas to reduce
-    blocks = _row_blocks(len(grid.orbit_images[0]), len(grid.features))
-    return _sweep((game,), grid, gamma_points, blocks, [(1.0,)], epsilon)
+    return _sweep((game,), grid, gamma_points, [(1.0,)], epsilon)
 
 
 def bayes_sweep(
@@ -285,20 +285,18 @@ def bayes_sweep(
 ) -> RecordTable:
     """Bayesian (A, B1, B2) equilibria over the full (gamma, p) product grid, as one table.
 
-    The two games are the B types, at weights (p, 1 - p). Their tables
-    come as one block of every orbit row, B's then A's, into one buffer
+    The two games are the B types, at weights (p, 1 - p). `_sweep`
+    streams their tables in row blocks, B's then A's, into one buffer
     per game, and one candidate set (B's best-response cells, the
-    candidate triples and A's distinct column pairs) serves every prior
-    value of that gamma. Row blocks give the same records and would
-    stream A's step too, but they multiply its numpy calls by the block
-    count: PD/deadlock on the 1824 grid at 65 x 21 took 1.03 s in row
-    blocks against 0.78 s in one (2 vCPUs, one BLAS thread). A gamma or
-    prior of -0.0 is recorded as 0.0.
+    candidate triples and A's distinct image column pairs) serves every
+    prior value of that gamma. A's maxima per prior and image pair are
+    running maxima over the blocks, mixed in a bounded scratch, so no
+    whole table is held: the 15424-strategy grid at 3 x 3 peaks near
+    81 MB. A gamma or prior of -0.0 is recorded as 0.0.
     """
     _require_epsilon(epsilon)  # also when there are no gammas to reduce
     priors = [PriorProbability(p + 0.0).p for p in p_points]
-    blocks = [(0, len(grid.orbit_images[0]))]
-    return _sweep((game1, game2), grid, gamma_points, blocks, [(p, 1.0 - p) for p in priors], epsilon)
+    return _sweep((game1, game2), grid, gamma_points, [(p, 1.0 - p) for p in priors], epsilon)
 
 
 def critical_gamma(

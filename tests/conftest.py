@@ -61,8 +61,10 @@ def solver_tables():
     """tables(games, grid, gamma, expand=None): the tables the sweeps reduce.
 
     They are the whole orbit-row tables that one step of `equilibrium._tables`
-    writes at `gamma`, in one block, into buffers of this call's own: B's
-    pass, copied out before A's pass overwrites it, then A's. They come as
+    writes at `gamma` as one block of every orbit row, into buffers of this
+    call's own: B's pass, copied out before A's pass overwrites it, then A's.
+    Both sweeps stream the same rows in `_row_blocks`, with the same bits,
+    and the `nash_*` adapters reduce whole tables like these. They come as
     rows_a, then rows_b, per game. expand="classes" gives each as the full
     class table, every class against every class, and expand="members" as
     the full member table, indexed by `grid.classes`. The package never

@@ -18,7 +18,6 @@ from ewlgames import equilibrium
 from ewlgames.circuit import PAYOFF_LIMIT, EntanglementParam, strategy_matrix
 from ewlgames.equilibrium import PriorProbability
 from ewlgames.grid import SteppingParams, build_grid
-from ewlgames.sweep import _sweep
 
 from oracles import (
     brute_force_bayes,
@@ -449,23 +448,6 @@ class TestBayesian:
         for (a, b1, b2), payoffs in eqs:
             assert payoffs == (p * x[a, b1] + (1 - p) * y[a, b2], xb[a, b1], yb[a, b2])
 
-    @pytest.mark.parametrize("column_block", [1, 3])
-    def test_column_blocking_does_not_change_result(self, monkeypatch, coarse_grid, pd_deadlock, column_block):
-        g1, g2, _ = pd_deadlock
-        priors = [0.0, 0.3, 1.0]
-
-        def sweeps():
-            return (
-                bayes_sweep(g1, g2, coarse_grid, [BAYES_GAMMA], priors),
-                bayes_sweep(g1, g2, coarse_grid, [0.0], priors[1:2]),
-            )
-
-        whole = sweeps()
-        assert all(len(at_prior(whole[0], p)) for p in priors) and len(whole[1])
-        monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", column_block)
-        for got, want in zip(sweeps(), whole, strict=True):
-            assert equilibria(got) == equilibria(want)
-
     def test_b1_is_always_a_best_response(self, coarse_grid, pd_deadlock):
         g1, g2, (_, xb, _, _) = pd_deadlock
         b1_best = xb >= xb.max(axis=1, keepdims=True) - 1e-9
@@ -674,23 +656,26 @@ class TestTwoPlayerOnEighthGrid:
 
 
 class TestBayesOnEighthGrid:
-    # Bounds, in units of classes**2 bytes, are the peaks of the reduction
-    # before the cells were expanded in one step, rounded up.
+    # Bounds, in units of classes**2 bytes, are the reduction's peaks over
+    # whole tables and over the shipped row blocks, the larger plus 0.005
+    # rounded up (numpy 2.4.6). A's two-type step adds four scratch arrays
+    # of _ROW_BLOCK bytes together, freed before the cells are expanded.
     @pytest.mark.parametrize(
         "names, gamma, classes_squared",
         [
-            pytest.param(("prisoners_dilemma", "deadlock"), 0.0, 6.86, id="pd-deadlock-0"),
-            pytest.param(("prisoners_dilemma", "deadlock"), 0.35, 2.45, id="pd-deadlock-0.35"),
-            pytest.param(("prisoners_dilemma", "deadlock"), 1.2, 2.54, id="pd-deadlock-1.2"),
-            pytest.param(("stag_hunt", "das_brother"), 0.35, 2.48, id="stag-das-0.35"),
-            pytest.param(("stag_hunt", "das_brother"), 0.7, 5.01, id="stag-das-0.7"),
+            pytest.param(("prisoners_dilemma", "deadlock"), 0.0, 5.46, id="pd-deadlock-0"),
+            pytest.param(("prisoners_dilemma", "deadlock"), 0.35, 0.80, id="pd-deadlock-0.35"),
+            pytest.param(("prisoners_dilemma", "deadlock"), 1.2, 0.88, id="pd-deadlock-1.2"),
+            pytest.param(("stag_hunt", "das_brother"), 0.35, 1.24, id="stag-das-0.35"),
+            pytest.param(("stag_hunt", "das_brother"), 0.7, 4.69, id="stag-das-0.7"),
         ],
     )
+    @pytest.mark.parametrize("blocks", ["whole", "row-blocks"])
     def test_scratch_over_21_priors_stays_under_its_recorded_peak(
-        self, eighth_grid, solver_tables, names, gamma, classes_squared
+        self, eighth_grid, solver_tables, names, gamma, classes_squared, blocks
     ):
         tables = solver_tables([CATALOGUE.get(name) for name in names], eighth_grid, gamma)
-        passes = whole_passes(tables)
+        passes = whole_passes(tables) if blocks == "whole" else row_block_passes(eighth_grid, tables)
         weights = [(p, 1.0 - p) for p in default_p_grid(21)]
         n = tables[0].shape[1]
         tracemalloc.start()
@@ -753,6 +738,14 @@ def whole_passes(tables):
     """(B's pass, A's pass) over whole orbit-row tables given as rows_a, then
     rows_b, per game: one block each."""
     return [(0, tables[1::2])], [(0, tables[0::2])]
+
+
+def row_block_passes(grid, tables):
+    """(B's pass, A's pass) over the shipped `_row_blocks` of whole orbit-row
+    tables given as rows_a, then rows_b, per game: views, as a sweep's
+    passes give them."""
+    blocks = equilibrium._row_blocks(len(grid.orbit_images[0]), len(grid.features))
+    return [[(start, [t[start:stop] for t in tables[player::2]]) for start, stop in blocks] for player in (1, 0)]
 
 
 def whole_reduction(grid, tables, epsilon):
@@ -828,29 +821,44 @@ def tail_row_block(rows):
     return next(size for size in range(4, rows) if rows % size == 1)
 
 
+def assert_whole_tables_columns(table, games, grid, gammas, weights, solver_tables, epsilon):
+    """A sweep's record table against the reduction of whole tables, one
+    block of every orbit row, at each gamma and weight tuple, byte for byte.
+    Returns the record count."""
+    whole = [
+        columns
+        for gamma in gammas
+        for columns in equilibrium._reduction(grid, whole_passes(solver_tables(games, grid, gamma)), weights, epsilon)
+    ]
+    roles = ("a", "b") if len(games) == 1 else ("a", "b1", "b2")
+    names = [f"{role}_index" for role in roles] + [f"payoff_{role}" for role in roles]
+    for name, parts in zip(names, zip(*whole), strict=True):
+        got, want = table.columns[name], np.concatenate(parts)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, epsilon)
+    sizes = [len(columns[0]) for columns in whole]
+    assert table.columns["gamma"].tobytes() == np.repeat(np.repeat(gammas, len(weights)), sizes).tobytes()
+    if len(games) > 1:
+        priors = np.tile([w[0] for w in weights], len(gammas))
+        assert table.columns["p"].tobytes() == np.repeat(priors, sizes).tobytes()
+    return len(table)
+
+
 def assert_blocks_give_the_whole_tables_columns(game, grid, solver_tables):
     """gamma_sweep's columns, reduced block by block at the current _ROW_BLOCK,
     against the reduction of whole tables as one block, byte for byte."""
     gammas = [g for g, _ in MEMBER_GAMMAS]
-    tables = [solver_tables([game], grid, g) for g in gammas]
     records = 0
     for epsilon in (0.0, 1e-9, 0.5):
         table = gamma_sweep(game, grid, gammas, epsilon)
-        whole = [whole_reduction(grid, t, epsilon) for t in tables]
-        records += len(table)
-        names = ("a_index", "b_index", "payoff_a", "payoff_b")
-        for column, parts in zip(names, zip(*whole), strict=True):
-            got, want = table.columns[column], np.concatenate(parts)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (column, epsilon)
-        sizes = [len(cols[0]) for cols in whole]
-        assert table.columns["gamma"].tobytes() == np.repeat(gammas, sizes).tobytes()
+        records += assert_whole_tables_columns(table, [game], grid, gammas, [(1.0,)], solver_tables, epsilon)
     assert records > 0
 
 
 class TestStreamedReduction:
-    """A two-player sweep computes and reduces its tables in blocks of orbit
-    rows; every block size gives the reduction of the whole tables, bit for
-    bit."""
+    """Both sweeps compute and reduce their tables in blocks of orbit rows,
+    and a two-type reduction takes each block's image columns in chunks;
+    every block and chunk size gives the reduction of the whole tables, bit
+    for bit."""
 
     def test_row_blocks(self, monkeypatch):
         # the shipped size splits the orbit rows of the 1824 grid (232 rows x 912
@@ -892,21 +900,52 @@ class TestStreamedReduction:
 
     @pytest.mark.parametrize("grid", ["eighth_grid", "lone_class_grid"])
     @pytest.mark.parametrize("names", [("prisoners_dilemma", "deadlock"), ("stag_hunt", "das_brother")])
-    def test_bayes_blocks_give_the_whole_tables_columns(self, request, monkeypatch, grid, names):
-        # bayes_sweep reduces one block of every orbit row; row blocks take
-        # A's maxima per image pair as a running maximum, to the same bytes
+    def test_bayes_sweep_gives_the_whole_tables_columns(self, request, solver_tables, grid, names):
+        # bayes_sweep reduces the shipped row blocks, taking A's maxima per
+        # image pair as a running maximum, to the whole tables' bytes
         grid = request.getfixturevalue(grid)
+        assert len(equilibrium._row_blocks(len(grid.orbit_images[0]), len(grid.features))) > 1
         games = [CATALOGUE.get(name) for name in names]
         gammas, priors = [g for g, _ in MEMBER_GAMMAS], [0.0, 0.3, 1.0]
-        whole = bayes_sweep(*games, grid, gammas, priors)
-        assert len(whole) > 0
-        rows, classes = len(grid.orbit_images[0]), len(grid.features)
-        monkeypatch.setattr(equilibrium, "_ROW_BLOCK", 3 * 8 * classes)
-        blocks = equilibrium._row_blocks(rows, classes)
-        assert len(blocks) > 1
-        streamed = _sweep(games, grid, gammas, blocks, [(p, 1.0 - p) for p in priors], 1e-9)
-        for name, column in whole.columns.items():
-            assert column.tobytes() == streamed.columns[name].tobytes(), name
+        table = bayes_sweep(*games, grid, gammas, priors)
+        weights = [(p, 1.0 - p) for p in priors]
+        assert assert_whole_tables_columns(table, games, grid, gammas, weights, solver_tables, 1e-9) > 0
+
+    @pytest.mark.parametrize("names", [("prisoners_dilemma", "deadlock"), ("stag_hunt", "das_brother")])
+    def test_column_chunks_give_the_whole_tables_columns(self, monkeypatch, eighth_grid, solver_tables, names):
+        # 7-row blocks and an 8-row tail (232 = 32 * 7 + 8), so A's two-type
+        # step takes _ROW_BLOCK // (32 * 8) = 199 image columns at a time
+        rows, classes = len(eighth_grid.orbit_images[0]), len(eighth_grid.features)
+        size = tail_row_block(rows)
+        monkeypatch.setattr(equilibrium, "_ROW_BLOCK", size * 8 * classes)
+        width = equilibrium._ROW_BLOCK // (32 * (size + 1))
+        gathers = []  # (rows, columns) of each gather into the scratch
+        take = np.take
+
+        def spy(a, indices, axis=None, out=None, mode="raise"):
+            if out is not None:
+                gathers.append(out.shape)
+            return take(a, indices, axis=axis, out=out, mode=mode)
+
+        monkeypatch.setattr(np, "take", spy)
+        games = [CATALOGUE.get(name) for name in names]
+        gammas, priors = [PI / 8, 0.7], [0.0, 0.3, 1.0]
+        table = bayes_sweep(*games, eighth_grid, gammas, priors)
+        monkeypatch.undo()
+        # X's and Y's gathers come in pairs of one shape; a block's chunks are
+        # full but the last, which is partial
+        assert gathers[0::2] == gathers[1::2]
+        chunks = gathers[0::2]
+        ends = [k for k, (_, columns) in enumerate(chunks) if columns < width]
+        assert all(columns <= width for _, columns in chunks) and ends[-1] == len(chunks) - 1
+        per_block = [chunks[start + 1 : stop + 1] for start, stop in zip([-1, *ends], ends)]
+        assert len(per_block) == len(gammas) * (rows // size)
+        for block in per_block:
+            assert len(block) >= 2 and len({height for height, _ in block}) == 1
+            assert all(columns == width for _, columns in block[:-1])
+        assert [block[0][0] for block in per_block] == ([size] * (rows // size - 1) + [size + 1]) * len(gammas)
+        weights = [(p, 1.0 - p) for p in priors]
+        assert assert_whole_tables_columns(table, games, eighth_grid, gammas, weights, solver_tables, 1e-9) > 0
 
     def test_a_7968_sweep_holds_no_whole_table(self, stag_hunt):
         grid = build_grid(SteppingParams(PI / 32, PI / 8, PI / 8))
