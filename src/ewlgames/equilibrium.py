@@ -45,20 +45,20 @@ two-type step mixes a block's image columns a chunk at a time in four
 scratch arrays of _ROW_BLOCK bytes together, allocated once per
 reduction. Both sweeps pass `_row_blocks` of about _ROW_BLOCK bytes,
 small enough that a block stays in cache while it is reduced, so no
-sweep holds a whole table. Every path gives the same bits: the
-10-column product of the orbit rows' features with K is taken over all
-rows at once, every block of the second product has 2 rows or more,
-each mixture entry is the same float expression, and a maximum is exact
-in any order.
+sweep holds a whole table. The 10-column product of the orbit rows'
+features with K is taken over all rows at once, every block of the
+second product has 2 rows or more, each mixture entry is the same float
+expression, and a maximum is exact in any order, so every path gives
+the same bits under OpenBLAS's SkylakeX dgemm kernel; under its Haswell
+kernel some block entries differ by an ulp (ROADMAP item 18).
 
 B's best responses (`_best_responses`) come from each row's argmax and
 runner-up: the row's top cell is set to -inf while a second argmax pass
 finds the runner-up, then written back. When every row's runner-up is
-below top - epsilon, each row's argmax is its single best response; a
-table where some row ties takes the compare with top - epsilon on every
-row. The reduction writes only into the sweep's own writable buffers,
-restores each one bit for bit before it returns, and never writes a
-read-only table.
+below top - epsilon, each row's argmax is its single best response, at
+the top payoff already read; a block where some row ties takes the
+compare with top - epsilon on every row. B's tables must be writable,
+and each comes back bit for bit.
 
 The reduction produces columns: one member index array per player, then
 one payoff array per player, and the sweeps consume them directly.
@@ -69,7 +69,7 @@ one payoff array per player, and the sweeps consume them directly.
 mirror onto the sweeps. A `payoff_tensor` is one step of `_tables` with
 a buffer of its own, read-only, and B's table copied out of it before
 A's pass; the two `nash_*` adapters run the reduction on tensors' whole
-tables.
+tables, B's as writable copies.
 """
 from __future__ import annotations
 
@@ -134,7 +134,8 @@ def _row_blocks(rows: int, classes: int) -> list[tuple[int, int]]:
     joins the block before it, which may then exceed _ROW_BLOCK by one
     row: numpy takes a 1-row product as a matrix-vector product, whose
     bits differ from the same row of the matrix product. Blocks of 2 rows
-    or more give the whole product's bits.
+    or more give the whole product's bits under OpenBLAS's SkylakeX dgemm
+    kernel, but not under its Haswell kernel (ROADMAP item 18).
     """
     size = max(2, _ROW_BLOCK // max(8 * classes, 1))  # an empty grid has no classes
     starts = list(range(0, rows, size))
@@ -258,20 +259,20 @@ def _require_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
 
 
-def _best_responses(table: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """B's best responses: the (row, column) cells within epsilon of their row's maximum, row-major.
+def _best_responses(table: np.ndarray, start: int, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A block's B best responses: rows counted from `start`, columns and payoffs, row-major.
 
-    These are the cells of `table >= table.max(axis=1, keepdims=True) -
+    The cells are those of `table >= table.max(axis=1, keepdims=True) -
     epsilon`, found without that compare when no row ties: on a 71 x 912
     block it took 26.5 us, and the two argmax passes below 14 us (numpy
     2.4.6, 2 vCPUs). The first pass finds each row's top cell. Those cells
     are set to -inf, the second pass finds each row's runner-up, and the
     top values are written back, so the table comes back bit for bit as
-    it was. When every row's runner-up is below top - epsilon, each row's
-    argmax is its single best response. Otherwise the whole table takes
-    the compare, and one flat scan of its mask gives the same cells as a
-    2-D `np.nonzero`, faster. A read-only table is never written: it
-    always takes the compare.
+    it was; a read-only table raises. When every row's runner-up is below
+    top - epsilon, each row's argmax is its single best response, at the
+    top value already read. Otherwise the whole table takes the compare,
+    one flat scan of its mask gives the cells of a 2-D `np.nonzero`,
+    faster, and their payoffs are gathered.
     """
     rows, n = table.shape
     index = np.arange(rows, dtype=np.intp)
@@ -279,14 +280,14 @@ def _best_responses(table: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.n
     best = table.argmax(axis=1)
     at = starts + best
     top = table.take(at)
+    table.put(at, -np.inf)
+    runner_up = table.take(starts + table.argmax(axis=1))
+    table.put(at, top)
     threshold = top - epsilon
-    if table.flags.writeable:
-        table.put(at, -np.inf)
-        runner_up = table.take(starts + table.argmax(axis=1))
-        table.put(at, top)
-        if not (runner_up >= threshold).any():
-            return index, best
-    return np.divmod(np.flatnonzero(table >= threshold[:, None]), n)
+    if not (runner_up >= threshold).any():
+        return index + start, best, top
+    rows, cols = np.divmod(np.flatnonzero(table >= threshold[:, None]), n)
+    return rows + start, cols, table[rows, cols]
 
 
 def _expand(
@@ -372,9 +373,9 @@ def _reduction(
     height, found = 0, []  # the tallest block's rows; per block, per type: its cells
     for start, tables in b_pass:
         height = max(height, len(tables[0]))
-        found.append([_cells(table, start, epsilon) for table in tables])
+        found.append([_best_responses(table, start, epsilon) for table in tables])
     # per type: its cells' rows, columns and B payoffs, every block joined
-    cells = [[p[0] if len(p) == 1 else np.concatenate(p) for p in zip(*per_type)] for per_type in zip(*found)]
+    cells = [[np.concatenate(p) for p in zip(*per_type)] for per_type in zip(*found)]
     i, b, b_payoffs = cells[0][0], cells[0][1:2], cells[0][2:]
     for rows_t, cols_t, pays_t in cells[1:]:
         count = np.bincount(rows_t, minlength=len(grid.orbit_images[0]))
@@ -404,7 +405,7 @@ def _reduction(
             _mixed_maxima(tables, u1, u2, weights, rowmax, scratch, width)
         lo, hi = i.searchsorted((start, start + len(tables[0])))
         parts.append([table[i[lo:hi] - start, col[lo:hi]] for table, col in zip(tables, b)])
-    a_payoffs = [p[0] if len(p) == 1 else np.concatenate(p) for p in zip(*parts)]
+    a_payoffs = [np.concatenate(p) for p in zip(*parts)]
     del parts
     if len(b) == 1:
         column, colmax = b[0], [rowmax[maps].max(axis=0)] * len(weights)
@@ -454,15 +455,9 @@ def _mixed_maxima(
             np.maximum(top, mixed.max(axis=0), out=top)
 
 
-def _cells(table: np.ndarray, start: int, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows, counted from `start`, columns and payoffs of a block's `_best_responses` cells."""
-    rows, cols = _best_responses(table, epsilon)
-    return rows + start, cols, table[rows, cols]
-
-
 def _nash(tensors: Sequence[PayoffTensor], weights: tuple[float, ...], epsilon: float) -> list[NashEquilibrium]:
-    """The reduction of the tensors' whole tables as one block, one B type per tensor, at one weight
-    tuple, as NashEquilibrium objects."""
+    """The reduction of the tensors' whole tables as one block, B's as writable copies, one B type per
+    tensor, at one weight tuple, as NashEquilibrium objects."""
     _require_epsilon(epsilon)
     grid, gamma = tensors[0].grid, tensors[0].gamma
     for t in tensors[1:]:
@@ -472,7 +467,7 @@ def _nash(tensors: Sequence[PayoffTensor], weights: tuple[float, ...], epsilon: 
             raise ValueError("tensors built on different strategy grids")
         if t.gamma != gamma:
             raise ValueError(f"tensors built at different entanglement: {gamma.gamma!r} vs {t.gamma.gamma!r}")
-    passes = ([(0, [t.rows_b for t in tensors])], [(0, [t.rows_a for t in tensors])])
+    passes = ([(0, [t.rows_b.copy() for t in tensors])], [(0, [t.rows_a for t in tensors])])
     (columns,) = _reduction(grid, passes, [weights], epsilon)
     players = len(columns) // 2
     return [NashEquilibrium(row[:players], row[players:]) for row in zip(*(c.tolist() for c in columns))]

@@ -117,6 +117,13 @@ def _record_table(records: RecordTable | Sequence[SweepRecord], bayes: bool) -> 
 _FMT_CONVERSIONS = {"f": "%.12g", "i": "%d", "u": "%d"}
 
 
+def _renumber(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct `keys`, integers in [0, size), in increasing order, and each key's position among them."""
+    used = np.zeros(size, dtype=bool)
+    used[keys] = True
+    return np.flatnonzero(used), (np.cumsum(used) - 1)[keys]
+
+
 def _column_field(
     col: np.ndarray, text: Callable[[float | int], str], conversion: str | None = None
 ) -> tuple[str, np.ndarray, np.ndarray | None]:
@@ -131,9 +138,9 @@ def _column_field(
     shared, so `col` is printed in place by `conversion` instead.
 
     An integer column whose values all lie in [0, rows), such as an index
-    column of a table with more rows than strategies, needs no sort: a
-    dense table of the used values gives the distinct values in increasing
-    order (`flatnonzero`) and each row's position among them (`cumsum`).
+    column of a table with more rows than strategies, needs no sort:
+    `_renumber` gives the distinct values in increasing order and each
+    row's position among them.
     Any other column's distinct keys come from `np.unique(keys,
     return_inverse=True)`, which sorts with quicksort; asking for
     `return_index` too would make it a stable mergesort, about 4x slower.
@@ -144,10 +151,8 @@ def _column_field(
     same distinct values in the same order, and the same index.
     """
     if col.dtype.kind in "iu" and len(col) and col.min() >= 0 and col.max() < len(col):
-        used = np.zeros(len(col), dtype=bool)
-        used[col] = True
-        distinct = np.flatnonzero(used).astype(col.dtype)
-        inverse = (np.cumsum(used) - 1)[col]
+        distinct, inverse = _renumber(col, len(col))
+        distinct = distinct.astype(col.dtype)
     else:
         keys = col.view(np.int64) if col.dtype == np.float64 else col
         distinct, inverse = np.unique(keys, return_inverse=True)
@@ -168,8 +173,8 @@ def _group_fields(
 
     A field with an index joins the group before it when the group's text
     count times the field's is at most `rows`. The pair key `code * m +
-    code'` is renumbered densely by `flatnonzero`/`cumsum` over that span,
-    so no sort is needed, and each used key's text is the group's text, the
+    code'` is renumbered densely by `_renumber` over that span, so no
+    sort is needed, and each used key's text is the group's text, the
     join between them, then the field's text. A row's bytes do not change:
     each part of a group text still depends only on its own field's value.
     """
@@ -181,11 +186,8 @@ def _group_fields(
             grouped.append((conversion, values, index))
             joined.append(join)
             continue
-        keys = codes * m + index
-        used = np.zeros(len(texts) * m, dtype=bool)
-        used[keys] = True
-        pairs = np.flatnonzero(used)
-        grouped[-1] = ("%s", texts[pairs // m] + (joined[-1] + values[pairs % m]), (np.cumsum(used) - 1)[keys])
+        pairs, inverse = _renumber(codes * m + index, len(texts) * m)
+        grouped[-1] = ("%s", texts[pairs // m] + (joined[-1] + values[pairs % m]), inverse)
         joined[-1] = join
     return grouped, joined
 

@@ -228,14 +228,16 @@ def _sweep(
     `grid.angles` by index.
     """
     gammas = [EntanglementParam(g + 0.0) for g in gamma_points]  # every gamma is checked before any work
-    blocks = _row_blocks(len(grid.orbit_images[0]), len(grid.features))
-    # closing the generator frees the buffers before the record columns are built
-    with closing(_tables(games, grid, gammas, blocks)) as steps:
-        points = [
-            (g.gamma, w[0], cols)
-            for g, passes in zip(gammas, steps)
-            for w, cols in zip(weights, _reduction(grid, passes, weights, epsilon))
-        ]
+    points = []
+    if weights:  # no weight tuple gives no record, so no table is computed
+        blocks = _row_blocks(len(grid.orbit_images[0]), len(grid.features))
+        # closing the generator frees the buffers before the record columns are built
+        with closing(_tables(games, grid, gammas, blocks)) as steps:
+            points = [
+                (g.gamma, w[0], cols)
+                for g, passes in zip(gammas, steps)
+                for w, cols in zip(weights, _reduction(grid, passes, weights, epsilon))
+            ]
     bayes, players = len(games) > 1, len(games) + 1
     sizes = np.array([len(cols[0]) for _, _, cols in points], dtype=np.int64)
 

@@ -205,20 +205,21 @@ class TestBestResponses:
     @staticmethod
     def assert_cells_are_the_row_mask(table, epsilon):
         # the Bayesian candidate triples are built on this row-major order
-        expected = np.nonzero(table >= table.max(axis=1, keepdims=True) - epsilon)
+        rows, cols = np.nonzero(table >= table.max(axis=1, keepdims=True) - epsilon)
         before = table.copy()
-        for writeable in (True, False):
-            # a writable table is written and restored; a read-only one is never written
-            table.setflags(write=writeable)
-            got = equilibrium._best_responses(table, epsilon)
-            np.testing.assert_array_equal(table.view(np.int64), before.view(np.int64))  # bit for bit
-            for got_part, expected_part in zip(got, expected):
+        for start in (0, 213):  # a block's rows are counted from its start
+            got = equilibrium._best_responses(table, start, epsilon)
+            np.testing.assert_array_equal(table.view(np.int64), before.view(np.int64))  # restored bit for bit
+            assert len(got) == 3
+            for got_part, expected_part in zip(got, (rows + start, cols, table[rows, cols])):
                 assert got_part.dtype == expected_part.dtype
                 np.testing.assert_array_equal(got_part, expected_part)
+                assert got_part.tobytes() == expected_part.tobytes()  # payoffs bit for bit, -0.0 against 0.0 too
 
     # the last three are the two-player blocks of the 1824 and 7968 grids and the 1824 grid's whole table
     @pytest.mark.parametrize(
-        "shape", [(1, 1), (7, 7), (40, 40), (5, 13), (13, 5), (1, 9), (9, 1), (71, 912), (16, 3984), (232, 912)]
+        "shape",
+        [(1, 1), (7, 7), (40, 40), (5, 13), (13, 5), (1, 9), (9, 1), (71, 1), (71, 912), (16, 3984), (232, 912)],
     )
     @pytest.mark.parametrize("epsilon", [0.0, 1e-9, 0.5])
     def test_cells_are_the_2d_nonzero_of_the_row_mask(self, shape, epsilon):
@@ -226,6 +227,20 @@ class TestBestResponses:
         table = rng.integers(0, 4, size=shape).astype(float)  # many exact ties
         table[rng.random(shape) < 0.3] += 1e-10  # ties within 1e-9 but not exact
         self.assert_cells_are_the_row_mask(table, epsilon)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (71, 1), (71, 912), (16, 3984)])
+    @pytest.mark.parametrize("value", [-0.0, 0.0, 2.5])
+    def test_cells_of_an_all_tie_block(self, shape, value):
+        # as in matching pennies: every cell of every row is a best response
+        self.assert_cells_are_the_row_mask(np.full(shape, value), 0.0)
+
+    def test_a_read_only_table_raises(self):
+        table = self.some_rows_tie((40, 30), 1e-9)
+        before = table.copy()
+        table.setflags(write=False)
+        with pytest.raises(ValueError, match="read-only"):
+            equilibrium._best_responses(table, 0, 1e-9)
+        np.testing.assert_array_equal(table.view(np.int64), before.view(np.int64))
 
     @staticmethod
     def some_rows_tie(shape, epsilon):

@@ -522,12 +522,31 @@ class TestRecordTables:
             (gamma_sweep(matching_pennies, coarse_grid, [0.0, 0.5]), TWO_PLAYER_COLUMNS),
             (gamma_sweep(matching_pennies, coarse_grid, []), TWO_PLAYER_COLUMNS),
             (bayes_sweep(prisoners_dilemma, matching_pennies, coarse_grid, [], [0.5]), BAYES_COLUMNS),
-            # tables but no priors: the games, not the weights, give the B types
+            # gammas but no priors: the games, not the weights, give the B types
             (bayes_sweep(prisoners_dilemma, matching_pennies, coarse_grid, [0.3], []), BAYES_COLUMNS),
         ):
             assert len(table) == 0 and list(table.columns) == names
             for name, col in table.columns.items():
                 assert col.dtype == (np.int64 if name.endswith("index") else np.float64)
+
+    def test_no_priors_compute_no_tables(self, monkeypatch, prisoners_dilemma, deadlock, coarse_grid):
+        calls = []
+
+        def tables(*args):
+            calls.append(args)
+            raise AssertionError("_tables entered")
+
+        monkeypatch.setattr(ewlgames.sweep, "_tables", tables)
+        table = bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, default_gamma_grid(65), [])
+        assert calls == [] and len(table) == 0 and list(table.columns) == BAYES_COLUMNS
+        for name, col in table.columns.items():
+            assert col.dtype == (np.int64 if name.endswith("index") else np.float64) and col.shape == (0,)
+        # the gammas and epsilon are still checked first
+        with pytest.raises(ValueError, match="gamma must be in"):
+            bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, [0.1, 9.0], [])
+        with pytest.raises(ValueError, match="epsilon"):
+            bayes_sweep(prisoners_dilemma, deadlock, coarse_grid, [0.1], [], epsilon=-1.0)
+        assert calls == []
 
 
 class TestThetaColumns:
