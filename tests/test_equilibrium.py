@@ -15,7 +15,7 @@ from ewlgames import (
     load_default_catalogue,
 )
 from ewlgames import equilibrium
-from ewlgames.circuit import PAYOFF_LIMIT, EntanglementParam, strategy_matrix
+from ewlgames.circuit import PAYOFF_LIMIT, EntanglementParam, payoff_forms, strategy_matrix
 from ewlgames.equilibrium import PriorProbability
 from ewlgames.grid import SteppingParams, build_grid
 
@@ -580,6 +580,12 @@ def lone_class_grid():
     return grid
 
 
+@pytest.fixture(scope="module")
+def grid_7968():
+    """The 7968-strategy grid (3984 classes in 1000 orbits)."""
+    return build_grid(SteppingParams(PI / 32, PI / 8, PI / 8))
+
+
 MEMBER_GAMMAS = [(0.0, "0"), (PI / 8, "pi/8"), (PI / 2, "pi/2")]
 MEMBER_CASES = [
     pytest.param(grid, name, gamma, id=f"{name}-{gamma_id}{suffix}")
@@ -961,6 +967,43 @@ class TestStreamedReduction:
         assert [block[0][0] for block in per_block] == ([size] * (rows // size - 1) + [size + 1]) * len(gammas)
         weights = [(p, 1.0 - p) for p in priors]
         assert assert_whole_tables_columns(table, games, eighth_grid, gammas, weights, solver_tables, 1e-9) > 0
+
+    @pytest.mark.parametrize("rows_per_block", [None, 7], ids=["shipped", "7-rows"])
+    @pytest.mark.parametrize("grid", ["coarse_grid", "eighth_grid", "grid_7968", "lone_class_grid"])
+    def test_every_block_folds_its_fixed_rows(self, request, monkeypatch, grid, rows_per_block):
+        # in every block of both passes, each orbit row that LR fixes holds the
+        # same bits at b and LR.b: the block product's bits at min(b, LR.b).
+        # L and R fix no class.
+        grid_name, grid = grid, request.getfixturevalue(grid)
+        orbit_rows, classes = grid.orbit_images[0], np.arange(len(grid.features))
+        for action in grid.orbit_maps[1:3]:
+            assert not (action == classes).any()
+        if rows_per_block is not None:
+            monkeypatch.setattr(equilibrium, "_ROW_BLOCK", rows_per_block * 8 * len(classes))
+        blocks = equilibrium._row_blocks(len(orbit_rows), len(classes))
+        lr = grid.orbit_maps[-1]
+        fixed = np.flatnonzero(lr[orbit_rows] == orbit_rows)
+        games = [CATALOGUE.get(name) for name in ("prisoners_dilemma", "deadlock")]
+        gammas = [EntanglementParam(PI / 8), EntanglementParam(0.7)]
+        seen = []  # (block, orbit row) of each fixed row checked
+        for gamma, passes in zip(gammas, equilibrium._tables(games, grid, gammas, blocks), strict=True):
+            forms = [payoff_forms(gamma, game) for game in games]
+            for player, filled in zip((1, 0), passes):
+                products = [grid.features[orbit_rows] @ k[player] for k in forms]
+                for k, (start, tables) in enumerate(filled):
+                    stop = start + len(tables[0])
+                    rows = fixed[(fixed >= start) & (fixed < stop)]
+                    seen += [(k, i) for i in rows]
+                    for table, product in zip(tables, products, strict=True):
+                        unfolded = product[start:stop] @ grid.features.T
+                        for i in rows - start:
+                            folded = unfolded[i, np.minimum(classes, lr)].tobytes()
+                            assert table[i].tobytes() == table[i, lr].tobytes() == folded, (k, i)
+        assert sorted(i for _, i in seen) == sorted([*fixed] * 2 * len(gammas))
+        if grid_name == "eighth_grid":
+            assert (lr == classes).sum() == 16 and len(fixed) == 8
+            if rows_per_block is None:
+                assert sorted({k for k, _ in seen}) == [0, 3]
 
     def test_a_7968_sweep_holds_no_whole_table(self, stag_hunt):
         grid = build_grid(SteppingParams(PI / 32, PI / 8, PI / 8))
