@@ -109,7 +109,7 @@ def load_catalogue(path: str | Path) -> GameCatalogue:
 
 def default_catalogue_path() -> Path:
     """Location of the catalogue file shipped with the package."""
-    return Path(resources.files("ewlgames").joinpath("data/games.ini"))
+    return Path(resources.files(__package__).joinpath("data/games.ini"))
 
 
 def load_default_catalogue() -> GameCatalogue:

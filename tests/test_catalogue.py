@@ -1,3 +1,9 @@
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ewlgames import load_catalogue, load_default_catalogue
@@ -35,6 +41,33 @@ class TestDefaultCatalogue:
     def test_unknown_game_lists_names(self, default_catalogue):
         with pytest.raises(UnknownGameError, match="prisoners_dilemma"):
             default_catalogue.get("quantum_chess")
+
+
+@pytest.mark.parametrize("with_src", [False, True], ids=["copy-only", "copy-and-src"])
+def test_default_catalogue_is_read_from_the_package_under_its_own_name(tmp_path, with_src):
+    # a copy of the package under another name, with one payoff edited, reads
+    # its own games.ini: not none (copy only) and not src's (both on the path)
+    src = Path(__file__).resolve().parent.parent / "src"
+    copy = tmp_path / "ewl_copy"
+    shutil.copytree(src / "ewlgames", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    ini = copy / "data" / "games.ini"
+    text = ini.read_text(encoding="utf-8")
+    assert text.count("payoff_a = 3, 0, 5, 1") == 1
+    ini.write_text(text.replace("payoff_a = 3, 0, 5, 1", "payoff_a = 7, 0, 5, 1"), encoding="utf-8")
+    code = (
+        "from ewl_copy.catalogue import load_default_catalogue\n"
+        "print(load_default_catalogue().get('prisoners_dilemma').payoff_a)\n"
+    )
+    path = os.pathsep.join([str(tmp_path), str(src)] if with_src else [str(tmp_path)])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "(7.0, 0.0, 5.0, 1.0)\n"
 
 
 class TestLoadCatalogue:

@@ -81,6 +81,19 @@ def test_bars_render_rects(tmp_path):
     assert len(root.findall(f"{SVG_NS}rect")) >= 3
 
 
+@pytest.mark.parametrize(
+    "lo, hi, ticks",
+    [
+        (-0.04, 1.04, [0.0, 0.25, 0.5, 0.75, 1.0]),
+        (-0.24, 4.24, [0.0, 1.0, 2.0, 3.0, 4.0]),
+        (0.0, 12.5, [0.0, 2.5, 5.0, 7.5, 10.0, 12.5]),
+    ],
+)
+def test_ticks_step_by_the_least_nice_step_over_a_fifth_of_the_range(lo, hi, ticks):
+    # the byte references draw their ticks with `_nice_ticks` too, so these pin its values
+    assert _nice_ticks(lo, hi) == ticks
+
+
 def test_empty_figure_still_valid(tmp_path):
     root = render(Figure("empty", "x", "y"), tmp_path)
     assert root.tag == f"{SVG_NS}svg"
@@ -189,14 +202,18 @@ def test_non_finite_bar_is_named_before_writing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def reference_svg(title, xlabel, ylabel, series):
-    """The SVG text of scatter `series` [(label, [(x, y), ...]), ...], point by point.
+def reference_svg(title, xlabel, ylabel, series, bars=()):
+    """The SVG text of scatter `series` [(label, [(x, y), ...]), ...] and
+    `bars` [(x, height, width), ...], point by point and bar by bar.
 
-    Bounds by Python `min`/`max` over the points, one f-string per point,
-    then `dict.fromkeys` for the distinct circles.
+    Bounds by Python `min`/`max` over the points and each bar's x +- w/2
+    and 0..height, one f-string per point, then `dict.fromkeys` for the
+    distinct circles. Bars come before the circles, in bar order, based at
+    y = max(0, y0) and at least 0.5 px wide.
     """
-    xs = [p[0] for _, pts in series for p in pts] or [0.0, 1.0]
-    ys = [p[1] for _, pts in series for p in pts] or [0.0, 1.0]
+    xs = [p[0] for _, pts in series for p in pts] + [x + s * w / 2 for x, _, w in bars for s in (-1, 1)]
+    ys = [p[1] for _, pts in series for p in pts] + [v for _, h, _ in bars for v in (0.0, h)]
+    xs, ys = xs or [0.0, 1.0], ys or [0.0, 1.0]
     x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
     if x1 == x0:
         x0, x1 = x0 - 0.5, x1 + 0.5
@@ -241,6 +258,13 @@ def reference_svg(title, xlabel, ylabel, series):
         f'<text x="16" y="{mid}" text-anchor="middle" font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 16 {mid})">{html.escape(ylabel, quote=False)}</text>'
     )
+    for x, h, w in bars:
+        left, right = sx(x - w / 2), sx(x + w / 2)
+        top, base = sy(h), sy(max(0.0, y0))
+        parts.append(
+            f'<rect x="{left:.1f}" y="{min(top, base):.1f}" width="{max(right - left, 0.5):.1f}" '
+            f'height="{abs(base - top):.1f}" fill="#1f5fa8" fill-opacity="0.75" stroke="#123c6b"/>'
+        )
     colors = [PALETTE[k % len(PALETTE)] for k in range(len(series))]
     for (_, pts), color in zip(series, colors):
         circles = (f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="2.4" fill="{color}"/>' for x, y in pts)
@@ -347,3 +371,32 @@ def test_scatter_bytes_equal_the_per_point_reference(tmp_path, case):
         path = tmp_path / "figure.svg"
         fig.render(path)
         assert path.read_text() == expected, name
+
+
+def _bar_cases():
+    rng = np.random.default_rng(11)
+    # payoff_bins' rows: 80 bins of width 0.05 at (k + 0.5) * w, a few keys
+    # missing, counts as Python ints
+    keys = sorted(set(range(80)) - set(rng.integers(0, 80, 6).tolist()))
+    hist = [((k + 0.5) * 0.05, n, 0.05) for k, n in zip(keys, rng.integers(1, 4000, len(keys)).tolist())]
+    return {
+        "analyze histogram": ("A payoffs at gamma=0.7854", "payoff A", "count", [], hist),
+        # a bar below zero, and one narrower than the 0.5-px floor
+        "markup labels": (
+            "A&B <hist> &amp;", "x < 1 & y > 0", "<count> & more",
+            [("p<1 & q>0", [(0.25, 1.5), (2.0, -1.0)])],
+            [(0.5, 3, 1.0), (1.5, -2, 1.0), (2.0, 1, 1e-4)],
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["analyze histogram", "markup labels"])
+def test_bar_bytes_equal_the_per_bar_reference(tmp_path, case):
+    title, xlabel, ylabel, series, bars = _bar_cases()[case]
+    fig = Figure(title, xlabel, ylabel)
+    for label, pts in series:
+        fig.add_scatter(label, pts)
+    fig.add_bars(bars)
+    path = tmp_path / "figure.svg"
+    fig.render(path)
+    assert path.read_text() == reference_svg(title, xlabel, ylabel, series, bars)
