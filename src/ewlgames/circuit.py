@@ -129,6 +129,26 @@ _ROTATION = [0, 5, 6, 7, 9, 10, 11, 13, 14, 15]
 _ROTATION_PAIRS = [np.ix_(part, part) for part in np.divmod(_ROTATION, 4)]
 
 
+# Matrices per block of `rotation_features`: its temporaries take about
+# 800 B per matrix, so 0.8 MB per block, not per class of the grid. Even,
+# because OpenBLAS's Sandybridge zgemm kernel takes rows in pairs: there an
+# odd block's last row gets other bits than in a whole stack of even height.
+_FEATURE_BLOCK = 1024
+
+
+def _blocks(count: int, size: int) -> list[tuple[int, int]]:
+    """(start, stop) bounds of consecutive blocks of `size` rows that cover `count` rows.
+
+    A 1-row tail joins the block before it, which then has `size` + 1
+    rows: numpy takes a 1-row product as a matrix-vector product, whose
+    bits differ from the same row of the matrix product.
+    """
+    starts = list(range(0, count, size))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        del starts[-1]
+    return list(zip(starts, [*starts[1:], count]))
+
+
 def _pauli_form(ops) -> np.ndarray:
     """Tr(op sigma_mu (x) sigma_nu) at flat mu * 4 + nu, for each 4x4 op in a stack."""
     return (ops.reshape(-1, 16) @ _PAULI_FORM.T).real
@@ -144,13 +164,23 @@ def rotation_features(mats) -> np.ndarray:
     share them bit for bit: negating U leaves every product U[b, c]
     conj(U[a, d]) exactly as it was.
 
-    Returns an (N, 10) float array.
+    The stack is taken in `_blocks` of _FEATURE_BLOCK matrices, so the
+    complex temporaries stay one block's size. Each row is the same
+    product as over the whole stack, of at least 2 rows, so it has the
+    same bits.
+
+    Returns an (N, 10) float array in Fortran order, whose transpose is
+    C-contiguous: the payoff kernel multiplies by that transpose.
     """
     mats = np.asarray(mats, dtype=np.complex128)
     if mats.ndim != 3 or mats.shape[1:] != (2, 2):
         raise ValueError("strategy stacks must have shape (N, 2, 2)")
-    # R_U[mu', mu] is 1/2 the Pauli form of V[(b, d), (a, c)] = U[b, c] conj(U[a, d]).
-    return 0.5 * _pauli_form(np.einsum("nbc,nad->nbdac", mats, mats.conj()))[:, _ROTATION]
+    out = np.empty((len(mats), len(_ROTATION)), order="F")
+    for start, stop in _blocks(len(mats), _FEATURE_BLOCK):
+        block = mats[start:stop]
+        # R_U[mu', mu] is 1/2 the Pauli form of V[(b, d), (a, c)] = U[b, c] conj(U[a, d]).
+        out[start:stop] = 0.5 * _pauli_form(np.einsum("nbc,nad->nbdac", block, block.conj()))[:, _ROTATION]
+    return out
 
 
 def payoff_forms(gamma: EntanglementParam, game: GameDefinition) -> tuple[np.ndarray, np.ndarray]:

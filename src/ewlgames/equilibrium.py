@@ -31,9 +31,9 @@ G = {e}, S is every class and the arithmetic is the full class tables'.
 
 One function, `_tables`, is the kernel for every caller: it builds,
 fills and folds the tables. It builds once what no gamma changes (the
-orbit rows' features, the transposed features, each block's folds of
-the LR-fixed rows and one buffer per game, as tall as the tallest
-block) and yields two passes per gamma into the buffers, each writing
+orbit rows' features, the transposed features, each block's LR-fixed
+rows and one buffer per game, as tall as the tallest block) and
+yields two passes per gamma into the buffers, each writing
 and folding one block of orbit rows at a time: B's pass writes each
 type's table, then A's pass each game's A table, so every table is
 computed once. The reduction keeps each type's best-response cells,
@@ -80,7 +80,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .circuit import EntanglementParam, GameDefinition, payoff_forms
+from .circuit import EntanglementParam, GameDefinition, _blocks, payoff_forms
 from .grid import StrategyGrid
 
 # Payoff ties: far below any gap in integer-scale payoff tables, far above
@@ -132,17 +132,12 @@ def _row_blocks(rows: int, classes: int) -> list[tuple[int, int]]:
 
     At 512 KiB a block fits in a 2 MiB L2 cache, so the reduction reads
     it from cache. Every block has at least 2 rows, and a 1-row tail
-    joins the block before it, which may then exceed _ROW_BLOCK by one
-    row: numpy takes a 1-row product as a matrix-vector product, whose
-    bits differ from the same row of the matrix product. Blocks of 2 rows
-    or more give the whole product's bits under OpenBLAS's SkylakeX dgemm
-    kernel, but not under its Haswell kernel (ROADMAP item 18).
+    joins the block before it (`circuit._blocks`), which may then exceed
+    _ROW_BLOCK by one row. Blocks of 2 rows or more give the whole
+    product's bits under OpenBLAS's SkylakeX dgemm kernel, but not under
+    its Haswell kernel (ROADMAP item 18).
     """
-    size = max(2, _ROW_BLOCK // max(8 * classes, 1))  # an empty grid has no classes
-    starts = list(range(0, rows, size))
-    if len(starts) > 1 and rows - starts[-1] == 1:
-        del starts[-1]
-    return list(zip(starts, [*starts[1:], rows]))
+    return _blocks(rows, max(2, _ROW_BLOCK // max(8 * classes, 1)))  # an empty grid has no classes
 
 
 def _tables(
@@ -154,9 +149,12 @@ def _tables(
     """Each gamma's two passes over `blocks` of the tables f_S @ K @ f.T, B's then A's, into one buffer per game.
 
     The first step builds what no gamma changes: the orbit rows' features
-    f_S, the transposed features f.T, each block's folds and one buffer
-    per game, as tall as the tallest block, so a sweep does not fault in
-    fresh pages at each point. Each gamma then takes the 10-column
+    f_S, the transposed features f.T, each block's LR-fixed rows and one
+    buffer per game, as tall as the tallest block, so a sweep does not
+    fault in fresh pages at each point. The fold positions are not kept:
+    each fixed row is folded through `moved` and `lr[moved]`, which every
+    row shares, so the set-up's memory does not grow with fixed rows
+    times moved columns. Each gamma then takes the 10-column
     products f_S @ K over all orbit rows at once, since splitting them
     changes their bits, and yields (B's pass, A's pass). A pass writes
     and folds one block of every game's table at a time and yields
@@ -176,31 +174,38 @@ def _tables(
         raise ValueError("empty strategy grid")
     orbit_rows = grid.orbit_images[0]
     orbit_features = grid.features[orbit_rows]
-    columns = grid.features.T
+    # build_grid's features are Fortran-ordered, so their transpose is
+    # C-contiguous and this costs no copy. Every block's GEMM reads it: with
+    # C-ordered features and f.T used as it is, gamma_sweep of the
+    # prisoner's dilemma on the 1824 grid at 65 gammas took 48.3 ms against
+    # 41.0 ms, and one gamma on the 7968 grid 13.2 ms against 10.0 ms
+    # (medians of 15 rounds, 2 vCPUs, one BLAS thread).
+    columns = np.ascontiguousarray(grid.features.T)
     n = len(grid.features)
     lr = grid.orbit_maps[-1]
     moved = np.flatnonzero(lr < np.arange(n))
-    fixed = np.flatnonzero(lr[orbit_rows] == orbit_rows)
-    # Each block's folds as (to, source) positions in the flat buffer. One
-    # copy through them beat the 2-D assignment table[rows, moved] =
-    # table[rows, lr[moved]]: gamma_sweep of the prisoner's dilemma on the
-    # 1824 grid at 65 gammas took 40.7 ms, against 44.6 ms (medians of 21
-    # rounds, 2 vCPUs, one BLAS thread).
-    folds = []
-    for start, stop in blocks:
-        offsets = (fixed[(fixed >= start) & (fixed < stop)] - start)[:, None] * n
-        folds.append(((offsets + moved).ravel(), (offsets + lr[moved]).ravel()))
+    sources = lr[moved]
+    # Each block's LR-fixed rows, counted from its start: none where LR moves no column.
+    fixed = np.flatnonzero(lr[orbit_rows] == orbit_rows) if len(moved) else moved
+    folded = [(fixed[(fixed >= start) & (fixed < stop)] - start).tolist() for start, stop in blocks]
     height = max(stop - start for start, stop in blocks)
     buffers = [np.empty((height, n)) for _ in games]
-    flats = [buffer.reshape(-1) for buffer in buffers]  # views: each buffer is one contiguous array
 
     def fill(products: list[np.ndarray]) -> Iterator[tuple[int, list[np.ndarray]]]:
-        for (start, stop), (to, source) in zip(blocks, folds):
+        for (start, stop), rows in zip(blocks, folded):
             tables = [buffer[: stop - start] for buffer in buffers]
-            for table, flat, product in zip(tables, flats, products):
+            for table, product in zip(tables, products):
                 np.matmul(product[start:stop], columns, out=table)
-                if len(to):
-                    flat[to] = flat[source]
+                # Row by row through a view, so no positions are kept: flat (to,
+                # source) positions for every block took 16.3 MB on the 127104 grid.
+                # For PD on the 1824 grid at 65 gammas the row folds cost the 20 ms
+                # of table passes 0.35 ms more than one copy per block through those
+                # positions (median of 100 paired rounds); the 2-D assignment
+                # table[rows, moved] = table[rows, lr[moved]] took the whole sweep
+                # 44.6 ms against 40.7 ms.
+                for row in rows:
+                    entries = table[row]
+                    entries[moved] = entries[sources]
             yield start, tables
 
     for gamma in gammas:

@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from ewlgames import GameDefinition, StrategyParams, load_default_catalogue
-from ewlgames.circuit import _ROTATION, EntanglementParam, _pauli_form, entangler, payoff_forms, strategy_matrix
+from ewlgames import GameDefinition, SteppingParams, StrategyParams, build_grid, circuit, load_default_catalogue
+from ewlgames.circuit import (
+    _ROTATION,
+    EntanglementParam,
+    _pauli_form,
+    entangler,
+    payoff_forms,
+    rotation_features,
+    strategy_matrix,
+)
 from ewlgames.sweep import default_gamma_grid
 
 from oracles import circuit_probs, u_matrix
@@ -239,3 +247,47 @@ class TestPayoffForms:
             for k, w in zip(got, want, strict=True):
                 assert k.shape == (10, 10) and k.dtype == w.dtype
                 assert k.tobytes() == w.tobytes(), (name, gamma.gamma)
+
+
+def whole_stack_features(mats) -> np.ndarray:
+    """The rotation features of a whole (N, 2, 2) stack as one expression,
+    with every complex temporary the size of the stack."""
+    return 0.5 * _pauli_form(np.einsum("nbc,nad->nbdac", mats, mats.conj()))[:, _ROTATION]
+
+
+class TestRotationFeatures:
+    """`rotation_features` takes its stack in blocks of _FEATURE_BLOCK
+    matrices, into one Fortran-ordered output, with the bits of the
+    whole-stack expression."""
+
+    BLOCK = circuit._FEATURE_BLOCK
+
+    @staticmethod
+    def assert_whole_stack_bits(mats):
+        got = rotation_features(mats)
+        assert got.shape == (len(mats), 10) and got.dtype == np.float64
+        assert got.flags.f_contiguous and got.T.flags.c_contiguous
+        assert got.tobytes() == whole_stack_features(mats).tobytes(), len(mats)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_stacks_give_the_whole_stack_bits(self, count):
+        rng = np.random.default_rng(count)
+        mats = np.array([strategy_matrix(random_params(rng)) for _ in range(count)]).reshape(count, 2, 2)
+        self.assert_whole_stack_bits(mats)
+
+    def test_every_tail_gives_the_whole_stack_bits(self, monkeypatch):
+        # 4-matrix blocks: full blocks, tails of 2 and 3, and a 1-matrix tail,
+        # which joins the block before it
+        monkeypatch.setattr(circuit, "_FEATURE_BLOCK", 4)
+        assert circuit._blocks(9, 4) == [(0, 4), (4, 9)]
+        assert circuit._blocks(10, 4) == [(0, 4), (4, 8), (8, 10)]
+        rng = np.random.default_rng(7)
+        for count in range(1, 14):
+            self.assert_whole_stack_bits(np.array([strategy_matrix(random_params(rng)) for _ in range(count)]))
+
+    @pytest.mark.parametrize("steps", [(8, 8, 8), (32, 8, 8)], ids=["1824", "7968"])
+    def test_grid_representatives_give_the_whole_stack_bits(self, steps):
+        grid = build_grid(SteppingParams(*(math.pi / d for d in steps)))
+        own = np.array([strategy_matrix(grid.params[i]) for i in grid.members[:, 0]])
+        self.assert_whole_stack_bits(own)
+        assert grid.features.tobytes() == whole_stack_features(own).tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -630,6 +631,37 @@ class TestPayoffBuffers:
             start, tables, _ = steps[-1][-1][-1]
             want = [lone[game][0] for game in games]
             assert all(np.array_equal(w[start:], t) for w, t in zip(want, tables, strict=True))
+
+    @pytest.mark.parametrize("grid", ["eighth_grid", "grid_7968"])
+    def test_c_and_fortran_features_give_the_same_tables(self, request, stag_hunt, deadlock, solver_tables, grid):
+        grid = request.getfixturevalue(grid)
+        assert grid.features.flags.f_contiguous
+        c_grid = dataclasses.replace(grid, features=np.ascontiguousarray(grid.features))
+        assert c_grid.features.flags.c_contiguous and not c_grid.features.T.flags.c_contiguous
+        for gamma in (0.0, 0.7):
+            want = solver_tables([stag_hunt, deadlock], grid, gamma)
+            got = solver_tables([stag_hunt, deadlock], c_grid, gamma)
+            assert all(w.tobytes() == g.tobytes() for w, g in zip(want, got, strict=True))
+
+    def test_set_up_holds_no_fold_positions(self, stag_hunt):
+        # The set-up step holds the orbit rows' features, their products with
+        # each player's K and one 2-row buffer: 4.6 times the features' bytes
+        # (numpy 2.4.6). Fold positions for every block, LR-fixed rows times
+        # moved columns of them, took it to 20.2.
+        grid = build_grid(SteppingParams(PI / 16, PI / 32, PI / 32))
+        rows, classes = len(grid.orbit_images[0]), len(grid.features)
+        assert (len(grid), rows, classes) == (61568, 7712, 30784)
+        blocks = equilibrium._row_blocks(rows, classes)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tables = equilibrium._tables([stag_hunt], grid, [EntanglementParam(0.7)], blocks)
+            passes = next(tables)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(passes) == 2
+        assert peak < 6 * rows * 10 * 8, peak / (rows * 10 * 8)
 
 
 class TestTwoPlayerOnEighthGrid:
