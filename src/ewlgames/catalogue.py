@@ -8,7 +8,6 @@ package.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -48,21 +47,14 @@ class GameCatalogue:
             raise UnknownGameError(f"unknown game {name!r}; available: {known}") from None
 
 
-def _parse_payoffs(game: str, key: str, raw: str) -> tuple[float, float, float, float]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if len(parts) != 4:
-        raise CatalogueValidationError(
-            f"game {game!r}: {key} needs exactly 4 comma-separated payoffs, got {len(parts)}"
-        )
+def _parse_payoffs(game: str, key: str, raw: str) -> tuple[float, ...]:
+    """The comma-separated numbers of `raw`; GameDefinition checks their count and range."""
     values = []
-    for p in parts:
+    for p in [p.strip() for p in raw.split(",") if p.strip()]:
         try:
-            v = float(p)
+            values.append(float(p))
         except ValueError:
             raise CatalogueValidationError(f"game {game!r}: {key} entry {p!r} is not a number") from None
-        if not math.isfinite(v):
-            raise CatalogueValidationError(f"game {game!r}: {key} entry {p!r} is not finite")
-        values.append(v)
     return tuple(values)
 
 
@@ -71,8 +63,9 @@ def load_catalogue(path: str | Path) -> GameCatalogue:
 
     Raises CatalogueParseError for unreadable structure (with the line
     configparser reports), CatalogueValidationError for bad game entries
-    (a payoff beyond `circuit.PAYOFF_LIMIT` among them), FileNotFoundError
-    if the file is missing.
+    (with GameDefinition's message for a payoff count other than 4 or a
+    payoff that is not finite or beyond `circuit.PAYOFF_LIMIT`),
+    FileNotFoundError if the file is missing.
     """
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None)

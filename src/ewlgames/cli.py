@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .catalogue import CatalogueError, load_catalogue, load_default_catalogue
 from .circuit import GAMMA_MAX, EntanglementParam, GameDefinition
-from .equilibrium import DEFAULT_EPSILON
+from .equilibrium import DEFAULT_EPSILON, _require_epsilon
 from .grid import SteppingParams, StrategyGrid, build_grid
 from .output import (
     STRATEGY_COLUMNS,
@@ -51,6 +51,8 @@ from .sweep import (
     DEFAULT_GAMMA_POINTS,
     DEFAULT_P_POINTS,
     RecordTable,
+    _require_bin_width,
+    _require_points,
     bayes_sweep,
     default_gamma_grid,
     default_p_grid,
@@ -107,11 +109,12 @@ def parse_steps(text: str) -> SteppingParams:
         raise ConfigError(str(exc)) from None
 
 
-def _number(parse, valid, rule: str = ""):
-    """An option type: the finite number `parse` reads from the text, if `valid` accepts it.
+def _number(parse, check):
+    """An option type: the number `parse` reads from the text, once `check` accepts it.
 
-    It raises only ConfigError: `invalid <parse> value: '<text>'`, the message
-    of a ValueError from `valid`, or else `<rule>, got '<text>'`. '-0' reads as 0.
+    It raises only ConfigError: `invalid <parse> value: '<text>'`, or the
+    message of `check`'s ValueError, which shows the parsed value. '-0'
+    reads as 0.
     """
 
     def convert(text: str):
@@ -120,24 +123,22 @@ def _number(parse, valid, rule: str = ""):
         except ValueError:
             raise ConfigError(f"invalid {parse.__name__} value: {text!r}") from None
         try:
-            if -math.inf < value < math.inf and valid(value):  # math.isfinite overflows on a huge int
-                return value
+            check(value)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        raise ConfigError(f"{rule}, got {text!r}")
+        return value
 
     return convert
 
 
-def _in_swept_range(gamma: float) -> bool:
-    """True for a gamma within 1e-12 of [0, pi/2], else ValueError.
+def _require_swept(gamma: float) -> None:
+    """ValueError unless gamma lies within 1e-12 of [0, pi/2].
 
     Every sweep covers that range: the default gamma grid spans it, and the
     records reader rejects gammas outside it.
     """
-    if -1e-12 <= gamma <= GAMMA_MAX + 1e-12:
-        return True
-    raise ValueError(f"--gamma-slice {gamma:.12g} outside the swept range [0, {GAMMA_MAX:.12g}]")
+    if not -1e-12 <= gamma <= GAMMA_MAX + 1e-12:
+        raise ValueError(f"--gamma-slice {gamma:.12g} outside the swept range [0, {GAMMA_MAX:.12g}]")
 
 
 def _output_format(text: str) -> str:
@@ -154,21 +155,15 @@ OPTIONS = {
     "catalogue": (str, None, "catalogue file (default: built-in)"),
     "steps": (parse_steps, "pi,pi/2,pi/2", "grid steps as T,P,A angles"),
     "gamma": (_number(parse_angle, EntanglementParam), "0", "entanglement angle (radians or pi fraction)"),
-    "gamma_grid": (
-        _number(int, lambda n: n >= 2, "gamma_grid must be >= 2"), DEFAULT_GAMMA_POINTS, "number of gamma points"
-    ),
-    "p_grid": (_number(int, lambda n: n >= 2, "p_grid must be >= 2"), DEFAULT_P_POINTS, "number of prior points"),
-    "epsilon": (
-        _number(float, lambda x: x >= 0, "epsilon must be finite and >= 0"), DEFAULT_EPSILON, "payoff tie tolerance"
-    ),
+    "gamma_grid": (_number(int, lambda n: _require_points("gamma", n)), DEFAULT_GAMMA_POINTS, "number of gamma points"),
+    "p_grid": (_number(int, lambda n: _require_points("p", n)), DEFAULT_P_POINTS, "number of prior points"),
+    "epsilon": (_number(float, _require_epsilon), DEFAULT_EPSILON, "payoff tie tolerance"),
     "out": (str, None, "output path (analyze: prefix of the CSV files)"),
     "format": (_output_format, "csv", "output format, csv or json"),
     "plot": (str, None, "SVG output path (analyze: prefix of the SVG files)"),
     "records": (str, None, "existing two-player sweep CSV (skips the inline sweep)"),
-    "gamma_slice": (_number(parse_angle, _in_swept_range), None, "gamma value for the payoff histogram"),
-    "bin_width": (
-        _number(float, lambda x: x > 0, "bin_width must be finite and > 0"), DEFAULT_BIN_WIDTH, "histogram bin width"
-    ),
+    "gamma_slice": (_number(parse_angle, _require_swept), None, "gamma value for the payoff histogram"),
+    "bin_width": (_number(float, _require_bin_width), DEFAULT_BIN_WIDTH, "histogram bin width"),
 }
 
 

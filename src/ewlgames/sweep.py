@@ -56,10 +56,14 @@ DEFAULT_P_POINTS = 21
 DEFAULT_BIN_WIDTH = 0.05
 
 
+def _require_points(what: str, n: int) -> None:
+    if n < 2:
+        raise ValueError(f"need at least 2 {what} points, got {n!r}")
+
+
 def default_gamma_grid(n: int = DEFAULT_GAMMA_POINTS) -> list[float]:
     """n uniform entanglement values covering [0, pi/2] inclusive."""
-    if n < 2:
-        raise ValueError("need at least 2 gamma points")
+    _require_points("gamma", n)
     # The endpoint is GAMMA_MAX itself: GAMMA_MAX * (n - 1) / (n - 1) can
     # round one ulp to either side, and above pi/2 is not a valid gamma.
     return [GAMMA_MAX * k / (n - 1) for k in range(n - 1)] + [GAMMA_MAX]
@@ -67,8 +71,7 @@ def default_gamma_grid(n: int = DEFAULT_GAMMA_POINTS) -> list[float]:
 
 def default_p_grid(n: int = DEFAULT_P_POINTS) -> list[float]:
     """n uniform prior values covering [0, 1] inclusive."""
-    if n < 2:
-        raise ValueError("need at least 2 p points")
+    _require_points("p", n)
     return [k / (n - 1) for k in range(n)]
 
 
@@ -347,6 +350,11 @@ def scatter_theta(records: Sequence[SweepRecord]) -> list[tuple[float, float]]:
     ]
 
 
+def _require_bin_width(bin_width: float) -> None:
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise ValueError(f"bin_width must be finite and > 0, got {bin_width!r}")
+
+
 def payoff_bins(
     gammas: np.ndarray,
     payoffs: np.ndarray,
@@ -359,8 +367,7 @@ def payoff_bins(
     k stays a float, so a tiny width cannot overflow an integer, and
     (k + 0.5) * w is the float that integer arithmetic on k gives.
     """
-    if not (math.isfinite(bin_width) and bin_width > 0):
-        raise ValueError(f"bin_width must be finite and positive, got {bin_width!r}")
+    _require_bin_width(bin_width)
     if not math.isfinite(gamma_slice):
         raise ValueError(f"gamma_slice must be finite, got {gamma_slice!r}")
     gammas = np.asarray(gammas, dtype=np.float64)

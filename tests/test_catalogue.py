@@ -86,7 +86,7 @@ class TestLoadCatalogue:
 
     def test_three_entries_rejected_naming_game(self, tmp_path):
         path = self.write(tmp_path, "[bad]\npayoff_a = 1, 2, 3\npayoff_b = 0,0,0,0\n")
-        with pytest.raises(CatalogueValidationError, match="'bad'"):
+        with pytest.raises(CatalogueValidationError, match=r"^bad: payoff_a needs exactly 4 entries, got 3$"):
             load_catalogue(path)
 
     def test_empty_file_is_a_parse_error(self, tmp_path):
@@ -110,7 +110,7 @@ class TestLoadCatalogue:
 
     def test_non_finite_payoff(self, tmp_path):
         path = self.write(tmp_path, "[a]\npayoff_a = 1, 2, inf, 4\npayoff_b = 0,0,0,0\n")
-        with pytest.raises(CatalogueValidationError, match="not finite"):
+        with pytest.raises(CatalogueValidationError, match=r"^a: payoff_a needs finite entries with \|w\| <= 1e\+300$"):
             load_catalogue(path)
 
     def test_payoff_beyond_the_limit(self, tmp_path):

@@ -4,11 +4,20 @@ import math
 
 import pytest
 
-from ewlgames import DEFAULT_EPSILON
+from ewlgames import (
+    DEFAULT_EPSILON,
+    GameDefinition,
+    SteppingParams,
+    build_grid,
+    default_gamma_grid,
+    default_p_grid,
+    gamma_sweep,
+)
 from ewlgames import cli
+from ewlgames.circuit import EntanglementParam
 from ewlgames.cli import ConfigError, build_parser, main, parse_angle, parse_steps
 from ewlgames.output import BAYES_COLUMNS, TWO_PLAYER_COLUMNS
-from ewlgames.sweep import DEFAULT_BIN_WIDTH, DEFAULT_GAMMA_POINTS, DEFAULT_P_POINTS
+from ewlgames.sweep import DEFAULT_BIN_WIDTH, DEFAULT_GAMMA_POINTS, DEFAULT_P_POINTS, payoff_bins
 
 PI = math.pi
 
@@ -199,16 +208,19 @@ class TestUsageErrors:
                 ["solve", "--game", "nosuch", "--gamma", "2", "--out", "x.csv"],
                 "gamma must be in [0.0, 1.5707963267948966], got 2.0",
             ),
-            (["sweep", "--game", "nosuch", "--gamma-grid", "1", "--out", "x.csv"], "gamma_grid must be >= 2, got '1'"),
+            (
+                ["sweep", "--game", "nosuch", "--gamma-grid", "1", "--out", "x.csv"],
+                "need at least 2 gamma points, got 1",
+            ),
             (
                 ["bayes-sweep", "--game", "nosuch", "--game2", "deadlock", "--p-grid", "1", "--out", "b.csv"],
-                "p_grid must be >= 2, got '1'",
+                "need at least 2 p points, got 1",
             ),
             (["sweep", "--game", "nosuch", "--gamma-grid", "x", "--out", "x.csv"], "invalid int value: 'x'"),
             (
                 ["analyze", "--game", "nosuch", "--records", "missing.csv", "--gamma-slice", "0.7", "--gamma-grid", "1",
                  "--out", "an"],
-                "gamma_grid must be >= 2, got '1'",
+                "need at least 2 gamma points, got 1",
             ),
             # every sweep covers [0, pi/2], so a slice outside it is refused before the
             # records file (missing here, which would exit 2) or the inline sweep
@@ -353,7 +365,7 @@ class TestOptionTable:
             ("epsilon = x", "[run] epsilon: invalid float value: 'x'"),
             ("format = xml", "[run] format: --format must be csv or json, got 'xml'"),
             ("steps = pi,x,pi", "[run] steps: cannot parse angle 'x'"),
-            ("gamma_grid = 1", "[run] gamma_grid: gamma_grid must be >= 2, got '1'"),
+            ("gamma_grid = 1", "[run] gamma_grid: need at least 2 gamma points, got 1"),
         ],
     )
     def test_bad_config_value_names_file_and_key(self, tmp_path, capsys, line, message):
@@ -388,6 +400,45 @@ class TestOptionTable:
         assert "(default: 1e-6)" in help_text
         assert "(default: 9)" in help_text
         assert f"(default: {DEFAULT_EPSILON})" not in help_text
+
+
+def _sweep_of_no_gammas(epsilon):
+    game = GameDefinition("g", (0, 0, 0, 0), (0, 0, 0, 0))
+    return gamma_sweep(game, build_grid(SteppingParams(PI, PI, PI)), [], epsilon)
+
+
+class TestOptionChecksAreLibraryChecks:
+    """A bad flag or `[run]` value prints the ValueError text of the library call that checks it."""
+
+    @pytest.mark.parametrize(
+        "command, key, text, call",
+        [
+            ("solve", "epsilon", "-1", lambda: _sweep_of_no_gammas(-1.0)),
+            ("solve", "epsilon", "nan", lambda: _sweep_of_no_gammas(math.nan)),
+            ("sweep", "gamma_grid", "1", lambda: default_gamma_grid(1)),
+            ("bayes-sweep", "gamma_grid", "-3", lambda: default_gamma_grid(-3)),
+            ("bayes-sweep", "p_grid", "1", lambda: default_p_grid(1)),
+            ("analyze", "bin_width", "0", lambda: payoff_bins([], [], 0.0, 0.0)),
+            ("analyze", "bin_width", "inf", lambda: payoff_bins([], [], 0.0, math.inf)),
+            ("solve", "gamma", "2", lambda: EntanglementParam(2.0)),
+            ("strategies", "steps", "0,pi,pi", lambda: SteppingParams(0.0, PI, PI)),
+        ],
+        ids=[
+            "epsilon-negative", "epsilon-nan", "gamma-grid-1", "gamma-grid-negative", "p-grid-1", "bin-width-0",
+            "bin-width-inf", "gamma-2", "steps-0",
+        ],
+    )
+    def test_flag_and_config_print_the_library_message(self, tmp_path, monkeypatch, capsys, command, key, text, call):
+        with pytest.raises(ValueError) as library:
+            call()
+        monkeypatch.chdir(tmp_path)
+        assert run(command, f"--{key.replace('_', '-')}", text, "--out", "x") == 1
+        assert capsys.readouterr() == ("", f"error: {library.value}\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\n{key} = {text}\n")
+        assert run(command, "--config", str(cfg), "--out", "x") == 1
+        assert capsys.readouterr() == ("", f"error: {cfg}: [run] {key}: {library.value}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
 
 class TestBayesSweep:
@@ -732,6 +783,26 @@ class TestAnalyze:
         assert f"error: {records}: record 1: {field} must be" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["edited.csv", "sweep.csv"]
 
+    @pytest.mark.parametrize("where", ["before-header", "in-body"])
+    def test_line_of_spaces_exits_1_naming_the_file(self, tmp_path, sweep_csv, capsys, where):
+        # only empty lines are skipped: a line of spaces is neither the header nor a record
+        header, *rows = sweep_csv.read_text().split("\n")
+        lines = ["  ", header, *rows] if where == "before-header" else [header, rows[0], "  ", *rows[1:]]
+        records = tmp_path / "spaced.csv"
+        records.write_text("\n".join(lines))
+        prefix = str(tmp_path / "an")
+        code = run(
+            "analyze", "--records", str(records), "--gamma-slice", "0",
+            "--out", prefix, "--plot", prefix,
+        )
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {records}: ")
+        if where == "before-header":
+            assert err == f"error: {records}: not a two-player records CSV\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spaced.csv", "sweep.csv"]
+
     @pytest.mark.parametrize("bin_width", ["inf", "nan", "0", "-1"])
     def test_bad_bin_width_writes_nothing(self, tmp_path, sweep_csv, capsys, bin_width):
         prefix = str(tmp_path / "an")
@@ -753,7 +824,7 @@ class TestAnalyze:
         assert code == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: bin_width must be finite and > 0, got {bin_width!r}\n"
+        assert err == f"error: bin_width must be finite and > 0, got {float(bin_width)!r}\n"
         cfg = tmp_path / "run.ini"
         cfg.write_text(f"[run]\nbin_width = {bin_width}\n")
         code = run(
@@ -763,7 +834,7 @@ class TestAnalyze:
         assert code == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: {cfg}: [run] bin_width: bin_width must be finite and > 0, got {bin_width!r}\n"
+        assert err == f"error: {cfg}: [run] bin_width: bin_width must be finite and > 0, got {float(bin_width)!r}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
     def test_overflowing_plot_range_exits_1_without_the_svg(self, tmp_path, sweep_csv, capsys):

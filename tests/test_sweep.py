@@ -90,6 +90,11 @@ class TestDefaultGrids:
         with pytest.raises(ValueError):
             default_gamma_grid(1)
 
+    def test_two_points_are_the_least(self):
+        assert default_gamma_grid(2) == [0.0, PI / 2] and default_p_grid(2) == [0.0, 1.0]
+        with pytest.raises(ValueError, match=r"^need at least 2 p points, got 1$"):
+            default_p_grid(1)
+
 
 class TestGammaSweep:
     def test_pd_structure(self, pd_table, gamma_points):
