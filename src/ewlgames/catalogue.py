@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .circuit import GameDefinition
@@ -54,7 +53,7 @@ def _parse_payoffs(game: str, key: str, raw: str) -> tuple[float, ...]:
         try:
             values.append(float(p))
         except ValueError:
-            raise CatalogueValidationError(f"game {game!r}: {key} entry {p!r} is not a number") from None
+            raise CatalogueValidationError(f"{game}: {key} entry {p!r} is not a number") from None
     return tuple(values)
 
 
@@ -62,10 +61,11 @@ def load_catalogue(path: str | Path) -> GameCatalogue:
     """Read and validate a catalogue file.
 
     Raises CatalogueParseError for unreadable structure (with the line
-    configparser reports), CatalogueValidationError for bad game entries
-    (with GameDefinition's message for a payoff count other than 4 or a
-    payoff that is not finite or beyond `circuit.PAYOFF_LIMIT`),
-    FileNotFoundError if the file is missing.
+    configparser reports), CatalogueValidationError for bad game entries,
+    FileNotFoundError if the file is missing. Every game-entry message
+    reads `<game>: <problem>`, the form of GameDefinition's own messages
+    for a payoff count other than 4 or a payoff that is not finite or
+    beyond `circuit.PAYOFF_LIMIT`, which are passed on as they are.
     """
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None)
@@ -85,12 +85,10 @@ def load_catalogue(path: str | Path) -> GameCatalogue:
         entries = parser[section]
         for key in ("payoff_a", "payoff_b"):
             if key not in entries:
-                raise CatalogueValidationError(f"game {section!r}: missing {key}")
+                raise CatalogueValidationError(f"{section}: missing {key}")
         extra = set(entries) - {"payoff_a", "payoff_b"}
         if extra:
-            raise CatalogueValidationError(
-                f"game {section!r}: unexpected keys {sorted(extra)}"
-            )
+            raise CatalogueValidationError(f"{section}: unexpected keys {sorted(extra)}")
         payoff_a = _parse_payoffs(section, "payoff_a", entries["payoff_a"])
         payoff_b = _parse_payoffs(section, "payoff_b", entries["payoff_b"])
         try:
@@ -102,6 +100,8 @@ def load_catalogue(path: str | Path) -> GameCatalogue:
 
 def default_catalogue_path() -> Path:
     """Location of the catalogue file shipped with the package."""
+    from importlib import resources  # only here: a CLI start that reads no default catalogue skips it
+
     return Path(resources.files(__package__).joinpath("data/games.ini"))
 
 

@@ -434,7 +434,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

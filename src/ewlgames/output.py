@@ -267,8 +267,8 @@ def write_records_json(
         fh.write("]\n}\n")
 
 
-def _checked_column(name: str, col: np.ndarray) -> np.ndarray:
-    """`col` with its boundary angles snapped; ValueError on a value out of range."""
+def _out_of_range(name: str, col: np.ndarray) -> tuple[int, str] | None:
+    """Snap `col`'s boundary angles in place; the first record out of range, and why, if any."""
     high = _ANGLE_BOUNDS.get(name)
     if high is not None:
         # 12-digit CSV rounding can push a boundary angle past its interval
@@ -283,10 +283,45 @@ def _checked_column(name: str, col: np.ndarray) -> np.ndarray:
     else:
         bad = col < 0
         rule = "non-negative"
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(f"record {k + 1}: {name} must be {rule}, got {col[k].item()!r}")
-    return col
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    return k, f"{name} must be {rule}, got {col[k].item()!r}"
+
+
+def _record_lines(path: str | Path) -> list[tuple[int, str]]:
+    """(file line number, text) of each record line of `path`: every non-empty line after the header."""
+    with open(path, encoding="utf-8") as fh:
+        return [(n, line.rstrip("\n")) for n, line in enumerate(fh, 1) if line != "\n"][1:]
+
+
+def _loads(lines: list[str], dtype: np.dtype = TWO_PLAYER_DTYPE, usecols: int | None = None) -> bool:
+    """Whether loadtxt reads `lines` as records, or their column `usecols` as `dtype`."""
+    try:
+        np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype, usecols=usecols)
+    except ValueError:
+        return False
+    return True
+
+
+def _unreadable(lines: list[str]) -> tuple[int, str] | None:
+    """The first of the record `lines` that loadtxt cannot read, and why, if any.
+
+    loadtxt's own message is not used: it numbers rows from the first
+    record, from 0 or from 1 by kind of error. Each block of lines is read
+    whole, so only the failing block is read a line at a time.
+    """
+    for start in range(0, len(lines), _WRITE_BLOCK):
+        if _loads(lines[start : start + _WRITE_BLOCK]):
+            continue
+        k = next(k for k in range(start, len(lines)) if not _loads(lines[k : k + 1]))
+        fields = lines[k].split(",")
+        if len(fields) != len(TWO_PLAYER_COLUMNS):
+            return k, f"expected {len(TWO_PLAYER_COLUMNS)} fields, got {len(fields)}"
+        j = next(j for j in range(len(fields)) if not _loads(lines[k : k + 1], TWO_PLAYER_DTYPE[j], j))
+        kind = "an integer" if TWO_PLAYER_DTYPE[j].kind == "i" else "a number"
+        return k, f"{TWO_PLAYER_COLUMNS[j]} must be {kind}, got {fields[j]!r}"
+    return None
 
 
 def read_two_player_csv(path: str | Path) -> RecordTable:
@@ -297,22 +332,35 @@ def read_two_player_csv(path: str | Path) -> RecordTable:
     integer indices, finite payoffs, gamma in [0, pi/2], theta in [0, pi],
     phi and alpha in [0, 2pi]. An angle less than 1e-9 outside its
     interval, as 12-digit rounding prints pi, is snapped onto the bound.
-    Anything else raises ValueError naming the file.
+    Anything else raises ValueError naming the file and the line, counted
+    from 1 with blank lines included. A valid file is read in one
+    `np.loadtxt` call; only a failed read or check reads the file again to
+    find the line.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            header = "\n"
+            line, header = 1, fh.readline()
             while header == "\n":
-                header = fh.readline()
+                line, header = line + 1, fh.readline()
             if header.rstrip("\n").split(",") != TWO_PLAYER_COLUMNS:
-                raise ValueError("not a two-player records CSV")
+                where = f"line {line}: " if header else ""
+                raise ValueError(f"{where}not a two-player records CSV")
             with warnings.catch_warnings():
                 # a header-only file is an empty record set
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", comments=None, dtype=TWO_PLAYER_DTYPE, ndmin=1)
-        columns = {
-            name: _checked_column(name, np.ascontiguousarray(table[name])) for name in TWO_PLAYER_COLUMNS
-        }
+                try:
+                    table = np.loadtxt(fh, delimiter=",", comments=None, dtype=TWO_PLAYER_DTYPE, ndmin=1)
+                except ValueError:
+                    lines = _record_lines(path)
+                    bad = _unreadable([text for _, text in lines])
+                    if bad is None:  # the file changed since it was read
+                        raise
+                    raise ValueError(f"line {lines[bad[0]][0]}: {bad[1]}") from None
+        columns = {name: np.ascontiguousarray(table[name]) for name in TWO_PLAYER_COLUMNS}
+        for name, col in columns.items():
+            bad = _out_of_range(name, col)
+            if bad is not None:
+                raise ValueError(f"line {_record_lines(path)[bad[0]][0]}: {bad[1]}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return RecordTable(columns)

@@ -70,6 +70,19 @@ def test_default_catalogue_is_read_from_the_package_under_its_own_name(tmp_path,
     assert proc.stdout == "(7.0, 0.0, 5.0, 1.0)\n"
 
 
+def test_cli_start_does_not_import_importlib_resources():
+    # only default_catalogue_path needs it; a child without `site` (whose .pth
+    # files may import it first) and with numpy's directory on the path
+    # compares the modules before and after the import, so it holds either way
+    import numpy
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), str(Path(numpy.__file__).resolve().parent.parent)])
+    code = "import sys; before = set(sys.modules); import ewlgames.cli; sys.exit('importlib.resources' in set(sys.modules) - before)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0
+
+
 class TestLoadCatalogue:
     def write(self, tmp_path, text):
         path = tmp_path / "games.ini"
@@ -105,7 +118,7 @@ class TestLoadCatalogue:
 
     def test_non_numeric_payoff(self, tmp_path):
         path = self.write(tmp_path, "[a]\npayoff_a = 1, 2, x, 4\npayoff_b = 0,0,0,0\n")
-        with pytest.raises(CatalogueValidationError, match="not a number"):
+        with pytest.raises(CatalogueValidationError, match=r"^a: payoff_a entry 'x' is not a number$"):
             load_catalogue(path)
 
     def test_non_finite_payoff(self, tmp_path):
@@ -121,14 +134,14 @@ class TestLoadCatalogue:
 
     def test_missing_payoff_b(self, tmp_path):
         path = self.write(tmp_path, "[a]\npayoff_a = 1, 2, 3, 4\n")
-        with pytest.raises(CatalogueValidationError, match="missing payoff_b"):
+        with pytest.raises(CatalogueValidationError, match=r"^a: missing payoff_b$"):
             load_catalogue(path)
 
     def test_unexpected_keys(self, tmp_path):
         path = self.write(
             tmp_path, "[a]\npayoff_a = 1,2,3,4\npayoff_b = 1,2,3,4\nbonus = 7\n"
         )
-        with pytest.raises(CatalogueValidationError, match="unexpected"):
+        with pytest.raises(CatalogueValidationError, match=r"^a: unexpected keys \['bonus'\]$"):
             load_catalogue(path)
 
     def test_duplicate_game_name(self, tmp_path):

@@ -1,6 +1,12 @@
+import gc
 import hashlib
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +20,7 @@ from ewlgames import (
     gamma_sweep,
 )
 from ewlgames import cli
+from ewlgames.__main__ import entry
 from ewlgames.circuit import EntanglementParam
 from ewlgames.cli import ConfigError, build_parser, main, parse_angle, parse_steps
 from ewlgames.output import BAYES_COLUMNS, TWO_PLAYER_COLUMNS
@@ -302,11 +309,6 @@ class TestSweep:
     def test_plot_of_payoffs_equal_up_to_float_noise_finishes(self, tmp_path):
         # every payoff prints as 1000000 but differs by an ulp, so the y ticks
         # step by less than half an ulp; a subprocess, so a hang fails on the timeout
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
         (tmp_path / "flat.ini").write_text("[flat6]\npayoff_a = 1e6,1e6,1e6,1e6\npayoff_b = 1e6,1e6,1e6,1e6\n")
         proc = subprocess.run(
             [
@@ -633,9 +635,6 @@ class TestFlagPlumbing:
         assert list(tmp_path.iterdir()) == [records.parent]
 
     def test_module_entry_point(self, tmp_path):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "ewlgames", "--version"], capture_output=True, text=True
         )
@@ -643,11 +642,6 @@ class TestFlagPlumbing:
         assert "ewlgames" in proc.stdout
 
     def test_blas_thread_count_does_not_change_records(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
         src = str(Path(__file__).resolve().parent.parent / "src")
         commands = {
             "sweep": ["sweep", "--game", "stag_hunt", "--steps", "pi/4,pi/4,pi/4"],
@@ -680,6 +674,56 @@ class TestFlagPlumbing:
         assert run(*base, "--out", str(a)) == 0
         assert run(*base, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestProcessEntry:
+    """`python -m ewlgames` and the console script run `__main__.entry`, which
+    freezes the collector after `main`; `main` itself leaves it alone."""
+
+    SRC = str(Path(__file__).resolve().parent.parent / "src")
+    SOLVE = ["solve", "--game", "prisoners_dilemma", "--gamma", "pi/8", "--format", "json"]
+
+    def child(self, *argv, cwd=None):
+        return subprocess.run(
+            [sys.executable, "-m", "ewlgames", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            cwd=cwd,
+            env={**os.environ, "PYTHONPATH": self.SRC},
+        )
+
+    def test_main_in_process_leaves_the_collector_unfrozen(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        assert run("strategies", "--steps", "pi,pi/2,pi/2", "--out", str(tmp_path / "grid.csv")) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_entry_freezes_the_collector_after_the_run(self, tmp_path, monkeypatch):
+        out = tmp_path / "grid.csv"
+        monkeypatch.setattr(sys, "argv", ["ewlgames", "strategies", "--steps", "pi,pi/2,pi/2", "--out", str(out)])
+        try:
+            assert entry() == 0
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert out.read_text().count("\n") == 9
+
+    def test_console_script_is_the_module_entry(self):
+        text = (Path(self.SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
+        assert re.findall(r'^ewlgames = "(.*)"$', text, re.MULTILINE) == ["ewlgames.__main__:entry"]
+
+    def test_child_writes_the_bytes_of_main_in_process(self, tmp_path):
+        assert run(*self.SOLVE, "--out", str(tmp_path / "in.json")) == 0
+        proc = self.child(*self.SOLVE, "--out", "child.json", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "child.json").read_bytes() == (tmp_path / "in.json").read_bytes()
+
+    def test_child_exit_1_prints_its_error_line(self, tmp_path):
+        proc = self.child(*self.SOLVE, "--epsilon", "-1", "--out", "x.json", cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "epsilon" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAnalyze:
@@ -780,7 +824,7 @@ class TestAnalyze:
             "--out", prefix, "--plot", prefix,
         )
         assert code == 1
-        assert f"error: {records}: record 1: {field} must be" in capsys.readouterr().err
+        assert f"error: {records}: line 2: {field} must be" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["edited.csv", "sweep.csv"]
 
     @pytest.mark.parametrize("where", ["before-header", "in-body"])
@@ -800,7 +844,9 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith(f"error: {records}: ")
         if where == "before-header":
-            assert err == f"error: {records}: not a two-player records CSV\n"
+            assert err == f"error: {records}: line 1: not a two-player records CSV\n"
+        else:
+            assert err == f"error: {records}: line 3: expected 12 fields, got 1\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spaced.csv", "sweep.csv"]
 
     @pytest.mark.parametrize("bin_width", ["inf", "nan", "0", "-1"])

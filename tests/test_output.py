@@ -228,7 +228,54 @@ class TestReader:
         path.write_text(header + "\n" + self.GOOD + "\n")
         with pytest.raises(ValueError):
             read_records_rows(path.read_text())
-        with pytest.raises(ValueError, match=re.escape(f"{path}: not a two-player records CSV")):
+        # an empty first line is skipped, so the good record on line 2 is read as the header
+        line = 1 if header else 2
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {line}: not a two-player records CSV')}$"):
+            read_two_player_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_a_file_without_a_header_names_no_line(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: not a two-player records CSV')}$"):
+            read_two_player_csv(path)
+
+    # Every error names the file's own line, counted from 1 with the blank
+    # lines: two before the header (line 3), one after it, and one between
+    # the two records, so the good record is line 5 and the bad one line 7.
+    @pytest.mark.parametrize(
+        "bad,problem",
+        [
+            pytest.param("   ", "expected 12 fields, got 1", id="spaces"),
+            pytest.param(GOOD.rsplit(",", 1)[0], "expected 12 fields, got 11", id="11-fields"),
+            pytest.param(GOOD + ",1", "expected 12 fields, got 13", id="13-fields"),
+            pytest.param(GOOD.replace("0.5,0,", "0.5,x,", 1), "eq_index must be an integer, got 'x'", id="x-index"),
+            pytest.param(GOOD.replace(",4,5,", ",3.0,5,"), "a_index must be an integer, got '3.0'", id="float-index"),
+            pytest.param(GOOD.replace(",1.25,1.25", ",1.25,"), "payoff_b must be a number, got ''", id="empty-payoff"),
+            pytest.param(GOOD.replace("0.5,", "y,", 1), "gamma must be a number, got 'y'", id="y-gamma"),
+            pytest.param(
+                GOOD.replace(",3.14159265359,0,0,", ",3.2,0,0,", 1),
+                f"theta_a must be in [0, {PI!r}], got 3.2",
+                id="theta-3.2",
+            ),
+            pytest.param(GOOD.replace(",1.25,1.25", ",inf,1.25"), "payoff_a must be finite, got inf", id="inf-payoff"),
+            pytest.param(GOOD.replace(",4,5,", ",4,-5,"), "b_index must be non-negative, got -5", id="negative-index"),
+        ],
+    )
+    def test_errors_name_the_file_line(self, tmp_path, bad, problem):
+        path = tmp_path / "records.csv"
+        path.write_text("\n\n" + TWO_PLAYER_HEADER + "\n\n" + self.GOOD + "\n\n" + bad + "\n" + self.GOOD + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 7: {problem}')}$"):
+            read_two_player_csv(path)
+
+    @pytest.mark.parametrize("before", [_WRITE_BLOCK - 1, _WRITE_BLOCK, 2 * _WRITE_BLOCK + 5])
+    def test_a_bad_line_past_the_first_block_names_its_line(self, tmp_path, before):
+        # the reread takes the records in blocks; the bad one is record `before`
+        # (from 0), so its line is `before` + 2 after the header and one blank line
+        path = tmp_path / "records.csv"
+        bad = self.GOOD.replace("0.5,0,", "0.5,x,", 1)
+        path.write_text(TWO_PLAYER_HEADER + "\n\n" + (self.GOOD + "\n") * before + bad + "\n" + self.GOOD + "\n")
+        with pytest.raises(ValueError, match=f": line {before + 3}: eq_index must be an integer, got 'x'$"):
             read_two_player_csv(path)
 
 
